@@ -10,6 +10,7 @@ from .affine import (
     AffineData,
     AffineType,
     Family,
+    NodeOutOfRange,
     RankOutOfRange,
     build,
     build_type,
@@ -51,9 +52,10 @@ from .qdata import (
     tau_q,
     validate_qdatum,
 )
-from .roots import FinRootSystem, FinWeight, apply_word, reflect, root_system
+from .roots import FinRootSystem, FinWeight, apply_word, root_system
 from .scalars import (
     ParseError,
+    QAffineError,
     RootOutsideDomain,
     SpectralScalar,
     nth_roots,

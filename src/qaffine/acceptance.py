@@ -300,10 +300,9 @@ CRITERIA: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_all(report=print) -> bool:
-    ok_all = True
+def run_criteria():
+    """Yield (name, ok, detail, seconds) for each criterion, in order."""
     for name, fn in CRITERIA:
+        start = time.perf_counter()
         ok, detail = fn()
-        ok_all &= ok
-        report(f"[{'PASS' if ok else 'FAIL'}] criterion {name} ({detail})")
-    return ok_all
+        yield name, ok, detail, time.perf_counter() - start

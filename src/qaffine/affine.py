@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
-from .roots import FinRootSystem, graph_distance, root_system
+from .roots import FinRootSystem, diagram_adj, graph_distance, root_system
 from .scalars import (
     MINUS_ONE,
     MINUS_Q,
@@ -25,13 +26,24 @@ from .scalars import (
     I_UNIT,
     Q,
     QS,
+    QAffineError,
     SpectralScalar,
     scalar,
 )
 
 
-class RankOutOfRange(ValueError):
+class RankOutOfRange(QAffineError):
     """Rank parameter outside the family's legal range."""
+
+
+class NodeOutOfRange(QAffineError):
+    """Node index outside I_0."""
+
+
+# the largest rank of the associated finite type that `build` accepts; it
+# bounds work that grows as about rank^4 (B_n^{(1)} and A_{2n}^{(2)} have
+# a finite type of about twice their own rank)
+MAX_GFIN_RANK = 64
 
 
 class Family(str, Enum):
@@ -51,27 +63,117 @@ class Family(str, Enum):
     D4_3 = "D4_3"
 
 
-_MIN_RANK = {
-    Family.A1: 1,
-    Family.B1: 2,
-    Family.C1: 3,
-    Family.D1: 4,
-    Family.A2_EVEN: 1,
-    Family.A2_ODD: 2,
-    Family.D2: 3,
-}
+def _mq(k: int) -> SpectralScalar:
+    return MINUS_Q ** k
 
-_FIXED_RANK = {
-    Family.E6_1: 6,
-    Family.E7_1: 7,
-    Family.E8_1: 8,
-    Family.F4_1: 4,
-    Family.G2_1: 2,
-    Family.E6_2: 4,
-    Family.D4_3: 2,
-}
 
-TWISTED = {Family.A2_EVEN, Family.A2_ODD, Family.D2, Family.E6_2, Family.D4_3}
+def _simply_laced_base(n: int, i: int, dd) -> SpectralScalar:
+    return _mq(dd(1, i))
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """The facts that define one affine family; everything else is derived.
+
+    The type string prints as `<letter><num_scale * n + num_offset>-<twist>`.
+    An untwisted family names its finite type `gfin(n) = (letter, rank)`; a
+    twisted one names its untwisted partner `partner(n) = (family, rank)`
+    and shares the partner's finite type.
+    """
+
+    letter: str
+    twist: int
+    rank: int  # the least rank, or the only one when `fixed`
+    pstar: Callable[[int], SpectralScalar]
+    k0: tuple[int, int, int]
+    sigma0_base: Callable[[int, int, Callable[[int, int], int]], SpectralScalar]
+    fixed: bool = False
+    num_scale: int = 1
+    num_offset: int = 0
+    m: Callable[[int, int], int] = lambda n, i: 1
+    gfin: Callable[[int], tuple[str, int]] | None = None
+    partner: Callable[[int], tuple["Family", int]] | None = None
+
+
+# generators of the stabilizer of sigma_Z, as (e_step, phase_step, phase_mod)
+_K0_Q2 = (12, 0, 0)  # <q^2>
+_K0_Q = (6, 0, 0)  # <q>
+_K0_QT2 = (4, 0, 0)  # <q_t^2>
+_K0_MINUS_Q = (6, 12, 0)  # <-q>
+_K0_SIGN_Q2 = (12, 0, 12)  # <-1, q^2>
+_K0_OMEGA_Q2 = (12, 0, 8)  # <omega, q^2>
+
+_SPECS: dict[Family, FamilySpec] = {
+    Family.A1: FamilySpec(
+        "A", 1, 1, lambda n: _mq(n + 1), _K0_Q2, _simply_laced_base,
+        gfin=lambda n: ("A", n),
+    ),
+    Family.B1: FamilySpec(
+        "B", 1, 2, lambda n: scalar(0, 2 * n - 1), _K0_Q,
+        lambda n, i, dd: ONE if i == n else (MINUS_ONE ** (n + i)) * QS,
+        gfin=lambda n: ("A", 2 * n - 1),
+    ),
+    Family.C1: FamilySpec(
+        "C", 1, 3, lambda n: scalar(0, n + 1), _K0_Q,
+        lambda n, i, dd: MINUS_QS ** (i - 1),
+        gfin=lambda n: ("D", n + 1),
+    ),
+    Family.D1: FamilySpec(
+        "D", 1, 4, lambda n: scalar(0, 2 * n - 2), _K0_Q2, _simply_laced_base,
+        gfin=lambda n: ("D", n),
+    ),
+    Family.E6_1: FamilySpec(
+        "E", 1, 6, lambda n: scalar(0, 12), _K0_Q2, _simply_laced_base,
+        fixed=True, gfin=lambda n: ("E", 6),
+    ),
+    Family.E7_1: FamilySpec(
+        "E", 1, 7, lambda n: scalar(0, 18), _K0_Q2, _simply_laced_base,
+        fixed=True, gfin=lambda n: ("E", 7),
+    ),
+    Family.E8_1: FamilySpec(
+        "E", 1, 8, lambda n: scalar(0, 30), _K0_Q2, _simply_laced_base,
+        fixed=True, gfin=lambda n: ("E", 8),
+    ),
+    Family.F4_1: FamilySpec(
+        "F", 1, 4, lambda n: scalar(0, 9), _K0_Q,
+        lambda n, i, dd: (MINUS_ONE ** i) * (QS ** (-1 if i == 3 else 0)),
+        fixed=True, gfin=lambda n: ("E", 6),
+    ),
+    Family.G2_1: FamilySpec(
+        "G", 1, 2, lambda n: scalar(0, 4), _K0_QT2,
+        lambda n, i, dd: MINUS_QT ** dd(2, i),
+        fixed=True, gfin=lambda n: ("D", 4),
+    ),
+    Family.A2_EVEN: FamilySpec(
+        "A", 2, 1, lambda n: scalar(12, 2 * n + 1), _K0_MINUS_Q,
+        lambda n, i, dd: ONE,
+        num_scale=2, partner=lambda n: (Family.A1, 2 * n),
+    ),
+    Family.A2_ODD: FamilySpec(
+        "A", 2, 2, lambda n: scalar(12, 2 * n), _K0_SIGN_Q2,
+        lambda n, i, dd: _mq(i + 1),
+        num_scale=2, num_offset=-1, m=lambda n, i: 2 if i == n else 1,
+        partner=lambda n: (Family.A1, 2 * n - 1),
+    ),
+    Family.D2: FamilySpec(
+        "D", 2, 3, lambda n: scalar(12 * (n + 1), 2 * n), _K0_SIGN_Q2,
+        lambda n, i, dd: _mq(i + 1) if i == n else (I_UNIT ** (n + 1 - i)) * _mq(i + 1),
+        num_offset=1, m=lambda n, i: 1 if i == n else 2,
+        partner=lambda n: (Family.D1, n + 1),
+    ),
+    Family.E6_2: FamilySpec(
+        "E", 2, 4, lambda n: scalar(12, 12), _K0_SIGN_Q2,
+        lambda n, i, dd: Q ** (i + 1) if i in (1, 2) else I_UNIT * _mq(i + 1),
+        fixed=True, num_offset=2, m=lambda n, i: 1 if i <= 2 else 2,
+        partner=lambda n: (Family.E6_1, 6),
+    ),
+    Family.D4_3: FamilySpec(
+        "D", 3, 2, lambda n: scalar(0, 6), _K0_OMEGA_Q2,
+        lambda n, i, dd: ONE if i == 1 else MINUS_Q,
+        fixed=True, num_offset=2, m=lambda n, i: 1 if i == 1 else 3,
+        partner=lambda n: (Family.D1, 4),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -80,11 +182,28 @@ class AffineType:
     n: int
 
     def __post_init__(self):
-        if self.family in _FIXED_RANK:
-            if self.n != _FIXED_RANK[self.family]:
-                raise RankOutOfRange(f"{self.family.value} has fixed rank {_FIXED_RANK[self.family]}")
-        elif self.n < _MIN_RANK[self.family]:
-            raise RankOutOfRange(f"{self.family.value} needs n >= {_MIN_RANK[self.family]}, got {self.n}")
+        spec = self.spec
+        if spec.fixed and self.n != spec.rank:
+            raise RankOutOfRange(f"{self.family.value} has fixed rank {spec.rank}")
+        if self.n < spec.rank:
+            raise RankOutOfRange(f"{self.family.value} needs n >= {spec.rank}, got {self.n}")
+        if self.gfin_type[1] > MAX_GFIN_RANK:
+            raise RankOutOfRange(
+                f"{self} has a finite type of rank {self.gfin_type[1]}, above the cap {MAX_GFIN_RANK}"
+            )
+
+    @property
+    def spec(self) -> FamilySpec:
+        return _SPECS[self.family]
+
+    @property
+    def gfin_type(self) -> tuple[str, int]:
+        """(letter, rank) of the associated finite simply-laced type."""
+        spec = self.spec
+        if spec.partner is None:
+            return spec.gfin(self.n)
+        family, n = spec.partner(self.n)
+        return _SPECS[family].gfin(n)
 
     def __str__(self) -> str:
         return format_type_string(self)
@@ -92,9 +211,9 @@ class AffineType:
 
 def affine_type(family: Family, n: int | None = None) -> AffineType:
     if n is None:
-        if family not in _FIXED_RANK:
+        if not _SPECS[family].fixed:
             raise RankOutOfRange(f"{family.value} needs an explicit rank")
-        n = _FIXED_RANK[family]
+        n = _SPECS[family].rank
     return AffineType(family, n)
 
 
@@ -107,71 +226,16 @@ def parse_type_string(text: str) -> AffineType:
     if not m:
         raise RankOutOfRange(f"malformed type string {text!r}")
     letter, num, twist = m.group(1), int(m.group(2)), int(m.group(3))
-    key = (letter, twist)
-    if key == ("A", 1):
-        return AffineType(Family.A1, num)
-    if key == ("B", 1):
-        return AffineType(Family.B1, num)
-    if key == ("C", 1):
-        return AffineType(Family.C1, num)
-    if key == ("D", 1):
-        return AffineType(Family.D1, num)
-    if key == ("E", 1) and num in (6, 7, 8):
-        return AffineType({6: Family.E6_1, 7: Family.E7_1, 8: Family.E8_1}[num], num)
-    if key == ("F", 1) and num == 4:
-        return AffineType(Family.F4_1, 4)
-    if key == ("G", 1) and num == 2:
-        return AffineType(Family.G2_1, 2)
-    if key == ("A", 2):
-        if num % 2 == 0:
-            return AffineType(Family.A2_EVEN, num // 2)
-        return AffineType(Family.A2_ODD, (num + 1) // 2)
-    if key == ("D", 2):
-        return AffineType(Family.D2, num - 1)
-    if key == ("E", 2) and num == 6:
-        return AffineType(Family.E6_2, 4)
-    if key == ("D", 3) and num == 4:
-        return AffineType(Family.D4_3, 2)
+    for family, spec in _SPECS.items():
+        n, rest = divmod(num - spec.num_offset, spec.num_scale)
+        if (spec.letter, spec.twist, rest) == (letter, twist, 0) and (not spec.fixed or n == spec.rank):
+            return AffineType(family, n)
     raise RankOutOfRange(f"unknown affine type {text!r}")
 
 
 def format_type_string(t: AffineType) -> str:
-    f, n = t.family, t.n
-    if f == Family.A1:
-        return f"A{n}-1"
-    if f == Family.B1:
-        return f"B{n}-1"
-    if f == Family.C1:
-        return f"C{n}-1"
-    if f == Family.D1:
-        return f"D{n}-1"
-    if f == Family.E6_1:
-        return "E6-1"
-    if f == Family.E7_1:
-        return "E7-1"
-    if f == Family.E8_1:
-        return "E8-1"
-    if f == Family.F4_1:
-        return "F4-1"
-    if f == Family.G2_1:
-        return "G2-1"
-    if f == Family.A2_EVEN:
-        return f"A{2 * n}-2"
-    if f == Family.A2_ODD:
-        return f"A{2 * n - 1}-2"
-    if f == Family.D2:
-        return f"D{n + 1}-2"
-    if f == Family.E6_2:
-        return "E6-2"
-    return "D4-3"
-
-
-def _chain_adj(size: int) -> tuple[tuple[int, ...], ...]:
-    adj: list[list[int]] = [[] for _ in range(size + 1)]
-    for i in range(1, size):
-        adj[i].append(i + 1)
-        adj[i + 1].append(i)
-    return tuple(tuple(x) for x in adj)
+    spec = t.spec
+    return f"{spec.letter}{spec.num_scale * t.n + spec.num_offset}-{spec.twist}"
 
 
 @dataclass(eq=False)
@@ -197,9 +261,10 @@ class AffineData:
     k0_phase_step: int
     k0_phase_mod: int
     sigma0_base: dict[int, SpectralScalar]
+    # untwisted, with the family's own Dynkin type as the finite type (A, D, E)
+    simply_laced: bool
     _denom_cache: dict = field(default_factory=dict, repr=False)
     _sfunc_cache: dict = field(default_factory=dict, repr=False)
-    _misc_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def family(self) -> Family:
@@ -211,198 +276,53 @@ class AffineData:
 
     @property
     def twisted(self) -> bool:
-        return self.family in TWISTED
+        return self.type.spec.twist > 1
 
     def dd(self, i: int, j: int) -> int:
         return graph_distance(self.g0_adj, i, j)
 
     def check_node(self, i: int) -> None:
         if not 1 <= i <= len(self.i0):
-            raise ValueError(f"node {i} outside I0 of {self.type}")
+            raise NodeOutOfRange(f"node {i} outside I0 of {self.type}")
 
     def __str__(self) -> str:
         return format_type_string(self.type)
 
 
-def _mq(k: int) -> SpectralScalar:
-    return MINUS_Q ** k
-
-
-def _untwisted_all_one(size: int) -> dict[int, int]:
-    return {i: 1 for i in range(1, size + 1)}
-
-
-def _build_m(family: Family, n: int, size: int) -> dict[int, int]:
-    if family == Family.A2_ODD:
-        return {i: (2 if i == n else 1) for i in range(1, size + 1)}
-    if family == Family.D2:
-        return {i: (1 if i == n else 2) for i in range(1, size + 1)}
-    if family == Family.E6_2:
-        return {1: 1, 2: 1, 3: 2, 4: 2}
-    if family == Family.D4_3:
-        return {1: 1, 2: 3}
-    # all untwisted families; A_{2n}^{(2)} defaults to 1 as well
-    return _untwisted_all_one(size)
-
-
-def _build_pstar(family: Family, n: int) -> SpectralScalar:
-    if family == Family.A1:
-        return _mq(n + 1)
-    if family == Family.B1:
-        return scalar(0, 2 * n - 1)
-    if family == Family.C1:
-        return scalar(0, n + 1)
-    if family == Family.D1:
-        return scalar(0, 2 * n - 2)
-    if family == Family.A2_EVEN:
-        return scalar(12, 2 * n + 1)
-    if family == Family.A2_ODD:
-        return scalar(12, 2 * n)
-    if family == Family.D2:
-        return scalar(12 * (n + 1), 2 * n)
-    return {
-        Family.E6_1: scalar(0, 12),
-        Family.E7_1: scalar(0, 18),
-        Family.E8_1: scalar(0, 30),
-        Family.F4_1: scalar(0, 9),
-        Family.G2_1: scalar(0, 4),
-        Family.E6_2: scalar(12, 12),
-        Family.D4_3: scalar(0, 6),
-    }[family]
-
-
-def _build_istar(family: Family, n: int, size: int) -> dict[int, int]:
-    ident = {i: i for i in range(1, size + 1)}
-    if family == Family.A1:
-        return {i: n + 1 - i for i in range(1, n + 1)}
-    if family == Family.D1 and n % 2 == 1:
-        ident[n - 1], ident[n] = n, n - 1
-        return ident
-    if family == Family.E6_1:
-        ident.update({1: 6, 6: 1, 3: 5, 5: 3})
-        return ident
-    return ident
-
-
-def _build_gfin(family: Family, n: int) -> FinRootSystem:
-    if family == Family.A1:
-        return root_system("A", n)
-    if family == Family.B1:
-        return root_system("A", 2 * n - 1)
-    if family == Family.C1:
-        return root_system("D", n + 1)
-    if family == Family.D1:
-        return root_system("D", n)
-    if family == Family.A2_EVEN:
-        return root_system("A", 2 * n)
-    if family == Family.A2_ODD:
-        return root_system("A", 2 * n - 1)
-    if family == Family.D2:
-        return root_system("D", n + 1)
-    return {
-        Family.E6_1: root_system("E", 6),
-        Family.E7_1: root_system("E", 7),
-        Family.E8_1: root_system("E", 8),
-        Family.F4_1: root_system("E", 6),
-        Family.G2_1: root_system("D", 4),
-        Family.E6_2: root_system("E", 6),
-        Family.D4_3: root_system("D", 4),
-    }[family]
-
-
-def _build_g0_adj(family: Family, n: int, size: int) -> tuple[tuple[int, ...], ...]:
-    if family == Family.D1:
-        return root_system("D", n).adj
-    if family in (Family.E6_1, Family.E7_1, Family.E8_1):
-        return root_system("E", size).adj
-    return _chain_adj(size)
-
-
-def _build_k0(family: Family) -> tuple[int, int, int]:
-    """(e_step, phase_step, phase_mod) generating the stabilizer of sigma_Z."""
-    if family in (Family.A1, Family.D1, Family.E6_1, Family.E7_1, Family.E8_1):
-        return 12, 0, 0  # <q^2>
-    if family in (Family.B1, Family.C1, Family.F4_1):
-        return 6, 0, 0  # <q>
-    if family == Family.G2_1:
-        return 4, 0, 0  # <q_t^2>
-    if family == Family.A2_EVEN:
-        return 6, 12, 0  # <-q>
-    if family == Family.D4_3:
-        return 12, 0, 8  # <omega, q^2>
-    return 12, 0, 12  # <-1, q^2> for A2_odd, D2, E6_2
-
-
-def _build_sigma0_base(family: Family, n: int, size: int, dd) -> dict[int, SpectralScalar]:
-    base: dict[int, SpectralScalar] = {}
-    for i in range(1, size + 1):
-        if family in (Family.A1, Family.D1, Family.E6_1, Family.E7_1, Family.E8_1):
-            base[i] = _mq(dd(1, i))
-        elif family == Family.B1:
-            base[i] = ONE if i == n else (MINUS_ONE ** (n + i)) * QS
-        elif family == Family.C1:
-            base[i] = MINUS_QS ** (i - 1)
-        elif family == Family.F4_1:
-            base[i] = (MINUS_ONE ** i) * (QS ** (-1 if i == 3 else 0))
-        elif family == Family.G2_1:
-            base[i] = MINUS_QT ** dd(2, i)
-        elif family == Family.A2_EVEN:
-            base[i] = ONE
-        elif family == Family.A2_ODD:
-            base[i] = _mq(i + 1)
-        elif family == Family.D2:
-            base[i] = _mq(i + 1) if i == n else (I_UNIT ** (n + 1 - i)) * _mq(i + 1)
-        elif family == Family.E6_2:
-            base[i] = Q ** (i + 1) if i in (1, 2) else I_UNIT * _mq(i + 1)
-        else:  # D4_3
-            base[i] = ONE if i == 1 else MINUS_Q
-    return base
-
-
-_I0_SIZE = {
-    Family.A1: lambda n: n,
-    Family.B1: lambda n: n,
-    Family.C1: lambda n: n,
-    Family.D1: lambda n: n,
-    Family.E6_1: lambda n: 6,
-    Family.E7_1: lambda n: 7,
-    Family.E8_1: lambda n: 8,
-    Family.F4_1: lambda n: 4,
-    Family.G2_1: lambda n: 2,
-    Family.A2_EVEN: lambda n: n,
-    Family.A2_ODD: lambda n: n,
-    Family.D2: lambda n: n,
-    Family.E6_2: lambda n: 4,
-    Family.D4_3: lambda n: 2,
-}
-
-
 @lru_cache(maxsize=None)
 def build(t: AffineType) -> AffineData:
-    """Populate every static table for one affine family instance."""
-    family, n = t.family, t.n
-    size = _I0_SIZE[family](n)
-    g0_adj = _build_g0_adj(family, n, size)
+    """Populate every static table for one affine family instance.
+
+    A simply-laced family takes i* and the diagram of g_0 from its finite
+    type; every other family has i* = id and the chain A_n for g_0.
+    """
+    spec, n = t.spec, t.n
+    i0 = tuple(range(1, n + 1))
+    gfin = root_system(*t.gfin_type)
+    simply_laced = spec.twist == 1 and gfin.letter == spec.letter
+    g0_adj = gfin.adj if simply_laced else diagram_adj("A", n)
 
     def dd(i: int, j: int) -> int:
         return graph_distance(g0_adj, i, j)
 
-    pstar = _build_pstar(family, n)
+    pstar = spec.pstar(n)
     assert pstar.den == 1
+    e_step, phase_step, phase_mod = spec.k0
     return AffineData(
         type=t,
-        i0=tuple(range(1, size + 1)),
-        m=_build_m(family, n, size),
+        i0=i0,
+        m={i: spec.m(n, i) for i in i0},
         pstar=pstar,
         ptilde=pstar * pstar,
-        istar=_build_istar(family, n, size),
-        gfin=_build_gfin(family, n),
+        istar={i: gfin.istar(i) if simply_laced else i for i in i0},
+        gfin=gfin,
         hvee=pstar.num,
         g0_adj=g0_adj,
-        k0_e_step=_build_k0(family)[0],
-        k0_phase_step=_build_k0(family)[1],
-        k0_phase_mod=_build_k0(family)[2],
-        sigma0_base=_build_sigma0_base(family, n, size, dd),
+        k0_e_step=e_step,
+        k0_phase_step=phase_step,
+        k0_phase_mod=phase_mod,
+        sigma0_base={i: spec.sigma0_base(n, i, dd) for i in i0},
+        simply_laced=simply_laced,
     )
 
 
@@ -412,18 +332,8 @@ def build_type(family: Family, n: int | None = None) -> AffineData:
 
 def untwisted_partner(d: AffineData) -> AffineData:
     """The untwisted family whose Q-data drive the twisted sigma_Q."""
-    f, n = d.family, d.n
-    if f == Family.A2_EVEN:
-        return build(AffineType(Family.A1, 2 * n))
-    if f == Family.A2_ODD:
-        return build(AffineType(Family.A1, 2 * n - 1))
-    if f == Family.D2:
-        return build(AffineType(Family.D1, n + 1))
-    if f == Family.E6_2:
-        return build(AffineType(Family.E6_1, 6))
-    if f == Family.D4_3:
-        return build(AffineType(Family.D1, 4))
-    return d
+    partner = d.type.spec.partner
+    return d if partner is None else build(AffineType(*partner(d.n)))
 
 
 def canonical_param(d: AffineData, i: int, x: SpectralScalar) -> SpectralScalar:

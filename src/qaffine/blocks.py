@@ -10,21 +10,21 @@ labels are those coordinates listed per connected component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .affine import AffineData, component_class, in_sigma_z
 from .invariants import SigmaFunction, SigmaPoint, e_of, pairing, s_func, sigma_point
 from .qdata import QDatum, default_qdatum, sigma_q_points, simple_root_points, translate_star
-from .scalars import SpectralScalar, print_scalar
+from .roots import FinWeight, NotInRootLattice
+from .scalars import QAffineError, SpectralScalar, print_scalar
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
-class NotInW0(ValueError):
+class NotInW0(QAffineError):
     """The function is not an integer combination of the lattice basis."""
 
 
-class UnclassifiablePoint(ValueError):
+class UnclassifiablePoint(QAffineError):
     """A parameter fits no translate of the reference component.
 
     Unreachable for scalars inside the z24 * q^(Q/6) domain of the
@@ -57,29 +57,13 @@ def gram(d: AffineData, q: QDatum | None = None) -> GramResult:
     return GramResult(str(d), matrix, expected, mismatches)
 
 
-def _solve_integer(cartan: Matrix, rhs: list[int]) -> tuple[int, ...]:
-    n = len(cartan)
-    aug = [[Fraction(cartan[r][c]) for c in range(n)] + [Fraction(rhs[r])] for r in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    sol = [row[n] for row in aug]
-    if any(x.denominator != 1 for x in sol):
-        raise NotInW0(f"coordinate solve is non-integral: {sol}")
-    return tuple(int(x) for x in sol)
-
-
 def psi_lattice(d: AffineData, q: QDatum, f: SigmaFunction) -> tuple[int, ...]:
     """Coordinates n with sum n_i s_{phi(alpha_i)} = f, verified by re-expansion."""
     pts = simple_root_points(q, d)
-    rhs = [pairing(d, p, f) for p in pts]
-    coords = _solve_integer(d.gfin.cartan, rhs)
+    try:
+        coords = d.gfin.weight_to_root(FinWeight(tuple(pairing(d, p, f) for p in pts)))
+    except NotInRootLattice as exc:
+        raise NotInW0(f"coordinate solve is non-integral: {exc}") from exc
     check: dict[SigmaPoint, int] = {}
     for p, c in zip(pts, coords):
         if c:

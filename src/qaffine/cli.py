@@ -1,7 +1,8 @@
 """Command-line front end: `qaffine <subcommand> ...`.
 
 Exit codes: 0 on success, 1 on domain errors (bad type strings, parameters
-outside the scalar domain, failed verification), 2 on usage errors.
+outside the scalar domain, failed verification), 2 on usage errors.  Any
+other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -9,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import acceptance
-from .affine import AffineData, RankOutOfRange, build, parse_type_string
+from .affine import AffineData, build, parse_type_string
 from .blocks import block_label, gram, partition_blocks
 from .denominators import denominator, denominator_factors
 from .invariants import (
@@ -24,9 +26,9 @@ from .invariants import (
     s_func,
 )
 from .qdata import default_qdatum, phi_q_map
-from .scalars import MINUS_ONE, ParseError, RootOutsideDomain, print_scalar
+from .scalars import MINUS_ONE, ParseError, QAffineError, print_scalar
 
-DOMAIN_ERRORS = (RankOutOfRange, ParseError, RootOutsideDomain, SumNotStabilized, ValueError)
+DOMAIN_ERRORS = (QAffineError, SumNotStabilized)
 
 
 def _data(args) -> AffineData:
@@ -154,10 +156,14 @@ def cmd_partition(args) -> int:
     q = default_qdatum(d)
     modules = []
     with open(args.file, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if line:
-                modules.append([parse_sigma_point(d, t) for t in json.loads(line)])
+                try:
+                    texts = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{args.file}:{lineno}: {exc.msg}", exc.pos) from exc
+                modules.append([parse_sigma_point(d, t) for t in texts])
     groups = partition_blocks(d, q, modules)
     payload = [
         {
@@ -175,13 +181,27 @@ def cmd_partition(args) -> int:
     return 0
 
 
+def _verdict(args, check: str, ok: bool, detail: str, seconds: float, text: str) -> bool:
+    payload = {"check": check, "ok": ok, "detail": detail, "seconds": round(seconds, 3)}
+    _emit(args, payload, f"[{'PASS' if ok else 'FAIL'}] {text}")
+    return ok
+
+
 def cmd_verify(args) -> int:
+    """One PASS/FAIL line, or with --format json one record, per check."""
     if args.all or args.type is None:
-        ok = acceptance.run_all()
-        return 0 if ok else 1
-    res = gram(build(parse_type_string(args.type)))
-    print(f"[{'PASS' if res.equal else 'FAIL'}] gram({args.type})")
-    return 0 if res.equal else 1
+        oks = [
+            _verdict(args, f"criterion {name}", ok, detail, seconds, f"criterion {name} ({detail})")
+            for name, ok, detail, seconds in acceptance.run_criteria()
+        ]
+    else:
+        start = time.perf_counter()
+        d = build(parse_type_string(args.type))
+        res = gram(d)
+        detail = f"Cartan of {d.gfin.type_name}" if res.equal else f"mismatches at {res.mismatches}"
+        check = f"gram({args.type})"
+        oks = [_verdict(args, check, res.equal, detail, time.perf_counter() - start, check)]
+    return 0 if all(oks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

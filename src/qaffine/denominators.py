@@ -206,7 +206,7 @@ def denominator_factors(d: AffineData, i: int, j: int) -> list[Factor]:
     d.check_node(j)
     i, j = min(i, j), max(i, j)
     fam = d.family
-    if fam in (Family.A1, Family.D1, Family.E6_1, Family.E7_1, Family.E8_1):
+    if d.simply_laced:
         return _ade_factors(d, i, j)
     if fam == Family.B1:
         return _b1_factors(d, i, j)

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Union
 
 from .affine import AffineData, canonical_param
 from .denominators import denominator
-from .scalars import ParseError, SpectralScalar, parse_scalar, print_scalar
+from .scalars import ParseError, QAffineError, SpectralScalar, parse_scalar, print_scalar
 
 # the dual-orbit sum is evaluated on a window of half-width SUM_WINDOW
 # centered on the only region that can carry nonzero terms; nonzero de in
@@ -36,7 +36,7 @@ class SumNotStabilized(RuntimeError):
     """A dual-orbit sum had support outside its stabilization window."""
 
 
-class DecompositionUnavailable(ValueError):
+class DecompositionUnavailable(QAffineError):
     """Pairing needs functions that carry their s-generator decomposition."""
 
 

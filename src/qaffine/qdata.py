@@ -33,16 +33,17 @@ from .scalars import (
     MINUS_QS,
     MINUS_QT,
     OMEGA,
+    QAffineError,
     SpectralScalar,
     scalar,
 )
 
 
-class NotInHatIQ(ValueError):
+class NotInHatIQ(QAffineError):
     """(i, p) violates p = xi_i mod 2 d_i."""
 
 
-class InvalidQDatum(ValueError):
+class InvalidQDatum(QAffineError):
     """Height function fails the Q-datum axioms."""
 
 
@@ -83,11 +84,6 @@ class QDatum:
         return max(self.orbits[i], key=lambda j: (self.xi[j], -j))
 
 
-def _f4_pi(orbits: dict[int, tuple[int, ...]]) -> dict[int, int]:
-    rep = {1: 1, 3: 2, 4: 3, 2: 4}
-    return {i: rep[min(o)] for i, o in orbits.items()}
-
-
 _DEFAULT_RHO = {
     Family.B1: lambda d: perm_from_map(d.gfin.rank, {k: 2 * d.n - k for k in range(1, 2 * d.n)}),
     Family.C1: lambda d: perm_from_map(d.gfin.rank, {d.n: d.n + 1, d.n + 1: d.n}),
@@ -98,7 +94,7 @@ _DEFAULT_RHO = {
 
 def _default_xi(d: AffineData) -> dict[int, int]:
     f, n = d.family, d.n
-    if f in (Family.A1, Family.D1, Family.E6_1, Family.E7_1, Family.E8_1):
+    if d.simply_laced:
         return _heights(d.gfin.letter, d.gfin.rank)
     if f == Family.B1:
         xi = {i: 2 * n - 2 * i - 1 for i in range(1, n)}
@@ -132,7 +128,7 @@ def custom_qdatum(d: AffineData, xi: dict[int, int]) -> QDatum:
     Results computed from a non-default datum carry no golden-data
     guarantee (the marker is the `non_default` flag).
     """
-    if d.family not in (Family.A1, Family.D1, Family.E6_1, Family.E7_1, Family.E8_1):
+    if not d.simply_laced:
         raise InvalidQDatum("custom height functions are supported for untwisted ADE only")
     q = QDatum(rs=d.gfin, rho=identity_perm(d.gfin.rank), xi=dict(xi), base=d, non_default=True)
     violations = validate_qdatum(q)
@@ -310,7 +306,7 @@ def phi_inverse_zero(q: QDatum) -> dict[Vec, tuple[int, int]]:
 def esig(q: QDatum, i: int, p: int) -> tuple[int, SpectralScalar]:
     """The labeling (i, p) -> (pi(i), signed q-power) of the base untwisted family."""
     fam = q.base.family
-    if fam in (Family.A1, Family.D1, Family.E6_1, Family.E7_1, Family.E8_1):
+    if q.base.simply_laced:
         return i, MINUS_Q ** p
     if fam == Family.B1:
         sign = MINUS_ONE ** (i + q.base.n)

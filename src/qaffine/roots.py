@@ -19,6 +19,10 @@ Vec = tuple[int, ...]
 WordEntry = Union[int, tuple[int, ...]]
 
 
+class NotInRootLattice(ValueError):
+    """A weight whose Cartan solve is not integral."""
+
+
 def _chain_edges(rank: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(1, rank)]
 
@@ -37,6 +41,15 @@ def dynkin_edges(letter: str, rank: int) -> list[tuple[int, int]]:
         chain = [(1, 3)] + [(i, i + 1) for i in range(3, rank)]
         return chain + [(2, 4)]
     raise ValueError(f"unknown simply-laced letter {letter!r}")
+
+
+def diagram_adj(letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Adjacency lists of the ADE diagram (index 0 unused)."""
+    adj: list[list[int]] = [[] for _ in range(rank + 1)]
+    for a, b in dynkin_edges(letter, rank):
+        adj[a].append(b)
+        adj[b].append(a)
+    return tuple(tuple(x) for x in adj)
 
 
 def graph_distance(adj: Sequence[Sequence[int]], i: int, j: int) -> int:
@@ -80,11 +93,7 @@ class FinRootSystem:
         self.letter = letter
         self.rank = rank
         self.edges = dynkin_edges(letter, rank)
-        adj: list[list[int]] = [[] for _ in range(rank + 1)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        self.adj = tuple(tuple(x) for x in adj)
+        self.adj = diagram_adj(letter, rank)
         cartan = [[0] * (rank + 1) for _ in range(rank + 1)]
         for i in range(1, rank + 1):
             cartan[i][i] = 2
@@ -100,9 +109,6 @@ class FinRootSystem:
     @property
     def type_name(self) -> str:
         return f"{self.letter}{self.rank}"
-
-    def cartan_entry(self, i: int, j: int) -> int:
-        return self.cartan[i - 1][j - 1]
 
     def simple_root(self, i: int) -> Vec:
         return tuple(1 if k == i else 0 for k in range(1, self.rank + 1))
@@ -161,7 +167,7 @@ class FinRootSystem:
         return FinWeight(tuple(sum(self.cartan[j][i] * v[i] for i in range(n)) for j in range(n)))
 
     def weight_to_root(self, w: FinWeight) -> Vec:
-        """Exact solve C x = w; raises if w is not in the root lattice."""
+        """Exact solve C x = w; raises NotInRootLattice if x is not integral."""
         n = self.rank
         aug = [[Fraction(self.cartan[r][c]) for c in range(n)] + [Fraction(w.coords[r])] for r in range(n)]
         for col in range(n):
@@ -175,7 +181,7 @@ class FinRootSystem:
                     aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
         sol = [row[n] for row in aug]
         if any(x.denominator != 1 for x in sol):
-            raise ValueError(f"{w} is not in the root lattice")
+            raise NotInRootLattice(f"{w} is not in the root lattice: C x = w gives x = {sol}")
         return tuple(int(x) for x in sol)
 
     def reflect_weight(self, i: int, w: FinWeight) -> FinWeight:
@@ -217,10 +223,6 @@ def perm_weight(perm: tuple[int, ...], w: FinWeight) -> FinWeight:
     for i, c in enumerate(w.coords, start=1):
         out[perm[i] - 1] = c
     return FinWeight(tuple(out))
-
-
-def reflect(rs: FinRootSystem, i: int, w: FinWeight) -> FinWeight:
-    return rs.reflect_weight(i, w)
 
 
 def apply_word(rs: FinRootSystem, word: Iterable[WordEntry], w: FinWeight) -> FinWeight:
@@ -266,10 +268,6 @@ def mat_apply(mat: tuple[Vec, ...], v: Vec) -> Vec:
 def mat_mul(a: tuple[Vec, ...], b: tuple[Vec, ...]) -> tuple[Vec, ...]:
     """Composition so that mat_apply(mat_mul(a, b), v) == mat_apply(b, mat_apply(a, v))."""
     return tuple(mat_apply(b, row) for row in a)
-
-
-def enumerate_positive_roots(rs: FinRootSystem) -> tuple[Vec, ...]:
-    return rs.positive_roots
 
 
 @lru_cache(maxsize=None)

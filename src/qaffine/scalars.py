@@ -18,11 +18,15 @@ from typing import NamedTuple
 _ALLOWED_DENS = (1, 2, 3, 6)
 
 
-class RootOutsideDomain(ValueError):
+class QAffineError(ValueError):
+    """Base of the package's domain errors: the input is bad, not the code."""
+
+
+class RootOutsideDomain(QAffineError):
     """An n-th root would leave the zeta24 * q^(Z/6) domain."""
 
 
-class ParseError(ValueError):
+class ParseError(QAffineError):
     """Scalar literal rejected; `offset` is the byte position of the error."""
 
     def __init__(self, message: str, offset: int):
@@ -84,14 +88,6 @@ QT = scalar(0, Fraction(1, 3))
 MINUS_Q = scalar(12, 1)
 MINUS_QS = scalar(12, Fraction(1, 2))
 MINUS_QT = scalar(12, Fraction(1, 3))
-
-
-def pow_scalar(a: SpectralScalar, n: int) -> SpectralScalar:
-    return a ** n
-
-
-def mul(a: SpectralScalar, b: SpectralScalar) -> SpectralScalar:
-    return a * b
 
 
 def nth_roots(a: SpectralScalar, n: int) -> list[SpectralScalar]:

@@ -2,9 +2,21 @@ import random
 
 import pytest
 
+from qaffine import (
+    DecompositionUnavailable,
+    InvalidQDatum,
+    NotInHatIQ,
+    NotInW0,
+    ParseError,
+    QAffineError,
+    RootOutsideDomain,
+    UnclassifiablePoint,
+)
 from qaffine.affine import (
+    MAX_GFIN_RANK,
     AffineType,
     Family,
+    NodeOutOfRange,
     RankOutOfRange,
     build,
     build_type,
@@ -214,3 +226,33 @@ def test_sigma0_membership_lists():
     assert in_sigma_z(g2, 2, ONE)
     assert in_sigma_z(g2, 1, parse_scalar("(-qt)^3"))
     assert not in_sigma_z(g2, 1, ONE)
+
+
+
+def test_simply_laced_families():
+    laced = {parse_type_string(s).family for s in ALL_SMALL if build(parse_type_string(s)).simply_laced}
+    assert laced == {Family.A1, Family.D1, Family.E6_1, Family.E7_1, Family.E8_1}
+
+
+def test_twisted_gfin_is_the_partners():
+    for s in ALL_SMALL:
+        d = build(parse_type_string(s))
+        assert d.twisted == (s[-1] != "1")
+        assert untwisted_partner(d).gfin is d.gfin
+
+
+def test_rank_cap_bounds_the_finite_type():
+    for family, n_max in ((Family.A1, MAX_GFIN_RANK), (Family.B1, 32), (Family.A2_EVEN, 32), (Family.D2, 63)):
+        AffineType(family, n_max)
+        with pytest.raises(RankOutOfRange, match="above the cap"):
+            AffineType(family, n_max + 1)
+    with pytest.raises(RankOutOfRange, match="A66-2"):
+        parse_type_string("A66-2")
+
+
+def test_domain_errors_share_a_base():
+    for exc in (ParseError, RootOutsideDomain, RankOutOfRange, NodeOutOfRange, NotInW0,
+                UnclassifiablePoint, InvalidQDatum, NotInHatIQ, DecompositionUnavailable):
+        assert issubclass(exc, QAffineError)
+    with pytest.raises(NodeOutOfRange):
+        build(parse_type_string("A3-1")).check_node(4)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qaffine import blocks
 from qaffine.affine import Family, build, build_type, parse_type_string
 from qaffine.blocks import (
     NotInW0,
@@ -100,6 +101,16 @@ def test_psi_lattice_rejects_non_lattice_function():
     # doubled values but unchanged generators: the re-expansion must catch it
     with pytest.raises(NotInW0):
         psi_lattice(d, q, SigmaFunction(values=halved.values, gens=((sigma_point(d, 1, ONE), 1),)))
+
+
+def test_psi_lattice_rejects_non_integral_solve(monkeypatch):
+    d = build_type(Family.A1, 2)
+    q = default_qdatum(d)
+    p1 = simple_root_points(q, d)[0]
+    # pairings (1, 0) ask for the weight Lambda_1, outside the A2 root lattice
+    monkeypatch.setattr(blocks, "pairing", lambda d, p, f: int(p == p1))
+    with pytest.raises(NotInW0, match="non-integral"):
+        psi_lattice(d, q, s_func(d, p1))
 
 
 def test_block_label_single_fundamental():

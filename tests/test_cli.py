@@ -1,5 +1,9 @@
 import json
+import time
 
+import pytest
+
+from qaffine import cli
 from qaffine.cli import run
 
 
@@ -90,6 +94,35 @@ def test_verify_single(capsys):
     assert "[PASS]" in capsys.readouterr().out
 
 
+def test_verify_json(capsys):
+    assert run(["verify", "D4-3", "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["ok"] is True
+    assert record["detail"] == "Cartan of D4"
+    assert record["seconds"] >= 0
+
+
+def test_verify_all_json(capsys, monkeypatch):
+    from qaffine import acceptance
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        ("1 passes", lambda: (True, "fine")),
+        ("2 fails", lambda: (False, "broken")),
+    ])
+    assert run(["verify", "--all", "--format", "json"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["check"], r["ok"], r["detail"]) for r in records] == [
+        ("criterion 1 passes", True, "fine"),
+        ("criterion 2 fails", False, "broken"),
+    ]
+    assert all(isinstance(r["seconds"], float) for r in records)
+    assert run(["verify", "--all"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] criterion 1 passes (fine)",
+        "[FAIL] criterion 2 fails (broken)",
+    ]
+
+
 def test_usage_error():
     assert run(["denom", "B3-1"]) == 2  # missing --i/--j
     assert run(["nonsense"]) == 2
@@ -100,6 +133,30 @@ def test_domain_error(capsys):
     assert "error" in capsys.readouterr().err
     assert run(["de", "A2-1", "1@1", "9@q"]) == 1
     assert run(["de", "A2-1", "1@1", "1@q^(1/5)"]) == 1
+    assert run(["denom", "A3-1", "--i", "0", "--j", "1"]) == 1
+
+
+def test_malformed_partition_file_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "weights.jsonl"
+    path.write_text('["1@1"]\n["1@1",\n', encoding="utf-8")
+    assert run(["partition", "A3-1", "--file", str(path)]) == 1
+    assert ":2:" in capsys.readouterr().err
+
+
+def test_internal_error_propagates(monkeypatch):
+    def broken(*args):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "de", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run(["de", "A2-1", "1@1", "1@q^2"])
+
+
+def test_rank_cap_fails_fast(capsys):
+    start = time.perf_counter()
+    assert run(["cartan-check", "A300-1"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "above the cap 64" in capsys.readouterr().err
 
 
 def test_text_output_is_stable(capsys):
