@@ -54,6 +54,7 @@ from .qdata import (
 )
 from .roots import FinRootSystem, FinWeight, apply_word, root_system
 from .scalars import (
+    InvariantViolation,
     ParseError,
     QAffineError,
     RootOutsideDomain,

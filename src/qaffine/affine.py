@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -26,8 +25,11 @@ from .scalars import (
     I_UNIT,
     Q,
     QS,
+    InvariantViolation,
     QAffineError,
     SpectralScalar,
+    e6,
+    from_e6,
     scalar,
 )
 
@@ -264,6 +266,8 @@ class AffineData:
     # untwisted, with the family's own Dynkin type as the finite type (A, D, E)
     simply_laced: bool
     _denom_cache: dict = field(default_factory=dict, repr=False)
+    # node -> lambda_inf template of that node (see `invariants`)
+    _template_cache: dict = field(default_factory=dict, repr=False)
     _sfunc_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -306,7 +310,8 @@ def build(t: AffineType) -> AffineData:
         return graph_distance(g0_adj, i, j)
 
     pstar = spec.pstar(n)
-    assert pstar.den == 1
+    if pstar.den != 1:
+        raise InvariantViolation(f"p* = {pstar} of {t} is not an integral power of q")
     e_step, phase_step, phase_mod = spec.k0
     return AffineData(
         type=t,
@@ -352,10 +357,6 @@ def sigma_eq(d: AffineData, p1: tuple[int, SpectralScalar], p2: tuple[int, Spect
     return (d.m[i] * (x.phase - y.phase)) % 24 == 0
 
 
-def _e6(x: SpectralScalar) -> int:
-    return x.num * (6 // x.den)
-
-
 def component_class(d: AffineData, i: int, x: SpectralScalar) -> SpectralScalar:
     """Canonical translation datum of the sigma_Z-translate containing (i, x).
 
@@ -364,12 +365,11 @@ def component_class(d: AffineData, i: int, x: SpectralScalar) -> SpectralScalar:
     """
     d.check_node(i)
     c = x / d.sigma0_base[i]
-    e = _e6(c)
-    k, e_red = divmod(e, d.k0_e_step)
+    k, e_red = divmod(e6(c), d.k0_e_step)
     phase = (c.phase - k * d.k0_phase_step) % 24
     if d.k0_phase_mod:
         phase %= d.k0_phase_mod
-    return scalar(phase, Fraction(e_red, 6))
+    return from_e6(phase, e_red)
 
 
 def in_sigma_z(d: AffineData, i: int, x: SpectralScalar) -> bool:

@@ -8,7 +8,7 @@ d_{j,i} is taken equal to d_{i,j} throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .affine import AffineData, Family
@@ -34,6 +34,10 @@ class RootMultiset:
     """Monic polynomial prod (z - r), as a finite multiset of roots."""
 
     mults: tuple[tuple[SpectralScalar, int], ...]
+    _index: dict[SpectralScalar, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", dict(self.mults))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[SpectralScalar, int]]) -> "RootMultiset":
@@ -43,7 +47,7 @@ class RootMultiset:
         return cls(tuple(sorted(acc.items())))
 
     def mult(self, x: SpectralScalar) -> int:
-        return dict(self.mults).get(x, 0)
+        return self._index.get(x, 0)
 
     @property
     def degree(self) -> int:

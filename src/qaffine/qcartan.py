@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .roots import FinRootSystem, Vec, mat_apply, root_system, word_matrix
+from .scalars import InvariantViolation
 
 
 def _quiver_arrows(letter: str, rank: int) -> list[tuple[int, int]]:
@@ -70,7 +71,8 @@ def ade_quiver(letter: str, rank: int) -> AdeQuiverData:
     arrows = _quiver_arrows(letter, rank)
     xi = _heights(letter, rank)
     for a, b in arrows:
-        assert xi[b] == xi[a] - 1, f"height function inconsistent on arrow {a}->{b}"
+        if xi[b] != xi[a] - 1:
+            raise InvariantViolation(f"height function inconsistent on arrow {a}->{b}")
     order = sorted(range(1, rank + 1), key=lambda i: (-xi[i], i))
     tau_word = tuple(order)
 
@@ -93,7 +95,8 @@ def ade_quiver(letter: str, rank: int) -> AdeQuiverData:
     d._tau_pows[1] = word_matrix(rs, tau_word)
     d._tau_pows[-1] = word_matrix(rs, tuple(reversed(tau_word)))
     for i in range(1, rank + 1):
-        assert rs.is_positive_root(gamma[i])
+        if not rs.is_positive_root(gamma[i]):
+            raise InvariantViolation(f"gamma_{i} = {gamma[i]} is not a positive root of {letter}{rank}")
     return d
 
 
@@ -153,7 +156,8 @@ def ctilde_oracle(cartan: tuple[tuple[int, ...], ...], order: int) -> CTildeTabl
         total = add(total, mul(b, coeffs[k - 1])) if k >= 1 else total
         total = add(total, coeffs[k - 2]) if k >= 2 else total
         expected = ident if k == 0 else [[0] * n for _ in range(n)]
-        assert total == expected, f"power series inversion failed at order {k}"
+        if total != expected:
+            raise InvariantViolation(f"power series inversion failed at order {k}")
 
     values = tuple(
         tuple(tuple(coeffs[k - 1][r][c] for c in range(n)) for r in range(n))

@@ -28,6 +28,7 @@ from .roots import (
 )
 from .scalars import (
     I_UNIT,
+    InvariantViolation,
     MINUS_ONE,
     MINUS_Q,
     MINUS_QS,
@@ -118,7 +119,8 @@ def default_qdatum(d: AffineData) -> QDatum:
     rho = rho_builder(base) if rho_builder else identity_perm(base.gfin.rank)
     q = QDatum(rs=base.gfin, rho=rho, xi=_default_xi(base), base=base)
     violations = validate_qdatum(q)
-    assert not violations, violations
+    if violations:
+        raise InvariantViolation(f"default Q-datum of {d} is invalid: " + "; ".join(violations))
     return q
 
 
@@ -184,8 +186,10 @@ def tau_q(q: QDatum) -> tuple:
     if q.tau_override is not None:
         tops = list(q.tau_override)
         heights = [q.xi[t] for t in tops]
-        assert heights == sorted(heights, reverse=True), "override is not weakly decreasing"
-        assert set(tops) == {q.orbit_top(i) for i in q.orbits}
+        if heights != sorted(heights, reverse=True):
+            raise InvalidQDatum(f"tau override {q.tau_override} is not weakly decreasing in height")
+        if set(tops) != {q.orbit_top(i) for i in q.orbits}:
+            raise InvalidQDatum(f"tau override {q.tau_override} is not the set of orbit tops")
     else:
         tops = sorted({q.orbit_top(i) for i in q.orbits}, key=lambda t: (-q.xi[t], t))
     word: list = list(tops)
@@ -228,7 +232,8 @@ def gamma_q(q: QDatum, i: int) -> Vec:
     for _ in range(q.d[i]):
         img = apply_word(q.rs, word, img)
     root = q.rs.weight_to_root(FinWeight(tuple(a - b for a, b in zip(lam.coords, img.coords))))
-    assert q.rs.is_positive_root(root), f"gamma_{i} = {root} is not a positive root"
+    if not q.rs.is_positive_root(root):
+        raise InvariantViolation(f"gamma_{i} = {root} is not a positive root")
     return root
 
 
@@ -295,10 +300,15 @@ def phi_inverse_zero(q: QDatum) -> dict[Vec, tuple[int, int]]:
     out: dict[Vec, tuple[int, int]] = {}
     for i, p in i_q(q):
         beta, m = psi_q(q, i, p)
-        assert m == 0, f"I_Q window cell ({i},{p}) has m = {m}"
-        assert beta not in out, f"duplicate root {beta} in the m = 0 slice"
+        if m != 0:
+            raise InvariantViolation(f"I_Q window cell ({i},{p}) has m = {m}")
+        if beta in out:
+            raise InvariantViolation(f"duplicate root {beta} in the m = 0 slice")
         out[beta] = (i, p)
-    assert len(out) == len(q.rs.positive_roots)
+    if len(out) != len(q.rs.positive_roots):
+        raise InvariantViolation(
+            f"the m = 0 slice has {len(out)} roots, not {len(q.rs.positive_roots)}"
+        )
     q._mats["phi_inv"] = out
     return out
 

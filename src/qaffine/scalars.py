@@ -22,6 +22,10 @@ class QAffineError(ValueError):
     """Base of the package's domain errors: the input is bad, not the code."""
 
 
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed: the code is wrong, not the input."""
+
+
 class RootOutsideDomain(QAffineError):
     """An n-th root would leave the zeta24 * q^(Z/6) domain."""
 
@@ -68,6 +72,17 @@ class SpectralScalar(NamedTuple):
 
     def __str__(self) -> str:
         return print_scalar(self)
+
+
+def e6(x: SpectralScalar) -> int:
+    """6 * qexp(x), an exact int because the q-denominator divides 6."""
+    return x.num * (6 // x.den)
+
+
+def from_e6(phase: int, e: int) -> SpectralScalar:
+    """The reduced scalar zeta24^phase * q^(e/6), for phase already in [0, 24)."""
+    g = gcd(e, 6)
+    return SpectralScalar(phase, e // g, 6 // g)
 
 
 def scalar(phase: int = 0, qexp: Fraction | int = 0) -> SpectralScalar:

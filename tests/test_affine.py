@@ -5,12 +5,14 @@ import pytest
 from qaffine import (
     DecompositionUnavailable,
     InvalidQDatum,
+    InvariantViolation,
     NotInHatIQ,
     NotInW0,
     ParseError,
     QAffineError,
     RootOutsideDomain,
     UnclassifiablePoint,
+    cli,
 )
 from qaffine.affine import (
     MAX_GFIN_RANK,
@@ -254,5 +256,6 @@ def test_domain_errors_share_a_base():
     for exc in (ParseError, RootOutsideDomain, RankOutOfRange, NodeOutOfRange, NotInW0,
                 UnclassifiablePoint, InvalidQDatum, NotInHatIQ, DecompositionUnavailable):
         assert issubclass(exc, QAffineError)
+    assert not issubclass(InvariantViolation, cli.DOMAIN_ERRORS)
     with pytest.raises(NodeOutOfRange):
         build(parse_type_string("A3-1")).check_node(4)

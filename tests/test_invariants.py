@@ -2,22 +2,28 @@ import random
 
 import pytest
 
-from qaffine.affine import Family, build, build_type, parse_type_string
+from qaffine import invariants
+from qaffine.acceptance import SWEEP
+from qaffine.affine import Family, NodeOutOfRange, build, build_type, parse_type_string
 from qaffine.invariants import (
     DecompositionUnavailable,
     SigmaFunction,
+    SigmaPoint,
+    SumNotStabilized,
+    _support_candidates,
     de,
     dual_shift,
     e_of,
     lambda_,
     lambda_inf,
+    lambda_inf_oracle,
     pairing,
     parse_sigma_point,
     s_func,
     sigma_point,
 )
 from qaffine.qcartan import ade_quiver, ctilde_formula
-from qaffine.scalars import MINUS_Q, MINUS_QT, ONE, Q, QS, scalar
+from qaffine.scalars import MINUS_Q, MINUS_QT, ONE, Q, QS, e6, from_e6, scalar
 
 ALL_SMALL = [
     "A1-1", "A4-1", "B2-1", "B3-1", "C3-1", "D4-1", "D5-1",
@@ -95,6 +101,13 @@ def test_lambda_inf_self_is_minus_two():
         for i in d.i0:
             p = pt(d, i, scalar(5, 1))
             assert lambda_inf(d, p, p) == -2
+
+
+def test_lambda_inf_rejects_nodes_outside_i0():
+    d = build_type(Family.A1, 3)
+    for p1, p2 in ((SigmaPoint(1, ONE), SigmaPoint(4, ONE)), (SigmaPoint(4, ONE), SigmaPoint(1, ONE))):
+        with pytest.raises(NodeOutOfRange):
+            lambda_inf(d, p1, p2)
 
 
 def test_lambda_inf_a4_example():
@@ -217,3 +230,61 @@ def test_parse_sigma_point():
     assert p == pt(d, 3, MINUS_Q ** 5)
     with pytest.raises(Exception):
         parse_sigma_point(d, "x@q")
+
+
+def _near_pair(rng, d):
+    """A random pair whose q-exponents differ by at most 2 hvee, or, one time
+    in five, a candidate partner of p1 moved several ptilde periods away."""
+    p1 = sigma_point(d, rng.choice(d.i0), from_e6(rng.randrange(24), rng.randrange(-60, 61)))
+    if rng.random() < 0.2:
+        j, b = rng.choice(sorted(_support_candidates(d, p1)))
+        periods = rng.choice((-1, 1)) * rng.randrange(2, 6)
+        return p1, sigma_point(d, j, b * d.ptilde ** periods)
+    off = from_e6(rng.randrange(24), rng.randrange(-12 * d.hvee, 12 * d.hvee + 1))
+    return p1, sigma_point(d, rng.choice(d.i0), p1.param * off)
+
+
+def test_lambda_inf_matches_oracle():
+    # the template lookup against the explicit dual-orbit sum it replaces
+    rng = random.Random(20261018)
+    nonzero = 0
+    for s in SWEEP:
+        d = build(parse_type_string(s))
+        for _ in range(310):
+            p1, p2 = _near_pair(rng, d)
+            want = lambda_inf_oracle(d, p1, p2)
+            assert lambda_inf(d, p1, p2) == want, (s, str(p1), str(p2))
+            nonzero += want != 0
+    assert nonzero > 310 * len(SWEEP) // 10
+
+
+def _s_func_oracle(d, p):
+    """s_func by the per-point candidate search and the explicit sum, with
+    each candidate brought into [0, ptilde) by whole ptilde powers."""
+    reps = set()
+    for c in _support_candidates(d, p):
+        periods = e6(c.param) // (12 * d.hvee)
+        reps.add(sigma_point(d, c.node, c.param * d.ptilde ** -periods))
+    values = ((c, lambda_inf_oracle(d, p, c)) for c in sorted(reps))
+    return tuple((c, v) for c, v in values if v)
+
+
+def test_s_func_matches_candidate_search():
+    rng = random.Random(20261019)
+    for s in SWEEP:
+        d = build(parse_type_string(s))
+        for _ in range(4):
+            p = sigma_point(d, rng.choice(d.i0), from_e6(rng.randrange(24), rng.randrange(-90, 91)))
+            assert s_func(d, p).values == _s_func_oracle(d, p), (s, str(p))
+
+
+def test_template_build_keeps_the_window_guard(monkeypatch):
+    # a fresh AffineData, so the template is built under the patched guard
+    fresh = build.__wrapped__(parse_type_string("A4-1"))
+    p = pt(fresh, 2, ONE)
+    monkeypatch.setattr(invariants, "GUARD_LOW", 1)
+    with pytest.raises(SumNotStabilized):
+        lambda_inf(fresh, p, p)
+    with pytest.raises(SumNotStabilized):
+        s_func(fresh, pt(fresh, 2, Q))
+    assert not fresh._template_cache

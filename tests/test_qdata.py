@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qaffine
 from qaffine.affine import Family, build, build_type, in_sigma_z, parse_type_string
 from qaffine.invariants import sigma_point
 from qaffine.qdata import (
@@ -279,3 +284,29 @@ def test_psi_window_bijectivity_spot():
                 steps += 1
                 assert steps < 500
         assert len(cells) == 3 * len(q.rs.positive_roots), s
+
+
+_BAD_TAU_OVERRIDE = """
+import sys
+from qaffine.affine import Family, build_type
+from qaffine.qdata import InvalidQDatum, QDatum, default_qdatum, tau_q
+if not sys.flags.optimize:
+    sys.exit("not run under -O")
+q = default_qdatum(build_type(Family.E6_1))
+# (6, ..., 1) climbs in height; (1, 2, 4) is ordered but misses orbit tops
+for override in ((6, 5, 4, 3, 2, 1), (1, 2, 4)):
+    try:
+        tau_q(QDatum(rs=q.rs, rho=q.rho, xi=q.xi, base=q.base, tau_override=override))
+    except InvalidQDatum as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_bad_tau_override_raises_under_optimize():
+    src = str(Path(qaffine.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_TAU_OVERRIDE],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["InvalidQDatum", "InvalidQDatum"]
