@@ -12,7 +12,6 @@ import json
 import sys
 import time
 
-from . import acceptance
 from .affine import AffineData, build, parse_type_string
 from .blocks import block_label, gram, partition_blocks
 from .denominators import denominator, denominator_factors
@@ -58,6 +57,8 @@ def _factor_str(deg: int, value, mult: int) -> str:
 def cmd_cartan_check(args) -> int:
     types = [args.type]
     if args.all_ranks:
+        from . import acceptance
+
         family = parse_type_string(args.type).family
         types = [s for s in acceptance.SWEEP if parse_type_string(s).family == family]
     ok_all = True
@@ -190,6 +191,8 @@ def _verdict(args, check: str, ok: bool, detail: str, seconds: float, text: str)
 def cmd_verify(args) -> int:
     """One PASS/FAIL line, or with --format json one record, per check."""
     if args.all or args.type is None:
+        from . import acceptance
+
         oks = [
             _verdict(args, f"criterion {name}", ok, detail, seconds, f"criterion {name} ({detail})")
             for name, ok, detail, seconds in acceptance.run_criteria()

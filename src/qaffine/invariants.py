@@ -20,14 +20,19 @@ depends on b/a alone, so the dual-orbit sum obeys the translation law
 
 and by the periodicity above only b/a modulo ptilde matters (its phase
 only modulo 24/m_j, the sigma-equivalence at j).  The template of node i
-holds the nonzero lambda_inf((i, 1), c) over the ptilde-representatives c
-that can pair nonzero with (i, 1), keyed by the ints
-(j, phase mod 24/m_j, 6*qexp mod 12*hvee).  It is built once per node, on
-first use, by the explicit dual-orbit sum `lambda_inf_oracle`, so the
-SumNotStabilized window guard runs once per template.  After that,
-`lambda_inf` and `pairing` are lookups and `s_func(i, a)` is the template
-translated by a.  `lambda_inf_oracle` is the reference the tests compare
-`lambda_inf` against.
+holds the nonzero lambda_inf((i, 1), c) over ptilde-representatives c,
+keyed by the ints (j, phase mod 24/m_j, 6*qexp mod 12*hvee).
+
+The template is a signed count of denominator roots (the scatter law):
+summed over all k at once, the even terms D^{2l} put +m at c = x and the
+odd terms put -m at c = x/p*, for x in {r, 1/r} and r a root of
+multiplicity m of d_{i,j} (even) or d_{i,j*} (odd).  Only canonical x
+count (canonical_param(d, jj, x) == x, jj the node of that denominator):
+de only probes canonical parameters, so it never hits the other members
+of x's sigma-class, and counting them overcounts twisted nodes with m > 1.
+So the build sums no window and calls no de; the SumNotStabilized guard
+stays in `lambda_`, which still sums a window.  The explicit orbit sum the
+scatter replaced is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from typing import Iterable, NamedTuple, Union
 from .affine import AffineData, canonical_param
 from .denominators import denominator
 from .scalars import (
-    ONE,
     ParseError,
     QAffineError,
     SpectralScalar,
@@ -48,10 +52,9 @@ from .scalars import (
     print_scalar,
 )
 
-# the dual-orbit sum is evaluated on a window of half-width SUM_WINDOW
-# centered on the only region that can carry nonzero terms; nonzero de in
-# the outer guard ring means the window arithmetic broke and is an error
-SUM_WINDOW = 6
+# `lambda_` sums the dual orbit on a window centered on the only region that
+# can carry nonzero terms; nonzero de in the guard ring |off| >= GUARD_LOW
+# means the window arithmetic broke and is an error
 GUARD_LOW = 5
 GUARD_HIGH = 8
 
@@ -121,11 +124,6 @@ def _orbit_values(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> dict[int, in
     return values
 
 
-def lambda_inf_oracle(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
-    """Alternating dual-orbit sum sum_k (-1)^k de(M, D^k N), summed term by term."""
-    return sum((v if k % 2 == 0 else -v) for k, v in _orbit_values(d, p1, p2).items())
-
-
 Key = tuple[int, int, int]
 
 
@@ -140,15 +138,19 @@ def _point(key: Key) -> SigmaPoint:
 
 
 def _template(d: AffineData, i: int) -> dict[Key, int]:
-    """The nonzero lambda_inf((i, 1), c), keyed by `_key` of c; built once per node."""
+    """The nonzero lambda_inf((i, 1), c) by the scatter law, keyed by `_key` of c."""
     table = d._template_cache.get(i)
     if table is None:
-        p = SigmaPoint(i, ONE)
-        table = {}
-        for c in _support_candidates(d, p):
-            v = lambda_inf_oracle(d, p, c)
-            if v:
-                table[_key(d, c.node, c.param.phase, e6(c.param))] = v
+        ps, pe = d.pstar.phase, e6(d.pstar)
+        acc: dict[Key, int] = {}
+        for j in d.i0:
+            for jj, sign, ph, e in ((j, 1, 0, 0), (d.istar[j], -1, ps, pe)):
+                for r, m in denominator(d, i, jj):
+                    for x in (r, r.inv()):
+                        if canonical_param(d, jj, x) == x:
+                            key = _key(d, j, x.phase - ph, e6(x) - e)
+                            acc[key] = acc.get(key, 0) + sign * m
+        table = {k: v for k, v in acc.items() if v}
         d._template_cache[i] = table
     return table
 
@@ -212,26 +214,6 @@ class SigmaFunction:
             tuple((p, -v) for p, v in self.values),
             None if self.gens is None else tuple((p, -c) for p, c in self.gens),
         )
-
-
-def _support_candidates(d: AffineData, p: SigmaPoint) -> set[SigmaPoint]:
-    """ptilde-orbit representatives of every (j, b) that can pair nonzero with p.
-
-    A nonzero dual-orbit term needs b (p*)^k / a to be a denominator root
-    for some k; modulo ptilde only the parity of k matters, which leaves
-    the roots of d_{i,j} and of d_{i,j*} shifted by (p*)^{-1}.
-    """
-    i, a = p
-    cands: set[SigmaPoint] = set()
-    pinv = d.pstar.inv()
-    for j in d.i0:
-        for jj, shift in ((j, None), (d.istar[j], pinv)):
-            for r, _ in denominator(d, i, jj):
-                for val in (a * r, a * r.inv()):
-                    if shift is not None:
-                        val = val * shift
-                    cands.add(reduce_mod_ptilde(d, SigmaPoint(j, val)))
-    return cands
 
 
 def s_func(d: AffineData, p: SigmaPoint) -> SigmaFunction:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Vec = tuple[int, ...]
@@ -166,10 +167,12 @@ class FinRootSystem:
         n = self.rank
         return FinWeight(tuple(sum(self.cartan[j][i] * v[i] for i in range(n)) for j in range(n)))
 
-    def weight_to_root(self, w: FinWeight) -> Vec:
-        """Exact solve C x = w; raises NotInRootLattice if x is not integral."""
+    @cached_property
+    def _cartan_inverse(self) -> tuple[int, tuple[Vec, ...]]:
+        """C^-1 as (den, M) with C^-1 = M / den, by one exact Gauss-Jordan."""
         n = self.rank
-        aug = [[Fraction(self.cartan[r][c]) for c in range(n)] + [Fraction(w.coords[r])] for r in range(n)]
+        aug = [[Fraction(c) for c in row] + [Fraction(int(r == k)) for k in range(n)]
+               for r, row in enumerate(self.cartan)]
         for col in range(n):
             piv = next(r for r in range(col, n) if aug[r][col] != 0)
             aug[col], aug[piv] = aug[piv], aug[col]
@@ -179,10 +182,17 @@ class FinRootSystem:
                 if r != col and aug[r][col]:
                     f = aug[r][col]
                     aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        sol = [row[n] for row in aug]
-        if any(x.denominator != 1 for x in sol):
+        den = lcm(*(x.denominator for row in aug for x in row[n:]))
+        return den, tuple(tuple(int(x * den) for x in row[n:]) for row in aug)
+
+    def weight_to_root(self, w: FinWeight) -> Vec:
+        """Exact solve C x = w; raises NotInRootLattice if x is not integral."""
+        den, inv = self._cartan_inverse
+        x = [sum(a * b for a, b in zip(row, w.coords)) for row in inv]
+        if any(v % den for v in x):
+            sol = [Fraction(v, den) for v in x]
             raise NotInRootLattice(f"{w} is not in the root lattice: C x = w gives x = {sol}")
-        return tuple(int(x) for x in sol)
+        return tuple(v // den for v in x)
 
     def reflect_weight(self, i: int, w: FinWeight) -> FinWeight:
         out = list(w.coords)

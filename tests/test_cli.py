@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import qaffine
 from qaffine import cli
 from qaffine.cli import run
 
@@ -164,3 +169,14 @@ def test_text_output_is_stable(capsys):
     first = capsys.readouterr().out
     run(["sigma-q", "D5-2"])
     assert capsys.readouterr().out == first
+
+
+def test_cli_import_leaves_acceptance_unloaded():
+    # only verify and cartan-check --all-ranks need the acceptance suite
+    src = str(Path(qaffine.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qaffine.cli; print('qaffine.acceptance' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]

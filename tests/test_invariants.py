@@ -5,18 +5,17 @@ import pytest
 from qaffine import invariants
 from qaffine.acceptance import SWEEP
 from qaffine.affine import Family, NodeOutOfRange, build, build_type, parse_type_string
+from qaffine.denominators import denominator
 from qaffine.invariants import (
     DecompositionUnavailable,
     SigmaFunction,
     SigmaPoint,
     SumNotStabilized,
-    _support_candidates,
     de,
     dual_shift,
     e_of,
     lambda_,
     lambda_inf,
-    lambda_inf_oracle,
     pairing,
     parse_sigma_point,
     s_func,
@@ -232,12 +231,35 @@ def test_parse_sigma_point():
         parse_sigma_point(d, "x@q")
 
 
+def lambda_inf_oracle(d, p1, p2):
+    """Oracle: the alternating dual-orbit sum sum_k (-1)^k de(M, D^k N), term by term."""
+    return sum(v if k % 2 == 0 else -v for k, v in invariants._orbit_values(d, p1, p2).items())
+
+
+def support_candidates(d, p):
+    """Oracle: ptilde-orbit representatives of every (j, b) that can pair nonzero with p.
+
+    A nonzero dual-orbit term needs b (p*)^k / a to be a denominator root
+    for some k; modulo ptilde only the parity of k matters, which leaves
+    the roots of d_{i,j} and of d_{i,j*} shifted by (p*)^{-1}.
+    """
+    i, a = p
+    cands = set()
+    pinv = d.pstar.inv()
+    for j in d.i0:
+        for jj, shift in ((j, ONE), (d.istar[j], pinv)):
+            for r, _ in denominator(d, i, jj):
+                for val in (a * r, a * r.inv()):
+                    cands.add(invariants.reduce_mod_ptilde(d, SigmaPoint(j, val * shift)))
+    return cands
+
+
 def _near_pair(rng, d):
     """A random pair whose q-exponents differ by at most 2 hvee, or, one time
     in five, a candidate partner of p1 moved several ptilde periods away."""
     p1 = sigma_point(d, rng.choice(d.i0), from_e6(rng.randrange(24), rng.randrange(-60, 61)))
     if rng.random() < 0.2:
-        j, b = rng.choice(sorted(_support_candidates(d, p1)))
+        j, b = rng.choice(sorted(support_candidates(d, p1)))
         periods = rng.choice((-1, 1)) * rng.randrange(2, 6)
         return p1, sigma_point(d, j, b * d.ptilde ** periods)
     off = from_e6(rng.randrange(24), rng.randrange(-12 * d.hvee, 12 * d.hvee + 1))
@@ -262,7 +284,7 @@ def _s_func_oracle(d, p):
     """s_func by the per-point candidate search and the explicit sum, with
     each candidate brought into [0, ptilde) by whole ptilde powers."""
     reps = set()
-    for c in _support_candidates(d, p):
+    for c in support_candidates(d, p):
         periods = e6(c.param) // (12 * d.hvee)
         reps.add(sigma_point(d, c.node, c.param * d.ptilde ** -periods))
     values = ((c, lambda_inf_oracle(d, p, c)) for c in sorted(reps))
@@ -278,13 +300,53 @@ def test_s_func_matches_candidate_search():
             assert s_func(d, p).values == _s_func_oracle(d, p), (s, str(p))
 
 
-def test_template_build_keeps_the_window_guard(monkeypatch):
-    # a fresh AffineData, so the template is built under the patched guard
-    fresh = build.__wrapped__(parse_type_string("A4-1"))
-    p = pt(fresh, 2, ONE)
+def _oracle_template(d, i):
+    """Node i's template by the candidate search and the explicit orbit sum."""
+    p = SigmaPoint(i, ONE)
+    values = ((c, lambda_inf_oracle(d, p, c)) for c in support_candidates(d, p))
+    return {invariants._key(d, c.node, c.param.phase, e6(c.param)): v for c, v in values if v}
+
+
+def test_template_scatter_matches_oracle_on_every_sweep_node():
+    for s in SWEEP:
+        d = build(parse_type_string(s))
+        for i in d.i0:
+            assert invariants._template(d, i) == _oracle_template(d, i), (s, i)
+
+
+def test_template_counts_only_canonical_denominator_roots():
+    # D4-3: the roots of d_{1,2} and d_{1,1} come in omega-triples that are
+    # one sigma-class at node 2 (m_2 = 3); de sees only the canonical member,
+    # so each class counts once, not three times
+    d = build(parse_type_string("D4-3"))
+    p = pt(d, 1, ONE)
+    for e, want in ((30, 1), (42, 1), (6, -1), (66, -1)):
+        c = pt(d, 2, from_e6(4, e))
+        assert lambda_inf(d, p, c) == lambda_inf_oracle(d, p, c) == want, e
+
+
+def test_window_guard_still_fires_from_lambda_and_oracle(monkeypatch):
+    d = build(parse_type_string("A4-1"))
+    p = pt(d, 2, ONE)
     monkeypatch.setattr(invariants, "GUARD_LOW", 1)
     with pytest.raises(SumNotStabilized):
-        lambda_inf(fresh, p, p)
+        lambda_(d, p, p)
     with pytest.raises(SumNotStabilized):
-        s_func(fresh, pt(fresh, 2, Q))
-    assert not fresh._template_cache
+        lambda_inf_oracle(d, p, p)
+    assert lambda_inf(d, p, p) == -2  # the template sums no window
+
+
+def test_template_build_makes_no_de_call(monkeypatch):
+    def no_de(*args):
+        raise AssertionError("template build called de")
+
+    for s in ("A4-1", "G2-1", "D5-2", "E6-2", "D4-3"):
+        d = build(parse_type_string(s))
+        fresh = build.__wrapped__(parse_type_string(s))
+        want = {i: invariants._template(d, i) for i in d.i0}
+        monkeypatch.setattr(invariants, "de", no_de)
+        assert {i: invariants._template(fresh, i) for i in fresh.i0} == want, s
+        p = pt(fresh, fresh.i0[-1], Q)
+        assert lambda_inf(fresh, p, p) == -2
+        assert s_func(fresh, p).values == s_func(d, p).values
+        monkeypatch.undo()

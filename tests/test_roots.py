@@ -1,7 +1,11 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from qaffine.roots import (
     FinWeight,
+    NotInRootLattice,
     apply_word,
     apply_word_root,
     graph_distance,
@@ -144,3 +148,50 @@ def test_istar_matches_longest_element():
         for i in range(1, rank + 1):
             img = apply_word_root(rs, w0_word, rs.simple_root(i))
             assert img == tuple(-c for c in rs.simple_root(rs.istar(i)))
+
+
+def _gauss_jordan_solve(rs, w):
+    """Oracle: C x = w by Fraction Gauss-Jordan, raising as the library does."""
+    n = rs.rank
+    aug = [[Fraction(rs.cartan[r][c]) for c in range(n)] + [Fraction(w.coords[r])] for r in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = aug[col][col]
+        aug[col] = [x / scale for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    sol = [row[n] for row in aug]
+    if any(x.denominator != 1 for x in sol):
+        raise NotInRootLattice(f"{w} is not in the root lattice: C x = w gives x = {sol}")
+    return tuple(int(x) for x in sol)
+
+
+ADE_UP_TO_RANK_8 = (
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(3, 9)] + [("E", n) for n in (6, 7, 8)]
+)
+
+
+@pytest.mark.parametrize("letter,rank", ADE_UP_TO_RANK_8, ids=[f"{l}{n}" for l, n in ADE_UP_TO_RANK_8])
+def test_weight_to_root_matches_gauss_jordan(letter, rank):
+    # the once-inverted Cartan matrix against the per-call elimination it
+    # replaced: same roots, and the same error text for non-integral solves
+    rs = root_system(letter, rank)
+    rng = random.Random(1000 * rank + ord(letter))
+    outcomes = set()
+    for _ in range(60):
+        w = FinWeight(tuple(rng.randint(-4, 4) for _ in range(rank)))
+        try:
+            want = _gauss_jordan_solve(rs, w)
+        except NotInRootLattice as exc:
+            with pytest.raises(NotInRootLattice) as got:
+                rs.weight_to_root(w)
+            assert str(got.value) == str(exc)
+            outcomes.add("error")
+        else:
+            assert rs.weight_to_root(w) == want
+            outcomes.add("root")
+    # E8 is unimodular, so every weight is a root-lattice point there
+    assert outcomes == ({"root"} if (letter, rank) == ("E", 8) else {"root", "error"})
