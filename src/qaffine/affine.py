@@ -28,8 +28,6 @@ from .scalars import (
     InvariantViolation,
     QAffineError,
     SpectralScalar,
-    e6,
-    from_e6,
     scalar,
 )
 
@@ -257,7 +255,7 @@ class AffineData:
     gfin: FinRootSystem
     hvee: int
     g0_adj: tuple[tuple[int, ...], ...]
-    # stabilizer subgroup of sigma_Z, as reduction data on (phase, 6*qexp):
+    # stabilizer subgroup of sigma_Z, as reduction data on the scalar's (phase, e):
     # generator (phase_step, e_step) plus an optional pure-phase generator
     k0_e_step: int
     k0_phase_step: int
@@ -310,7 +308,7 @@ def build(t: AffineType) -> AffineData:
         return graph_distance(g0_adj, i, j)
 
     pstar = spec.pstar(n)
-    if pstar.den != 1:
+    if pstar.e % 6:
         raise InvariantViolation(f"p* = {pstar} of {t} is not an integral power of q")
     e_step, phase_step, phase_mod = spec.k0
     return AffineData(
@@ -321,7 +319,7 @@ def build(t: AffineType) -> AffineData:
         ptilde=pstar * pstar,
         istar={i: gfin.istar(i) if simply_laced else i for i in i0},
         gfin=gfin,
-        hvee=pstar.num,
+        hvee=pstar.e // 6,
         g0_adj=g0_adj,
         k0_e_step=e_step,
         k0_phase_step=phase_step,
@@ -344,7 +342,7 @@ def untwisted_partner(d: AffineData) -> AffineData:
 def canonical_param(d: AffineData, i: int, x: SpectralScalar) -> SpectralScalar:
     """Reduce the phase modulo the sigma-equivalence at node i."""
     mod = 24 // d.m[i]
-    return SpectralScalar(x.phase % mod, x.num, x.den)
+    return SpectralScalar(x.phase % mod, x.e)
 
 
 def sigma_eq(d: AffineData, p1: tuple[int, SpectralScalar], p2: tuple[int, SpectralScalar]) -> bool:
@@ -352,7 +350,7 @@ def sigma_eq(d: AffineData, p1: tuple[int, SpectralScalar], p2: tuple[int, Spect
     (i, x), (j, y) = p1, p2
     d.check_node(i)
     d.check_node(j)
-    if i != j or (x.num, x.den) != (y.num, y.den):
+    if i != j or x.e != y.e:
         return False
     return (d.m[i] * (x.phase - y.phase)) % 24 == 0
 
@@ -365,11 +363,11 @@ def component_class(d: AffineData, i: int, x: SpectralScalar) -> SpectralScalar:
     """
     d.check_node(i)
     c = x / d.sigma0_base[i]
-    k, e_red = divmod(e6(c), d.k0_e_step)
+    k, e_red = divmod(c.e, d.k0_e_step)
     phase = (c.phase - k * d.k0_phase_step) % 24
     if d.k0_phase_mod:
         phase %= d.k0_phase_mod
-    return from_e6(phase, e_red)
+    return SpectralScalar(phase, e_red)
 
 
 def in_sigma_z(d: AffineData, i: int, x: SpectralScalar) -> bool:

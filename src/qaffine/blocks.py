@@ -15,7 +15,7 @@ from .affine import AffineData, component_class, in_sigma_z
 from .invariants import SigmaFunction, SigmaPoint, e_of, pairing, s_func, sigma_point
 from .qdata import QDatum, default_qdatum, sigma_q_points, simple_root_points, translate_star
 from .roots import FinWeight, NotInRootLattice
-from .scalars import QAffineError, SpectralScalar, print_scalar
+from .scalars import QAffineError, SpectralScalar, order_key, print_scalar
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -100,7 +100,7 @@ def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
             raise UnclassifiablePoint(f"{p} does not land in sigma_Z under its solved translate")
         groups.setdefault(cls, []).append(p)
     components = []
-    for cls in sorted(groups):
+    for cls in sorted(groups, key=order_key):
         translated = [sigma_point(d, p.node, p.param / cls) for p in groups[cls]]
         coords = psi_lattice(d, q, e_of(d, translated))
         if any(coords):

@@ -25,7 +25,7 @@ from .invariants import (
     s_func,
 )
 from .qdata import default_qdatum, phi_q_map
-from .scalars import MINUS_ONE, ParseError, QAffineError, print_scalar
+from .scalars import MINUS_ONE, ParseError, QAffineError, order_key, print_scalar
 
 DOMAIN_ERRORS = (QAffineError, SumNotStabilized)
 
@@ -43,6 +43,12 @@ def _emit(args, payload: dict, text: str) -> None:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
+
+
+def _printed_values(f) -> list[dict]:
+    """A function's values in printed order: by node, then `order_key` of the parameter."""
+    values = sorted(f.values, key=lambda pv: (pv[0].node, order_key(pv[0].param)))
+    return [{"at": str(p), "value": v} for p, v in values]
 
 
 def _factor_str(deg: int, value, mult: int) -> str:
@@ -107,14 +113,10 @@ def _two_point_cmd(args, fn, name: str) -> int:
 def cmd_s_func(args) -> int:
     d = _data(args)
     p = parse_sigma_point(d, args.point)
-    f = s_func(d, p)
-    payload = {
-        "point": str(p),
-        "period_qexp": 2 * d.hvee,
-        "values": [{"at": str(q), "value": v} for q, v in f.values],
-    }
+    values = _printed_values(s_func(d, p))
+    payload = {"point": str(p), "period_qexp": 2 * d.hvee, "values": values}
     lines = [f"s_{p} (values repeat with q-exponent period {2 * d.hvee}):"]
-    lines += [f"  {q}: {v}" for q, v in f.values]
+    lines += [f"  {pv['at']}: {pv['value']}" for pv in values]
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -122,10 +124,9 @@ def cmd_s_func(args) -> int:
 def cmd_e_of(args) -> int:
     d = _data(args)
     pts = _parse_weights(d, args.weights)
-    f = e_of(d, pts)
-    payload = {"values": [{"at": str(q), "value": v} for q, v in f.values]}
-    body = "\n".join(f"  {q}: {v}" for q, v in f.values) or "  0"
-    _emit(args, payload, f"E({args.weights}):\n{body}")
+    values = _printed_values(e_of(d, pts))
+    body = "\n".join(f"  {pv['at']}: {pv['value']}" for pv in values) or "  0"
+    _emit(args, {"values": values}, f"E({args.weights}):\n{body}")
     return 0
 
 
@@ -153,19 +154,21 @@ def cmd_block_label(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    d = _data(args)
-    q = default_qdatum(d)
     modules = []
-    with open(args.file, encoding="utf-8") as handle:
+    with args.file as handle:
+        d = _data(args)
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if line:
+                where = f"{handle.name}:{lineno}"
                 try:
                     texts = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ParseError(f"{args.file}:{lineno}: {exc.msg}", exc.pos) from exc
+                    raise ParseError(f"{where}: {exc.msg}", exc.pos) from exc
+                if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+                    raise ParseError(f"{where}: expected a JSON list of point strings", 0)
                 modules.append([parse_sigma_point(d, t) for t in texts])
-    groups = partition_blocks(d, q, modules)
+    groups = partition_blocks(d, default_qdatum(d), modules)
     payload = [
         {
             "label": [{"component": f"t={c}", "coords": list(v)} for c, v in label.components],
@@ -258,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="group affine weight lists (JSONL file) into blocks")
     common(p)
-    p.add_argument("--file", required=True, help="one JSON list of point strings per line")
+    p.add_argument("--file", required=True, type=argparse.FileType("r", encoding="utf-8"),
+                   help="one JSON list of point strings per line")
     p.set_defaults(fn=cmd_partition)
 
     p = sub.add_parser("verify", help="run acceptance criteria")

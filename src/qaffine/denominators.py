@@ -22,6 +22,7 @@ from .scalars import (
     QT,
     SpectralScalar,
     nth_roots,
+    order_key,
     scalar,
 )
 
@@ -31,7 +32,7 @@ Factor = tuple[int, SpectralScalar, int]
 
 @dataclass(frozen=True)
 class RootMultiset:
-    """Monic polynomial prod (z - r), as a finite multiset of roots."""
+    """Monic polynomial prod (z - r), as a finite multiset of roots in printed order."""
 
     mults: tuple[tuple[SpectralScalar, int], ...]
     _index: dict[SpectralScalar, int] = field(init=False, repr=False, compare=False)
@@ -44,7 +45,7 @@ class RootMultiset:
         acc: dict[SpectralScalar, int] = {}
         for r, m in pairs:
             acc[r] = acc.get(r, 0) + m
-        return cls(tuple(sorted(acc.items())))
+        return cls(tuple(sorted(acc.items(), key=lambda rm: order_key(rm[0]))))
 
     def mult(self, x: SpectralScalar) -> int:
         return self._index.get(x, 0)

@@ -21,7 +21,8 @@ depends on b/a alone, so the dual-orbit sum obeys the translation law
 and by the periodicity above only b/a modulo ptilde matters (its phase
 only modulo 24/m_j, the sigma-equivalence at j).  The template of node i
 holds the nonzero lambda_inf((i, 1), c) over ptilde-representatives c,
-keyed by the ints (j, phase mod 24/m_j, 6*qexp mod 12*hvee).
+keyed by the flat int tuple (j, phase mod 24/m_j, e mod 12*hvee) for
+c = z24^phase * q^(e/6); SigmaPoints are built only for returned values.
 
 The template is a signed count of denominator roots (the scatter law):
 summed over all k at once, the even terms D^{2l} put +m at c = x and the
@@ -33,6 +34,11 @@ of x's sigma-class, and counting them overcounts twisted nodes with m > 1.
 So the build sums no window and calls no de; the SumNotStabilized guard
 stays in `lambda_`, which still sums a window.  The explicit orbit sum the
 scatter replaced is the tests' oracle.
+
+`s_func`, `e_of` and `delta0` sort points in the library order (node,
+phase, e), numeric in the q-exponent, so `SigmaFunction.values` is in that
+order.  Users see the printed order of `scalars.order_key`: the CLI sorts
+by it before printing.
 """
 
 from __future__ import annotations
@@ -46,8 +52,6 @@ from .scalars import (
     ParseError,
     QAffineError,
     SpectralScalar,
-    e6,
-    from_e6,
     parse_scalar,
     print_scalar,
 )
@@ -110,7 +114,7 @@ def _orbit_values(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> dict[int, in
     centered there; anything in the guard ring would mean that bound (and
     hence the sum) is wrong, so it raises instead of truncating silently.
     """
-    center = round(-e6(p2.param / p1.param) / (6 * d.hvee))
+    center = round(-(p2.param / p1.param).e / (6 * d.hvee))
     values: dict[int, int] = {}
     for off in range(-GUARD_HIGH, GUARD_HIGH + 1):
         k = center + off
@@ -134,21 +138,21 @@ def _key(d: AffineData, j: int, phase: int, e: int) -> Key:
 
 def _point(key: Key) -> SigmaPoint:
     j, phase, e = key
-    return SigmaPoint(j, from_e6(phase, e))
+    return SigmaPoint(j, SpectralScalar(phase, e))
 
 
 def _template(d: AffineData, i: int) -> dict[Key, int]:
     """The nonzero lambda_inf((i, 1), c) by the scatter law, keyed by `_key` of c."""
     table = d._template_cache.get(i)
     if table is None:
-        ps, pe = d.pstar.phase, e6(d.pstar)
+        ps, pe = d.pstar
         acc: dict[Key, int] = {}
         for j in d.i0:
             for jj, sign, ph, e in ((j, 1, 0, 0), (d.istar[j], -1, ps, pe)):
                 for r, m in denominator(d, i, jj):
                     for x in (r, r.inv()):
                         if canonical_param(d, jj, x) == x:
-                            key = _key(d, j, x.phase - ph, e6(x) - e)
+                            key = _key(d, j, x.phase - ph, x.e - e)
                             acc[key] = acc.get(key, 0) + sign * m
         table = {k: v for k, v in acc.items() if v}
         d._template_cache[i] = table
@@ -159,7 +163,7 @@ def lambda_inf(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
     """Alternating dual-orbit sum sum_k (-1)^k de(M, D^k N), read from M's template."""
     d.check_node(p2.node)
     a, b = p1.param, p2.param
-    return _template(d, p1.node).get(_key(d, p2.node, b.phase - a.phase, e6(b) - e6(a)), 0)
+    return _template(d, p1.node).get(_key(d, p2.node, b.phase - a.phase, b.e - a.e), 0)
 
 
 def lambda_(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
@@ -173,7 +177,7 @@ def lambda_(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
 def reduce_mod_ptilde(d: AffineData, p: SigmaPoint) -> SigmaPoint:
     """Representative of the ptilde-orbit of p, used as a function key."""
     d.check_node(p.node)
-    return _point(_key(d, p.node, p.param.phase, e6(p.param)))
+    return _point(_key(d, p.node, *p.param))
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,7 @@ def s_func(d: AffineData, p: SigmaPoint) -> SigmaFunction:
     cached = d._sfunc_cache.get(p)
     if cached is not None:
         return cached
-    phase, e = p.param.phase, e6(p.param)
+    phase, e = p.param
     values = sorted(
         (_point(_key(d, j, ph + phase, f + e)), v) for (j, ph, f), v in _template(d, p.node).items()
     )

@@ -9,10 +9,10 @@ two on every coefficient is one of the acceptance checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .roots import FinRootSystem, Vec, mat_apply, root_system, word_matrix
+from .roots import FinRootSystem, Vec, mat_apply, root_system
 from .scalars import InvariantViolation
 
 
@@ -46,23 +46,6 @@ class AdeQuiverData:
     tau_word: tuple[int, ...]
     gamma: dict[int, Vec]
     h: int
-    _tau_pows: dict[int, tuple[Vec, ...]] = field(default_factory=dict, repr=False)
-
-    def tau_power(self, m: int) -> tuple[Vec, ...]:
-        if m in self._tau_pows:
-            return self._tau_pows[m]
-        if m == 0:
-            mat = tuple(self.rs.simple_root(i) for i in range(1, self.rs.rank + 1))
-        elif m > 0:
-            prev = self.tau_power(m - 1)
-            step = self.tau_power(1)
-            mat = tuple(mat_apply(step, row) for row in prev)
-        else:
-            prev = self.tau_power(m + 1)
-            step = self.tau_power(-1)
-            mat = tuple(mat_apply(step, row) for row in prev)
-        self._tau_pows[m] = mat
-        return mat
 
 
 @lru_cache(maxsize=None)
@@ -92,8 +75,6 @@ def ade_quiver(letter: str, rank: int) -> AdeQuiverData:
 
     h = max(sum(beta) for beta in rs.positive_roots) + 1
     d = AdeQuiverData(rs=rs, xi=xi, tau_word=tau_word, gamma=gamma, h=h)
-    d._tau_pows[1] = word_matrix(rs, tau_word)
-    d._tau_pows[-1] = word_matrix(rs, tuple(reversed(tau_word)))
     for i in range(1, rank + 1):
         if not rs.is_positive_root(gamma[i]):
             raise InvariantViolation(f"gamma_{i} = {gamma[i]} is not a positive root of {letter}{rank}")
@@ -107,7 +88,7 @@ def ctilde_formula(d: AdeQuiverData, i: int, j: int, k: int) -> int:
     e = k + d.xi[i] - d.xi[j] - 1
     if e % 2:
         return 0
-    v = mat_apply(d.tau_power(e // 2), d.gamma[i])
+    v = mat_apply(d.rs.word_power(d.tau_word, e // 2), d.gamma[i])
     return v[j - 1]
 
 

@@ -10,7 +10,6 @@ star/dagger folding maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .affine import AffineData, Family, untwisted_partner
 from .invariants import SigmaPoint, dual_shift, sigma_point
@@ -24,7 +23,6 @@ from .roots import (
     mat_apply,
     perm_from_map,
     perm_order,
-    word_matrix,
 )
 from .scalars import (
     I_UNIT,
@@ -34,6 +32,7 @@ from .scalars import (
     MINUS_QS,
     MINUS_QT,
     OMEGA,
+    QS,
     QAffineError,
     SpectralScalar,
     scalar,
@@ -61,7 +60,7 @@ class QDatum:
     # must not depend on the choice among weakly-decreasing orderings)
     tau_override: tuple[int, ...] | None = None
     _rows: dict = field(default_factory=dict, repr=False)
-    _mats: dict = field(default_factory=dict, repr=False)
+    _phi_inv: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.ord_rho = perm_order(self.rho)
@@ -198,32 +197,6 @@ def tau_q(q: QDatum) -> tuple:
     return tuple(word)
 
 
-def _tau_mat(q: QDatum, power: int) -> tuple[Vec, ...]:
-    mat = q._mats.get(power)
-    if mat is not None:
-        return mat
-    word = tau_q(q)
-    if power >= 0:
-        base = word_matrix(q.rs, word)
-    else:
-        inv_word = tuple(reversed([_inv_entry(q, e) for e in word]))
-        base = word_matrix(q.rs, inv_word)
-    out = tuple(q.rs.simple_root(i) for i in range(1, q.rs.rank + 1))
-    for _ in range(abs(power)):
-        out = tuple(mat_apply(base, row) for row in out)
-    q._mats[power] = out
-    return out
-
-
-def _inv_entry(q: QDatum, entry):
-    if isinstance(entry, int):
-        return entry
-    inv = [0] * len(entry)
-    for i, img in enumerate(entry):
-        inv[img] = i
-    return tuple(inv)
-
-
 def gamma_q(q: QDatum, i: int) -> Vec:
     """gamma_i = (1 - tau_Q^{d_i}) Lambda_i, a positive root."""
     lam = q.rs.fundamental_weight(i)
@@ -255,27 +228,19 @@ def psi_q(q: QDatum, i: int, p: int) -> tuple[Vec, int]:
         raise NotInHatIQ(f"p = {p} is not congruent to xi_{i} = {q.xi[i]} mod {step}")
     row = _row(q, i)
     if p not in row:
-        known = sorted(row)
-        if p < known[0]:
-            cur, (beta, m) = known[0], row[known[0]]
-            mat = _tau_mat(q, q.d[i])
-            while cur > p:
-                cur -= step
-                beta = mat_apply(mat, beta)
-                if not any(c > 0 for c in beta):
-                    beta = tuple(-c for c in beta)
-                    m -= 1
-                row[cur] = (beta, m)
-        else:
-            cur, (beta, m) = known[-1], row[known[-1]]
-            mat = _tau_mat(q, -q.d[i])
-            while cur < p:
-                cur += step
-                beta = mat_apply(mat, beta)
-                if not any(c > 0 for c in beta):
-                    beta = tuple(-c for c in beta)
-                    m += 1
-                row[cur] = (beta, m)
+        # extend the known run from its end nearer p: tau_Q^{d_i} takes one
+        # step down in p, its inverse one step up
+        sign = -1 if p < min(row) else 1
+        cur = min(row) if sign < 0 else max(row)
+        beta, m = row[cur]
+        mat = q.rs.word_power(tau_q(q), -sign * q.d[i])
+        while cur != p:
+            cur += sign * step
+            beta = mat_apply(mat, beta)
+            if not any(c > 0 for c in beta):
+                beta = tuple(-c for c in beta)
+                m += sign
+            row[cur] = (beta, m)
     return row[p]
 
 
@@ -294,9 +259,8 @@ def i_q(q: QDatum) -> list[tuple[int, int]]:
 
 def phi_inverse_zero(q: QDatum) -> dict[Vec, tuple[int, int]]:
     """beta -> (i, p) over the m = 0 slice; checks the slice is exactly Delta+."""
-    cached = q._mats.get("phi_inv")
-    if cached is not None:
-        return cached
+    if q._phi_inv is not None:
+        return q._phi_inv
     out: dict[Vec, tuple[int, int]] = {}
     for i, p in i_q(q):
         beta, m = psi_q(q, i, p)
@@ -309,7 +273,7 @@ def phi_inverse_zero(q: QDatum) -> dict[Vec, tuple[int, int]]:
         raise InvariantViolation(
             f"the m = 0 slice has {len(out)} roots, not {len(q.rs.positive_roots)}"
         )
-    q._mats["phi_inv"] = out
+    q._phi_inv = out
     return out
 
 
@@ -320,12 +284,12 @@ def esig(q: QDatum, i: int, p: int) -> tuple[int, SpectralScalar]:
         return i, MINUS_Q ** p
     if fam == Family.B1:
         sign = MINUS_ONE ** (i + q.base.n)
-        return q.pi[i], sign * scalar(0, Fraction(p, 2))
+        return q.pi[i], sign * QS ** p
     if fam == Family.C1:
         return q.pi[i], MINUS_QS ** p
     if fam == Family.F4_1:
         node = q.pi[i]
-        return node, (MINUS_ONE ** node) * scalar(0, Fraction(p, 2))
+        return node, (MINUS_ONE ** node) * QS ** p
     # G2
     return q.pi[i], MINUS_QT ** p
 
@@ -392,8 +356,8 @@ def simple_root_points(q: QDatum, d: AffineData) -> list[SigmaPoint]:
     return [phi_q(q, d, q.rs.simple_root(i)) for i in range(1, q.rs.rank + 1)]
 
 
-def _window(lo, hi, step: int) -> list:
-    """hi, hi - step, ... down to lo inclusive (ints unless bounds are fractional)."""
+def _window(lo: int, hi: int, step: int) -> list[int]:
+    """hi, hi - step, ... down to lo inclusive."""
     k = hi
     out = []
     while k >= lo:
@@ -413,7 +377,7 @@ def _untwisted_sigma_q_raw(d: AffineData) -> list[tuple[int, SpectralScalar]]:
         for i in range(1, n):
             sign = MINUS_ONE ** (n + i)
             for k in _window(-2 * n - 2 * i + 3, 2 * n - 2 * i - 1, 2):
-                pts.append((i, sign * scalar(0, Fraction(k, 2))))
+                pts.append((i, sign * QS ** k))
         pts += [(n, scalar(0, k)) for k in _window(-2 * n + 2, 0, 1)]
     elif f == Family.C1:
         for i in d.i0:
@@ -436,9 +400,9 @@ def _untwisted_sigma_q_raw(d: AffineData) -> list[tuple[int, SpectralScalar]]:
     elif f == Family.F4_1:
         for i in d.i0:
             dd = d.dd(i, 3)
-            half = Fraction(1, 2) if i == 3 else 0
-            for k in _window(dd - 10 + half, dd - 2 + half, 1):
-                pts.append((i, (MINUS_ONE ** i) * scalar(0, k)))
+            half = int(i == 3)  # in units of q^(1/2)
+            for k in _window(2 * dd - 20 + half, 2 * dd - 4 + half, 2):
+                pts.append((i, (MINUS_ONE ** i) * QS ** k))
     elif f == Family.G2_1:
         for i in d.i0:
             dd = d.dd(2, i)

@@ -103,6 +103,7 @@ class FinRootSystem:
         self.cartan = tuple(tuple(row[1:]) for row in cartan[1:])
         self.positive_roots = self._enumerate_positive_roots()
         self._positive_set = frozenset(self.positive_roots)
+        self._word_powers: dict[tuple[tuple[WordEntry, ...], int], tuple[Vec, ...]] = {}
 
     def __repr__(self) -> str:
         return f"FinRootSystem({self.letter}{self.rank})"
@@ -194,6 +195,22 @@ class FinRootSystem:
             raise NotInRootLattice(f"{w} is not in the root lattice: C x = w gives x = {sol}")
         return tuple(v // den for v in x)
 
+    def word_power(self, word: tuple[WordEntry, ...], m: int) -> tuple[Vec, ...]:
+        """The rows of w^m on the simple roots (row k is w^m(alpha_{k+1})), cached."""
+        mat = self._word_powers.get((word, m))
+        if mat is None:
+            if m < 0:
+                mat = self.word_power(inverse_word(word), -m)
+            elif m == 0:
+                mat = tuple(self.simple_root(i) for i in range(1, self.rank + 1))
+            elif m == 1:
+                mat = word_matrix(self, word)
+            else:
+                step = self.word_power(word, 1)
+                mat = tuple(mat_apply(step, row) for row in self.word_power(word, m - 1))
+            self._word_powers[(word, m)] = mat
+        return mat
+
     def reflect_weight(self, i: int, w: FinWeight) -> FinWeight:
         out = list(w.coords)
         c = w.coords[i - 1]
@@ -252,6 +269,13 @@ def apply_word_root(rs: FinRootSystem, word: Iterable[WordEntry], v: Vec) -> Vec
         else:
             v = perm_root(entry, v)
     return v
+
+
+def inverse_word(word: Iterable[WordEntry]) -> tuple[WordEntry, ...]:
+    """The word of the inverse element: reversed, each automorphism inverted."""
+    # sorting the nodes by their images inverts a permutation
+    return tuple(e if isinstance(e, int) else tuple(sorted(range(len(e)), key=e.__getitem__))
+                 for e in reversed(tuple(word)))
 
 
 def word_matrix(rs: FinRootSystem, word: Iterable[WordEntry]) -> tuple[Vec, ...]:

@@ -1,12 +1,17 @@
-"""Exact arithmetic for spectral parameters of the form zeta24^a * q^(p/6).
+"""Exact arithmetic for spectral parameters of the form zeta24^a * q^(e/6).
 
 Every scalar that appears in the R-matrix combinatorics of the fourteen
 affine families lives in the abelian group generated by a fixed primitive
-24th root of unity ``z24`` and the fractional powers ``q^(1/6)``.  A scalar
-is stored as the pair (phase, qexp) with phase in Z/24 and qexp a rational
-with denominator dividing 6.  q is treated as transcendental: two scalars
-are equal iff both components agree, and nothing is ever evaluated
-numerically.
+24th root of unity ``z24`` and ``q^(1/6)``, that is Z/24 x Z.  A scalar is
+stored as the int pair (phase, e) with phase in [0, 24) and e = 6 * qexp,
+so multiplying, dividing and raising to a power are int additions and
+multiplications.  q is treated as transcendental: two scalars are equal iff
+both components agree, and nothing is ever evaluated numerically.
+
+The native tuple order (phase, e) is numeric in the exponent.  The order
+shown to users is that of (phase, num, den) with q^(e/6) = q^(num/den) in
+lowest terms; `order_key` gives it, and it is the only place that reduces
+the exponent.  Printing and every user-visible sort go through it.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
-
-_ALLOWED_DENS = (1, 2, 3, 6)
 
 
 class QAffineError(ValueError):
@@ -39,58 +42,47 @@ class ParseError(QAffineError):
 
 
 class SpectralScalar(NamedTuple):
-    """zeta24^phase * q^(num/den), always kept in reduced form."""
+    """zeta24^phase * q^(e/6), with phase in [0, 24)."""
 
     phase: int
-    num: int
-    den: int
+    e: int
 
     @property
     def qexp(self) -> Fraction:
-        return Fraction(self.num, self.den)
+        return Fraction(self.e, 6)
 
     def __mul__(self, other: "SpectralScalar") -> "SpectralScalar":  # type: ignore[override]
-        num = self.num * other.den + other.num * self.den
-        den = self.den * other.den
-        g = gcd(num, den)
-        return SpectralScalar((self.phase + other.phase) % 24, num // g, den // g)
+        return SpectralScalar((self.phase + other.phase) % 24, self.e + other.e)
 
     def __truediv__(self, other: "SpectralScalar") -> "SpectralScalar":
         return self * other.inv()
 
     def inv(self) -> "SpectralScalar":
-        return SpectralScalar(-self.phase % 24, -self.num, self.den)
+        return SpectralScalar(-self.phase % 24, -self.e)
 
     def __pow__(self, n: int) -> "SpectralScalar":  # type: ignore[override]
-        num = self.num * n
-        g = gcd(num, self.den)
-        return SpectralScalar((self.phase * n) % 24, num // g, self.den // g)
+        return SpectralScalar((self.phase * n) % 24, self.e * n)
 
     @property
     def is_one(self) -> bool:
-        return self.phase == 0 and self.num == 0
+        return self.phase == 0 and self.e == 0
 
     def __str__(self) -> str:
         return print_scalar(self)
 
 
-def e6(x: SpectralScalar) -> int:
-    """6 * qexp(x), an exact int because the q-denominator divides 6."""
-    return x.num * (6 // x.den)
-
-
-def from_e6(phase: int, e: int) -> SpectralScalar:
-    """The reduced scalar zeta24^phase * q^(e/6), for phase already in [0, 24)."""
-    g = gcd(e, 6)
-    return SpectralScalar(phase, e // g, 6 // g)
+def order_key(x: SpectralScalar) -> tuple[int, int, int]:
+    """(phase, num, den) with q^(e/6) = q^(num/den) in lowest terms: the printed order."""
+    g = gcd(x.e, 6)
+    return x.phase, x.e // g, 6 // g
 
 
 def scalar(phase: int = 0, qexp: Fraction | int = 0) -> SpectralScalar:
-    """Build a reduced SpectralScalar; rejects q-exponents outside (1/6)Z."""
+    """Build a SpectralScalar; rejects q-exponents outside (1/6)Z."""
     f = Fraction(qexp)
-    if f.denominator not in _ALLOWED_DENS:
+    if 6 % f.denominator:
         raise RootOutsideDomain(f"q-exponent {f} has denominator outside {{1,2,3,6}}")
-    return SpectralScalar(phase % 24, f.numerator, f.denominator)
+    return SpectralScalar(phase % 24, int(6 * f))
 
 
 ONE = scalar(0, 0)
@@ -115,25 +107,23 @@ def nth_roots(a: SpectralScalar, n: int) -> list[SpectralScalar]:
         raise ValueError(f"n must be 2 or 3, got {n}")
     if a.phase % n != 0:
         raise RootOutsideDomain(f"phase {a.phase} not divisible by {n}")
-    num, den = a.num, a.den * n
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    if den not in _ALLOWED_DENS:
-        raise RootOutsideDomain(f"q-exponent {Fraction(a.num, a.den)}/{n} leaves the domain")
+    if a.e % n:
+        raise RootOutsideDomain(f"q-exponent {a.qexp}/{n} leaves the domain")
     step = 24 // n
-    return [SpectralScalar((a.phase // n + step * k) % 24, num, den) for k in range(n)]
+    return [SpectralScalar((a.phase // n + step * k) % 24, a.e // n) for k in range(n)]
 
 
 def print_scalar(a: SpectralScalar) -> str:
     """Canonical form `z24^A*q^(P/Q)`, omitting trivial parts."""
+    phase, num, den = order_key(a)
     parts: list[str] = []
-    if a.phase:
-        parts.append(f"z24^{a.phase}")
-    if a.num:
-        if a.den == 1:
-            parts.append("q" if a.num == 1 else f"q^{a.num}")
+    if phase:
+        parts.append(f"z24^{phase}")
+    if num:
+        if den == 1:
+            parts.append("q" if num == 1 else f"q^{num}")
         else:
-            parts.append(f"q^({a.num}/{a.den})")
+            parts.append(f"q^({num}/{den})")
     return "*".join(parts) if parts else "1"
 
 

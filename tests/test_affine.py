@@ -90,7 +90,7 @@ def test_ptilde_is_pstar_squared():
     for s in ALL_SMALL:
         d = build(parse_type_string(s))
         assert d.ptilde == d.pstar * d.pstar
-        assert d.hvee == d.pstar.num
+        assert 6 * d.hvee == d.pstar.e
 
 
 def test_istar():

@@ -94,6 +94,61 @@ def test_partition_cli(tmp_path, capsys):
     assert sizes == [1, 2]
 
 
+def test_partition_missing_file_is_a_usage_error(tmp_path, capsys):
+    assert run(["partition", "A3-1", "--file", str(tmp_path / "absent.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "can't open" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '["1@1", 2]', '{"1@1": 1}', '"1@1"'])
+def test_partition_line_not_a_list_of_strings_is_a_domain_error(tmp_path, capsys, line):
+    path = tmp_path / "weights.jsonl"
+    path.write_text(f'["1@1"]\n{line}\n', encoding="utf-8")
+    assert run(["partition", "A3-1", "--file", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: expected a JSON list of point strings (at offset 0)\n"
+    )
+
+
+# The library sorts scalars by (phase, e), numeric in the q-exponent; the CLI
+# prints in the order of (phase, num, den) with the exponent num/den in lowest
+# terms (`scalars.order_key`).  The two disagree once half- or third-powers
+# mix with integral ones, as below, and the printed order must not change.
+
+def test_denom_roots_print_in_printed_order(capsys):
+    assert run(["denom", "G2-1", "--i", "1", "--j", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "roots: q^2, q^4, q^(8/3), q^(10/3)"
+
+
+def test_s_func_values_print_in_printed_order(capsys):
+    assert run(["s-func", "G2-1", "1@1"]) == 0
+    node1 = [line.split(":")[0].strip() for line in capsys.readouterr().out.splitlines()[1:11]]
+    assert node1 == [
+        "1@1", "1@q^(2/3)", "1@q^4", "1@q^(4/3)", "1@q^(8/3)",
+        "1@q^(10/3)", "1@q^(14/3)", "1@q^(16/3)", "1@q^(20/3)", "1@q^(22/3)",
+    ]
+
+
+def test_e_of_values_print_in_printed_order(capsys):
+    assert run(["e-of", "B2-1", "--weights", "2@1,2@qs", "--format", "json"]) == 0
+    values = [(v["at"], v["value"]) for v in json.loads(capsys.readouterr().out)["values"]]
+    assert values == [
+        ("1@z24^12", -1), ("1@z24^12*q", -1), ("1@z24^12*q^(1/2)", -1), ("1@z24^12*q^3", 1),
+        ("1@z24^12*q^4", 1), ("1@z24^12*q^(5/2)", 1), ("1@z24^12*q^(7/2)", 1),
+        ("1@z24^12*q^(11/2)", -1), ("2@1", -2), ("2@q", 1), ("2@q^(1/2)", -2), ("2@q^2", -1),
+        ("2@q^3", 2), ("2@q^(3/2)", 1), ("2@q^4", -1), ("2@q^5", 1), ("2@q^(5/2)", -1),
+        ("2@q^(7/2)", 2), ("2@q^(9/2)", -1), ("2@q^(11/2)", 1),
+    ]
+
+
+def test_block_label_components_print_in_printed_order(capsys):
+    assert run(["block-label", "C3-1", "--weights", "1@q^(1/3),1@q^(1/6)"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "component t=q^(1/3): [1, 0, 0, 0]",
+        "component t=q^(1/6): [1, 0, 0, 0]",
+    ]
+
+
 def test_verify_single(capsys):
     assert run(["verify", "D4-3"]) == 0
     assert "[PASS]" in capsys.readouterr().out

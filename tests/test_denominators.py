@@ -131,7 +131,7 @@ def test_ade_exponent_multiset_matches_ctilde():
             for j in d.i0:
                 got = {}
                 for r, m in denominator(d, i, j):
-                    assert r.phase == (12 * r.num) % 24  # phase of (-q)^{k+1}
+                    assert r.phase == (12 * r.qexp) % 24  # phase of (-q)^{k+1}
                     got[int(r.qexp)] = m
                 expected = {
                     k + 1: ctilde_formula(quiver, i, j, k)

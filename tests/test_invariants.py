@@ -22,7 +22,7 @@ from qaffine.invariants import (
     sigma_point,
 )
 from qaffine.qcartan import ade_quiver, ctilde_formula
-from qaffine.scalars import MINUS_Q, MINUS_QT, ONE, Q, QS, e6, from_e6, scalar
+from qaffine.scalars import MINUS_Q, MINUS_QT, ONE, Q, QS, SpectralScalar, scalar
 
 ALL_SMALL = [
     "A1-1", "A4-1", "B2-1", "B3-1", "C3-1", "D4-1", "D5-1",
@@ -257,12 +257,12 @@ def support_candidates(d, p):
 def _near_pair(rng, d):
     """A random pair whose q-exponents differ by at most 2 hvee, or, one time
     in five, a candidate partner of p1 moved several ptilde periods away."""
-    p1 = sigma_point(d, rng.choice(d.i0), from_e6(rng.randrange(24), rng.randrange(-60, 61)))
+    p1 = sigma_point(d, rng.choice(d.i0), SpectralScalar(rng.randrange(24), rng.randrange(-60, 61)))
     if rng.random() < 0.2:
         j, b = rng.choice(sorted(support_candidates(d, p1)))
         periods = rng.choice((-1, 1)) * rng.randrange(2, 6)
         return p1, sigma_point(d, j, b * d.ptilde ** periods)
-    off = from_e6(rng.randrange(24), rng.randrange(-12 * d.hvee, 12 * d.hvee + 1))
+    off = SpectralScalar(rng.randrange(24), rng.randrange(-12 * d.hvee, 12 * d.hvee + 1))
     return p1, sigma_point(d, rng.choice(d.i0), p1.param * off)
 
 
@@ -285,7 +285,7 @@ def _s_func_oracle(d, p):
     each candidate brought into [0, ptilde) by whole ptilde powers."""
     reps = set()
     for c in support_candidates(d, p):
-        periods = e6(c.param) // (12 * d.hvee)
+        periods = c.param.e // (12 * d.hvee)
         reps.add(sigma_point(d, c.node, c.param * d.ptilde ** -periods))
     values = ((c, lambda_inf_oracle(d, p, c)) for c in sorted(reps))
     return tuple((c, v) for c, v in values if v)
@@ -296,7 +296,7 @@ def test_s_func_matches_candidate_search():
     for s in SWEEP:
         d = build(parse_type_string(s))
         for _ in range(4):
-            p = sigma_point(d, rng.choice(d.i0), from_e6(rng.randrange(24), rng.randrange(-90, 91)))
+            p = sigma_point(d, rng.choice(d.i0), SpectralScalar(rng.randrange(24), rng.randrange(-90, 91)))
             assert s_func(d, p).values == _s_func_oracle(d, p), (s, str(p))
 
 
@@ -304,7 +304,7 @@ def _oracle_template(d, i):
     """Node i's template by the candidate search and the explicit orbit sum."""
     p = SigmaPoint(i, ONE)
     values = ((c, lambda_inf_oracle(d, p, c)) for c in support_candidates(d, p))
-    return {invariants._key(d, c.node, c.param.phase, e6(c.param)): v for c, v in values if v}
+    return {invariants._key(d, c.node, c.param.phase, c.param.e): v for c, v in values if v}
 
 
 def test_template_scatter_matches_oracle_on_every_sweep_node():
@@ -321,7 +321,7 @@ def test_template_counts_only_canonical_denominator_roots():
     d = build(parse_type_string("D4-3"))
     p = pt(d, 1, ONE)
     for e, want in ((30, 1), (42, 1), (6, -1), (66, -1)):
-        c = pt(d, 2, from_e6(4, e))
+        c = pt(d, 2, SpectralScalar(4, e))
         assert lambda_inf(d, p, c) == lambda_inf_oracle(d, p, c) == want, e
 
 

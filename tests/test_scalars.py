@@ -1,4 +1,5 @@
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from qaffine.scalars import (
     RootOutsideDomain,
     SpectralScalar,
     nth_roots,
+    order_key,
     parse_scalar,
     print_scalar,
     scalar,
@@ -131,6 +133,102 @@ def test_print_canonical_forms():
 
 def test_scalar_is_reduced():
     s = scalar(25, Fraction(4, 6))
-    assert s == SpectralScalar(1, 2, 3)
+    assert s == SpectralScalar(1, 4)
     with pytest.raises(RootOutsideDomain):
         scalar(0, Fraction(1, 4))
+
+
+# Differential tests against the encoding SpectralScalar replaced: the pair
+# (phase, qexp) with qexp a Fraction, reduced by a gcd on every product.
+# The model is kept here, in the tests, as the oracle of the int pair.
+
+class OldScalar(NamedTuple):
+    phase: int
+    qexp: Fraction
+
+
+def old_mul(a, b):
+    return OldScalar((a.phase + b.phase) % 24, a.qexp + b.qexp)
+
+
+def old_inv(a):
+    return OldScalar(-a.phase % 24, -a.qexp)
+
+
+def old_pow(a, n):
+    return OldScalar(a.phase * n % 24, a.qexp * n)
+
+
+def old_scalar(phase, qexp):
+    f = Fraction(qexp)
+    if f.denominator not in (1, 2, 3, 6):
+        raise RootOutsideDomain(f"q-exponent {f} has denominator outside {{1,2,3,6}}")
+    return OldScalar(phase % 24, f)
+
+
+def old_nth_roots(a, n):
+    if a.phase % n != 0:
+        raise RootOutsideDomain(f"phase {a.phase} not divisible by {n}")
+    if (a.qexp / n).denominator not in (1, 2, 3, 6):
+        raise RootOutsideDomain(f"q-exponent {a.qexp}/{n} leaves the domain")
+    return [OldScalar((a.phase // n + 24 // n * k) % 24, a.qexp / n) for k in range(n)]
+
+
+def old_order(a):
+    return a.phase, a.qexp.numerator, a.qexp.denominator
+
+
+def old_print(a):
+    phase, num, den = old_order(a)
+    parts = [f"z24^{phase}"] if phase else []
+    if num:
+        parts.append(("q" if num == 1 else f"q^{num}") if den == 1 else f"q^({num}/{den})")
+    return "*".join(parts) or "1"
+
+
+def new(a):
+    return SpectralScalar(a.phase, int(6 * a.qexp))
+
+
+old_scalars = st.builds(OldScalar, st.integers(min_value=0, max_value=23), qexps)
+
+
+@given(old_scalars, old_scalars, st.integers(min_value=-7, max_value=7))
+def test_arithmetic_matches_fraction_model(a, b, n):
+    assert new(a) * new(b) == new(old_mul(a, b))
+    assert new(a) / new(b) == new(old_mul(a, old_inv(b)))
+    assert new(a).inv() == new(old_inv(a))
+    assert new(a) ** n == new(old_pow(a, n))
+    assert new(a).qexp == a.qexp
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RootOutsideDomain as exc:
+        return str(exc)
+
+
+@given(old_scalars, st.sampled_from([2, 3]))
+def test_nth_roots_match_fraction_model(a, n):
+    want = _outcome(old_nth_roots, a, n)
+    got = _outcome(nth_roots, new(a), n)
+    assert got == (want if isinstance(want, str) else [new(r) for r in want])
+
+
+@given(st.integers(min_value=-30, max_value=30), st.fractions(max_denominator=12))
+def test_scalar_constructor_matches_fraction_model(phase, qexp):
+    want = _outcome(old_scalar, phase, qexp)
+    got = _outcome(scalar, phase, qexp)
+    assert got == (want if isinstance(want, str) else new(want))
+
+
+@given(old_scalars)
+def test_print_and_parse_match_fraction_model(a):
+    assert print_scalar(new(a)) == old_print(a)
+    assert parse_scalar(old_print(a)) == new(a)
+
+
+@given(st.lists(old_scalars, max_size=12))
+def test_order_key_sorts_in_fraction_model_order(xs):
+    assert sorted(map(new, xs), key=order_key) == [new(a) for a in sorted(xs, key=old_order)]
