@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .affine import AffineData, component_class, in_sigma_z
-from .invariants import SigmaFunction, SigmaPoint, e_of, pairing, s_func, sigma_point
+from .invariants import Key, SigmaFunction, SigmaPoint, e_of, pairing, s_func, sigma_point
 from .qdata import QDatum, default_qdatum, sigma_q_points, simple_root_points, translate_star
 from .roots import FinWeight, NotInRootLattice
 from .scalars import QAffineError, SpectralScalar, order_key, print_scalar
@@ -64,12 +64,12 @@ def psi_lattice(d: AffineData, q: QDatum, f: SigmaFunction) -> tuple[int, ...]:
         coords = d.gfin.weight_to_root(FinWeight(tuple(pairing(d, p, f) for p in pts)))
     except NotInRootLattice as exc:
         raise NotInW0(f"coordinate solve is non-integral: {exc}") from exc
-    check: dict[SigmaPoint, int] = {}
+    check: dict[Key, int] = {}
     for p, c in zip(pts, coords):
         if c:
-            for point, v in s_func(d, p).values:
-                check[point] = check.get(point, 0) + c * v
-    if {p: v for p, v in check.items() if v} != dict(f.values):
+            for k, v in s_func(d, p).keyed:
+                check[k] = check.get(k, 0) + c * v
+    if {k: v for k, v in check.items() if v} != dict(f.keyed):
         raise NotInW0("re-expansion of the solved coordinates does not reproduce the function")
     return coords
 

@@ -167,7 +167,10 @@ def cmd_partition(args) -> int:
                     raise ParseError(f"{where}: {exc.msg}", exc.pos) from exc
                 if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
                     raise ParseError(f"{where}: expected a JSON list of point strings", 0)
-                modules.append([parse_sigma_point(d, t) for t in texts])
+                try:
+                    modules.append([parse_sigma_point(d, t) for t in texts])
+                except QAffineError as exc:
+                    raise QAffineError(f"{where}: {exc}") from exc
     groups = partition_blocks(d, default_qdatum(d), modules)
     payload = [
         {

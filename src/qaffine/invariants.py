@@ -22,7 +22,7 @@ and by the periodicity above only b/a modulo ptilde matters (its phase
 only modulo 24/m_j, the sigma-equivalence at j).  The template of node i
 holds the nonzero lambda_inf((i, 1), c) over ptilde-representatives c,
 keyed by the flat int tuple (j, phase mod 24/m_j, e mod 12*hvee) for
-c = z24^phase * q^(e/6); SigmaPoints are built only for returned values.
+c = z24^phase * q^(e/6).
 
 The template is a signed count of denominator roots (the scatter law):
 summed over all k at once, the even terms D^{2l} put +m at c = x and the
@@ -35,15 +35,20 @@ So the build sums no window and calls no de; the SumNotStabilized guard
 stays in `lambda_`, which still sums a window.  The explicit orbit sum the
 scatter replaced is the tests' oracle.
 
-`s_func`, `e_of` and `delta0` sort points in the library order (node,
-phase, e), numeric in the q-exponent, so `SigmaFunction.values` is in that
-order.  Users see the printed order of `scalars.order_key`: the CLI sorts
-by it before printing.
+A SigmaFunction stores the same flat keys: `keyed` is its (key, value)
+pairs sorted by key.  `s_func` translates the template into it, and `e_of`,
+the re-expansion check of `blocks.psi_lattice`, equality, hashing and
+`value_at` all work on the keys.  SigmaPoints are built only for output, by
+`SigmaFunction.values`, through a bounded cache on `_point` so that equal
+keys share one point.  The key order (node, phase, e) is the library order,
+numeric in the q-exponent, so `values` is in that order too.  Users see the
+printed order of `scalars.order_key`: the CLI sorts by it before printing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
 
 from .affine import AffineData, canonical_param
@@ -136,7 +141,9 @@ def _key(d: AffineData, j: int, phase: int, e: int) -> Key:
     return j, phase % (24 // d.m[j]), e % (12 * d.hvee)
 
 
+@lru_cache(maxsize=1 << 16)
 def _point(key: Key) -> SigmaPoint:
+    """The point of a key; cached so that equal keys share one SigmaPoint."""
     j, phase, e = key
     return SigmaPoint(j, SpectralScalar(phase, e))
 
@@ -174,48 +181,50 @@ def lambda_(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
     return total
 
 
-def reduce_mod_ptilde(d: AffineData, p: SigmaPoint) -> SigmaPoint:
-    """Representative of the ptilde-orbit of p, used as a function key."""
-    d.check_node(p.node)
-    return _point(_key(d, p.node, *p.param))
-
-
 @dataclass(frozen=True)
 class SigmaFunction:
     """A Z-valued function on sigma(g), periodic under the ptilde-shift.
 
-    `values` holds the nonzero values on ptilde-orbit representatives (the
-    function takes the same value on the whole orbit).  `gens` records how
-    the function was assembled from s-generators; it is required by the
-    bilinear pairing and is None for raw functions.
+    `keyed` is the storage: the nonzero values on ptilde-orbit
+    representatives (the function takes the same value on the whole orbit),
+    as (`_key`, value) pairs sorted by key.  Equality, hashing and the
+    arithmetic of `e_of` and `psi_lattice` read it directly.  `values` is
+    the same function with each key turned into its SigmaPoint, for output;
+    those points come from a bounded cache, so equal keys share one point.
+    `gens` records how the function was assembled from s-generators; it is
+    required by the bilinear pairing and is None for raw functions.
     """
 
-    values: tuple[tuple[SigmaPoint, int], ...]
+    keyed: tuple[tuple[Key, int], ...]
     gens: tuple[tuple[SigmaPoint, int], ...] | None = None
 
     @property
+    def values(self) -> tuple[tuple[SigmaPoint, int], ...]:
+        return tuple((_point(k), v) for k, v in self.keyed)
+
+    @property
     def support(self) -> tuple[SigmaPoint, ...]:
-        return tuple(p for p, _ in self.values)
+        return tuple(_point(k) for k, _ in self.keyed)
 
     @property
     def is_zero(self) -> bool:
-        return not self.values
+        return not self.keyed
 
     def value_at(self, d: AffineData, node: int, param: SpectralScalar) -> int:
-        key = reduce_mod_ptilde(d, sigma_point(d, node, param))
-        return dict(self.values).get(key, 0)
+        d.check_node(node)
+        return dict(self.keyed).get(_key(d, node, *param), 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SigmaFunction):
             return NotImplemented
-        return frozenset(self.values) == frozenset(other.values)
+        return frozenset(self.keyed) == frozenset(other.keyed)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.values))
+        return hash(frozenset(self.keyed))
 
     def __neg__(self) -> "SigmaFunction":
         return SigmaFunction(
-            tuple((p, -v) for p, v in self.values),
+            tuple((k, -v) for k, v in self.keyed),
             None if self.gens is None else tuple((p, -c) for p, c in self.gens),
         )
 
@@ -226,10 +235,8 @@ def s_func(d: AffineData, p: SigmaPoint) -> SigmaFunction:
     if cached is not None:
         return cached
     phase, e = p.param
-    values = sorted(
-        (_point(_key(d, j, ph + phase, f + e)), v) for (j, ph, f), v in _template(d, p.node).items()
-    )
-    out = SigmaFunction(values=tuple(values), gens=((p, 1),))
+    keyed = sorted((_key(d, j, ph + phase, f + e), v) for (j, ph, f), v in _template(d, p.node).items())
+    out = SigmaFunction(keyed=tuple(keyed), gens=((p, 1),))
     d._sfunc_cache[p] = out
     return out
 
@@ -239,14 +246,14 @@ AffineWeightList = Iterable[SigmaPoint]
 
 def e_of(d: AffineData, weights: AffineWeightList) -> SigmaFunction:
     """E of a module with the given affine weight: the sum of its s-functions."""
-    total: dict[SigmaPoint, int] = {}
+    total: dict[Key, int] = {}
     gens: dict[SigmaPoint, int] = {}
     for p in weights:
         gens[p] = gens.get(p, 0) + 1
-        for q, v in s_func(d, p).values:
-            total[q] = total.get(q, 0) + v
-    values = tuple(sorted((q, v) for q, v in total.items() if v))
-    return SigmaFunction(values=values, gens=tuple(sorted(gens.items())))
+        for k, v in s_func(d, p).keyed:
+            total[k] = total.get(k, 0) + v
+    keyed = tuple(sorted((k, v) for k, v in total.items() if v))
+    return SigmaFunction(keyed=keyed, gens=tuple(sorted(gens.items())))
 
 
 PairingArg = Union[SigmaPoint, SigmaFunction]

@@ -97,10 +97,10 @@ def test_psi_lattice_rejects_non_lattice_function():
     d = build_type(Family.A1, 2)
     q = default_qdatum(d)
     f = s_func(d, sigma_point(d, 1, ONE))
-    halved = SigmaFunction(values=tuple((p, 2 * v) for p, v in f.values), gens=f.gens)
+    halved = SigmaFunction(keyed=tuple((k, 2 * v) for k, v in f.keyed), gens=f.gens)
     # doubled values but unchanged generators: the re-expansion must catch it
     with pytest.raises(NotInW0):
-        psi_lattice(d, q, SigmaFunction(values=halved.values, gens=((sigma_point(d, 1, ONE), 1),)))
+        psi_lattice(d, q, SigmaFunction(keyed=halved.keyed, gens=((sigma_point(d, 1, ONE), 1),)))
 
 
 def test_psi_lattice_rejects_non_integral_solve(monkeypatch):
@@ -190,10 +190,10 @@ def test_psi_lattice_round_trip_random_vectors():
             coords = tuple(rng.randint(-2, 2) for _ in pts)
             values = {}
             for p, c in zip(pts, coords):
-                for point, v in s_func(d, p).values:
-                    values[point] = values.get(point, 0) + c * v
+                for k, v in s_func(d, p).keyed:
+                    values[k] = values.get(k, 0) + c * v
             f = SigmaFunction(
-                values=tuple(sorted((p, v) for p, v in values.items() if v)),
+                keyed=tuple(sorted((k, v) for k, v in values.items() if v)),
                 gens=tuple((p, c) for p, c in zip(pts, coords) if c),
             )
             assert psi_lattice(d, q, f) == coords

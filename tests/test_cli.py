@@ -110,6 +110,17 @@ def test_partition_line_not_a_list_of_strings_is_a_domain_error(tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize("point, message", [
+    ("x@1", "expected point of the form i@<scalar> (at offset 0)"),
+    ("9@1", "node 9 outside I0 of A3-1"),
+])
+def test_partition_bad_point_names_its_line(tmp_path, capsys, point, message):
+    path = tmp_path / "weights.jsonl"
+    path.write_text(f'["1@1"]\n["{point}"]\n', encoding="utf-8")
+    assert run(["partition", "A3-1", "--file", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+
+
 # The library sorts scalars by (phase, e), numeric in the q-exponent; the CLI
 # prints in the order of (phase, num, den) with the exponent num/den in lowest
 # terms (`scalars.order_key`).  The two disagree once half- or third-powers

@@ -1,0 +1,119 @@
+"""Print the output of a fixed sweep of `qaffine` CLI calls, to check byte-identity.
+
+Usage: python tools/cli_sweep.py <src-dir> > sweep.txt
+
+Imports `qaffine` from <src-dir> and runs `cli.run` in this process, in text
+and JSON, over all 33 `acceptance.SWEEP` types: `sigma-q`, `cartan-check`,
+`verify <type>` (timings masked), `denom` on every node pair, `s-func` on
+every `i@1` and on seeded points, seeded `e-of`, `de`, `lambda`, `lambda-inf`
+and `partition`, `block-label` on seeded weight lists and on every point of
+sigma_Q and its first dual translate, and error paths.  Each call prints its
+argv and exit code, then its stdout and stderr.  To compare two checkouts:
+
+    python tools/cli_sweep.py /path/to/parent/src > parent.txt
+    python tools/cli_sweep.py src > change.txt
+    cmp parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+SECONDS = re.compile(r'"seconds": [0-9.e-]+')
+
+
+def _point(rng: random.Random, n: int) -> str:
+    return f"{rng.randint(1, n)}@z24^{rng.randrange(24)}*q^({rng.randint(-60, 60)}/6)"
+
+
+def _weights(rng: random.Random, n: int) -> str:
+    return ",".join(_point(rng, n) for _ in range(rng.randint(1, 4)))
+
+
+def sweep(tmp: Path) -> None:
+    from qaffine import build, default_qdatum, parse_type_string, sigma_q_points
+    from qaffine.acceptance import SWEEP
+    from qaffine.cli import run
+    from qaffine.qdata import translate_star
+
+    def call(*argv: str) -> None:
+        for fmt in ("text", "json"):
+            args = [*argv, "--format", fmt]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc: object = run(args)
+                except Exception as exc:  # a bug: record it and go on with the sweep
+                    rc = f"raised {type(exc).__name__}: {exc}"
+            text = f"$ qaffine {' '.join(args)} -> {rc}\n{out.getvalue()}"
+            if err.getvalue():
+                text += f"stderr: {err.getvalue()}"
+            print(SECONDS.sub('"seconds": <masked>', text).replace(str(tmp), "<tmp>"), end="")
+
+    def partition(name: str, type_string: str, lines: list[str]) -> None:
+        path = tmp / name
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        call("partition", type_string, "--file", str(path))
+
+    for s in SWEEP:
+        d = build(parse_type_string(s))
+        n = len(d.i0)
+        rng = random.Random(s)
+        call("sigma-q", s)
+        call("cartan-check", s)
+        call("verify", s)
+        for i in d.i0:
+            for j in d.i0:
+                call("denom", s, "--i", str(i), "--j", str(j))
+        for i in d.i0:
+            call("s-func", s, f"{i}@1")
+        for _ in range(4):
+            call("s-func", s, _point(rng, n))
+        for _ in range(3):
+            call("e-of", s, "--weights", _weights(rng, n))
+        for cmd in ("de", "lambda", "lambda-inf"):
+            for _ in range(4):
+                call(cmd, s, _point(rng, n), _point(rng, n))
+        modules = [_weights(rng, n) for _ in range(4)]
+        for weights in modules:
+            call("block-label", s, "--weights", weights)
+        q = default_qdatum(d)
+        sq = sigma_q_points(d, q)
+        census = [str(p) for p in sorted(sq | translate_star(d, sq, 1))]
+        for p in census:
+            call("block-label", s, "--weights", p)
+        partition(f"{s}.jsonl", s, [json.dumps(m.split(",")) for m in modules])
+        partition(f"{s}-census.jsonl", s, [json.dumps([p]) for p in census[::3]])
+        call("s-func", s, f"{n + 1}@1")
+
+    call("cartan-check", "Z9-1")
+    call("cartan-check", "A300-1")
+    call("s-func", "A3-1", "x@1")
+    call("s-func", "A3-1", "1@q^(1/5)")
+    call("e-of", "A3-1", "--weights", "1@1,,2@q^")
+    call("de", "A3-1", "1@1")
+    call("block-label", "E6-2", "--weights", "2@q^-3")
+    for name, line in (("json", '["1@1",'), ("list", '[1, 2]'), ("point", '["x@1"]'), ("node", '["9@1"]')):
+        partition(f"bad-{name}.jsonl", "A3-1", ['["1@1"]', line])
+    call("partition", "A3-1", "--file", str(tmp / "absent.jsonl"))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(argv[0]).resolve()))
+    with tempfile.TemporaryDirectory() as tmp:
+        sweep(Path(tmp))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
