@@ -5,6 +5,21 @@ the simple roots must reproduce the Cartan matrix of the associated
 simply-laced type.  Once that holds, every Z-combination of s-generators
 has well-defined integer coordinates in the simple-root basis, and block
 labels are those coordinates listed per connected component.
+
+Block labels are read from a table, not solved per module.  E is additive:
+E(M) = sum_g c_g s_g over the generators g of M's affine weight.  If each
+s_g = sum_i n_i(g) s_{phi(alpha_i)} holds exactly, then
+E(M) = sum_i (sum_g c_g n_i(g)) s_{phi(alpha_i)}, and since the pairing and
+`weight_to_root` are linear, `psi_lattice(E(M))` would return that same
+integer vector.  So `block_label` sums the coordinates of the generators.
+Each n(g) is solved and passed through the re-expansion check of
+`psi_lattice` once, and kept in the Q-datum's lattice table
+(`qdata.lattice_table`) under the `_key` of g; s_g depends on g only
+through that key, so the memo holds at most |I0| * 24 * 12 hvee entries.
+A generator whose own solve fails (NotInW0) is stored as unsolved.  A group
+with an unsolved generator falls back to solving E of the whole group, as
+before: a sum such as s_p + s_{D p} = 0 can lie in the lattice when its
+terms do not, and a group that still fails raises the same NotInW0 text.
 """
 
 from __future__ import annotations
@@ -12,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .affine import AffineData, component_class, in_sigma_z
-from .invariants import Key, SigmaFunction, SigmaPoint, e_of, pairing, s_func, sigma_point
-from .qdata import QDatum, default_qdatum, sigma_q_points, simple_root_points, translate_star
+from .invariants import Key, SigmaFunction, SigmaPoint, _key, e_of, pairing, s_func, sigma_point
+from .qdata import QDatum, default_qdatum, lattice_table, sigma_q_points, simple_root_points, translate_star
 from .roots import FinWeight, NotInRootLattice
 from .scalars import QAffineError, SpectralScalar, order_key, print_scalar
 
@@ -74,6 +89,18 @@ def psi_lattice(d: AffineData, q: QDatum, f: SigmaFunction) -> tuple[int, ...]:
     return coords
 
 
+def _generator_coords(d: AffineData, q: QDatum, p: SigmaPoint) -> tuple[int, ...] | None:
+    """psi_lattice of s_p from q's lattice table, solved on first use; None if not in W0."""
+    memo = lattice_table(q, d)[1]
+    key = _key(d, p.node, *p.param)
+    if key not in memo:
+        try:
+            memo[key] = psi_lattice(d, q, s_func(d, p))
+        except NotInW0:
+            memo[key] = None
+    return memo[key]
+
+
 @dataclass(frozen=True)
 class BlockLabel:
     """Per-component lattice coordinates; zero components are dropped."""
@@ -86,11 +113,13 @@ class BlockLabel:
 
 
 def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
-    """Group the affine weight by component and solve coordinates per group.
+    """Group the affine weight by component and sum coordinates per group.
 
     Each parameter is classified into its translate of the reference
     component; the group is pulled back by the translation (the pairing is
-    shift-equivariant, so coordinates are independent of that choice).
+    shift-equivariant, so coordinates are independent of that choice).  The
+    coordinates of a group are the sum of its generators' (see the module
+    docstring), or the solve of its E when a generator is unsolved.
     """
     q = q or default_qdatum(d)
     groups: dict[SpectralScalar, list[SigmaPoint]] = {}
@@ -102,7 +131,11 @@ def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
     components = []
     for cls in sorted(groups, key=order_key):
         translated = [sigma_point(d, p.node, p.param / cls) for p in groups[cls]]
-        coords = psi_lattice(d, q, e_of(d, translated))
+        gens = [_generator_coords(d, q, p) for p in translated]
+        if None in gens:
+            coords = psi_lattice(d, q, e_of(d, translated))
+        else:
+            coords = tuple(map(sum, zip(*gens)))
         if any(coords):
             components.append((print_scalar(cls), coords))
     return BlockLabel(tuple(components))

@@ -61,6 +61,9 @@ class QDatum:
     tau_override: tuple[int, ...] | None = None
     _rows: dict = field(default_factory=dict, repr=False)
     _phi_inv: dict | None = field(default=None, repr=False)
+    # AffineData -> its lattice table (see `lattice_table`); it lives and dies
+    # with this Q-datum, so custom data leave nothing behind on AffineData
+    _lattice: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.ord_rho = perm_order(self.rho)
@@ -351,9 +354,23 @@ def phi_q_map(q: QDatum, d: AffineData) -> dict[Vec, SigmaPoint]:
     return {beta: phi_q(q, d, beta) for beta in q.rs.positive_roots}
 
 
-def simple_root_points(q: QDatum, d: AffineData) -> list[SigmaPoint]:
-    """phi_Q on the simple roots, in node order of the finite diagram."""
-    return [phi_q(q, d, q.rs.simple_root(i)) for i in range(1, q.rs.rank + 1)]
+def lattice_table(q: QDatum, d: AffineData) -> tuple[tuple[SigmaPoint, ...], dict]:
+    """q's lattice table for d: the simple-root points and a generator memo.
+
+    The memo maps the `_key` of a generator to its coordinates (or to the
+    unsolved marker None); `blocks` fills it.  Both parts are built once
+    per (q, d).
+    """
+    table = q._lattice.get(d)
+    if table is None:
+        pts = tuple(phi_q(q, d, q.rs.simple_root(i)) for i in range(1, q.rs.rank + 1))
+        table = q._lattice[d] = (pts, {})
+    return table
+
+
+def simple_root_points(q: QDatum, d: AffineData) -> tuple[SigmaPoint, ...]:
+    """phi_Q on the simple roots, in node order of the finite diagram (shared, so a tuple)."""
+    return lattice_table(q, d)[0]
 
 
 def _window(lo: int, hi: int, step: int) -> list[int]:

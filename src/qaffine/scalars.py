@@ -174,7 +174,8 @@ class _Scanner:
             raise self.fail("expected integer")
         return int(self.text[start:self.pos])
 
-    def exponent(self) -> Fraction:
+    def exponent(self) -> tuple[int, int]:
+        """The exponent as (num, den) in lowest terms with den > 0."""
         if self.take("("):
             num = self.int_()
             if not self.take("/"):
@@ -184,12 +185,13 @@ class _Scanner:
                 raise self.fail("expected ')' closing fractional exponent")
             if den == 0:
                 raise self.fail("zero denominator")
-            return Fraction(num, den)
-        return Fraction(self.int_())
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            return num // g, den // g
+        return self.int_(), 1
 
     def factor(self) -> SpectralScalar:
         if self.take("z24^"):
-            return scalar(self.int_(), 0)
+            return SpectralScalar(self.int_() % 24, 0)
         for name in ("(-qs)", "(-qt)", "(-q)"):
             if self.take(name):
                 return self._powered(_BASES[name])
@@ -204,27 +206,23 @@ class _Scanner:
 
     def _powered(self, base: SpectralScalar) -> SpectralScalar:
         if self.take("^"):
-            e = self.exponent()
-            if e.denominator == 1:
-                return base ** e.numerator
+            num, den = self.exponent()
+            if den == 1:
+                return base ** num
             if base.phase:
                 raise self.fail("fractional power of a signed base is ambiguous")
-            try:
-                return scalar(0, base.qexp * e)
-            except RootOutsideDomain:
+            if base.e * num % den:
                 raise self.fail("q-exponent leaves the z24*q^(Z/6) domain")
+            return SpectralScalar(0, base.e * num // den)
         return base
 
 
 def parse_scalar(text: str) -> SpectralScalar:
     """Parse an ASCII scalar literal; inverse of print_scalar on canonical forms."""
     sc = _Scanner(text)
-    try:
-        out = sc.factor()
-        while not sc.eof():
-            if not sc.take("*"):
-                raise sc.fail("expected '*' between factors")
-            out = out * sc.factor()
-    except RootOutsideDomain as exc:
-        raise ParseError(str(exc), sc.pos) from exc
+    out = sc.factor()
+    while not sc.eof():
+        if not sc.take("*"):
+            raise sc.fail("expected '*' between factors")
+        out = out * sc.factor()
     return out

@@ -1,10 +1,16 @@
+import gc
+import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from qaffine import blocks
-from qaffine.affine import Family, build, build_type, parse_type_string
+from qaffine.acceptance import SWEEP
+from qaffine.affine import Family, build, build_type, component_class, parse_type_string
 from qaffine.blocks import (
+    BlockLabel,
     NotInW0,
     block_label,
     delta0,
@@ -13,8 +19,16 @@ from qaffine.blocks import (
     psi_lattice,
 )
 from qaffine.invariants import SigmaFunction, dual_shift, e_of, pairing, s_func, sigma_point
-from qaffine.qdata import default_qdatum, phi_q, simple_root_points
-from qaffine.scalars import MINUS_Q, ONE, Q, QS, scalar
+from qaffine.qdata import (
+    custom_qdatum,
+    default_qdatum,
+    lattice_table,
+    phi_q,
+    sigma_q_points,
+    simple_root_points,
+    translate_star,
+)
+from qaffine.scalars import MINUS_Q, ONE, Q, QS, order_key, print_scalar, scalar
 
 
 def det(mat):
@@ -215,3 +229,134 @@ def test_delta0_closed_under_negation():
     rset = set(roots)
     for f in roots:
         assert -f in rset
+
+
+# The path the lattice table replaced: one psi_lattice solve of E per
+# component group.  Kept as the oracle of block_label.
+
+def _block_label_oracle(d, q, weights):
+    groups = {}
+    for p in weights:
+        groups.setdefault(component_class(d, p.node, p.param), []).append(p)
+    components = []
+    for cls in sorted(groups, key=order_key):
+        translated = [sigma_point(d, p.node, p.param / cls) for p in groups[cls]]
+        coords = psi_lattice(d, q, e_of(d, translated))
+        if any(coords):
+            components.append((print_scalar(cls), coords))
+    return BlockLabel(tuple(components))
+
+
+def _label_outcome(label, d, q, weights):
+    try:
+        return label(d, q, weights)
+    except NotInW0 as exc:
+        return str(exc)
+
+
+def _census(d, q):
+    sq = sigma_q_points(d, q)
+    return sorted(sq | translate_star(d, sq, 1))
+
+
+def _seeded_module(rng, d, census, translates):
+    """1-5 census points moved by dual shifts and component translates, or random points."""
+    out = []
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.85:
+            p = dual_shift(d, rng.choice(census), rng.randrange(-4, 5))
+            out.append(sigma_point(d, p.node, p.param * rng.choice(translates)))
+        else:
+            x = scalar(rng.randrange(24), Fraction(rng.randrange(-40, 41), 6))
+            out.append(sigma_point(d, rng.choice(d.i0), x))
+    return out
+
+
+def test_block_label_matches_the_per_module_solve(monkeypatch):
+    # outside E6-2 every label is a sum of table entries; on E6-2 the known
+    # re-expansion defect sends some groups to the fallback, which must then
+    # raise the same text, or find s_p + s_{D p} = 0 trivial, as before
+    fallbacks = Counter()
+    solve_e_of = blocks.e_of
+
+    def counted_e_of(d, weights):
+        fallbacks[str(d)] += 1
+        return solve_e_of(d, weights)
+
+    monkeypatch.setattr(blocks, "e_of", counted_e_of)
+    rng = random.Random(20261018)
+    outcomes = Counter()
+    for s in SWEEP:
+        d = build(parse_type_string(s))
+        q = default_qdatum(d)
+        census = _census(d, q)
+        translates = [ONE] + [scalar(rng.randrange(24), Fraction(e, 6)) for e in rng.sample(range(1, 6), 2)]
+        modules = [[p] for p in census] + [_seeded_module(rng, d, census, translates) for _ in range(25)]
+        for weights in modules:
+            want = _label_outcome(_block_label_oracle, d, q, weights)
+            assert _label_outcome(block_label, d, q, weights) == want, (s, list(map(str, weights)))
+            if isinstance(want, str):
+                outcomes["NotInW0"] += 1
+            else:
+                outcomes["multi-component"] += len(want.components) > 1
+    assert set(fallbacks) == {"E6-2"}, fallbacks
+    assert outcomes["NotInW0"] >= 46 and outcomes["multi-component"] > 100, outcomes
+
+
+def test_e62_failing_points_keep_their_error_and_dual_pairs_stay_trivial():
+    d = build(parse_type_string("E6-2"))
+    q = default_qdatum(d)
+    failing = []
+    for p in _census(d, q):
+        try:
+            psi_lattice(d, q, s_func(d, p))
+        except NotInW0:
+            failing.append(p)
+    assert len(failing) == 46
+    for p in failing:
+        message = "re-expansion of the solved coordinates does not reproduce the function"
+        assert _label_outcome(block_label, d, q, [p]) == message, str(p)
+        assert _label_outcome(_block_label_oracle, d, q, [p]) == message, str(p)
+        pair = [p, dual_shift(d, p, 1)]
+        assert block_label(d, q, pair).is_trivial and _block_label_oracle(d, q, pair).is_trivial
+
+
+def test_ptilde_translates_share_one_memo_entry():
+    d = build(parse_type_string("D5-2"))
+    q = default_qdatum(d)
+    p = _census(d, q)[7]
+    memo = lattice_table(q, d)[1]
+    before = len(memo)
+    labels = {block_label(d, q, [dual_shift(d, p, 2 * k)]) for k in range(1, 51)}
+    assert len(memo) == before + 1
+    assert labels == {_block_label_oracle(d, q, [p])}
+
+
+def test_simple_root_points_are_one_shared_tuple():
+    d = build(parse_type_string("B3-1"))
+    q = default_qdatum(d)
+    pts = simple_root_points(q, d)
+    assert isinstance(pts, tuple)
+    assert simple_root_points(q, d) is pts
+
+
+def test_custom_qdatum_leaves_nothing_on_affine_data():
+    d = build(parse_type_string("A3-1"))
+    weights = [sigma_point(d, 1, ONE), sigma_point(d, 2, MINUS_Q), sigma_point(d, 3, scalar(5, 2))]
+
+    def label_with_a_fresh_datum():
+        q = custom_qdatum(d, {1: 0, 2: 1, 3: 0})
+        block_label(d, q, weights)
+        assert d in q._lattice
+        return weakref.ref(q)
+
+    label_with_a_fresh_datum()  # fills d's own s_func and template caches
+
+    def footprint():
+        return {k: len(v) if isinstance(v, dict) else v for k, v in vars(d).items()}
+
+    before = footprint()
+    refs = [label_with_a_fresh_datum() for _ in range(20)]
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert footprint() == before

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -232,3 +233,151 @@ def test_print_and_parse_match_fraction_model(a):
 @given(st.lists(old_scalars, max_size=12))
 def test_order_key_sorts_in_fraction_model_order(xs):
     assert sorted(map(new, xs), key=order_key) == [new(a) for a in sorted(xs, key=old_order)]
+
+
+# The scanner that int exponents replaced: it read an exponent as a Fraction
+# and built a fractional power through scalar().  Kept as the oracle of
+# parse_scalar on values, error texts and offsets.
+
+class OldScanner:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def fail(self, message):
+        return ParseError(message, self.pos)
+
+    def eof(self):
+        return self.pos >= len(self.text)
+
+    def take(self, token):
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
+
+    def int_(self):
+        start = self.pos
+        if self.take("-"):
+            pass
+        while not self.eof() and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start or self.text[start:self.pos] == "-":
+            self.pos = start
+            raise self.fail("expected integer")
+        return int(self.text[start:self.pos])
+
+    def exponent(self):
+        if self.take("("):
+            num = self.int_()
+            if not self.take("/"):
+                raise self.fail("expected '/' in fractional exponent")
+            den = self.int_()
+            if not self.take(")"):
+                raise self.fail("expected ')' closing fractional exponent")
+            if den == 0:
+                raise self.fail("zero denominator")
+            return Fraction(num, den)
+        return Fraction(self.int_())
+
+    def factor(self):
+        if self.take("z24^"):
+            return scalar(self.int_(), 0)
+        for name in ("(-qs)", "(-qt)", "(-q)"):
+            if self.take(name):
+                return self.powered(OLD_BASES[name])
+        for name in ("-1", "-i", "1", "i", "w2", "w"):
+            if self.take(name):
+                return OLD_ATOMS[name]
+        for name in ("qs", "qt", "q"):
+            if self.take(name):
+                return self.powered(OLD_BASES[name])
+        raise self.fail("expected scalar factor")
+
+    def powered(self, base):
+        if self.take("^"):
+            e = self.exponent()
+            if e.denominator == 1:
+                return base ** e.numerator
+            if base.phase:
+                raise self.fail("fractional power of a signed base is ambiguous")
+            try:
+                return scalar(0, base.qexp * e)
+            except RootOutsideDomain:
+                raise self.fail("q-exponent leaves the z24*q^(Z/6) domain")
+        return base
+
+
+OLD_ATOMS = {"1": ONE, "-1": scalar(12, 0), "i": I_UNIT, "-i": scalar(18, 0), "w": OMEGA, "w2": scalar(16, 0)}
+OLD_BASES = {
+    "q": Q, "qs": QS, "qt": scalar(0, Fraction(1, 3)),
+    "(-q)": MINUS_Q, "(-qs)": scalar(12, Fraction(1, 2)), "(-qt)": scalar(12, Fraction(1, 3)),
+}
+
+
+def old_parse_scalar(text):
+    sc = OldScanner(text)
+    try:
+        out = sc.factor()
+        while not sc.eof():
+            if not sc.take("*"):
+                raise sc.fail("expected '*' between factors")
+            out = out * sc.factor()
+    except RootOutsideDomain as exc:
+        raise ParseError(str(exc), sc.pos) from exc
+    return out
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+def _literal(rng):
+    """A literal of the scalar grammar, with exponents that may leave the domain."""
+    def exponent():
+        if rng.random() < 0.4:
+            return str(rng.randint(-12, 12))
+        return f"({rng.randint(-13, 13)}/{rng.choice((1, 2, 3, 4, 5, 6, 12, -2, -3, -6))})"
+
+    def factor():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return f"z24^{rng.randint(-50, 50)}"
+        if kind == 1:
+            return rng.choice(("1", "-1", "i", "-i", "w", "w2"))
+        base = rng.choice(("q", "qs", "qt", "(-q)", "(-qs)", "(-qt)"))
+        return base + (f"^{exponent()}" if rng.random() < 0.8 else "")
+
+    return "*".join(factor() for _ in range(rng.randint(1, 4)))
+
+
+def _malformed(rng, text):
+    """`text` truncated, or with a character inserted, deleted or replaced."""
+    junk = "*^()/-0123456789qstwiz!"
+    at = rng.randrange(len(text) + 1)
+    edit = rng.randrange(4)
+    if edit == 0:
+        return text[:at]
+    if edit == 1:
+        return text[:at] + rng.choice(junk) + text[at:]
+    if edit == 2:
+        return text[:at] + text[at + 1:]
+    return text[:at] + rng.choice(junk) + text[at + 1:]
+
+
+def test_parse_matches_the_fraction_scanner():
+    named = ["qs^(1/3)", "q^(1/4)", "(-qs)^(1/2)", "z24^", "q^(1/0)", "1*", "(-q)^(4/2)", "q^(0/5)",
+             "q^(3/-6)", "qt^(-3/-2)", "q^(7/6)*qs^(2/4)", ""]
+    rng = random.Random(20261018)
+    valid = [_literal(rng) for _ in range(3000)]
+    malformed = [_malformed(rng, t) for t in valid]
+    outcomes = {"value": 0, "error": 0}
+    for text in named + valid + malformed:
+        want = _parsed(old_parse_scalar, text)
+        assert _parsed(parse_scalar, text) == want, text
+        outcomes["value" if isinstance(want, SpectralScalar) else "error"] += 1
+    assert parse_scalar("(-q)^(4/2)") == scalar(0, 2)
+    assert min(outcomes.values()) > 1000, outcomes

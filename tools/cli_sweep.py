@@ -6,9 +6,11 @@ Imports `qaffine` from <src-dir> and runs `cli.run` in this process, in text
 and JSON, over all 33 `acceptance.SWEEP` types: `sigma-q`, `cartan-check`,
 `verify <type>` (timings masked), `denom` on every node pair, `s-func` on
 every `i@1` and on seeded points, seeded `e-of`, `de`, `lambda`, `lambda-inf`
-and `partition`, `block-label` on seeded weight lists and on every point of
-sigma_Q and its first dual translate, and error paths.  Each call prints its
-argv and exit code, then its stdout and stderr.  To compare two checkouts:
+and `partition`, `block-label` on seeded weight lists, on every point of
+sigma_Q and its first dual translate, on three of those points each repeated
+over several ptilde periods, and on the pair [p, D p] of every such point of
+E6-2, and error paths.  Each call prints its argv and exit code, then its
+stdout and stderr.  To compare two checkouts:
 
     python tools/cli_sweep.py /path/to/parent/src > parent.txt
     python tools/cli_sweep.py src > change.txt
@@ -38,7 +40,7 @@ def _weights(rng: random.Random, n: int) -> str:
 
 
 def sweep(tmp: Path) -> None:
-    from qaffine import build, default_qdatum, parse_type_string, sigma_q_points
+    from qaffine import build, default_qdatum, dual_shift, parse_type_string, sigma_q_points
     from qaffine.acceptance import SWEEP
     from qaffine.cli import run
     from qaffine.qdata import translate_star
@@ -86,9 +88,17 @@ def sweep(tmp: Path) -> None:
             call("block-label", s, "--weights", weights)
         q = default_qdatum(d)
         sq = sigma_q_points(d, q)
-        census = [str(p) for p in sorted(sq | translate_star(d, sq, 1))]
+        points = sorted(sq | translate_star(d, sq, 1))
+        census = [str(p) for p in points]
         for p in census:
             call("block-label", s, "--weights", p)
+        for p in rng.sample(points, min(3, len(points))):
+            # one point over several ptilde periods: one lattice-table entry
+            call("block-label", s, "--weights", ",".join(str(dual_shift(d, p, 2 * k)) for k in (0, 1, -1, 3)))
+        if s == "E6-2":
+            # s_p + s_{D p} = 0 even where s_p alone fails the re-expansion
+            for p in points:
+                call("block-label", s, "--weights", f"{p},{dual_shift(d, p, 1)}")
         partition(f"{s}.jsonl", s, [json.dumps(m.split(",")) for m in modules])
         partition(f"{s}-census.jsonl", s, [json.dumps([p]) for p in census[::3]])
         call("s-func", s, f"{n + 1}@1")
