@@ -19,7 +19,7 @@ from .affine import (
     parse_type_string,
     sigma_eq,
 )
-from .blocks import BlockLabel, GramResult, NotInW0, UnclassifiablePoint, block_label, delta0, gram, partition_blocks, psi_lattice
+from .blocks import BlockLabel, GramResult, NotInW0, block_label, delta0, gram, partition_blocks, psi_lattice
 from .denominators import RootMultiset, denominator, denominator_factors, zero_order
 from .invariants import (
     DecompositionUnavailable,
@@ -36,23 +36,22 @@ from .invariants import (
     s_func,
     sigma_point,
 )
-from .qcartan import CTildeTable, ade_quiver, ctilde_formula, ctilde_oracle
-from .qdata import (
+from .qcartan import (
+    CTildeTable,
     InvalidQDatum,
     NotInHatIQ,
     QDatum,
+    ctilde_formula,
+    ctilde_oracle,
     custom_qdatum,
     default_qdatum,
     i_q,
-    phi_q,
-    phi_q_map,
     psi_q,
-    sigma_q_points,
-    sigma_q_window,
     tau_q,
     validate_qdatum,
 )
-from .roots import FinRootSystem, FinWeight, apply_word, root_system
+from .qdata import phi_q, phi_q_map, sigma_q_points, sigma_q_window
+from .roots import FinRootSystem, FinWeight, root_system
 from .scalars import (
     InvariantViolation,
     ParseError,

@@ -24,8 +24,8 @@ from .invariants import (
     s_func,
     sigma_point,
 )
-from .qcartan import ade_quiver, ctilde_formula, ctilde_oracle_for
-from .qdata import default_qdatum, i_q, psi_q, sigma_q_points, sigma_q_window
+from .qcartan import ctilde_formula, ctilde_oracle_for, default_qdatum, i_q, psi_q
+from .qdata import sigma_q_points, sigma_q_window
 from .scalars import MINUS_Q, MINUS_QT, Q, scalar
 
 SWEEP = (
@@ -83,12 +83,13 @@ def criterion_3_ctilde_cross_check() -> tuple[bool, str]:
     """Closed formula equals exact series inversion for all ADE of rank <= 8."""
     checked = 0
     for letter, rank in _ADE_RANKS_8:
-        quiver = ade_quiver(letter, rank)
+        d = build(parse_type_string(f"{letter}{rank}-1"))
+        q = default_qdatum(d)
         table = ctilde_oracle_for(letter, rank)
         for i in range(1, rank + 1):
             for j in range(1, rank + 1):
-                for k in range(1, 2 * quiver.h):
-                    if ctilde_formula(quiver, i, j, k) != table.get(i, j, k):
+                for k in range(1, 2 * d.hvee):
+                    if ctilde_formula(q, i, j, k) != table.get(i, j, k):
                         return False, f"{letter}{rank} disagrees at ({i},{j},{k})"
                     checked += 1
     return True, f"{checked} coefficients"
@@ -99,15 +100,15 @@ def criterion_4_ade_lambda_identity() -> tuple[bool, str]:
     checked = 0
     for letter, rank in _ADE_RANKS_6:
         d = build(parse_type_string(f"{letter}{rank}-1"))
-        quiver = ade_quiver(letter, rank)
+        q = default_qdatum(d)
         for i in d.i0:
             pi = sigma_point(d, i, scalar(0, 0))
             for j in d.i0:
                 if lambda_inf(d, pi, sigma_point(d, j, scalar(0, 0))) != -2 * int(i == j):
                     return False, f"{letter}{rank} t=0 value wrong at ({i},{j})"
-                for t in range(1, 2 * quiver.h):
+                for t in range(1, 2 * d.hvee):
                     got = lambda_inf(d, pi, sigma_point(d, j, MINUS_Q ** t))
-                    want = ctilde_formula(quiver, i, j, t - 1) - ctilde_formula(quiver, i, j, t + 1)
+                    want = ctilde_formula(q, i, j, t - 1) - ctilde_formula(q, i, j, t + 1)
                     if got != want:
                         return False, f"{letter}{rank} fails at ({i},{j},t={t}): {got} != {want}"
                     checked += 1

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .affine import AffineData, component_class, in_sigma_z
+from .affine import AffineData, component_class
 from .invariants import Key, SigmaFunction, SigmaPoint, _key, e_of, pairing, s_func, sigma_point
-from .qdata import QDatum, default_qdatum, lattice_table, sigma_q_points, simple_root_points, translate_star
+from .qcartan import QDatum, default_qdatum
+from .qdata import lattice_table, sigma_q_points, simple_root_points, translate_star
 from .roots import FinWeight, NotInRootLattice
 from .scalars import QAffineError, SpectralScalar, order_key, print_scalar
 
@@ -37,14 +38,6 @@ Matrix = tuple[tuple[int, ...], ...]
 
 class NotInW0(QAffineError):
     """The function is not an integer combination of the lattice basis."""
-
-
-class UnclassifiablePoint(QAffineError):
-    """A parameter fits no translate of the reference component.
-
-    Unreachable for scalars inside the z24 * q^(Q/6) domain of the
-    supported families; kept as a guard on the classification tables.
-    """
 
 
 @dataclass(frozen=True)
@@ -115,9 +108,9 @@ class BlockLabel:
 def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
     """Group the affine weight by component and sum coordinates per group.
 
-    Each parameter is classified into its translate of the reference
-    component; the group is pulled back by the translation (the pairing is
-    shift-equivariant, so coordinates are independent of that choice).  The
+    Each parameter is classified once into its translate of the reference
+    component and pulled back by the translation into sigma_Z (the pairing
+    is shift-equivariant, so coordinates are independent of that choice).  The
     coordinates of a group are the sum of its generators' (see the module
     docstring), or the solve of its E when a generator is unsolved.
     """
@@ -125,12 +118,10 @@ def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
     groups: dict[SpectralScalar, list[SigmaPoint]] = {}
     for p in weights:
         cls = component_class(d, p.node, p.param)
-        if not in_sigma_z(d, p.node, p.param / cls):
-            raise UnclassifiablePoint(f"{p} does not land in sigma_Z under its solved translate")
-        groups.setdefault(cls, []).append(p)
+        groups.setdefault(cls, []).append(sigma_point(d, p.node, p.param / cls))
     components = []
     for cls in sorted(groups, key=order_key):
-        translated = [sigma_point(d, p.node, p.param / cls) for p in groups[cls]]
+        translated = groups[cls]
         gens = [_generator_coords(d, q, p) for p in translated]
         if None in gens:
             coords = psi_lattice(d, q, e_of(d, translated))

@@ -24,7 +24,8 @@ from .invariants import (
     parse_sigma_point,
     s_func,
 )
-from .qdata import default_qdatum, phi_q_map
+from .qcartan import default_qdatum
+from .qdata import phi_q_map
 from .scalars import MINUS_ONE, ParseError, QAffineError, order_key, print_scalar
 
 DOMAIN_ERRORS = (QAffineError, SumNotStabilized)

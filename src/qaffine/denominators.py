@@ -9,15 +9,15 @@ d_{j,i} is taken equal to d_{i,j} throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .affine import AffineData, Family
-from .qcartan import ade_quiver, ctilde_formula
+from .qcartan import QDatum, ctilde_formula, default_qdatum
 from .scalars import (
     MINUS_ONE,
     MINUS_Q,
     MINUS_QS,
-    OMEGA,
     QS,
     QT,
     SpectralScalar,
@@ -83,11 +83,17 @@ def _neg(x: SpectralScalar) -> SpectralScalar:
     return MINUS_ONE * x
 
 
+@lru_cache(maxsize=None)
+def _ade_qdatum(d: AffineData) -> QDatum:
+    """The default Q-datum of a simply-laced d, shared by all its denominators."""
+    return default_qdatum(d)
+
+
 def _ade_factors(d: AffineData, i: int, j: int) -> list[Factor]:
-    quiver = ade_quiver(d.gfin.letter, d.gfin.rank)
+    q = _ade_qdatum(d)
     out = []
-    for k in range(1, quiver.h):
-        m = ctilde_formula(quiver, i, j, k)
+    for k in range(1, d.hvee):
+        m = ctilde_formula(q, i, j, k)
         if m:
             out.append((1, _mq(k + 1), m))
     return out
@@ -150,45 +156,46 @@ def _d2_factors(d: AffineData, k: int, l: int) -> list[Factor]:
     return out
 
 
+# (deg, z24 phase, q-exponents, multiplicities): factors (z^deg - z24^phase base(e))^mult
 _G2_TABLE = {
-    (1, 1): [(1, "-", [6, 8, 10, 12], [1, 1, 1, 1])],
-    (1, 2): [(1, "+", [7, 11], [1, 1])],
-    (2, 2): [(1, "-", [2, 8, 12], [1, 1, 1])],
+    (1, 1): [(1, 0, [6, 8, 10, 12], [1, 1, 1, 1])],
+    (1, 2): [(1, 12, [7, 11], [1, 1])],
+    (2, 2): [(1, 0, [2, 8, 12], [1, 1, 1])],
 }
 
 _F4_TABLE = {
-    (1, 1): [(1, "-", [4, 10, 12, 18], [1, 1, 1, 1])],
-    (1, 2): [(1, "+", [6, 8, 10, 12, 14, 16], [1] * 6)],
-    (1, 3): [(1, "-", [7, 9, 13, 15], [1] * 4)],
-    (1, 4): [(1, "+", [8, 14], [1, 1])],
-    (2, 2): [(1, "-", [4, 6, 8, 10, 12, 14, 16, 18], [1, 1, 2, 2, 2, 2, 1, 1])],
-    (2, 3): [(1, "+", [5, 7, 9, 11, 13, 15, 17], [1, 1, 1, 2, 1, 1, 1])],
-    (2, 4): [(1, "-", [6, 10, 12, 16], [1] * 4)],
-    (3, 3): [(1, "-", [2, 6, 8, 10, 12, 16, 18], [1, 1, 1, 1, 2, 1, 1])],
-    (3, 4): [(1, "+", [3, 7, 11, 13, 17], [1] * 5)],
-    (4, 4): [(1, "-", [2, 8, 12, 18], [1] * 4)],
+    (1, 1): [(1, 0, [4, 10, 12, 18], [1, 1, 1, 1])],
+    (1, 2): [(1, 12, [6, 8, 10, 12, 14, 16], [1] * 6)],
+    (1, 3): [(1, 0, [7, 9, 13, 15], [1] * 4)],
+    (1, 4): [(1, 12, [8, 14], [1, 1])],
+    (2, 2): [(1, 0, [4, 6, 8, 10, 12, 14, 16, 18], [1, 1, 2, 2, 2, 2, 1, 1])],
+    (2, 3): [(1, 12, [5, 7, 9, 11, 13, 15, 17], [1, 1, 1, 2, 1, 1, 1])],
+    (2, 4): [(1, 0, [6, 10, 12, 16], [1] * 4)],
+    (3, 3): [(1, 0, [2, 6, 8, 10, 12, 16, 18], [1, 1, 1, 1, 2, 1, 1])],
+    (3, 4): [(1, 12, [3, 7, 11, 13, 17], [1] * 5)],
+    (4, 4): [(1, 0, [2, 8, 12, 18], [1] * 4)],
 }
 
 _D43_TABLE = {
-    (1, 1): None,  # special-cased: mixed omega phases
-    (1, 2): [(3, "+", [9, 15], [1, 1])],
-    (2, 2): [(3, "-", [6, 12, 18], [1, 2, 1])],
+    (1, 1): [(1, 0, [2, 6], [1, 1]), (1, 8, [4], [1]), (1, 16, [4], [1])],
+    (1, 2): [(3, 12, [9, 15], [1, 1])],
+    (2, 2): [(3, 0, [6, 12, 18], [1, 2, 1])],
 }
 
 _E62_TABLE = {
-    (1, 1): [(1, "-", [2, 8], [1, 1]), (1, "+", [6, 12], [1, 1])],
-    (1, 2): [(1, "+", [3, 7, 9], [1, 1, 1]), (1, "-", [5, 7, 11], [1, 1, 1])],
-    (1, 3): [(2, "+", [8, 12, 16, 20], [1] * 4)],
-    (1, 4): [(2, "+", [10, 18], [1, 1])],
+    (1, 1): [(1, 0, [2, 8], [1, 1]), (1, 12, [6, 12], [1, 1])],
+    (1, 2): [(1, 12, [3, 7, 9], [1, 1, 1]), (1, 0, [5, 7, 11], [1, 1, 1])],
+    (1, 3): [(2, 12, [8, 12, 16, 20], [1] * 4)],
+    (1, 4): [(2, 12, [10, 18], [1, 1])],
     (2, 2): [
-        (1, "-", [2, 4, 6, 8, 10], [1, 1, 1, 2, 1]),
-        (1, "+", [4, 6, 8, 10, 12], [1, 2, 1, 1, 1]),
+        (1, 0, [2, 4, 6, 8, 10], [1, 1, 1, 2, 1]),
+        (1, 12, [4, 6, 8, 10, 12], [1, 2, 1, 1, 1]),
     ],
-    (2, 3): [(2, "+", [6, 10, 14, 18, 22], [1, 2, 2, 2, 1])],
-    (2, 4): [(2, "+", [8, 12, 16, 20], [1] * 4)],
-    (3, 3): [(2, "-", [4, 8, 12, 16, 20, 24], [1, 2, 3, 3, 2, 1])],
-    (3, 4): [(2, "-", [6, 10, 14, 18, 22], [1, 1, 2, 2, 1])],
-    (4, 4): [(2, "-", [4, 12, 16, 24], [1] * 4)],
+    (2, 3): [(2, 12, [6, 10, 14, 18, 22], [1, 2, 2, 2, 1])],
+    (2, 4): [(2, 12, [8, 12, 16, 20], [1] * 4)],
+    (3, 3): [(2, 0, [4, 8, 12, 16, 20, 24], [1, 2, 3, 3, 2, 1])],
+    (3, 4): [(2, 0, [6, 10, 14, 18, 22], [1, 1, 2, 2, 1])],
+    (4, 4): [(2, 0, [4, 12, 16, 24], [1] * 4)],
 }
 
 
@@ -198,10 +205,9 @@ def _q_pow(k: int) -> SpectralScalar:
 
 def _table_factors(table_entry, base) -> list[Factor]:
     out: list[Factor] = []
-    for deg, sign, exps, mults in table_entry:
+    for deg, phase, exps, mults in table_entry:
         for e, m in zip(exps, mults):
-            val = base(e)
-            out.append((deg, val if sign == "-" else _neg(val), m))
+            out.append((deg, scalar(phase, 0) * base(e), m))
     return out
 
 
@@ -230,13 +236,6 @@ def denominator_factors(d: AffineData, i: int, j: int) -> list[Factor]:
     if fam == Family.E6_2:
         return _table_factors(_E62_TABLE[(i, j)], _q_pow)
     # D_4^{(3)}
-    if (i, j) == (1, 1):
-        return [
-            (1, _q_pow(2), 1),
-            (1, _q_pow(6), 1),
-            (1, OMEGA * _q_pow(4), 1),
-            (1, OMEGA * OMEGA * _q_pow(4), 1),
-        ]
     return _table_factors(_D43_TABLE[(i, j)], _q_pow)
 
 

@@ -1,95 +1,310 @@
-"""Inverse quantum Cartan matrix coefficients for the ADE types.
+"""Q-data, the bijection psi_Q, and the inverse quantum Cartan matrix.
 
-Two independent routes are provided: the closed formula through the
-Auslander-Reiten combinatorics of a fixed quiver orientation (pairing a
-Coxeter-translated root with a fundamental weight), and a truncated exact
-power-series inversion of the z-deformed Cartan matrix.  Agreement of the
-two on every coefficient is one of the acceptance checks.
+A Q-datum is a Dynkin diagram with an automorphism rho and a height
+function xi.  For an untwisted family it lives on the diagram of the
+associated simply-laced type; the twisted families reuse the Q-datum of
+their untwisted partner.  Its generalized Coxeter element tau_Q walks each
+gamma_i = (1 - tau_Q^{d_i}) Lambda_i through the rows of psi_Q.
+
+For an ADE type those rows are the inverse quantum Cartan matrix: the
+coefficient of z^k in its (i, j) entry is the j-th coordinate of
+tau_Q^{e/2} gamma_i, e = k + xi_i - xi_j - 1, so
+
+    ctilde_{i,j}(k) = (-1)^m beta_j  with  (beta, m) = psi_Q(i, xi_j + 1 - k).
+
+A truncated exact power-series inversion of the z-deformed Cartan matrix is
+kept as an independent route; agreement of the two on every coefficient is
+one of the acceptance checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .roots import FinRootSystem, Vec, mat_apply, root_system
-from .scalars import InvariantViolation
+from .affine import AffineData, Family, untwisted_partner
+from .roots import (
+    FinRootSystem,
+    Vec,
+    identity_perm,
+    mat_apply,
+    perm_from_map,
+    perm_order,
+    perm_root,
+    root_system,
+)
+from .scalars import InvariantViolation, QAffineError
 
 
-def _quiver_arrows(letter: str, rank: int) -> list[tuple[int, int]]:
-    if letter == "A":
-        return [(i, i + 1) for i in range(1, rank)]
-    if letter == "D":
-        return [(i, i + 1) for i in range(1, rank - 1)] + [(rank - 2, rank)]
-    chain = [(1, 3)] + [(i, i + 1) for i in range(3, rank)]
-    return chain + [(2, 4)]
+class NotInHatIQ(QAffineError):
+    """(i, p) violates p = xi_i mod 2 d_i."""
 
 
-def _heights(letter: str, rank: int) -> dict[int, int]:
-    if letter == "A":
-        return {i: 1 - i for i in range(1, rank + 1)}
-    if letter == "D":
-        xi = {i: 1 - i for i in range(1, rank - 1)}
-        xi[rank - 1] = xi[rank] = 2 - rank
-        return xi
-    xi = {1: 0, 2: -1}
-    xi.update({k: 2 - k for k in range(3, rank + 1)})
-    return xi
+class InvalidQDatum(QAffineError):
+    """Height function fails the Q-datum axioms."""
 
 
 @dataclass(eq=False)
-class AdeQuiverData:
-    """Fixed quiver orientation, heights and Coxeter data for one ADE type."""
+class QDatum:
+    """(Dynkin diagram, automorphism rho, height function xi) for `base`."""
 
     rs: FinRootSystem
+    rho: tuple[int, ...]
     xi: dict[int, int]
-    tau_word: tuple[int, ...]
-    gamma: dict[int, Vec]
-    h: int
+    base: AffineData
+    non_default: bool = False
+    # an alternative legal reflection ordering (testing hook; the bijection
+    # must not depend on the choice among weakly-decreasing orderings)
+    tau_override: tuple[int, ...] | None = None
+    _rows: dict = field(default_factory=dict, repr=False)
+    _phi_inv: dict | None = field(default=None, repr=False)
+    # AffineData -> its lattice table (see `qdata.lattice_table`); it lives and
+    # dies with this Q-datum, so custom data leave nothing behind on AffineData
+    _lattice: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.ord_rho = perm_order(self.rho)
+        self.orbits: dict[int, tuple[int, ...]] = {}
+        for i in range(1, self.rs.rank + 1):
+            orbit = [i]
+            j = self.rho[i]
+            while j != i:
+                orbit.append(j)
+                j = self.rho[j]
+            self.orbits[i] = tuple(sorted(orbit))
+        self.d = {i: len(o) for i, o in self.orbits.items()}
+        if self.base.family == Family.F4_1:
+            rep = {1: 1, 3: 2, 4: 3, 2: 4}
+            self.pi = {i: rep[min(o)] for i, o in self.orbits.items()}
+        else:
+            self.pi = {i: min(o) for i, o in self.orbits.items()}
+
+    def orbit_top(self, i: int) -> int:
+        """The orbit member with maximal height (the i-degree node of the orbit)."""
+        return max(self.orbits[i], key=lambda j: (self.xi[j], -j))
 
 
-@lru_cache(maxsize=None)
-def ade_quiver(letter: str, rank: int) -> AdeQuiverData:
-    rs = root_system(letter, rank)
-    arrows = _quiver_arrows(letter, rank)
-    xi = _heights(letter, rank)
-    for a, b in arrows:
-        if xi[b] != xi[a] - 1:
-            raise InvariantViolation(f"height function inconsistent on arrow {a}->{b}")
-    order = sorted(range(1, rank + 1), key=lambda i: (-xi[i], i))
-    tau_word = tuple(order)
-
-    preds: dict[int, list[int]] = {i: [] for i in range(1, rank + 1)}
-    for a, b in arrows:
-        preds[b].append(a)
-    gamma: dict[int, Vec] = {}
-    for i in range(1, rank + 1):
-        anc = {i}
-        stack = [i]
-        while stack:
-            for p in preds[stack.pop()]:
-                if p not in anc:
-                    anc.add(p)
-                    stack.append(p)
-        gamma[i] = tuple(1 if j in anc else 0 for j in range(1, rank + 1))
-
-    h = max(sum(beta) for beta in rs.positive_roots) + 1
-    d = AdeQuiverData(rs=rs, xi=xi, tau_word=tau_word, gamma=gamma, h=h)
-    for i in range(1, rank + 1):
-        if not rs.is_positive_root(gamma[i]):
-            raise InvariantViolation(f"gamma_{i} = {gamma[i]} is not a positive root of {letter}{rank}")
-    return d
+_DEFAULT_RHO = {
+    Family.B1: lambda d: perm_from_map(d.gfin.rank, {k: 2 * d.n - k for k in range(1, 2 * d.n)}),
+    Family.C1: lambda d: perm_from_map(d.gfin.rank, {d.n: d.n + 1, d.n + 1: d.n}),
+    Family.F4_1: lambda d: perm_from_map(6, {1: 6, 6: 1, 3: 5, 5: 3}),
+    Family.G2_1: lambda d: perm_from_map(4, {1: 3, 3: 4, 4: 1}),
+}
 
 
-def ctilde_formula(d: AdeQuiverData, i: int, j: int, k: int) -> int:
-    """Coefficient of z^k in the (i,j) entry of the inverse quantum Cartan matrix."""
-    if k < 1:
+def _default_xi(d: AffineData) -> dict[int, int]:
+    f, n = d.family, d.n
+    if d.simply_laced:
+        rank = d.gfin.rank
+        if d.gfin.letter == "A":
+            return {i: 1 - i for i in range(1, rank + 1)}
+        if d.gfin.letter == "D":
+            xi = {i: 1 - i for i in range(1, rank - 1)}
+            xi[rank - 1] = xi[rank] = 2 - rank
+            return xi
+        xi = {1: 0, 2: -1}
+        xi.update({k: 2 - k for k in range(3, rank + 1)})
+        return xi
+    if f == Family.B1:
+        xi = {i: 2 * n - 2 * i - 1 for i in range(1, n)}
+        xi[n], xi[n + 1] = 0, -1
+        xi.update({i: 2 * i - 2 * n - 3 for i in range(n + 2, 2 * n)})
+        return xi
+    if f == Family.C1:
+        xi = {i: 1 - i for i in range(1, n + 1)}
+        xi[n + 1] = -n - 1
+        return xi
+    if f == Family.F4_1:
+        return {1: 0, 2: -2, 3: -2, 4: -3, 5: -4, 6: -2}
+    # G2
+    return {1: -1, 2: 0, 3: -3, 4: -5}
+
+
+def default_qdatum(d: AffineData) -> QDatum:
+    """The paper's fixed Q-datum; for twisted d, its untwisted partner's."""
+    base = untwisted_partner(d)
+    rho_builder = _DEFAULT_RHO.get(base.family)
+    rho = rho_builder(base) if rho_builder else identity_perm(base.gfin.rank)
+    q = QDatum(rs=base.gfin, rho=rho, xi=_default_xi(base), base=base)
+    violations = validate_qdatum(q)
+    if violations:
+        raise InvariantViolation(f"default Q-datum of {d} is invalid: " + "; ".join(violations))
+    return q
+
+
+def custom_qdatum(d: AffineData, xi: dict[int, int]) -> QDatum:
+    """A user height function; only simply-laced untwisted types, validated.
+
+    Results computed from a non-default datum carry no golden-data
+    guarantee (the marker is the `non_default` flag).
+    """
+    if not d.simply_laced:
+        raise InvalidQDatum("custom height functions are supported for untwisted ADE only")
+    q = QDatum(rs=d.gfin, rho=identity_perm(d.gfin.rank), xi=dict(xi), base=d, non_default=True)
+    violations = validate_qdatum(q)
+    if violations:
+        raise InvalidQDatum("; ".join(violations))
+    return q
+
+
+def validate_qdatum(q: QDatum) -> list[str]:
+    """Check the two height-function axioms plus the orbit-chain condition."""
+    out: list[str] = []
+    rs, xi, rho = q.rs, q.xi, q.rho
+    if set(xi) != set(range(1, rs.rank + 1)):
+        return [f"height function defined on {sorted(xi)} instead of the node set"]
+    for a, b in rs.edges:
+        if q.d[a] == q.d[b] and abs(xi[a] - xi[b]) != q.d[a]:
+            out.append(f"condition (1) fails on edge {a}-{b}: |xi difference| != {q.d[a]}")
+    for a, b in rs.edges:
+        for i, j in ((a, b), (b, a)):
+            if q.d[i] == 1 and q.d[j] == q.ord_rho > 1:
+                good = []
+                for jc in q.orbits[j]:
+                    if abs(xi[i] - xi[jc]) != 1:
+                        continue
+                    chain = all(
+                        xi[_rho_pow(rho, k, jc)] == xi[jc] - 2 * k for k in range(q.ord_rho)
+                    )
+                    if chain:
+                        good.append(jc)
+                if len(good) != 1:
+                    out.append(
+                        f"condition (2) fails at node {i} against orbit {q.orbits[j]}:"
+                        f" {len(good)} admissible choices"
+                    )
+    for i in q.orbits:
+        top = q.orbit_top(i)
+        if not all(xi[_rho_pow(rho, k, top)] == xi[top] - 2 * k for k in range(q.d[i])):
+            out.append(f"orbit-chain condition fails on the orbit of {i}")
+    return out
+
+
+def _rho_pow(rho: tuple[int, ...], k: int, i: int) -> int:
+    for _ in range(k):
+        i = rho[i]
+    return i
+
+
+def tau_q(q: QDatum) -> tuple:
+    """The generalized Coxeter word s_{i_1} ... s_{i_r} rho (rho acts first).
+
+    Ties in the height ordering are broken by ascending node index.
+    """
+    if q.tau_override is not None:
+        tops = list(q.tau_override)
+        heights = [q.xi[t] for t in tops]
+        if heights != sorted(heights, reverse=True):
+            raise InvalidQDatum(f"tau override {q.tau_override} is not weakly decreasing in height")
+        if set(tops) != {q.orbit_top(i) for i in q.orbits}:
+            raise InvalidQDatum(f"tau override {q.tau_override} is not the set of orbit tops")
+    else:
+        tops = sorted({q.orbit_top(i) for i in q.orbits}, key=lambda t: (-q.xi[t], t))
+    word: list = list(tops)
+    if q.rho != identity_perm(q.rs.rank):
+        word.append(q.rho)
+    return tuple(word)
+
+
+def gamma_q(q: QDatum, i: int) -> Vec:
+    """gamma_i = (1 - tau_Q^{d_i}) Lambda_i, a positive root.
+
+    The walk keeps tau_Q^{d_i} Lambda_i as Lambda_a - r with r in root
+    coordinates: s_j takes it to Lambda_a - (s_j r + [j = a] alpha_j) and
+    rho to Lambda_{rho(a)} - rho(r).  It must end at a = i, where gamma_i = r.
+    """
+    a, r = i, (0,) * q.rs.rank
+    for entry in reversed(tau_q(q) * q.d[i]):
+        if isinstance(entry, int):
+            r = q.rs.reflect_root(entry, r)
+            if entry == a:
+                r = r[: a - 1] + (r[a - 1] + 1,) + r[a:]
+        else:
+            a, r = entry[a], perm_root(entry, r)
+    if a != i:
+        raise InvariantViolation(f"tau_Q^{q.d[i]} Lambda_{i} = Lambda_{a} - {r}: the walk leaves node {i}")
+    if not q.rs.is_positive_root(r):
+        raise InvariantViolation(f"gamma_{i} = {r} is not a positive root")
+    return r
+
+
+def _row(q: QDatum, i: int) -> dict[int, tuple[Vec, int]]:
+    """Lazily extendable row of psi_Q values at node i, seeded at (i, xi_i)."""
+    row = q._rows.get(i)
+    if row is None:
+        row = {q.xi[i]: (gamma_q(q, i), 0)}
+        q._rows[i] = row
+    return row
+
+
+def psi_q(q: QDatum, i: int, p: int) -> tuple[Vec, int]:
+    """The bijection hat I_Q -> Delta+ x Z, computed by walking from the seed."""
+    if not 1 <= i <= q.rs.rank:
+        raise NotInHatIQ(f"node {i} outside the diagram")
+    step = 2 * q.d[i]
+    if (p - q.xi[i]) % step:
+        raise NotInHatIQ(f"p = {p} is not congruent to xi_{i} = {q.xi[i]} mod {step}")
+    row = _row(q, i)
+    if p not in row:
+        # extend the known run from its end nearer p: tau_Q^{d_i} takes one
+        # step down in p, its inverse one step up
+        sign = -1 if p < min(row) else 1
+        cur = min(row) if sign < 0 else max(row)
+        beta, m = row[cur]
+        mat = q.rs.word_power(tau_q(q), -sign * q.d[i])
+        while cur != p:
+            cur += sign * step
+            beta = mat_apply(mat, beta)
+            if not any(c > 0 for c in beta):
+                beta = tuple(-c for c in beta)
+                m += sign
+            row[cur] = (beta, m)
+    return row[p]
+
+
+def i_q(q: QDatum) -> list[tuple[int, int]]:
+    """The window { (i,p) : xi_{i*} - ord(rho) h^vee < p <= xi_i } = psi^{-1}(Delta+ x {0})."""
+    out = []
+    bound = q.ord_rho * q.base.hvee
+    for i in range(1, q.rs.rank + 1):
+        lower = q.xi[q.rs.istar(i)] - bound
+        p = q.xi[i]
+        while p > lower:
+            out.append((i, p))
+            p -= 2 * q.d[i]
+    return out
+
+
+def phi_inverse_zero(q: QDatum) -> dict[Vec, tuple[int, int]]:
+    """beta -> (i, p) over the m = 0 slice; checks the slice is exactly Delta+."""
+    if q._phi_inv is not None:
+        return q._phi_inv
+    out: dict[Vec, tuple[int, int]] = {}
+    for i, p in i_q(q):
+        beta, m = psi_q(q, i, p)
+        if m != 0:
+            raise InvariantViolation(f"I_Q window cell ({i},{p}) has m = {m}")
+        if beta in out:
+            raise InvariantViolation(f"duplicate root {beta} in the m = 0 slice")
+        out[beta] = (i, p)
+    if len(out) != len(q.rs.positive_roots):
+        raise InvariantViolation(
+            f"the m = 0 slice has {len(out)} roots, not {len(q.rs.positive_roots)}"
+        )
+    q._phi_inv = out
+    return out
+
+
+def ctilde_formula(q: QDatum, i: int, j: int, k: int) -> int:
+    """Coefficient of z^k in the (i,j) entry of the inverse quantum Cartan matrix.
+
+    q is the Q-datum of an ADE type; the coefficient is read off the psi_Q
+    row of i (see the module docstring).
+    """
+    if k < 1 or (k + q.xi[i] - q.xi[j] - 1) % 2:
         return 0
-    e = k + d.xi[i] - d.xi[j] - 1
-    if e % 2:
-        return 0
-    v = mat_apply(d.rs.word_power(d.tau_word, e // 2), d.gamma[i])
-    return v[j - 1]
+    beta, m = psi_q(q, i, q.xi[j] + 1 - k)
+    return -beta[j - 1] if m % 2 else beta[j - 1]
 
 
 @dataclass(frozen=True)
@@ -149,5 +364,6 @@ def ctilde_oracle(cartan: tuple[tuple[int, ...], ...], order: int) -> CTildeTabl
 
 @lru_cache(maxsize=None)
 def ctilde_oracle_for(letter: str, rank: int) -> CTildeTable:
-    d = ade_quiver(letter, rank)
-    return ctilde_oracle(d.rs.cartan, 2 * d.h + 2)
+    rs = root_system(letter, rank)
+    h = 2 * len(rs.positive_roots) // rank  # the Coxeter number of an ADE type
+    return ctilde_oracle(rs.cartan, 2 * h + 2)

@@ -80,12 +80,6 @@ class FinWeight:
 
     coords: Vec
 
-    def __add__(self, other: "FinWeight") -> "FinWeight":
-        return FinWeight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "FinWeight") -> "FinWeight":
-        return FinWeight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
 
 class FinRootSystem:
     """An ADE root system of given rank, all data exact and immutable."""
@@ -161,9 +155,6 @@ class FinRootSystem:
 
     # weight-basis helpers ------------------------------------------------
 
-    def fundamental_weight(self, i: int) -> FinWeight:
-        return FinWeight(tuple(1 if k == i else 0 for k in range(1, self.rank + 1)))
-
     def root_to_weight(self, v: Vec) -> FinWeight:
         n = self.rank
         return FinWeight(tuple(sum(self.cartan[j][i] * v[i] for i in range(n)) for j in range(n)))
@@ -211,13 +202,6 @@ class FinRootSystem:
             self._word_powers[(word, m)] = mat
         return mat
 
-    def reflect_weight(self, i: int, w: FinWeight) -> FinWeight:
-        out = list(w.coords)
-        c = w.coords[i - 1]
-        for j in range(self.rank):
-            out[j] -= c * self.cartan[j][i - 1]
-        return FinWeight(tuple(out))
-
 
 def identity_perm(rank: int) -> tuple[int, ...]:
     return tuple(range(rank + 1))
@@ -245,24 +229,8 @@ def perm_root(perm: tuple[int, ...], v: Vec) -> Vec:
     return tuple(out)
 
 
-def perm_weight(perm: tuple[int, ...], w: FinWeight) -> FinWeight:
-    out = [0] * len(w.coords)
-    for i, c in enumerate(w.coords, start=1):
-        out[perm[i] - 1] = c
-    return FinWeight(tuple(out))
-
-
-def apply_word(rs: FinRootSystem, word: Iterable[WordEntry], w: FinWeight) -> FinWeight:
-    """Apply a word in W_fin x Aut right-to-left (rightmost entry acts first)."""
-    for entry in reversed(tuple(word)):
-        if isinstance(entry, int):
-            w = rs.reflect_weight(entry, w)
-        else:
-            w = perm_weight(entry, w)
-    return w
-
-
 def apply_word_root(rs: FinRootSystem, word: Iterable[WordEntry], v: Vec) -> Vec:
+    """Apply a word in W_fin x Aut right-to-left (rightmost entry acts first)."""
     for entry in reversed(tuple(word)):
         if isinstance(entry, int):
             v = rs.reflect_root(entry, v)
@@ -297,11 +265,6 @@ def mat_apply(mat: tuple[Vec, ...], v: Vec) -> Vec:
             for j in range(n):
                 out[j] += c * row[j]
     return tuple(out)
-
-
-def mat_mul(a: tuple[Vec, ...], b: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    """Composition so that mat_apply(mat_mul(a, b), v) == mat_apply(b, mat_apply(a, v))."""
-    return tuple(mat_apply(b, row) for row in a)
 
 
 @lru_cache(maxsize=None)

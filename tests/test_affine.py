@@ -11,9 +11,9 @@ from qaffine import (
     ParseError,
     QAffineError,
     RootOutsideDomain,
-    UnclassifiablePoint,
     cli,
 )
+from qaffine.acceptance import SWEEP
 from qaffine.affine import (
     MAX_GFIN_RANK,
     AffineType,
@@ -30,7 +30,7 @@ from qaffine.affine import (
     sigma_eq,
     untwisted_partner,
 )
-from qaffine.scalars import MINUS_Q, OMEGA, ONE, Q, QS, scalar, parse_scalar
+from qaffine.scalars import MINUS_Q, OMEGA, ONE, Q, QS, SpectralScalar, scalar, parse_scalar
 
 ALL_SMALL = [
     "A1-1", "A4-1", "B2-1", "B3-1", "C3-1", "C4-1", "D4-1", "D5-1",
@@ -216,6 +216,19 @@ def test_component_class_respects_sigma_eq():
     assert component_class(d52, 1, Q) == component_class(d52, 1, MINUS_Q)
 
 
+def test_class_translate_lands_in_sigma_z():
+    # block_label pulls each point back by its class with no re-check: the
+    # pure-phase generator's modulus divides 24, so x / class(x) has class 1
+    rng = random.Random(24)
+    for s in SWEEP:
+        d = build(parse_type_string(s))
+        assert d.k0_phase_mod in (0, 8, 12), s
+        for _ in range(2000):
+            i = rng.choice(d.i0)
+            x = SpectralScalar(rng.randrange(24), rng.randint(-1000, 1000))
+            assert in_sigma_z(d, i, x / component_class(d, i, x)), (s, i, x)
+
+
 def test_sigma0_membership_lists():
     # spot-check the sigma_0 lists for a twisted and an untwisted family
     a52 = build(parse_type_string("A5-2"))  # sigma_0: (i, +-(-q)^p) p = i+1 mod 2, (3, (-q)^r) r even
@@ -254,7 +267,7 @@ def test_rank_cap_bounds_the_finite_type():
 
 def test_domain_errors_share_a_base():
     for exc in (ParseError, RootOutsideDomain, RankOutOfRange, NodeOutOfRange, NotInW0,
-                UnclassifiablePoint, InvalidQDatum, NotInHatIQ, DecompositionUnavailable):
+                InvalidQDatum, NotInHatIQ, DecompositionUnavailable):
         assert issubclass(exc, QAffineError)
     assert not issubclass(InvariantViolation, cli.DOMAIN_ERRORS)
     with pytest.raises(NodeOutOfRange):

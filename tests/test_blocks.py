@@ -19,9 +19,8 @@ from qaffine.blocks import (
     psi_lattice,
 )
 from qaffine.invariants import SigmaFunction, dual_shift, e_of, pairing, s_func, sigma_point
+from qaffine.qcartan import custom_qdatum, default_qdatum
 from qaffine.qdata import (
-    custom_qdatum,
-    default_qdatum,
     lattice_table,
     phi_q,
     sigma_q_points,

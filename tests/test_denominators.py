@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from qaffine.affine import Family, build, build_type, parse_type_string
 from qaffine.denominators import denominator, denominator_factors, expand_factors, zero_order
+from qaffine.qcartan import ctilde_formula, default_qdatum
 from qaffine.scalars import MINUS_ONE, OMEGA, ONE, Q, QS, QT, scalar
 
 ALL_SMALL = [
@@ -122,11 +123,9 @@ def test_symmetry_and_positive_exponents():
 
 
 def test_ade_exponent_multiset_matches_ctilde():
-    from qaffine.qcartan import ade_quiver, ctilde_formula
-
     for s in ("A4-1", "D5-1", "E6-1"):
         d = build(parse_type_string(s))
-        quiver = ade_quiver(d.gfin.letter, d.gfin.rank)
+        q = default_qdatum(d)
         for i in d.i0:
             for j in d.i0:
                 got = {}
@@ -134,9 +133,9 @@ def test_ade_exponent_multiset_matches_ctilde():
                     assert r.phase == (12 * r.qexp) % 24  # phase of (-q)^{k+1}
                     got[int(r.qexp)] = m
                 expected = {
-                    k + 1: ctilde_formula(quiver, i, j, k)
-                    for k in range(1, quiver.h)
-                    if ctilde_formula(quiver, i, j, k)
+                    k + 1: ctilde_formula(q, i, j, k)
+                    for k in range(1, d.hvee)
+                    if ctilde_formula(q, i, j, k)
                 }
                 assert got == expected
 

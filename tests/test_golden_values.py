@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from qaffine.affine import Family, build, build_type, parse_type_string
 from qaffine.invariants import lambda_inf, sigma_point
-from qaffine.qdata import default_qdatum, phi_q
+from qaffine.qcartan import default_qdatum
+from qaffine.qdata import phi_q
 from qaffine.scalars import (
     I_UNIT,
     MINUS_ONE,

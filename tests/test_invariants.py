@@ -23,8 +23,8 @@ from qaffine.invariants import (
     s_func,
     sigma_point,
 )
-from qaffine.qcartan import ade_quiver, ctilde_formula
-from qaffine.qdata import default_qdatum, sigma_q_points, simple_root_points, translate_star
+from qaffine.qcartan import ctilde_formula, default_qdatum
+from qaffine.qdata import sigma_q_points, simple_root_points, translate_star
 from qaffine.roots import FinWeight, NotInRootLattice
 from qaffine.scalars import MINUS_Q, MINUS_QT, ONE, Q, QS, SpectralScalar, scalar
 
@@ -126,13 +126,12 @@ def test_lambda_inf_a4_example():
 
 def test_lambda_inf_ade_ctilde_identity_spot():
     d = build_type(Family.D1, 4)
-    quiver = ade_quiver("D", 4)
-    h = quiver.h
+    q = default_qdatum(d)
     for i in d.i0:
         for j in d.i0:
-            for t in range(1, 2 * h):
+            for t in range(1, 2 * d.hvee):
                 got = lambda_inf(d, pt(d, i, ONE), pt(d, j, MINUS_Q ** t))
-                want = ctilde_formula(quiver, i, j, t - 1) - ctilde_formula(quiver, i, j, t + 1)
+                want = ctilde_formula(q, i, j, t - 1) - ctilde_formula(q, i, j, t + 1)
                 assert got == want, (i, j, t)
 
 

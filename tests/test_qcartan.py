@@ -1,83 +1,91 @@
 import pytest
 
-from qaffine.qcartan import ade_quiver, ctilde_formula, ctilde_oracle, ctilde_oracle_for
+from qaffine.acceptance import SWEEP
+from qaffine.affine import build, parse_type_string
+from qaffine.qcartan import ctilde_formula, ctilde_oracle, ctilde_oracle_for, default_qdatum, gamma_q, tau_q
+from qaffine.roots import FinWeight, mat_apply
 
 
 def delta(*ks):
     return lambda k: int(k in ks)
 
 
+def ade(letter, rank):
+    """The default Q-datum of the untwisted ADE type letter+rank."""
+    return default_qdatum(build(parse_type_string(f"{letter}{rank}-1")))
+
+
 def test_coxeter_numbers():
-    assert ade_quiver("A", 4).h == 5
-    assert ade_quiver("D", 5).h == 8
-    assert ade_quiver("E", 6).h == 12
-    assert ade_quiver("E", 7).h == 18
-    assert ade_quiver("E", 8).h == 30
+    assert ade("A", 4).base.hvee == 5
+    assert ade("D", 5).base.hvee == 8
+    assert ade("E", 6).base.hvee == 12
+    assert ade("E", 7).base.hvee == 18
+    assert ade("E", 8).base.hvee == 30
 
 
 def test_tau_words():
-    assert ade_quiver("A", 5).tau_word == (1, 2, 3, 4, 5)
-    assert ade_quiver("D", 5).tau_word == (1, 2, 3, 4, 5)
-    assert ade_quiver("E", 6).tau_word == (1, 2, 3, 4, 5, 6)
+    assert tau_q(ade("A", 5)) == (1, 2, 3, 4, 5)
+    assert tau_q(ade("D", 5)) == (1, 2, 3, 4, 5)
+    assert tau_q(ade("E", 6)) == (1, 2, 3, 4, 5, 6)
 
 
 def test_gamma_vectors():
-    d = ade_quiver("D", 5)
-    assert d.gamma[3] == (1, 1, 1, 0, 0)
-    assert d.gamma[5] == (1, 1, 1, 0, 1)
-    e = ade_quiver("E", 6)
-    assert e.gamma[2] == (0, 1, 0, 0, 0, 0)
-    assert e.gamma[3] == (1, 0, 1, 0, 0, 0)
-    assert e.gamma[6] == (1, 1, 1, 1, 1, 1)
+    q = ade("D", 5)
+    assert gamma_q(q, 3) == (1, 1, 1, 0, 0)
+    assert gamma_q(q, 5) == (1, 1, 1, 0, 1)
+    e = ade("E", 6)
+    assert gamma_q(e, 2) == (0, 1, 0, 0, 0, 0)
+    assert gamma_q(e, 3) == (1, 0, 1, 0, 0, 0)
+    assert gamma_q(e, 6) == (1, 1, 1, 1, 1, 1)
 
 
 def test_type_a_ctilde():
     # paper-quoted: ctilde_{1,1}(2k+1) = delta_{k,0} for type A
     for n in (2, 3, 5):
-        d = ade_quiver("A", n)
-        assert ctilde_formula(d, 1, 1, 1) == 1
-        for k in range(1, d.h):
+        q = ade("A", n)
+        assert ctilde_formula(q, 1, 1, 1) == 1
+        for k in range(1, q.base.hvee):
             expected = int(k == 1)
-            assert ctilde_formula(d, 1, 1, k) == expected
+            assert ctilde_formula(q, 1, 1, k) == expected
 
 
 def test_type_d_ctilde_11():
     for n in (4, 5, 6):
-        d = ade_quiver("D", n)
-        for k in range(1, d.h):
-            assert ctilde_formula(d, 1, 1, k) == delta(1, 2 * n - 3)(k)
+        q = ade("D", n)
+        for k in range(1, q.base.hvee):
+            assert ctilde_formula(q, 1, 1, k) == delta(1, 2 * n - 3)(k)
 
 
 def test_type_e6_ctilde():
-    d = ade_quiver("E", 6)
+    q = ade("E", 6)
     for k in range(1, 12):
-        assert ctilde_formula(d, 1, 1, k) == delta(1, 7)(k)
-        assert ctilde_formula(d, 1, 2, k) == delta(4, 8)(k)
+        assert ctilde_formula(q, 1, 1, k) == delta(1, 7)(k)
+        assert ctilde_formula(q, 1, 2, k) == delta(4, 8)(k)
 
 
 def test_type_e7_ctilde():
-    d = ade_quiver("E", 7)
+    q = ade("E", 7)
     for k in range(1, 18):
-        assert ctilde_formula(d, 1, 1, k) == delta(1, 7, 11, 17)(k)
-        assert ctilde_formula(d, 1, 2, k) == delta(4, 8, 10, 14)(k)
-        assert ctilde_formula(d, 7, 1, k) == delta(6, 12)(k)
-        assert ctilde_formula(d, 7, 2, k) == delta(5, 9, 13)(k)
-        assert ctilde_formula(d, 7, 7, k) == delta(1, 9, 17)(k)
+        assert ctilde_formula(q, 1, 1, k) == delta(1, 7, 11, 17)(k)
+        assert ctilde_formula(q, 1, 2, k) == delta(4, 8, 10, 14)(k)
+        assert ctilde_formula(q, 7, 1, k) == delta(6, 12)(k)
+        assert ctilde_formula(q, 7, 2, k) == delta(5, 9, 13)(k)
+        assert ctilde_formula(q, 7, 7, k) == delta(1, 9, 17)(k)
 
 
 def test_type_e8_ctilde():
-    d = ade_quiver("E", 8)
+    q = ade("E", 8)
     for k in range(1, 30):
-        assert ctilde_formula(d, 1, 1, k) == delta(1, 7, 11, 13, 17, 19, 23, 29)(k)
-        assert ctilde_formula(d, 1, 2, k) == delta(4, 8, 10, 12, 14, 16, 18, 20, 22, 26)(k)
-        assert ctilde_formula(d, 8, 1, k) == delta(7, 13, 17, 23)(k)
-        assert ctilde_formula(d, 8, 2, k) == delta(6, 10, 14, 16, 20, 24)(k)
-        assert ctilde_formula(d, 8, 8, k) == delta(1, 11, 19, 29)(k)
+        assert ctilde_formula(q, 1, 1, k) == delta(1, 7, 11, 13, 17, 19, 23, 29)(k)
+        assert ctilde_formula(q, 1, 2, k) == delta(4, 8, 10, 12, 14, 16, 18, 20, 22, 26)(k)
+        assert ctilde_formula(q, 8, 1, k) == delta(7, 13, 17, 23)(k)
+        assert ctilde_formula(q, 8, 2, k) == delta(6, 10, 14, 16, 20, 24)(k)
+        assert ctilde_formula(q, 8, 8, k) == delta(1, 11, 19, 29)(k)
 
 
 def test_oracle_a2():
-    d = ade_quiver("A", 2)
-    table = ctilde_oracle(d.rs.cartan, 8)
+    q = ade("A", 2)
+    table = ctilde_oracle(q.rs.cartan, 8)
     assert table.get(1, 2, 2) == 1
     assert table.get(1, 1, 1) == 1
     assert table.get(1, 1, 0) == 0
@@ -88,24 +96,89 @@ def test_oracle_a2():
 
 def test_oracle_equals_formula_small():
     for letter, rank in (("A", 1), ("A", 3), ("D", 4), ("E", 6)):
-        d = ade_quiver(letter, rank)
+        q = ade(letter, rank)
         table = ctilde_oracle_for(letter, rank)
         for i in range(1, rank + 1):
             for j in range(1, rank + 1):
-                for k in range(0, 2 * d.h + 1):
-                    assert table.get(i, j, k) == ctilde_formula(d, i, j, k), (letter, rank, i, j, k)
+                for k in range(0, 2 * q.base.hvee + 1):
+                    assert table.get(i, j, k) == ctilde_formula(q, i, j, k), (letter, rank, i, j, k)
 
 
 def test_ctilde_symmetry_and_signs():
     for letter, rank in (("A", 4), ("D", 5), ("E", 7)):
-        d = ade_quiver(letter, rank)
-        h = d.h
+        q = ade(letter, rank)
+        h = q.base.hvee
         for i in range(1, rank + 1):
-            assert ctilde_formula(d, i, i, 1) == 1
+            assert ctilde_formula(q, i, i, 1) == 1
             for j in range(1, rank + 1):
                 for k in range(1, h):
-                    assert ctilde_formula(d, i, j, k) >= 0
-                    assert ctilde_formula(d, i, j, k) == ctilde_formula(d, j, i, k)
+                    assert ctilde_formula(q, i, j, k) >= 0
+                    assert ctilde_formula(q, i, j, k) == ctilde_formula(q, j, i, k)
                     # quasi-periodicity used in the ADE Lambda-infinity identity
-                    assert ctilde_formula(d, i, j, h + k) == -ctilde_formula(d, i, j, h - k)
-                    assert ctilde_formula(d, i, j, h + k) == -ctilde_formula(d, d.rs.istar(j), i, k)
+                    assert ctilde_formula(q, i, j, h + k) == -ctilde_formula(q, i, j, h - k)
+                    assert ctilde_formula(q, i, j, h + k) == -ctilde_formula(q, q.rs.istar(j), i, k)
+
+
+def _ancestor_gamma(q, i):
+    """Oracle: gamma_i as the indicator of the nodes with a path to i, in the
+    quiver whose arrows run from each node to its neighbours one step lower."""
+    anc, stack = {i}, [i]
+    while stack:
+        b = stack.pop()
+        for a in q.rs.adj[b]:
+            if q.xi[a] == q.xi[b] + 1 and a not in anc:
+                anc.add(a)
+                stack.append(a)
+    return tuple(int(j in anc) for j in range(1, q.rs.rank + 1))
+
+
+ADE_ORACLE_TYPES = (
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", n) for n in (6, 7, 8)] + [("A", 32), ("D", 24)]
+)
+
+
+@pytest.mark.parametrize("letter,rank", ADE_ORACLE_TYPES, ids=[f"{l}{n}-1" for l, n in ADE_ORACLE_TYPES])
+def test_ctilde_psi_row_matches_matrix_power_oracle(letter, rank):
+    # the path it replaced: the j-th coordinate of tau^{e/2} gamma_i, e = k + xi_i
+    # - xi_j - 1, with gamma_i the ancestor set of i and tau^{e/2} a word power
+    q = ade(letter, rank)
+    h = q.base.hvee
+    images = {}
+    for i in range(1, rank + 1):
+        gamma = _ancestor_gamma(q, i)
+        assert gamma == gamma_q(q, i)
+        for j in range(1, rank + 1):
+            for k in range(1, 2 * h):
+                e = k + q.xi[i] - q.xi[j] - 1
+                want = 0
+                if e % 2 == 0:
+                    if (i, e) not in images:
+                        images[i, e] = mat_apply(q.rs.word_power(tau_q(q), e // 2), gamma)
+                    want = images[i, e][j - 1]
+                assert ctilde_formula(q, i, j, k) == want, (i, j, k)
+
+
+def _weight_walk_gamma(q, i):
+    """Oracle: (1 - tau_Q^{d_i}) Lambda_i walked in the fundamental-weight basis,
+    then solved back to root coordinates."""
+    rs = q.rs
+    lam = tuple(int(k == i) for k in range(1, rs.rank + 1))
+    w = lam
+    for entry in reversed(tau_q(q) * q.d[i]):
+        if isinstance(entry, int):
+            c = w[entry - 1]
+            w = tuple(w[j] - c * rs.cartan[j][entry - 1] for j in range(rs.rank))
+        else:
+            out = [0] * rs.rank
+            for j, c in enumerate(w, start=1):
+                out[entry[j] - 1] = c
+            w = tuple(out)
+    return rs.weight_to_root(FinWeight(tuple(a - b for a, b in zip(lam, w))))
+
+
+@pytest.mark.parametrize("s", [*SWEEP, "D32-1", "B10-1", "C12-1"])
+def test_gamma_root_walk_matches_weight_walk_oracle(s):
+    q = default_qdatum(build(parse_type_string(s)))
+    for i in range(1, q.rs.rank + 1):
+        assert gamma_q(q, i) == _weight_walk_gamma(q, i), (s, i)

@@ -9,26 +9,28 @@ import pytest
 import qaffine
 from qaffine.affine import Family, build, build_type, in_sigma_z, parse_type_string
 from qaffine.invariants import sigma_point
-from qaffine.qdata import (
+from qaffine.qcartan import (
     InvalidQDatum,
     NotInHatIQ,
     QDatum,
     custom_qdatum,
     default_qdatum,
-    esig,
     gamma_q,
     i_q,
     phi_inverse_zero,
+    psi_q,
+    tau_q,
+    validate_qdatum,
+)
+from qaffine.qdata import (
+    esig,
     phi_q,
     phi_q_map,
-    psi_q,
     sigma_q_points,
     sigma_q_window,
-    tau_q,
     translate_star,
     twist_dagger,
     twist_star,
-    validate_qdatum,
 )
 from qaffine.scalars import I_UNIT, MINUS_ONE, MINUS_Q, MINUS_QS, OMEGA, ONE, Q, QS, scalar
 
@@ -289,7 +291,7 @@ def test_psi_window_bijectivity_spot():
 _BAD_TAU_OVERRIDE = """
 import sys
 from qaffine.affine import Family, build_type
-from qaffine.qdata import InvalidQDatum, QDatum, default_qdatum, tau_q
+from qaffine.qcartan import InvalidQDatum, QDatum, default_qdatum, tau_q
 if not sys.flags.optimize:
     sys.exit("not run under -O")
 q = default_qdatum(build_type(Family.E6_1))

@@ -4,7 +4,8 @@ Usage: python tools/cli_sweep.py <src-dir> > sweep.txt
 
 Imports `qaffine` from <src-dir> and runs `cli.run` in this process, in text
 and JSON, over all 33 `acceptance.SWEEP` types: `sigma-q`, `cartan-check`,
-`verify <type>` (timings masked), `denom` on every node pair, `s-func` on
+`verify <type>` (timings masked), `denom` on every node pair (and on node
+row 1 of A32-1 and D24-1, near the rank cap), `s-func` on
 every `i@1` and on seeded points, seeded `e-of`, `de`, `lambda`, `lambda-inf`
 and `partition`, `block-label` on seeded weight lists, on every point of
 sigma_Q and its first dual translate, on three of those points each repeated
@@ -103,6 +104,9 @@ def sweep(tmp: Path) -> None:
         partition(f"{s}-census.jsonl", s, [json.dumps([p]) for p in census[::3]])
         call("s-func", s, f"{n + 1}@1")
 
+    for s in ("A32-1", "D24-1"):
+        for j in build(parse_type_string(s)).i0:
+            call("denom", s, "--i", "1", "--j", str(j))
     call("cartan-check", "Z9-1")
     call("cartan-check", "A300-1")
     call("s-func", "A3-1", "x@1")
