@@ -140,8 +140,9 @@ ADE_ORACLE_TYPES = (
 
 @pytest.mark.parametrize("letter,rank", ADE_ORACLE_TYPES, ids=[f"{l}{n}-1" for l, n in ADE_ORACLE_TYPES])
 def test_ctilde_psi_row_matches_matrix_power_oracle(letter, rank):
-    # the path it replaced: the j-th coordinate of tau^{e/2} gamma_i, e = k + xi_i
-    # - xi_j - 1, with gamma_i the ancestor set of i and tau^{e/2} a word power
+    # the replaced path: ctilde_{i,j}(k) is the j-th coordinate of tau^{e/2} gamma_i,
+    # e = k + xi_i - xi_j - 1, with gamma_i the ancestor set of i and tau^{e/2} a
+    # word power (kept per (i, e), since it does not depend on j)
     q = ade(letter, rank)
     h = q.base.hvee
     images = {}
