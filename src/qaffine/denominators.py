@@ -9,7 +9,7 @@ d_{j,i} is taken equal to d_{i,j} throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 from .affine import AffineData, Family
@@ -18,6 +18,7 @@ from .scalars import (
     MINUS_ONE,
     MINUS_Q,
     MINUS_QS,
+    Q,
     QS,
     QT,
     SpectralScalar,
@@ -67,14 +68,6 @@ def _mq(k: int) -> SpectralScalar:
     return MINUS_Q ** k
 
 
-def _qs(k: int) -> SpectralScalar:
-    return QS ** k
-
-
-def _qt(k: int) -> SpectralScalar:
-    return QT ** k
-
-
 def _mq2(k: int) -> SpectralScalar:
     return scalar(12 * k, 2 * k)  # (-q^2)^k
 
@@ -102,11 +95,11 @@ def _ade_factors(d: AffineData, i: int, j: int) -> list[Factor]:
 def _b1_factors(d: AffineData, k: int, l: int) -> list[Factor]:
     n = d.n
     if k == n and l == n:
-        return [(1, _qs(4 * s - 2), 1) for s in range(1, n + 1)]
+        return [(1, QS ** (4 * s - 2), 1) for s in range(1, n + 1)]
     if l == n or k == n:
         k = min(k, l)
         sign = MINUS_ONE ** (n + k)
-        return [(1, sign * _qs(2 * n - 2 * k - 1 + 4 * s), 1) for s in range(1, k + 1)]
+        return [(1, sign * QS ** (2 * n - 2 * k - 1 + 4 * s), 1) for s in range(1, k + 1)]
     out: list[Factor] = []
     for s in range(1, min(k, l) + 1):
         out.append((1, _mq(abs(k - l) + 2 * s), 1))
@@ -156,14 +149,15 @@ def _d2_factors(d: AffineData, k: int, l: int) -> list[Factor]:
     return out
 
 
-# (deg, z24 phase, q-exponents, multiplicities): factors (z^deg - z24^phase base(e))^mult
-_G2_TABLE = {
+# (base, {(i, j): [(deg, z24 phase, exponents, multiplicities)]}): the factors
+# (z^deg - z24^phase base^e)^mult of d_{i,j}
+_G2_TABLE = QT, {
     (1, 1): [(1, 0, [6, 8, 10, 12], [1, 1, 1, 1])],
     (1, 2): [(1, 12, [7, 11], [1, 1])],
     (2, 2): [(1, 0, [2, 8, 12], [1, 1, 1])],
 }
 
-_F4_TABLE = {
+_F4_TABLE = QS, {
     (1, 1): [(1, 0, [4, 10, 12, 18], [1, 1, 1, 1])],
     (1, 2): [(1, 12, [6, 8, 10, 12, 14, 16], [1] * 6)],
     (1, 3): [(1, 0, [7, 9, 13, 15], [1] * 4)],
@@ -176,13 +170,13 @@ _F4_TABLE = {
     (4, 4): [(1, 0, [2, 8, 12, 18], [1] * 4)],
 }
 
-_D43_TABLE = {
+_D43_TABLE = Q, {
     (1, 1): [(1, 0, [2, 6], [1, 1]), (1, 8, [4], [1]), (1, 16, [4], [1])],
     (1, 2): [(3, 12, [9, 15], [1, 1])],
     (2, 2): [(3, 0, [6, 12, 18], [1, 2, 1])],
 }
 
-_E62_TABLE = {
+_E62_TABLE = Q, {
     (1, 1): [(1, 0, [2, 8], [1, 1]), (1, 12, [6, 12], [1, 1])],
     (1, 2): [(1, 12, [3, 7, 9], [1, 1, 1]), (1, 0, [5, 7, 11], [1, 1, 1])],
     (1, 3): [(2, 12, [8, 12, 16, 20], [1] * 4)],
@@ -199,44 +193,34 @@ _E62_TABLE = {
 }
 
 
-def _q_pow(k: int) -> SpectralScalar:
-    return scalar(0, k)
-
-
-def _table_factors(table_entry, base) -> list[Factor]:
+def _table_factors(table, d: AffineData, i: int, j: int) -> list[Factor]:
+    base, entries = table
     out: list[Factor] = []
-    for deg, phase, exps, mults in table_entry:
+    for deg, phase, exps, mults in entries[(i, j)]:
         for e, m in zip(exps, mults):
-            out.append((deg, scalar(phase, 0) * base(e), m))
+            out.append((deg, scalar(phase, 0) * base ** e, m))
     return out
+
+
+_FAMILY_FACTORS = {
+    **dict.fromkeys((Family.A1, Family.D1, Family.E6_1, Family.E7_1, Family.E8_1), _ade_factors),
+    Family.B1: _b1_factors,
+    Family.C1: _c1_factors,
+    Family.A2_ODD: _a2odd_factors,
+    Family.A2_EVEN: _a2even_factors,
+    Family.D2: _d2_factors,
+    Family.G2_1: partial(_table_factors, _G2_TABLE),
+    Family.F4_1: partial(_table_factors, _F4_TABLE),
+    Family.E6_2: partial(_table_factors, _E62_TABLE),
+    Family.D4_3: partial(_table_factors, _D43_TABLE),
+}
 
 
 def denominator_factors(d: AffineData, i: int, j: int) -> list[Factor]:
     """d_{i,j}(z) as a product of (z^deg - value)^mult factors."""
     d.check_node(i)
     d.check_node(j)
-    i, j = min(i, j), max(i, j)
-    fam = d.family
-    if d.simply_laced:
-        return _ade_factors(d, i, j)
-    if fam == Family.B1:
-        return _b1_factors(d, i, j)
-    if fam == Family.C1:
-        return _c1_factors(d, i, j)
-    if fam == Family.A2_ODD:
-        return _a2odd_factors(d, i, j)
-    if fam == Family.A2_EVEN:
-        return _a2even_factors(d, i, j)
-    if fam == Family.D2:
-        return _d2_factors(d, i, j)
-    if fam == Family.G2_1:
-        return _table_factors(_G2_TABLE[(i, j)], _qt)
-    if fam == Family.F4_1:
-        return _table_factors(_F4_TABLE[(i, j)], _qs)
-    if fam == Family.E6_2:
-        return _table_factors(_E62_TABLE[(i, j)], _q_pow)
-    # D_4^{(3)}
-    return _table_factors(_D43_TABLE[(i, j)], _q_pow)
+    return _FAMILY_FACTORS[d.family](d, min(i, j), max(i, j))
 
 
 def expand_factors(factors: Iterable[Factor]) -> RootMultiset:

@@ -94,7 +94,8 @@ def sigma_point(d: AffineData, node: int, param: SpectralScalar) -> SigmaPoint:
 def parse_sigma_point(d: AffineData, text: str) -> SigmaPoint:
     """Parse `i@<scalar>` (e.g. `3@(-q)^5`)."""
     head, sep, tail = text.partition("@")
-    if not sep or not head.strip().isdigit():
+    head = head.strip()
+    if not sep or not (head.isascii() and head.isdigit()):
         raise ParseError("expected point of the form i@<scalar>", 0)
     return sigma_point(d, int(head), parse_scalar(tail.strip()))
 

@@ -6,6 +6,12 @@ associated simply-laced type; the twisted families reuse the Q-datum of
 their untwisted partner.  Its generalized Coxeter element tau_Q walks each
 gamma_i = (1 - tau_Q^{d_i}) Lambda_i through the rows of psi_Q.
 
+tau_Q is kept only as a word of simple reflections and rho, built once per
+Q-datum.  The row of i starts at psi_Q(i, xi_i) = (gamma_i, 0); one step
+down in p (p -> p - 2 d_i) applies the word tau_Q^{d_i} to the root
+coordinates, one step up applies the inverse word.  A step that lands on a
+negative root flips its sign and moves m by one.
+
 For an ADE type those rows are the inverse quantum Cartan matrix: the
 coefficient of z^k in its (i, j) entry is the j-th coordinate of
 tau_Q^{e/2} gamma_i, e = k + xi_i - xi_j - 1, so
@@ -26,8 +32,9 @@ from .affine import AffineData, Family, untwisted_partner
 from .roots import (
     FinRootSystem,
     Vec,
+    apply_word_root,
     identity_perm,
-    mat_apply,
+    inverse_word,
     perm_from_map,
     perm_order,
     perm_root,
@@ -58,6 +65,7 @@ class QDatum:
     tau_override: tuple[int, ...] | None = None
     _rows: dict = field(default_factory=dict, repr=False)
     _phi_inv: dict | None = field(default=None, repr=False)
+    _tau: tuple | None = field(default=None, repr=False)  # the word of `tau_q`, built on first use
     # AffineData -> its lattice table (see `qdata.lattice_table`); it lives and
     # dies with this Q-datum, so custom data leave nothing behind on AffineData
     _lattice: dict = field(default_factory=dict, repr=False)
@@ -189,8 +197,11 @@ def _rho_pow(rho: tuple[int, ...], k: int, i: int) -> int:
 def tau_q(q: QDatum) -> tuple:
     """The generalized Coxeter word s_{i_1} ... s_{i_r} rho (rho acts first).
 
-    Ties in the height ordering are broken by ascending node index.
+    Ties in the height ordering are broken by ascending node index.  The word
+    is built on first use and kept on q.
     """
+    if q._tau is not None:
+        return q._tau
     if q.tau_override is not None:
         tops = list(q.tau_override)
         heights = [q.xi[t] for t in tops]
@@ -203,7 +214,8 @@ def tau_q(q: QDatum) -> tuple:
     word: list = list(tops)
     if q.rho != identity_perm(q.rs.rank):
         word.append(q.rho)
-    return tuple(word)
+    q._tau = tuple(word)
+    return q._tau
 
 
 def gamma_q(q: QDatum, i: int) -> Vec:
@@ -251,10 +263,12 @@ def psi_q(q: QDatum, i: int, p: int) -> tuple[Vec, int]:
         sign = -1 if p < min(row) else 1
         cur = min(row) if sign < 0 else max(row)
         beta, m = row[cur]
-        mat = q.rs.word_power(tau_q(q), -sign * q.d[i])
+        word = tau_q(q) * q.d[i]
+        if sign > 0:
+            word = inverse_word(word)
         while cur != p:
             cur += sign * step
-            beta = mat_apply(mat, beta)
+            beta = apply_word_root(q.rs, word, beta)
             if not any(c > 0 for c in beta):
                 beta = tuple(-c for c in beta)
                 m += sign

@@ -97,7 +97,6 @@ class FinRootSystem:
         self.cartan = tuple(tuple(row[1:]) for row in cartan[1:])
         self.positive_roots = self._enumerate_positive_roots()
         self._positive_set = frozenset(self.positive_roots)
-        self._word_powers: dict[tuple[tuple[WordEntry, ...], int], tuple[Vec, ...]] = {}
 
     def __repr__(self) -> str:
         return f"FinRootSystem({self.letter}{self.rank})"
@@ -126,10 +125,12 @@ class FinRootSystem:
         return tuple(simples + rest)
 
     def reflect_root(self, i: int, v: Vec) -> Vec:
-        """Simple reflection s_i on simple-root coordinates."""
-        pairing = sum(self.cartan[i - 1][j] * v[j] for j in range(self.rank))
+        """Simple reflection s_i on simple-root coordinates.
+
+        Simply laced, s_i changes only coordinate i: c_i -> sum_{j~i} c_j - c_i.
+        """
         out = list(v)
-        out[i - 1] -= pairing
+        out[i - 1] = sum(v[j - 1] for j in self.adj[i]) - v[i - 1]
         return tuple(out)
 
     def is_positive_root(self, v: Vec) -> bool:
@@ -186,22 +187,6 @@ class FinRootSystem:
             raise NotInRootLattice(f"{w} is not in the root lattice: C x = w gives x = {sol}")
         return tuple(v // den for v in x)
 
-    def word_power(self, word: tuple[WordEntry, ...], m: int) -> tuple[Vec, ...]:
-        """The rows of w^m on the simple roots (row k is w^m(alpha_{k+1})), cached."""
-        mat = self._word_powers.get((word, m))
-        if mat is None:
-            if m < 0:
-                mat = self.word_power(inverse_word(word), -m)
-            elif m == 0:
-                mat = tuple(self.simple_root(i) for i in range(1, self.rank + 1))
-            elif m == 1:
-                mat = word_matrix(self, word)
-            else:
-                step = self.word_power(word, 1)
-                mat = tuple(mat_apply(step, row) for row in self.word_power(word, m - 1))
-            self._word_powers[(word, m)] = mat
-        return mat
-
 
 def identity_perm(rank: int) -> tuple[int, ...]:
     return tuple(range(rank + 1))
@@ -230,13 +215,19 @@ def perm_root(perm: tuple[int, ...], v: Vec) -> Vec:
 
 
 def apply_word_root(rs: FinRootSystem, word: Iterable[WordEntry], v: Vec) -> Vec:
-    """Apply a word in W_fin x Aut right-to-left (rightmost entry acts first)."""
+    """Apply a word in W_fin x Aut right-to-left (rightmost entry acts first).
+
+    The reflections update one coordinate list in place, by the formula of
+    `FinRootSystem.reflect_root`.
+    """
+    adj = rs.adj
+    out = list(v)
     for entry in reversed(tuple(word)):
         if isinstance(entry, int):
-            v = rs.reflect_root(entry, v)
+            out[entry - 1] = sum(out[j - 1] for j in adj[entry]) - out[entry - 1]
         else:
-            v = perm_root(entry, v)
-    return v
+            out[:] = perm_root(entry, out)
+    return tuple(out)
 
 
 def inverse_word(word: Iterable[WordEntry]) -> tuple[WordEntry, ...]:
@@ -244,27 +235,6 @@ def inverse_word(word: Iterable[WordEntry]) -> tuple[WordEntry, ...]:
     # sorting the nodes by their images inverts a permutation
     return tuple(e if isinstance(e, int) else tuple(sorted(range(len(e)), key=e.__getitem__))
                  for e in reversed(tuple(word)))
-
-
-def word_matrix(rs: FinRootSystem, word: Iterable[WordEntry]) -> tuple[Vec, ...]:
-    """The word's action on root coordinates as column-applied matrix rows.
-
-    Row k of the result is the image of alpha_{k+1}; applying the matrix to
-    a coordinate vector is a plain linear combination of the rows.
-    """
-    return tuple(apply_word_root(rs, word, rs.simple_root(i)) for i in range(1, rs.rank + 1))
-
-
-def mat_apply(mat: tuple[Vec, ...], v: Vec) -> Vec:
-    n = len(v)
-    out = [0] * n
-    for k in range(n):
-        c = v[k]
-        if c:
-            row = mat[k]
-            for j in range(n):
-                out[j] += c * row[j]
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

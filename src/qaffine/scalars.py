@@ -16,6 +16,7 @@ the exponent.  Printing and every user-visible sort go through it.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -146,6 +147,12 @@ _BASES = {
 }
 
 
+# ASCII digits only: `str.isdigit` and `int` also take other Unicode digits
+_INT = re.compile(r"-?[0-9]+")
+# one factor's head; "w2" before "w", and "qs"/"qt" before "q" by greed
+_FACTOR = re.compile(r"z24\^|\(-q[st]?\)|-[1i]|1|i|w2?|q[st]?")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -164,15 +171,11 @@ class _Scanner:
         return False
 
     def int_(self) -> int:
-        start = self.pos
-        if self.take("-"):
-            pass
-        while not self.eof() and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            self.pos = start
+        m = _INT.match(self.text, self.pos)
+        if m is None:
             raise self.fail("expected integer")
-        return int(self.text[start:self.pos])
+        self.pos = m.end()
+        return int(m.group())
 
     def exponent(self) -> tuple[int, int]:
         """The exponent as (num, den) in lowest terms with den > 0."""
@@ -190,19 +193,14 @@ class _Scanner:
         return self.int_(), 1
 
     def factor(self) -> SpectralScalar:
-        if self.take("z24^"):
+        m = _FACTOR.match(self.text, self.pos)
+        if m is None:
+            raise self.fail("expected scalar factor")
+        self.pos = m.end()
+        token = m.group()
+        if token == "z24^":
             return SpectralScalar(self.int_() % 24, 0)
-        for name in ("(-qs)", "(-qt)", "(-q)"):
-            if self.take(name):
-                return self._powered(_BASES[name])
-        for name in ("-1", "-i", "1", "i", "w2", "w"):
-            # atoms; "w2" before "w", "-1"/"-i" before bare digits
-            if self.take(name):
-                return _ATOMS[name]
-        for name in ("qs", "qt", "q"):
-            if self.take(name):
-                return self._powered(_BASES[name])
-        raise self.fail("expected scalar factor")
+        return _ATOMS[token] if token in _ATOMS else self._powered(_BASES[token])
 
     def _powered(self, base: SpectralScalar) -> SpectralScalar:
         if self.take("^"):

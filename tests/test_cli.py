@@ -207,6 +207,17 @@ def test_domain_error(capsys):
     assert run(["denom", "A3-1", "--i", "0", "--j", "1"]) == 1
 
 
+@pytest.mark.parametrize("point, message", [
+    ("1@q^\u00b2", "expected integer (at offset 2)"),
+    ("1@z24^\u00b3", "expected integer (at offset 4)"),
+    ("\u00b2@1", "expected point of the form i@<scalar> (at offset 0)"),
+    ("\u0661@1", "expected point of the form i@<scalar> (at offset 0)"),
+])
+def test_non_ascii_digits_are_a_domain_error(capsys, point, message):
+    assert run(["de", "A2-1", point, "1@1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_malformed_partition_file_is_a_domain_error(tmp_path, capsys):
     path = tmp_path / "weights.jsonl"
     path.write_text('["1@1"]\n["1@1",\n', encoding="utf-8")

@@ -2,8 +2,17 @@ import pytest
 
 from qaffine.acceptance import SWEEP
 from qaffine.affine import build, parse_type_string
-from qaffine.qcartan import ctilde_formula, ctilde_oracle, ctilde_oracle_for, default_qdatum, gamma_q, tau_q
-from qaffine.roots import FinWeight, mat_apply
+from qaffine.qcartan import (
+    ctilde_formula,
+    ctilde_oracle,
+    ctilde_oracle_for,
+    default_qdatum,
+    gamma_q,
+    psi_q,
+    tau_q,
+)
+from qaffine.roots import FinWeight
+from weyl_oracle import mat_power, mat_vec, matrix_order, word_matrix, word_powers
 
 
 def delta(*ks):
@@ -27,6 +36,8 @@ def test_tau_words():
     assert tau_q(ade("A", 5)) == (1, 2, 3, 4, 5)
     assert tau_q(ade("D", 5)) == (1, 2, 3, 4, 5)
     assert tau_q(ade("E", 6)) == (1, 2, 3, 4, 5, 6)
+    q = ade("D", 4)
+    assert tau_q(q) is tau_q(q)  # built once per Q-datum
 
 
 def test_gamma_vectors():
@@ -142,9 +153,11 @@ ADE_ORACLE_TYPES = (
 def test_ctilde_psi_row_matches_matrix_power_oracle(letter, rank):
     # the replaced path: ctilde_{i,j}(k) is the j-th coordinate of tau^{e/2} gamma_i,
     # e = k + xi_i - xi_j - 1, with gamma_i the ancestor set of i and tau^{e/2} a
-    # word power (kept per (i, e), since it does not depend on j)
+    # matrix power (kept per (i, e), since it does not depend on j)
     q = ade(letter, rank)
     h = q.base.hvee
+    spread = max(q.xi.values()) - min(q.xi.values())
+    powers = word_powers(q.rs.cartan, tau_q(q), -spread // 2, h + spread // 2)
     images = {}
     for i in range(1, rank + 1):
         gamma = _ancestor_gamma(q, i)
@@ -155,9 +168,33 @@ def test_ctilde_psi_row_matches_matrix_power_oracle(letter, rank):
                 want = 0
                 if e % 2 == 0:
                     if (i, e) not in images:
-                        images[i, e] = mat_apply(q.rs.word_power(tau_q(q), e // 2), gamma)
+                        images[i, e] = mat_vec(powers[e // 2], gamma)
                     want = images[i, e][j - 1]
                 assert ctilde_formula(q, i, j, k) == want, (i, j, k)
+
+
+@pytest.mark.parametrize("s", [*SWEEP, "A32-1", "D24-1", "B10-1", "C12-1"])
+def test_psi_rows_match_tau_matrix_powers(s):
+    # the replaced path: a step down the row of i multiplies by the matrix of
+    # tau^{d_i}, a step up by that of tau^{-d_i}; a non-positive image flips its
+    # sign and moves m.  Each direction is walked once, over two periods of tau.
+    q = default_qdatum(build(parse_type_string(s)))
+    down = word_matrix(q.rs.cartan, tau_q(q))
+    up = word_matrix(q.rs.cartan, tau_q(q), inverse=True)
+    period = matrix_order(down)
+    for i in range(1, q.rs.rank + 1):
+        reach = -(-2 * period // q.d[i])
+        for sign, tau in ((-1, down), (1, up)):
+            mat = mat_power(tau, q.d[i])
+            beta, m = gamma_q(q, i), 0
+            psi_q(q, i, q.xi[i] + sign * 2 * q.d[i] * reach)
+            for k in range(1, reach + 1):
+                beta = mat_vec(mat, beta)
+                if not any(c > 0 for c in beta):
+                    beta = tuple(-c for c in beta)
+                    m += sign
+                assert q.rs.is_positive_root(beta)
+                assert psi_q(q, i, q.xi[i] + sign * 2 * q.d[i] * k) == (beta, m), (s, i, sign, k)
 
 
 def _weight_walk_gamma(q, i):

@@ -8,13 +8,12 @@ from qaffine.roots import (
     NotInRootLattice,
     apply_word_root,
     graph_distance,
-    mat_apply,
     perm_from_map,
     perm_order,
     perm_root,
     root_system,
-    word_matrix,
 )
+from weyl_oracle import mat_vec, reflection_matrix, word_matrix
 
 
 def test_positive_root_counts():
@@ -51,8 +50,8 @@ def test_reflect_is_involution():
 def test_a3_coxeter_on_alpha1():
     # oracle: multiply the three reflection matrices explicitly
     rs = root_system("A", 3)
-    mats = [word_matrix(rs, (i,)) for i in (1, 2, 3)]
-    expected = mat_apply(mats[0], mat_apply(mats[1], mat_apply(mats[2], (1, 0, 0))))  # s3, s2, s1
+    mats = [reflection_matrix(rs.cartan, i) for i in (1, 2, 3)]
+    expected = mat_vec(mats[0], mat_vec(mats[1], mat_vec(mats[2], (1, 0, 0))))  # s3, s2, s1
     assert apply_word_root(rs, (1, 2, 3), (1, 0, 0)) == expected
     assert expected == (0, 1, 0)  # frozen: the A_n Coxeter element shifts alpha_1 to alpha_2
 
@@ -190,3 +189,21 @@ def test_weight_to_root_matches_gauss_jordan(letter, rank):
             outcomes.add("root")
     # E8 is unimodular, so every weight is a root-lattice point there
     assert outcomes == ({"root"} if (letter, rank) == ("E", 8) else {"root", "error"})
+
+
+@pytest.mark.parametrize("letter,rank", [*ADE_UP_TO_RANK_8, ("D", 32)],
+                         ids=[f"{l}{n}" for l, n in [*ADE_UP_TO_RANK_8, ("D", 32)]])
+def test_reflections_match_cartan_row_matrices(letter, rank):
+    # the replaced path: s_i as the matrix read off Cartan row i, and a word as
+    # the product of its entries' matrices
+    rs = root_system(letter, rank)
+    rng = random.Random(1000 * rank + ord(letter))
+    star = perm_from_map(rank, {i: rs.istar(i) for i in range(1, rank + 1)})
+    for _ in range(10):
+        v = tuple(rng.randint(-3, 3) for _ in range(rank))
+        for i in range(1, rank + 1):
+            assert rs.reflect_root(i, v) == mat_vec(reflection_matrix(rs.cartan, i), v), (i, v)
+        word = [rng.randint(1, rank) for _ in range(rng.randint(1, 2 * rank))]
+        word.insert(rng.randrange(len(word) + 1), star)  # a diagram automorphism, maybe trivial
+        word = tuple(word)
+        assert apply_word_root(rs, word, v) == mat_vec(word_matrix(rs.cartan, word), v), (word, v)

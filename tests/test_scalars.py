@@ -119,6 +119,20 @@ def test_parse_error_has_offset():
         parse_scalar("qs^(1/2)")  # q^(1/4) is outside the domain
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("q^\u00b2", "expected integer", 2),                    # superscript two
+    ("z24^\u00b3", "expected integer", 4),                  # superscript three
+    ("q^(\u0661/2)", "expected integer", 3),                # Arabic-Indic one
+    ("q^(1/\u0662)", "expected integer", 5),
+    ("z24^1\u00b2", "expected '*' between factors", 5),
+])
+def test_parse_takes_ascii_digits_only(text, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
 @given(scalars)
 def test_print_parse_round_trip(a):
     assert parse_scalar(print_scalar(a)) == a

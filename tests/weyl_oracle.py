@@ -1,0 +1,81 @@
+"""Test-only oracle: words in W_fin x Aut as explicit integer matrices.
+
+A simple reflection is the matrix read off its Cartan row, s_i(alpha_c) =
+alpha_c - C_ic alpha_i; a diagram automorphism is a permutation matrix; a
+word is the product of its entries' matrices.  Nothing here calls the
+library's word code.  Matrices act on root-coordinate columns:
+(M v)_r = sum_c M[r][c] v_c.
+"""
+
+from __future__ import annotations
+
+
+def identity(n):
+    return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
+def reflection_matrix(cartan, i):
+    n = len(cartan)
+    return [[int(r == c) - int(r == i - 1) * cartan[i - 1][c] for c in range(n)] for r in range(n)]
+
+
+def perm_matrix(perm):
+    """alpha_c -> alpha_{perm(c)}, perm 1-based with perm[0] unused."""
+    n = len(perm) - 1
+    return [[int(perm[c + 1] == r + 1) for c in range(n)] for r in range(n)]
+
+
+def mat_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def mat_vec(m, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def mat_power(m, k):
+    out = identity(len(m))
+    for _ in range(k):
+        out = mat_mul(out, m)
+    return out
+
+
+def word_matrix(cartan, word, inverse=False):
+    """The matrix of a word (rightmost entry acts first), or of its inverse.
+
+    A reflection matrix is its own inverse and a permutation matrix's inverse
+    is its transpose, so the inverse is the reversed product of those.
+    """
+    factors = []
+    for e in word:
+        if isinstance(e, int):
+            factors.append(reflection_matrix(cartan, e))
+        else:
+            p = perm_matrix(e)
+            factors.append([list(col) for col in zip(*p)] if inverse else p)
+    out = identity(len(cartan))
+    for f in reversed(factors) if inverse else factors:
+        out = mat_mul(out, f)
+    return out
+
+
+def word_powers(cartan, word, lo, hi):
+    """{m: the matrix of word^m} for lo <= m <= hi, with lo <= 0 <= hi."""
+    step, back = word_matrix(cartan, word), word_matrix(cartan, word, inverse=True)
+    out = {0: identity(len(cartan))}
+    for m in range(1, hi + 1):
+        out[m] = mat_mul(out[m - 1], step)
+    for m in range(-1, lo - 1, -1):
+        out[m] = mat_mul(out[m + 1], back)
+    return out
+
+
+def matrix_order(m, cap=1000):
+    """The least t >= 1 with m^t = 1."""
+    one, cur = identity(len(m)), m
+    for t in range(1, cap):
+        if cur == one:
+            return t
+        cur = mat_mul(cur, m)
+    raise AssertionError(f"no order below {cap}")

@@ -5,7 +5,8 @@ Usage: python tools/cli_sweep.py <src-dir> > sweep.txt
 Imports `qaffine` from <src-dir> and runs `cli.run` in this process, in text
 and JSON, over all 33 `acceptance.SWEEP` types: `sigma-q`, `cartan-check`,
 `verify <type>` (timings masked), `denom` on every node pair (and on node
-row 1 of A32-1 and D24-1, near the rank cap), `s-func` on
+row 1 of A32-1 and D24-1, near the rank cap), `sigma-q` and `cartan-check`
+on B10-1, C12-1 and D32-1 (rho-folded and large-rank psi_Q walks), `s-func` on
 every `i@1` and on seeded points, seeded `e-of`, `de`, `lambda`, `lambda-inf`
 and `partition`, `block-label` on seeded weight lists, on every point of
 sigma_Q and its first dual translate, on three of those points each repeated
@@ -107,6 +108,9 @@ def sweep(tmp: Path) -> None:
     for s in ("A32-1", "D24-1"):
         for j in build(parse_type_string(s)).i0:
             call("denom", s, "--i", "1", "--j", str(j))
+    for s in ("B10-1", "C12-1", "D32-1"):
+        call("sigma-q", s)
+        call("cartan-check", s)
     call("cartan-check", "Z9-1")
     call("cartan-check", "A300-1")
     call("s-func", "A3-1", "x@1")
