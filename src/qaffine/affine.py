@@ -10,10 +10,9 @@ materialized.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .roots import FinRootSystem, diagram_adj, graph_distance, root_system
 from .scalars import (
@@ -25,6 +24,7 @@ from .scalars import (
     I_UNIT,
     Q,
     QS,
+    Frozen,
     InvariantViolation,
     QAffineError,
     SpectralScalar,
@@ -71,8 +71,7 @@ def _simply_laced_base(n: int, i: int, dd) -> SpectralScalar:
     return _mq(dd(1, i))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """The facts that define one affine family; everything else is derived.
 
     The type string prints as `<letter><num_scale * n + num_offset>-<twist>`.
@@ -176,12 +175,14 @@ _SPECS: dict[Family, FamilySpec] = {
 }
 
 
-@dataclass(frozen=True)
-class AffineType:
-    family: Family
-    n: int
+class AffineType(Frozen):
+    """One affine family at rank n; an out-of-range rank raises RankOutOfRange."""
 
-    def __post_init__(self):
+    __slots__ = ("family", "n")
+
+    def __init__(self, family: Family, n: int):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
         spec = self.spec
         if spec.fixed and self.n != spec.rank:
             raise RankOutOfRange(f"{self.family.value} has fixed rank {spec.rank}")
@@ -204,6 +205,14 @@ class AffineType:
             return spec.gfin(self.n)
         family, n = spec.partner(self.n)
         return _SPECS[family].gfin(n)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AffineType):
+            return NotImplemented
+        return self.family is other.family and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.n))
 
     def __str__(self) -> str:
         return format_type_string(self)
@@ -238,35 +247,32 @@ def format_type_string(t: AffineType) -> str:
     return f"{spec.letter}{spec.num_scale * t.n + spec.num_offset}-{spec.twist}"
 
 
-@dataclass(eq=False)
 class AffineData:
     """All I_0-level constants of one affine family at one rank.
 
     Instances are shared via `build()` and treated as immutable; the private
-    dicts are append-only memo caches (single-writer initialization).
+    dicts are append-only memo caches (single-writer initialization).  They
+    compare and hash by identity: Q-data key their lattice tables by them.
     """
 
-    type: AffineType
-    i0: tuple[int, ...]
-    m: dict[int, int]
-    pstar: SpectralScalar
-    ptilde: SpectralScalar
-    istar: dict[int, int]
-    gfin: FinRootSystem
-    hvee: int
-    g0_adj: tuple[tuple[int, ...], ...]
-    # stabilizer subgroup of sigma_Z, as reduction data on the scalar's (phase, e):
-    # generator (phase_step, e_step) plus an optional pure-phase generator
-    k0_e_step: int
-    k0_phase_step: int
-    k0_phase_mod: int
-    sigma0_base: dict[int, SpectralScalar]
-    # untwisted, with the family's own Dynkin type as the finite type (A, D, E)
-    simply_laced: bool
-    _denom_cache: dict = field(default_factory=dict, repr=False)
-    # node -> lambda_inf template of that node (see `invariants`)
-    _template_cache: dict = field(default_factory=dict, repr=False)
-    _sfunc_cache: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("type", "i0", "m", "pstar", "ptilde", "istar", "gfin", "hvee", "g0_adj", "k0_e_step",
+                 "k0_phase_step", "k0_phase_mod", "sigma0_base", "simply_laced",
+                 "_denom_cache", "_template_cache", "_sfunc_cache")
+
+    def __init__(self, type: AffineType, i0: tuple[int, ...], m: dict[int, int], pstar: SpectralScalar,
+                 ptilde: SpectralScalar, istar: dict[int, int], gfin: FinRootSystem, hvee: int,
+                 g0_adj: tuple[tuple[int, ...], ...], k0_e_step: int, k0_phase_step: int,
+                 k0_phase_mod: int, sigma0_base: dict[int, SpectralScalar], simply_laced: bool):
+        self.type, self.i0, self.m, self.istar, self.gfin = type, i0, m, istar, gfin
+        self.pstar, self.ptilde, self.hvee, self.g0_adj = pstar, ptilde, hvee, g0_adj
+        # stabilizer subgroup of sigma_Z, as reduction data on the scalar's (phase, e):
+        # generator (phase_step, e_step) plus an optional pure-phase generator
+        self.k0_e_step, self.k0_phase_step, self.k0_phase_mod = k0_e_step, k0_phase_step, k0_phase_mod
+        self.sigma0_base = sigma0_base
+        # untwisted, with the family's own Dynkin type as the finite type (A, D, E)
+        self.simply_laced = simply_laced
+        # memo caches; `_template_cache` maps a node to its lambda_inf template (see `invariants`)
+        self._denom_cache, self._template_cache, self._sfunc_cache = {}, {}, {}
 
     @property
     def family(self) -> Family:

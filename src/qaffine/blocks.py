@@ -24,7 +24,7 @@ terms do not, and a group that still fails raises the same NotInW0 text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .affine import AffineData, component_class
 from .invariants import Key, SigmaFunction, SigmaPoint, _key, e_of, pairing, s_func, sigma_point
@@ -40,8 +40,7 @@ class NotInW0(QAffineError):
     """The function is not an integer combination of the lattice basis."""
 
 
-@dataclass(frozen=True)
-class GramResult:
+class GramResult(NamedTuple):
     type_string: str
     matrix: Matrix
     expected: Matrix
@@ -94,8 +93,7 @@ def _generator_coords(d: AffineData, q: QDatum, p: SigmaPoint) -> tuple[int, ...
     return memo[key]
 
 
-@dataclass(frozen=True)
-class BlockLabel:
+class BlockLabel(NamedTuple):
     """Per-component lattice coordinates; zero components are dropped."""
 
     components: tuple[tuple[str, tuple[int, ...]], ...]

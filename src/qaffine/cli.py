@@ -15,20 +15,12 @@ import time
 from .affine import AffineData, build, parse_type_string
 from .blocks import block_label, gram, partition_blocks
 from .denominators import denominator, denominator_factors
-from .invariants import (
-    SumNotStabilized,
-    de,
-    e_of,
-    lambda_,
-    lambda_inf,
-    parse_sigma_point,
-    s_func,
-)
+from .invariants import de, e_of, lambda_, lambda_inf, parse_sigma_point, s_func
 from .qcartan import default_qdatum
 from .qdata import phi_q_map
 from .scalars import MINUS_ONE, ParseError, QAffineError, order_key, print_scalar
 
-DOMAIN_ERRORS = (QAffineError, SumNotStabilized)
+DOMAIN_ERRORS = (QAffineError,)
 
 
 def _data(args) -> AffineData:

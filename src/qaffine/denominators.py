@@ -8,7 +8,6 @@ d_{j,i} is taken equal to d_{i,j} throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
@@ -21,6 +20,7 @@ from .scalars import (
     Q,
     QS,
     QT,
+    Frozen,
     SpectralScalar,
     nth_roots,
     order_key,
@@ -31,15 +31,14 @@ from .scalars import (
 Factor = tuple[int, SpectralScalar, int]
 
 
-@dataclass(frozen=True)
-class RootMultiset:
+class RootMultiset(Frozen):
     """Monic polynomial prod (z - r), as a finite multiset of roots in printed order."""
 
-    mults: tuple[tuple[SpectralScalar, int], ...]
-    _index: dict[SpectralScalar, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("mults", "_index")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", dict(self.mults))
+    def __init__(self, mults: tuple[tuple[SpectralScalar, int], ...]):
+        object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "_index", dict(mults))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[SpectralScalar, int]]) -> "RootMultiset":
@@ -47,6 +46,14 @@ class RootMultiset:
         for r, m in pairs:
             acc[r] = acc.get(r, 0) + m
         return cls(tuple(sorted(acc.items(), key=lambda rm: order_key(rm[0]))))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RootMultiset):
+            return NotImplemented
+        return self.mults == other.mults
+
+    def __hash__(self) -> int:
+        return hash(self.mults)
 
     def mult(self, x: SpectralScalar) -> int:
         return self._index.get(x, 0)

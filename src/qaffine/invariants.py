@@ -47,13 +47,14 @@ printed order of `scalars.order_key`: the CLI sorts by it before printing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
 
 from .affine import AffineData, canonical_param
 from .denominators import denominator
 from .scalars import (
+    Frozen,
+    InvariantViolation,
     ParseError,
     QAffineError,
     SpectralScalar,
@@ -68,8 +69,8 @@ GUARD_LOW = 5
 GUARD_HIGH = 8
 
 
-class SumNotStabilized(RuntimeError):
-    """A dual-orbit sum had support outside its stabilization window."""
+class SumNotStabilized(InvariantViolation):
+    """A dual-orbit sum had support outside its stabilization window: a library bug."""
 
 
 class DecompositionUnavailable(QAffineError):
@@ -182,8 +183,7 @@ def lambda_(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SigmaFunction:
+class SigmaFunction(Frozen):
     """A Z-valued function on sigma(g), periodic under the ptilde-shift.
 
     `keyed` is the storage: the nonzero values on ptilde-orbit
@@ -196,8 +196,12 @@ class SigmaFunction:
     required by the bilinear pairing and is None for raw functions.
     """
 
-    keyed: tuple[tuple[Key, int], ...]
-    gens: tuple[tuple[SigmaPoint, int], ...] | None = None
+    __slots__ = ("keyed", "gens")
+
+    def __init__(self, keyed: tuple[tuple[Key, int], ...],
+                 gens: tuple[tuple[SigmaPoint, int], ...] | None = None):
+        object.__setattr__(self, "keyed", keyed)
+        object.__setattr__(self, "gens", gens)
 
     @property
     def values(self) -> tuple[tuple[SigmaPoint, int], ...]:

@@ -25,8 +25,8 @@ one of the acceptance checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .affine import AffineData, Family, untwisted_partner
 from .roots import (
@@ -51,26 +51,24 @@ class InvalidQDatum(QAffineError):
     """Height function fails the Q-datum axioms."""
 
 
-@dataclass(eq=False)
 class QDatum:
-    """(Dynkin diagram, automorphism rho, height function xi) for `base`."""
+    """(Dynkin diagram, automorphism rho, height function xi) for `base`; compared by identity."""
 
-    rs: FinRootSystem
-    rho: tuple[int, ...]
-    xi: dict[int, int]
-    base: AffineData
-    non_default: bool = False
-    # an alternative legal reflection ordering (testing hook; the bijection
-    # must not depend on the choice among weakly-decreasing orderings)
-    tau_override: tuple[int, ...] | None = None
-    _rows: dict = field(default_factory=dict, repr=False)
-    _phi_inv: dict | None = field(default=None, repr=False)
-    _tau: tuple | None = field(default=None, repr=False)  # the word of `tau_q`, built on first use
-    # AffineData -> its lattice table (see `qdata.lattice_table`); it lives and
-    # dies with this Q-datum, so custom data leave nothing behind on AffineData
-    _lattice: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("rs", "rho", "xi", "base", "non_default", "tau_override", "_rows", "_phi_inv", "_tau",
+                 "_lattice", "ord_rho", "orbits", "d", "pi", "__weakref__")
 
-    def __post_init__(self):
+    def __init__(self, rs: FinRootSystem, rho: tuple[int, ...], xi: dict[int, int], base: AffineData,
+                 non_default: bool = False, tau_override: tuple[int, ...] | None = None):
+        self.rs, self.rho, self.xi, self.base, self.non_default = rs, rho, xi, base, non_default
+        # an alternative legal reflection ordering (testing hook; the bijection
+        # must not depend on the choice among weakly-decreasing orderings)
+        self.tau_override = tau_override
+        self._rows: dict = {}
+        self._phi_inv: dict | None = None
+        self._tau: tuple | None = None  # the word of `tau_q`, built on first use
+        # AffineData -> its lattice table (see `qdata.lattice_table`); it lives and
+        # dies with this Q-datum, so custom data leave nothing behind on AffineData
+        self._lattice: dict = {}
         self.ord_rho = perm_order(self.rho)
         self.orbits: dict[int, tuple[int, ...]] = {}
         for i in range(1, self.rs.rank + 1):
@@ -321,8 +319,7 @@ def ctilde_formula(q: QDatum, i: int, j: int, k: int) -> int:
     return -beta[j - 1] if m % 2 else beta[j - 1]
 
 
-@dataclass(frozen=True)
-class CTildeTable:
+class CTildeTable(NamedTuple):
     """Coefficients (i, j, k) -> integer of z C(z)^{-1} z^{-1}, k up to `order`."""
 
     rank: int

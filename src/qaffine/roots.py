@@ -8,11 +8,10 @@ matrix; there is no Euclidean embedding anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Vec = tuple[int, ...]
 # a word entry is a node index, or a diagram automorphism given as an
@@ -74,8 +73,7 @@ def graph_distance(adj: Sequence[Sequence[int]], i: int, j: int) -> int:
     raise ValueError(f"nodes {i} and {j} are not connected")
 
 
-@dataclass(frozen=True)
-class FinWeight:
+class FinWeight(NamedTuple):
     """Integer vector in the fundamental-weight basis (1-based)."""
 
     coords: Vec

@@ -30,6 +30,22 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check failed: the code is wrong, not the input."""
 
 
+class Frozen:
+    """Base of the immutable value classes: `__init__` sets each slot through
+    `object.__setattr__`, and the repr shows the public slots."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k[0] != "_")
+        return f"{type(self).__name__}({fields})"
+
+
 class RootOutsideDomain(QAffineError):
     """An n-th root would leave the zeta24 * q^(Z/6) domain."""
 

@@ -352,7 +352,8 @@ def test_custom_qdatum_leaves_nothing_on_affine_data():
     label_with_a_fresh_datum()  # fills d's own s_func and template caches
 
     def footprint():
-        return {k: len(v) if isinstance(v, dict) else v for k, v in vars(d).items()}
+        state = {k: getattr(d, k) for k in type(d).__slots__}  # AffineData has no __dict__
+        return {k: len(v) if isinstance(v, dict) else v for k, v in state.items()}
 
     before = footprint()
     refs = [label_with_a_fresh_datum() for _ in range(20)]

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import qaffine
-from qaffine import cli
+from qaffine import cli, invariants
 from qaffine.cli import run
+from qaffine.invariants import SumNotStabilized
 
 
 def test_cartan_check_g2(capsys):
@@ -234,6 +235,15 @@ def test_internal_error_propagates(monkeypatch):
         run(["de", "A2-1", "1@1", "1@q^2"])
 
 
+def test_internal_guard_failure_propagates(monkeypatch, capsys):
+    # a nonzero term in the guard ring means the window arithmetic is wrong:
+    # a library bug, not bad input, so it must not exit 1 as a domain error
+    monkeypatch.setattr(invariants, "GUARD_LOW", 1)
+    with pytest.raises(SumNotStabilized, match="window boundary"):
+        run(["lambda", "A4-1", "2@1", "2@1"])
+    assert capsys.readouterr().err == ""
+
+
 def test_rank_cap_fails_fast(capsys):
     start = time.perf_counter()
     assert run(["cartan-check", "A300-1"]) == 1
@@ -248,12 +258,25 @@ def test_text_output_is_stable(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_cli_import_leaves_acceptance_unloaded():
-    # only verify and cartan-check --all-ranks need the acceptance suite
+def _loaded_after_cli_import(modules, *flags):
+    """Which of `modules` a fresh interpreter has loaded after `import qaffine.cli`."""
     src = str(Path(qaffine.__file__).parents[1])
+    code = f"import sys, qaffine.cli; print(*[m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, qaffine.cli; print('qaffine.acceptance' in sys.modules)"],
+        [sys.executable, *flags, "-c", code],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False"]
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_acceptance_unloaded():
+    # only verify and cartan-check --all-ranks need the acceptance suite
+    assert _loaded_after_cli_import(["qaffine.acceptance"]) == []
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_cli_import_loads_neither_dataclasses_nor_inspect(flags):
+    # both cost cold start on every qaffine call: dataclasses imports inspect,
+    # which imports ast, dis and tokenize
+    assert _loaded_after_cli_import(["dataclasses", "inspect"], *flags) == []
