@@ -63,9 +63,7 @@ class QDatum:
         # an alternative legal reflection ordering (testing hook; the bijection
         # must not depend on the choice among weakly-decreasing orderings)
         self.tau_override = tau_override
-        self._rows: dict = {}
-        self._phi_inv: dict | None = None
-        self._tau: tuple | None = None  # the word of `tau_q`, built on first use
+        self._rows, self._phi_inv, self._tau = {}, None, None  # `_tau`: the word of `tau_q`, lazy
         # AffineData -> its lattice table (see `qdata.lattice_table`); it lives and
         # dies with this Q-datum, so custom data leave nothing behind on AffineData
         self._lattice: dict = {}

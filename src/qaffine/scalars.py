@@ -32,7 +32,8 @@ class InvariantViolation(RuntimeError):
 
 class Frozen:
     """Base of the immutable value classes: `__init__` sets each slot through
-    `object.__setattr__`, and the repr shows the public slots."""
+    `object.__setattr__`.  Repr, copy and pickle read the public slots, which
+    must be the constructor's arguments in order."""
 
     __slots__ = ()
 
@@ -40,6 +41,9 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return type(self), tuple(getattr(self, k) for k in self.__slots__ if k[0] != "_")
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k[0] != "_")

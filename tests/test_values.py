@@ -2,8 +2,12 @@
 
 Equal values built separately are equal and hash alike; the immutable ones
 refuse assignment and deletion with AttributeError; AffineData and QDatum,
-which carry memo caches, compare and hash by identity.
+which carry memo caches, compare and hash by identity.  The immutable
+slotted classes survive copy, deepcopy and a pickle round-trip.
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -92,6 +96,23 @@ def test_root_multiset_index_is_not_compared():
     assert rebuilt == dmn and hash(rebuilt) == hash(dmn)
     assert [rebuilt.mult(r) for r, _ in dmn] == [m for _, m in dmn]
     assert rebuilt.mult(SpectralScalar(1, 1)) == 0
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_slotted_values_survive_copy_and_pickle(how):
+    d = build(parse_type_string("A3-1"))
+    dmn = denominator(d, 1, 2)
+    values = [parse_type_string("A3-1"), dmn, s_func(d, sigma_point(d, 1, ONE))]
+    clone = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+             "pickle": lambda v: pickle.loads(pickle.dumps(v))}[how]
+    for value in values:
+        other = clone(value)
+        assert type(other) is type(value)
+        assert other == value and hash(other) == hash(value)
+        assert repr(other) == repr(value)
+    rebuilt = clone(dmn)
+    assert [rebuilt.mult(r) for r, _ in dmn] == [m for _, m in dmn]
+    assert build(clone(d.type)) is d
 
 
 def test_affine_type_repr_and_build_cache():

@@ -1,13 +1,13 @@
 """Time the cold start of `import qaffine.cli` from one or more source trees.
 
-Usage: python tools/import_cost.py [--runs N] <src-dir> [<src-dir> ...]
+Usage: python tools/import_cost.py <src-dir> [<src-dir> ...]
 
 Each run starts a fresh interpreter with PYTHONPATH=<src-dir> and times the
 whole process, `python -c "import qaffine.cli"`, from spawn to exit.  Runs go
-one process at a time, alternating between the source trees and a bare
-`python -c pass`, so drift on the machine hits every side alike.  For each
-side it prints the median and quartiles in milliseconds, then, for each tree,
-the modules that the import loads beyond those `python -c pass` already has.
+one process at a time, 30 per side, alternating between the source trees and
+a bare `python -c pass`, so drift on the machine hits every side alike.  For
+each side it prints the median and quartiles in milliseconds, then, for each
+tree, the modules that the import loads beyond those `python -c pass` has.
 To compare two checkouts:
 
     python tools/import_cost.py /path/to/parent/src src
@@ -18,7 +18,6 @@ every run compiles the package from source, and the header says so.
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -26,6 +25,7 @@ from pathlib import Path
 from statistics import quantiles
 from time import perf_counter
 
+RUNS = 30
 IMPORT = "import qaffine.cli"
 NEW_MODULES = (
     "import sys; before = set(sys.modules); import qaffine.cli; "
@@ -54,27 +54,25 @@ def _new_modules(src: str) -> list[str]:
     return out.stdout.split()
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=30, help="fresh interpreters per side (default 30)")
-    parser.add_argument("src", nargs="+", help="a directory that contains the qaffine package")
-    args = parser.parse_args()
-    if args.runs < 4:
-        parser.error("--runs must be at least 4 for quartiles")
-    for src in args.src:
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__, file=sys.stderr)
+        return 2
+    for src in argv:
         if not (Path(src) / "qaffine" / "cli.py").is_file():
-            parser.error(f"{src} holds no qaffine/cli.py")
+            print(f"{src} holds no qaffine/cli.py", file=sys.stderr)
+            return 2
 
     sides: list[tuple[str, str, str | None]] = [("python -c pass", "pass", None)]
-    sides += [(src, IMPORT, str(Path(src).resolve())) for src in args.src]
+    sides += [(src, IMPORT, str(Path(src).resolve())) for src in argv]
     samples: dict[str, list[float]] = {label: [] for label, _, _ in sides}
-    for run in range(args.runs):
+    for run in range(RUNS):
         order = sides if run % 2 == 0 else sides[::-1]
         for label, code, src in order:
             samples[label].append(_time_once(code, src))
 
     pyc = "off (PYTHONDONTWRITEBYTECODE is set)" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
-    print(f"{sys.executable} {sys.version.split()[0]}, {args.runs} runs per side, bytecode cache {pyc}")
+    print(f"{sys.executable} {sys.version.split()[0]}, {RUNS} runs per side, bytecode cache {pyc}")
     print(f"{'side':40s} {'median':>8s} {'q1':>8s} {'q3':>8s}  (ms, whole process)")
     for label, values in samples.items():
         q1, med, q3 = quantiles(values, n=4)
@@ -85,7 +83,8 @@ def main() -> None:
         other = [m for m in loaded if m.split(".")[0] != "qaffine"]
         print(f"\n{label}: {len(loaded)} modules beyond `python -c pass` ({len(own)} qaffine)")
         print("  " + " ".join(other))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
