@@ -257,7 +257,7 @@ class AffineData:
 
     __slots__ = ("type", "i0", "m", "pstar", "ptilde", "istar", "gfin", "hvee", "g0_adj", "k0_e_step",
                  "k0_phase_step", "k0_phase_mod", "sigma0_base", "simply_laced",
-                 "_denom_cache", "_template_cache", "_sfunc_cache")
+                 "_denom_cache", "_template_cache", "_sfunc_cache", "_key_rows")
 
     def __init__(self, type: AffineType, i0: tuple[int, ...], m: dict[int, int], pstar: SpectralScalar,
                  ptilde: SpectralScalar, istar: dict[int, int], gfin: FinRootSystem, hvee: int,
@@ -271,8 +271,9 @@ class AffineData:
         self.sigma0_base = sigma0_base
         # untwisted, with the family's own Dynkin type as the finite type (A, D, E)
         self.simply_laced = simply_laced
-        # memo caches; `_template_cache` maps a node to its lambda_inf template (see `invariants`)
-        self._denom_cache, self._template_cache, self._sfunc_cache = {}, {}, {}
+        # memo caches; `_template_cache` maps a node to its lambda_inf template and its
+        # runs, `_key_rows` holds the shared keys of s-functions (see `invariants`)
+        self._denom_cache, self._template_cache, self._sfunc_cache, self._key_rows = {}, {}, {}, {}
 
     @property
     def family(self) -> Family:

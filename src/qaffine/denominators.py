@@ -8,11 +8,11 @@ d_{j,i} is taken equal to d_{i,j} throughout.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable, Iterator
 
 from .affine import AffineData, Family
-from .qcartan import QDatum, ctilde_formula, default_qdatum
+from .qcartan import ctilde_formula, default_qdatum
 from .scalars import (
     MINUS_ONE,
     MINUS_Q,
@@ -83,14 +83,8 @@ def _neg(x: SpectralScalar) -> SpectralScalar:
     return MINUS_ONE * x
 
 
-@lru_cache(maxsize=None)
-def _ade_qdatum(d: AffineData) -> QDatum:
-    """The default Q-datum of a simply-laced d, shared by all its denominators."""
-    return default_qdatum(d)
-
-
 def _ade_factors(d: AffineData, i: int, j: int) -> list[Factor]:
-    q = _ade_qdatum(d)
+    q = default_qdatum(d)
     out = []
     for k in range(1, d.hvee):
         m = ctilde_formula(q, i, j, k)

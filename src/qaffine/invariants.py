@@ -28,9 +28,9 @@ The template is a signed count of denominator roots (the scatter law):
 summed over all k at once, the even terms D^{2l} put +m at c = x and the
 odd terms put -m at c = x/p*, for x in {r, 1/r} and r a root of
 multiplicity m of d_{i,j} (even) or d_{i,j*} (odd).  Only canonical x
-count (canonical_param(d, jj, x) == x, jj the node of that denominator):
-de only probes canonical parameters, so it never hits the other members
-of x's sigma-class, and counting them overcounts twisted nodes with m > 1.
+count (phase below 24/m_jj, jj the node of that denominator): de only
+probes canonical parameters, so it never hits the other members of x's
+sigma-class, and counting them overcounts twisted nodes with m > 1.
 So the build sums no window and calls no de; the SumNotStabilized guard
 stays in `lambda_`, which still sums a window.  The explicit orbit sum the
 scatter replaced is the tests' oracle.
@@ -43,11 +43,27 @@ the re-expansion check of `blocks.psi_lattice`, equality, hashing and
 keys share one point.  The key order (node, phase, e) is the library order,
 numeric in the q-exponent, so `values` is in that order too.  Users see the
 printed order of `scalars.order_key`: the CLI sorts by it before printing.
+
+`s_func` sorts nothing.  Next to its dict, each template is kept as runs:
+per node j, its entries grouped by phase, each group holding its exponents
+in ascending order with their values.  Translating by z24^phase * q^(e/6)
+adds a constant modulo 24/m_j to every phase and a constant modulo 12 hvee
+to every exponent, so each sorted list is only rotated: the members that
+pass the modulus move to the front, in the same order.  One bisect finds
+the cut, and since each list is stored twice over, the rotated list is one
+slice.  The key tuples are not built per call either: `AffineData._key_rows`
+holds, per (j, phase), the row of keys (j, phase, f) for f in [0, 12 hvee),
+built on first use (at most |I0| * 24 rows) and listed twice so that
+row[f + e] is the reduced key for e in [0, 12 hvee).  Every s-function of d
+shares those tuples, and the result is the sorted `keyed` of the
+translation law exactly (the sort it replaced is the tests' oracle).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, NamedTuple, Union
 
 from .affine import AffineData, canonical_param
@@ -150,22 +166,39 @@ def _point(key: Key) -> SigmaPoint:
     return SigmaPoint(j, SpectralScalar(phase, e))
 
 
+# node j of a template: (j, 24/m_j, its phases, its groups (phase, size, exponents, values))
+Run = tuple[int, int, list[int], list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]]
+
+
+def _scatter(d: AffineData, i: int) -> tuple[dict[Key, int], list[Run]]:
+    """Build node i's template by the scatter law, and its runs; both are kept on d."""
+    ps, pe = d.pstar
+    period = 12 * d.hvee
+    acc: dict[Key, int] = {}
+    for j in d.i0:
+        mod = 24 // d.m[j]
+        for jj, sign, ph, e in ((j, 1, 0, 0), (d.istar[j], -1, ps, pe)):
+            canon = 24 // d.m[jj]  # x is canonical at jj iff its phase is below this
+            for r, m in denominator(d, i, jj):
+                for x in (r, r.inv()):
+                    if x.phase < canon:
+                        key = j, (x.phase - ph) % mod, (x.e - e) % period
+                        acc[key] = acc.get(key, 0) + sign * m
+    table = {k: v for k, v in acc.items() if v}
+    runs: list[Run] = []
+    for j, entries in groupby(sorted(table.items()), key=lambda kv: kv[0][0]):
+        groups = []
+        for ph, group in groupby(entries, key=lambda kv: kv[0][1]):
+            fs, vs = zip(*((f, v) for (_, _, f), v in group))
+            groups.append((ph, len(fs), fs * 2, vs * 2))  # twice over: a rotation is one slice
+        runs.append((j, 24 // d.m[j], [g[0] for g in groups], groups * 2))
+    d._template_cache[i] = table, runs
+    return table, runs
+
+
 def _template(d: AffineData, i: int) -> dict[Key, int]:
     """The nonzero lambda_inf((i, 1), c) by the scatter law, keyed by `_key` of c."""
-    table = d._template_cache.get(i)
-    if table is None:
-        ps, pe = d.pstar
-        acc: dict[Key, int] = {}
-        for j in d.i0:
-            for jj, sign, ph, e in ((j, 1, 0, 0), (d.istar[j], -1, ps, pe)):
-                for r, m in denominator(d, i, jj):
-                    for x in (r, r.inv()):
-                        if canonical_param(d, jj, x) == x:
-                            key = _key(d, j, x.phase - ph, x.e - e)
-                            acc[key] = acc.get(key, 0) + sign * m
-        table = {k: v for k, v in acc.items() if v}
-        d._template_cache[i] = table
-    return table
+    return (d._template_cache.get(i) or _scatter(d, i))[0]
 
 
 def lambda_inf(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
@@ -240,7 +273,22 @@ def s_func(d: AffineData, p: SigmaPoint) -> SigmaFunction:
     if cached is not None:
         return cached
     phase, e = p.param
-    keyed = sorted((_key(d, j, ph + phase, f + e), v) for (j, ph, f), v in _template(d, p.node).items())
+    period = 12 * d.hvee
+    e %= period
+    cut = period - e
+    rows = d._key_rows
+    keyed: list[tuple[Key, int]] = []
+    for j, mod, phases, groups in (d._template_cache.get(p.node) or _scatter(d, p.node))[1]:
+        s = phase % mod
+        k = bisect_left(phases, mod - s)
+        for ph, n, fs, vs in groups[k:k + len(phases)]:
+            ph = (ph + s) % mod
+            row = rows.get(j * 24 + ph)
+            if row is None:
+                # (j, ph, f) for f in [0, period), twice over, so row[f + e] is the reduced key
+                row = rows[j * 24 + ph] = [(j, ph, f) for f in range(period)] * 2
+            t = bisect_left(fs, cut, 0, n)
+            keyed += zip([row[f + e] for f in fs[t:t + n]], vs[t:t + n])
     out = SigmaFunction(keyed=tuple(keyed), gens=((p, 1),))
     d._sfunc_cache[p] = out
     return out

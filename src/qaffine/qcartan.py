@@ -124,8 +124,14 @@ def _default_xi(d: AffineData) -> dict[int, int]:
     return {1: -1, 2: 0, 3: -3, 4: -5}
 
 
+@lru_cache(maxsize=None)
 def default_qdatum(d: AffineData) -> QDatum:
-    """The paper's fixed Q-datum; for twisted d, its untwisted partner's."""
+    """The paper's fixed Q-datum; for twisted d, its untwisted partner's.
+
+    Cached per `AffineData` (bounded by `affine.build`'s own cache), so every
+    caller that passes q=None shares one Q-datum, its psi_Q rows and its
+    lattice table.
+    """
     base = untwisted_partner(d)
     rho_builder = _DEFAULT_RHO.get(base.family)
     rho = rho_builder(base) if rho_builder else identity_perm(base.gfin.rank)

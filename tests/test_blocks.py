@@ -322,13 +322,30 @@ def test_e62_failing_points_keep_their_error_and_dual_pairs_stay_trivial():
 
 def test_ptilde_translates_share_one_memo_entry():
     d = build(parse_type_string("D5-2"))
-    q = default_qdatum(d)
+    q = default_qdatum.__wrapped__(d)  # uncached: a memo no other test has filled
     p = _census(d, q)[7]
     memo = lattice_table(q, d)[1]
     before = len(memo)
     labels = {block_label(d, q, [dual_shift(d, p, 2 * k)]) for k in range(1, 51)}
     assert len(memo) == before + 1
     assert labels == {_block_label_oracle(d, q, [p])}
+
+
+def test_default_qdatum_is_one_cached_datum():
+    d = build(parse_type_string("E7-1"))
+    assert default_qdatum(d) is default_qdatum(d)
+
+
+def test_block_label_without_q_reuses_the_default_lattice_table():
+    d = build.__wrapped__(parse_type_string("E7-1"))  # fresh, so its default Q-datum is too
+    pts = sorted(sigma_q_points(d, default_qdatum(d)))[:5]
+    memo = lattice_table(default_qdatum(d), d)[1]
+    assert not memo
+    first = block_label(d, None, pts)
+    filled = len(memo)
+    assert filled == len(pts)
+    assert block_label(d, None, pts) == first
+    assert len(memo) == filled
 
 
 def test_simple_root_points_are_one_shared_tuple():

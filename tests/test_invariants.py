@@ -303,6 +303,37 @@ def test_s_func_matches_candidate_search():
             assert s_func(d, p).values == _s_func_oracle(d, p), (s, str(p))
 
 
+# The path that runs and key rows replaced: s_func reduced every template
+# entry by `_key` and sorted the translates.
+
+def _sorted_s_func(d, p):
+    phase, e = p.param
+    return tuple(sorted(
+        (invariants._key(d, j, ph + phase, f + e), v)
+        for (j, ph, f), v in invariants._template(d, p.node).items()
+    ))
+
+
+def test_s_func_rotation_matches_the_sorted_path():
+    # raw points, so every one of the 24 phases reaches the rotation (s_func
+    # reads the phase modulo 24/m_j); the exponents span +-3 ptilde periods
+    # and include ones that put a template entry exactly on the 12 hvee wrap
+    rng = random.Random(20261018)
+    for s in SWEEP:
+        d = build(parse_type_string(s))
+        period = 12 * d.hvee
+        sq = sigma_q_points(d, default_qdatum(d))
+        points = sorted(sq | translate_star(d, sq, 1))
+        for i in d.i0:
+            fs = [f for _, _, f in invariants._template(d, i)]
+            for phase in range(24):
+                exps = rng.sample(range(-3 * period, 3 * period + 1), 2)
+                exps.append(period - rng.choice(fs) + period * rng.randrange(-3, 3))
+                points += [SigmaPoint(i, SpectralScalar(phase, e)) for e in exps]
+        for p in points:
+            assert s_func(d, p).keyed == _sorted_s_func(d, p), (s, p)
+
+
 # The point-valued path that int keys replaced: s_func stored one reduced
 # SigmaPoint per template entry, and e_of and the psi_lattice re-expansion
 # summed on SigmaPoint dict keys.

@@ -7,12 +7,14 @@ and JSON, over all 33 `acceptance.SWEEP` types: `sigma-q`, `cartan-check`,
 `verify <type>` (timings masked), `denom` on every node pair (and on node
 row 1 of A32-1 and D24-1, near the rank cap), `sigma-q` and `cartan-check`
 on B10-1, C12-1 and D32-1 (rho-folded and large-rank psi_Q walks), `s-func` on
-every `i@1` and on seeded points, seeded `e-of`, `de`, `lambda`, `lambda-inf`
-and `partition`, `block-label` on seeded weight lists, on every point of
-sigma_Q and its first dual translate, on three of those points each repeated
-over several ptilde periods, and on the pair [p, D p] of every such point of
-E6-2, and error paths.  Each call prints its argv and exit code, then its
-stdout and stderr.  To compare two checkouts:
+every `i@1`, on seeded points, on one point per node whose exponent puts a
+template entry on the 12 hvee wrap, and at all 24 phases of each twisted type,
+seeded `e-of`, `de`, `lambda`, `lambda-inf` and `partition`, `block-label` on
+seeded weight lists, on every point of sigma_Q and its first dual translate,
+on three of those points each repeated over several ptilde periods, and on
+the pair [p, D p] of every such point of E6-2, and error paths.  Each call
+prints its argv and exit code, then its stdout and stderr.  To compare two
+checkouts:
 
     python tools/cli_sweep.py /path/to/parent/src > parent.txt
     python tools/cli_sweep.py src > change.txt
@@ -45,6 +47,7 @@ def sweep(tmp: Path) -> None:
     from qaffine import build, default_qdatum, dual_shift, parse_type_string, sigma_q_points
     from qaffine.acceptance import SWEEP
     from qaffine.cli import run
+    from qaffine.invariants import _template
     from qaffine.qdata import translate_star
 
     def call(*argv: str) -> None:
@@ -103,6 +106,16 @@ def sweep(tmp: Path) -> None:
                 call("block-label", s, "--weights", f"{p},{dual_shift(d, p, 1)}")
         partition(f"{s}.jsonl", s, [json.dumps(m.split(",")) for m in modules])
         partition(f"{s}-census.jsonl", s, [json.dumps([p]) for p in census[::3]])
+        period = 12 * d.hvee
+        for i in d.i0:
+            # an exponent that puts one template entry exactly on the 12 hvee wrap,
+            # so s_func takes both halves of that entry's run
+            keys = sorted(_template(d, i))
+            f = keys[len(keys) // 2][2]
+            call("s-func", s, f"{i}@q^({period - f + period * rng.randint(-3, 2)}/6)")
+        if d.twisted:
+            for k in range(24):
+                call("s-func", s, f"{1 + k % n}@z24^{k}*q^({rng.randint(-60, 60)}/6)")
         call("s-func", s, f"{n + 1}@1")
 
     for s in ("A32-1", "D24-1"):
