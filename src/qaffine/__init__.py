@@ -25,7 +25,6 @@ from .invariants import (
     DecompositionUnavailable,
     SigmaFunction,
     SigmaPoint,
-    SumNotStabilized,
     de,
     dual_shift,
     e_of,
@@ -50,7 +49,7 @@ from .qcartan import (
     tau_q,
     validate_qdatum,
 )
-from .qdata import phi_q, phi_q_map, sigma_q_points, sigma_q_window
+from .qdata import phi_q, phi_q_map, sigma_q_points
 from .roots import FinRootSystem, FinWeight, root_system
 from .scalars import (
     InvariantViolation,

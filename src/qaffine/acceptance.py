@@ -2,7 +2,10 @@
 
 Each criterion returns (ok, detail).  All checks are exact integer or exact
 set comparisons; there are no tolerances anywhere.  The same functions back
-`qaffine verify` and the pytest acceptance module.
+`qaffine verify` and the pytest acceptance module.  The explicit sigma_Q
+windows (criterion 5) and the block-kernel lists (criterion 8) are golden
+data, written out family by family, that the derived tables are checked
+against.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ import time
 from fractions import Fraction
 from typing import Callable
 
-from .affine import Family, build, component_class, parse_type_string
+from .affine import AffineData, Family, build, component_class, parse_type_string, untwisted_partner
 from .blocks import delta0, gram
 from .invariants import (
+    SigmaPoint,
     de,
     dual_shift,
     e_of,
@@ -25,8 +29,8 @@ from .invariants import (
     sigma_point,
 )
 from .qcartan import ctilde_formula, ctilde_oracle_for, default_qdatum, i_q, psi_q
-from .qdata import sigma_q_points, sigma_q_window
-from .scalars import MINUS_Q, MINUS_QT, Q, scalar
+from .qdata import sigma_q_points, twist
+from .scalars import MINUS_ONE, MINUS_Q, MINUS_QS, MINUS_QT, Q, QS, SpectralScalar, scalar
 
 SWEEP = (
     [f"A{n}-1" for n in range(1, 7)]
@@ -113,6 +117,67 @@ def criterion_4_ade_lambda_identity() -> tuple[bool, str]:
                         return False, f"{letter}{rank} fails at ({i},{j},t={t}): {got} != {want}"
                     checked += 1
     return True, f"{checked} evaluations"
+
+
+def _window(lo: int, hi: int, step: int) -> list[int]:
+    """hi, hi - step, ... down to lo inclusive."""
+    k = hi
+    out = []
+    while k >= lo:
+        out.append(k)
+        k -= step
+    return out
+
+
+def _untwisted_sigma_q_raw(d: AffineData) -> list[tuple[int, SpectralScalar]]:
+    """The explicit sigma_Q window lists, family by family."""
+    f, n = d.family, d.n
+    pts: list[tuple[int, SpectralScalar]] = []
+    if f == Family.A1:
+        for i in d.i0:
+            pts += [(i, MINUS_Q ** k) for k in _window(i - 2 * n + 1, -i + 1, 2)]
+    elif f == Family.B1:
+        for i in range(1, n):
+            sign = MINUS_ONE ** (n + i)
+            for k in _window(-2 * n - 2 * i + 3, 2 * n - 2 * i - 1, 2):
+                pts.append((i, sign * QS ** k))
+        pts += [(n, scalar(0, k)) for k in _window(-2 * n + 2, 0, 1)]
+    elif f == Family.C1:
+        for i in d.i0:
+            dd = d.dd(1, i)
+            pts += [(i, MINUS_QS ** k) for k in _window(-dd - 2 * n, -dd, 2)]
+    elif f == Family.D1:
+        for i in d.i0:
+            dd = d.dd(1, i)
+            pts += [(i, MINUS_Q ** k) for k in _window(-dd - 2 * n + 4, -dd, 2)]
+    elif f in (Family.E6_1, Family.E7_1, Family.E8_1):
+        spread = {Family.E6_1: None, Family.E7_1: 16, Family.E8_1: 28}[f]
+        for i in d.i0:
+            dd = d.dd(1, i)
+            if f == Family.E6_1:
+                lo, hi = dd - 14, -dd + 2 * (i == 2)
+            else:
+                hi = -dd + 2 * (i == 2)
+                lo = hi - spread
+            pts += [(i, MINUS_Q ** k) for k in _window(lo, hi, 2)]
+    elif f == Family.F4_1:
+        for i in d.i0:
+            dd = d.dd(i, 3)
+            half = int(i == 3)  # in units of q^(1/2)
+            for k in _window(2 * dd - 20 + half, 2 * dd - 4 + half, 2):
+                pts.append((i, (MINUS_ONE ** i) * QS ** k))
+    elif f == Family.G2_1:
+        for i in d.i0:
+            dd = d.dd(2, i)
+            pts += [(i, MINUS_QT ** k) for k in _window(-dd - 10, -dd, 2)]
+    else:
+        raise ValueError(f"{d} is not untwisted")
+    return pts
+
+
+def sigma_q_window(d: AffineData) -> frozenset[SigmaPoint]:
+    """The explicit sigma_Q description (golden data alongside phi_Q's image)."""
+    return frozenset(sigma_point(d, *twist(d, i, a)) for i, a in _untwisted_sigma_q_raw(untwisted_partner(d)))
 
 
 def criterion_5_phi_golden() -> tuple[bool, str]:

@@ -20,6 +20,7 @@ from .scalars import (
     MINUS_Q,
     MINUS_QS,
     MINUS_QT,
+    OMEGA,
     ONE,
     I_UNIT,
     Q,
@@ -78,6 +79,16 @@ class FamilySpec(NamedTuple):
     An untwisted family names its finite type `gfin(n) = (letter, rank)`; a
     twisted one names its untwisted partner `partner(n) = (family, rank)`
     and shares the partner's finite type.
+
+    An untwisted family also fixes its default Q-datum on that finite type:
+    the automorphism `rho(n)` (moved nodes only) and the height function
+    `xi(n)`, which for A, D and E comes from the diagram instead (see
+    `qcartan.default_qdatum`).  Its labelling epsilon sends the cell (i, p)
+    to the node pi(i), renumbered by `relabel`, and the scalar
+    (-1)^eps_sign(n, pi(i)) eps_base^p.  A twisted family folds its
+    partner's sigma_0 into its own: `fold(n, i) = (node, factor)` sends the
+    point (i, a) to (node, factor * a); an untwisted family's fold is the
+    identity.
     """
 
     letter: str
@@ -92,6 +103,12 @@ class FamilySpec(NamedTuple):
     m: Callable[[int, int], int] = lambda n, i: 1
     gfin: Callable[[int], tuple[str, int]] | None = None
     partner: Callable[[int], tuple["Family", int]] | None = None
+    rho: Callable[[int], dict[int, int]] = lambda n: {}
+    xi: Callable[[int], dict[int, int]] | None = None
+    relabel: dict[int, int] | None = None
+    eps_base: SpectralScalar = MINUS_Q
+    eps_sign: Callable[[int, int], int] = lambda n, i: 0
+    fold: Callable[[int, int], tuple[int, SpectralScalar]] = lambda n, i: (i, ONE)
 
 
 # generators of the stabilizer of sigma_Z, as (e_step, phase_step, phase_mod)
@@ -102,6 +119,9 @@ _K0_MINUS_Q = (6, 12, 0)  # <-q>
 _K0_SIGN_Q2 = (12, 0, 12)  # <-1, q^2>
 _K0_OMEGA_Q2 = (12, 0, 8)  # <omega, q^2>
 
+_E62_FOLD = {1: (1, ONE), 2: (4, I_UNIT), 3: (2, ONE), 4: (3, I_UNIT), 5: (2, MINUS_ONE), 6: (1, MINUS_ONE)}
+_D43_FOLD = {1: (1, ONE), 2: (2, ONE), 3: (1, OMEGA), 4: (1, OMEGA * OMEGA)}
+
 _SPECS: dict[Family, FamilySpec] = {
     Family.A1: FamilySpec(
         "A", 1, 1, lambda n: _mq(n + 1), _K0_Q2, _simply_laced_base,
@@ -111,11 +131,18 @@ _SPECS: dict[Family, FamilySpec] = {
         "B", 1, 2, lambda n: scalar(0, 2 * n - 1), _K0_Q,
         lambda n, i, dd: ONE if i == n else (MINUS_ONE ** (n + i)) * QS,
         gfin=lambda n: ("A", 2 * n - 1),
+        rho=lambda n: {k: 2 * n - k for k in range(1, 2 * n)},
+        xi=lambda n: {i: 2 * n - 2 * i - 1 if i < n else 2 * i - 2 * n - 3 if i > n else 0
+                      for i in range(1, 2 * n)},
+        eps_base=QS, eps_sign=lambda n, i: n + i,
     ),
     Family.C1: FamilySpec(
         "C", 1, 3, lambda n: scalar(0, n + 1), _K0_Q,
         lambda n, i, dd: MINUS_QS ** (i - 1),
         gfin=lambda n: ("D", n + 1),
+        rho=lambda n: {n: n + 1, n + 1: n},
+        xi=lambda n: {i: 1 - i if i <= n else -n - 1 for i in range(1, n + 2)},
+        eps_base=MINUS_QS,
     ),
     Family.D1: FamilySpec(
         "D", 1, 4, lambda n: scalar(0, 2 * n - 2), _K0_Q2, _simply_laced_base,
@@ -137,40 +164,49 @@ _SPECS: dict[Family, FamilySpec] = {
         "F", 1, 4, lambda n: scalar(0, 9), _K0_Q,
         lambda n, i, dd: (MINUS_ONE ** i) * (QS ** (-1 if i == 3 else 0)),
         fixed=True, gfin=lambda n: ("E", 6),
+        rho=lambda n: {1: 6, 6: 1, 3: 5, 5: 3},
+        xi=lambda n: {1: 0, 2: -2, 3: -2, 4: -3, 5: -4, 6: -2},
+        relabel={1: 1, 3: 2, 4: 3, 2: 4}, eps_base=QS, eps_sign=lambda n, i: i,
     ),
     Family.G2_1: FamilySpec(
         "G", 1, 2, lambda n: scalar(0, 4), _K0_QT2,
         lambda n, i, dd: MINUS_QT ** dd(2, i),
         fixed=True, gfin=lambda n: ("D", 4),
+        rho=lambda n: {1: 3, 3: 4, 4: 1},
+        xi=lambda n: {1: -1, 2: 0, 3: -3, 4: -5},
+        eps_base=MINUS_QT,
     ),
     Family.A2_EVEN: FamilySpec(
         "A", 2, 1, lambda n: scalar(12, 2 * n + 1), _K0_MINUS_Q,
         lambda n, i, dd: ONE,
         num_scale=2, partner=lambda n: (Family.A1, 2 * n),
+        fold=lambda n, i: (i, ONE) if i <= n else (2 * n + 1 - i, ONE),
     ),
     Family.A2_ODD: FamilySpec(
         "A", 2, 2, lambda n: scalar(12, 2 * n), _K0_SIGN_Q2,
         lambda n, i, dd: _mq(i + 1),
         num_scale=2, num_offset=-1, m=lambda n, i: 2 if i == n else 1,
         partner=lambda n: (Family.A1, 2 * n - 1),
+        fold=lambda n, i: (i, ONE) if i <= n else (2 * n - i, MINUS_ONE),
     ),
     Family.D2: FamilySpec(
         "D", 2, 3, lambda n: scalar(12 * (n + 1), 2 * n), _K0_SIGN_Q2,
         lambda n, i, dd: _mq(i + 1) if i == n else (I_UNIT ** (n + 1 - i)) * _mq(i + 1),
         num_offset=1, m=lambda n, i: 1 if i == n else 2,
         partner=lambda n: (Family.D1, n + 1),
+        fold=lambda n, i: (i, I_UNIT ** (n + 1 - i)) if i < n else (n, MINUS_ONE ** i),
     ),
     Family.E6_2: FamilySpec(
         "E", 2, 4, lambda n: scalar(12, 12), _K0_SIGN_Q2,
         lambda n, i, dd: Q ** (i + 1) if i in (1, 2) else I_UNIT * _mq(i + 1),
         fixed=True, num_offset=2, m=lambda n, i: 1 if i <= 2 else 2,
-        partner=lambda n: (Family.E6_1, 6),
+        partner=lambda n: (Family.E6_1, 6), fold=lambda n, i: _E62_FOLD[i],
     ),
     Family.D4_3: FamilySpec(
         "D", 3, 2, lambda n: scalar(0, 6), _K0_OMEGA_Q2,
         lambda n, i, dd: ONE if i == 1 else MINUS_Q,
         fixed=True, num_offset=2, m=lambda n, i: 1 if i == 1 else 3,
-        partner=lambda n: (Family.D1, 4),
+        partner=lambda n: (Family.D1, 4), fold=lambda n, i: _D43_FOLD[i],
     ),
 }
 

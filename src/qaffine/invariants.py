@@ -31,18 +31,22 @@ multiplicity m of d_{i,j} (even) or d_{i,j*} (odd).  Only canonical x
 count (phase below 24/m_jj, jj the node of that denominator): de only
 probes canonical parameters, so it never hits the other members of x's
 sigma-class, and counting them overcounts twisted nodes with m > 1.
-So the build sums no window and calls no de; the SumNotStabilized guard
-stays in `lambda_`, which still sums a window.  The explicit orbit sum the
-scatter replaced is the tests' oracle.
+So the build sums no window and calls no de.  `lambda_`, whose signs
+(-1)^{k + delta(k<0)} need k itself, scatters too: a root x of d_{i,j}
+(even k) or d_{i,j*} (odd k) hits D^k (j, b) exactly when x a is the
+canonical parameter of D^k (j, b), whose q-power fixes k.  No window sum
+is left in the library; the explicit orbit sum that both scatters replaced
+is the tests' oracle.
 
 A SigmaFunction stores the same flat keys: `keyed` is its (key, value)
-pairs sorted by key.  `s_func` translates the template into it, and `e_of`,
-the re-expansion check of `blocks.psi_lattice`, equality, hashing and
-`value_at` all work on the keys.  SigmaPoints are built only for output, by
-`SigmaFunction.values`, through a bounded cache on `_point` so that equal
-keys share one point.  The key order (node, phase, e) is the library order,
-numeric in the q-exponent, so `values` is in that order too.  Users see the
-printed order of `scalars.order_key`: the CLI sorts by it before printing.
+pairs sorted by key, with no key twice, so equality and hashing compare
+the tuple itself.  `s_func` translates the template into it, and `e_of`,
+the re-expansion check of `blocks.psi_lattice` and `value_at` all work on
+the keys.  SigmaPoints are built only for output, by `SigmaFunction.values`,
+through a bounded cache on `_point` so that equal keys share one point.  The
+key order (node, phase, e) is the library order, numeric in the q-exponent,
+so `values` is in that order too.  Users see the printed order of
+`scalars.order_key`: the CLI sorts by it before printing.
 
 `s_func` sorts nothing.  Next to its dict, each template is kept as runs:
 per node j, its entries grouped by phase, each group holding its exponents
@@ -70,23 +74,12 @@ from .affine import AffineData, canonical_param
 from .denominators import denominator
 from .scalars import (
     Frozen,
-    InvariantViolation,
     ParseError,
     QAffineError,
     SpectralScalar,
     parse_scalar,
     print_scalar,
 )
-
-# `lambda_` sums the dual orbit on a window centered on the only region that
-# can carry nonzero terms; nonzero de in the guard ring |off| >= GUARD_LOW
-# means the window arithmetic broke and is an error
-GUARD_LOW = 5
-GUARD_HIGH = 8
-
-
-class SumNotStabilized(InvariantViolation):
-    """A dual-orbit sum had support outside its stabilization window: a library bug."""
 
 
 class DecompositionUnavailable(QAffineError):
@@ -128,27 +121,6 @@ def de(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
     ratio = p2.param / p1.param
     dmn = denominator(d, p1.node, p2.node)
     return dmn.mult(ratio) + dmn.mult(ratio.inv())
-
-
-def _orbit_values(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> dict[int, int]:
-    """All nonzero de(p1, D^k p2), keyed by k.
-
-    Nonzero terms force |qexp(ratio) + k hvee| <= 2 hvee, so the window is
-    centered there; anything in the guard ring would mean that bound (and
-    hence the sum) is wrong, so it raises instead of truncating silently.
-    """
-    center = round(-(p2.param / p1.param).e / (6 * d.hvee))
-    values: dict[int, int] = {}
-    for off in range(-GUARD_HIGH, GUARD_HIGH + 1):
-        k = center + off
-        v = de(d, p1, dual_shift(d, p2, k))
-        if v:
-            if abs(off) >= GUARD_LOW:
-                raise SumNotStabilized(
-                    f"de({p1}, D^{k} {p2}) = {v} at the window boundary for {d}"
-                )
-            values[k] = v
-    return values
 
 
 Key = tuple[int, int, int]
@@ -209,10 +181,17 @@ def lambda_inf(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
 
 
 def lambda_(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
-    """The invariant sum_k (-1)^{k + delta(k<0)} de(M, D^k N)."""
+    """The invariant sum_k (-1)^{k + delta(k<0)} de(M, D^k N), by the scatter law (see above)."""
+    d.check_node(p2.node)
+    a, b = p1.param, p2.param
     total = 0
-    for k, v in _orbit_values(d, p1, p2).items():
-        total += (-1) ** (k + (1 if k < 0 else 0)) * v
+    for jj, parity in ((p2.node, 0), (d.istar[p2.node], 1)):
+        for r, m in denominator(d, p1.node, jj):
+            for x in (r, r.inv()):
+                c = x * a
+                k, rest = divmod(c.e - b.e, d.pstar.e)
+                if not rest and k % 2 == parity and canonical_param(d, jj, b * d.pstar ** k) == c:
+                    total += m if (k >= 0) == (k % 2 == 0) else -m
     return total
 
 
@@ -221,8 +200,9 @@ class SigmaFunction(Frozen):
 
     `keyed` is the storage: the nonzero values on ptilde-orbit
     representatives (the function takes the same value on the whole orbit),
-    as (`_key`, value) pairs sorted by key.  Equality, hashing and the
-    arithmetic of `e_of` and `psi_lattice` read it directly.  `values` is
+    as (`_key`, value) pairs sorted by key, each key once; every constructor
+    keeps this, so equal functions have equal tuples.  Equality, hashing and
+    the arithmetic of `e_of` and `psi_lattice` read it directly.  `values` is
     the same function with each key turned into its SigmaPoint, for output;
     those points come from a bounded cache, so equal keys share one point.
     `gens` records how the function was assembled from s-generators; it is
@@ -255,10 +235,10 @@ class SigmaFunction(Frozen):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SigmaFunction):
             return NotImplemented
-        return frozenset(self.keyed) == frozenset(other.keyed)
+        return self.keyed == other.keyed
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.keyed))
+        return hash(self.keyed)
 
     def __neg__(self) -> "SigmaFunction":
         return SigmaFunction(

@@ -3,7 +3,10 @@
 A Q-datum is a Dynkin diagram with an automorphism rho and a height
 function xi.  For an untwisted family it lives on the diagram of the
 associated simply-laced type; the twisted families reuse the Q-datum of
-their untwisted partner.  Its generalized Coxeter element tau_Q walks each
+their untwisted partner.  The default Q-datum is read from the family's
+`affine.FamilySpec` (rho, xi, and the F4 relabelling of the rho-orbits);
+for A, D and E, xi_i = -dd(1, i), raised by 2 at the branch node 2 of E.
+Its generalized Coxeter element tau_Q walks each
 gamma_i = (1 - tau_Q^{d_i}) Lambda_i through the rows of psi_Q.
 
 tau_Q is kept only as a word of simple reflections and rho, built once per
@@ -28,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .affine import AffineData, Family, untwisted_partner
+from .affine import AffineData, untwisted_partner
 from .roots import (
     FinRootSystem,
     Vec,
@@ -54,15 +57,12 @@ class InvalidQDatum(QAffineError):
 class QDatum:
     """(Dynkin diagram, automorphism rho, height function xi) for `base`; compared by identity."""
 
-    __slots__ = ("rs", "rho", "xi", "base", "non_default", "tau_override", "_rows", "_phi_inv", "_tau",
+    __slots__ = ("rs", "rho", "xi", "base", "non_default", "_rows", "_phi_inv", "_tau",
                  "_lattice", "ord_rho", "orbits", "d", "pi", "__weakref__")
 
     def __init__(self, rs: FinRootSystem, rho: tuple[int, ...], xi: dict[int, int], base: AffineData,
-                 non_default: bool = False, tau_override: tuple[int, ...] | None = None):
+                 non_default: bool = False):
         self.rs, self.rho, self.xi, self.base, self.non_default = rs, rho, xi, base, non_default
-        # an alternative legal reflection ordering (testing hook; the bijection
-        # must not depend on the choice among weakly-decreasing orderings)
-        self.tau_override = tau_override
         self._rows, self._phi_inv, self._tau = {}, None, None  # `_tau`: the word of `tau_q`, lazy
         # AffineData -> its lattice table (see `qdata.lattice_table`); it lives and
         # dies with this Q-datum, so custom data leave nothing behind on AffineData
@@ -77,65 +77,27 @@ class QDatum:
                 j = self.rho[j]
             self.orbits[i] = tuple(sorted(orbit))
         self.d = {i: len(o) for i, o in self.orbits.items()}
-        if self.base.family == Family.F4_1:
-            rep = {1: 1, 3: 2, 4: 3, 2: 4}
-            self.pi = {i: rep[min(o)] for i, o in self.orbits.items()}
-        else:
-            self.pi = {i: min(o) for i, o in self.orbits.items()}
+        rep = self.base.type.spec.relabel or {}
+        self.pi = {i: rep.get(min(o), min(o)) for i, o in self.orbits.items()}
 
     def orbit_top(self, i: int) -> int:
         """The orbit member with maximal height (the i-degree node of the orbit)."""
         return max(self.orbits[i], key=lambda j: (self.xi[j], -j))
 
 
-_DEFAULT_RHO = {
-    Family.B1: lambda d: perm_from_map(d.gfin.rank, {k: 2 * d.n - k for k in range(1, 2 * d.n)}),
-    Family.C1: lambda d: perm_from_map(d.gfin.rank, {d.n: d.n + 1, d.n + 1: d.n}),
-    Family.F4_1: lambda d: perm_from_map(6, {1: 6, 6: 1, 3: 5, 5: 3}),
-    Family.G2_1: lambda d: perm_from_map(4, {1: 3, 3: 4, 4: 1}),
-}
-
-
-def _default_xi(d: AffineData) -> dict[int, int]:
-    f, n = d.family, d.n
-    if d.simply_laced:
-        rank = d.gfin.rank
-        if d.gfin.letter == "A":
-            return {i: 1 - i for i in range(1, rank + 1)}
-        if d.gfin.letter == "D":
-            xi = {i: 1 - i for i in range(1, rank - 1)}
-            xi[rank - 1] = xi[rank] = 2 - rank
-            return xi
-        xi = {1: 0, 2: -1}
-        xi.update({k: 2 - k for k in range(3, rank + 1)})
-        return xi
-    if f == Family.B1:
-        xi = {i: 2 * n - 2 * i - 1 for i in range(1, n)}
-        xi[n], xi[n + 1] = 0, -1
-        xi.update({i: 2 * i - 2 * n - 3 for i in range(n + 2, 2 * n)})
-        return xi
-    if f == Family.C1:
-        xi = {i: 1 - i for i in range(1, n + 1)}
-        xi[n + 1] = -n - 1
-        return xi
-    if f == Family.F4_1:
-        return {1: 0, 2: -2, 3: -2, 4: -3, 5: -4, 6: -2}
-    # G2
-    return {1: -1, 2: 0, 3: -3, 4: -5}
-
-
 @lru_cache(maxsize=None)
 def default_qdatum(d: AffineData) -> QDatum:
-    """The paper's fixed Q-datum; for twisted d, its untwisted partner's.
+    """The paper's fixed Q-datum (see the module docstring); for twisted d, its untwisted partner's.
 
     Cached per `AffineData` (bounded by `affine.build`'s own cache), so every
     caller that passes q=None shares one Q-datum, its psi_Q rows and its
     lattice table.
     """
     base = untwisted_partner(d)
-    rho_builder = _DEFAULT_RHO.get(base.family)
-    rho = rho_builder(base) if rho_builder else identity_perm(base.gfin.rank)
-    q = QDatum(rs=base.gfin, rho=rho, xi=_default_xi(base), base=base)
+    spec, rank = base.type.spec, base.gfin.rank
+    xi = spec.xi(base.n) if spec.xi else {
+        i: 2 * (spec.letter == "E" and i == 2) - base.dd(1, i) for i in range(1, rank + 1)}
+    q = QDatum(rs=base.gfin, rho=perm_from_map(rank, spec.rho(base.n)), xi=xi, base=base)
     violations = validate_qdatum(q)
     if violations:
         raise InvariantViolation(f"default Q-datum of {d} is invalid: " + "; ".join(violations))
@@ -204,16 +166,7 @@ def tau_q(q: QDatum) -> tuple:
     """
     if q._tau is not None:
         return q._tau
-    if q.tau_override is not None:
-        tops = list(q.tau_override)
-        heights = [q.xi[t] for t in tops]
-        if heights != sorted(heights, reverse=True):
-            raise InvalidQDatum(f"tau override {q.tau_override} is not weakly decreasing in height")
-        if set(tops) != {q.orbit_top(i) for i in q.orbits}:
-            raise InvalidQDatum(f"tau override {q.tau_override} is not the set of orbit tops")
-    else:
-        tops = sorted({q.orbit_top(i) for i in q.orbits}, key=lambda t: (-q.xi[t], t))
-    word: list = list(tops)
+    word: list = sorted({q.orbit_top(i) for i in q.orbits}, key=lambda t: (-q.xi[t], t))
     if q.rho != identity_perm(q.rs.rank):
         word.append(q.rho)
     q._tau = tuple(word)

@@ -11,7 +11,6 @@ from qaffine import (
     ParseError,
     QAffineError,
     RootOutsideDomain,
-    SumNotStabilized,
     cli,
 )
 from qaffine.acceptance import SWEEP
@@ -271,6 +270,5 @@ def test_domain_errors_share_a_base():
                 InvalidQDatum, NotInHatIQ, DecompositionUnavailable):
         assert issubclass(exc, QAffineError)
     assert not issubclass(InvariantViolation, cli.DOMAIN_ERRORS)
-    assert not issubclass(SumNotStabilized, cli.DOMAIN_ERRORS)
     with pytest.raises(NodeOutOfRange):
         build(parse_type_string("A3-1")).check_node(4)

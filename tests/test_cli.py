@@ -10,7 +10,7 @@ import pytest
 import qaffine
 from qaffine import cli, invariants
 from qaffine.cli import run
-from qaffine.invariants import SumNotStabilized
+from qaffine.scalars import InvariantViolation
 
 
 def test_cartan_check_g2(capsys):
@@ -236,10 +236,13 @@ def test_internal_error_propagates(monkeypatch):
 
 
 def test_internal_guard_failure_propagates(monkeypatch, capsys):
-    # a nonzero term in the guard ring means the window arithmetic is wrong:
-    # a library bug, not bad input, so it must not exit 1 as a domain error
-    monkeypatch.setattr(invariants, "GUARD_LOW", 1)
-    with pytest.raises(SumNotStabilized, match="window boundary"):
+    # a failed internal check is a library bug, not bad input, so it must
+    # not exit 1 as a domain error
+    def broken(*args):
+        raise InvariantViolation("broken denominator table")
+
+    monkeypatch.setattr(invariants, "denominator", broken)
+    with pytest.raises(InvariantViolation, match="broken denominator table"):
         run(["lambda", "A4-1", "2@1", "2@1"])
     assert capsys.readouterr().err == ""
 

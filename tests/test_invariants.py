@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 
 import pytest
 
@@ -12,7 +13,6 @@ from qaffine.invariants import (
     DecompositionUnavailable,
     SigmaFunction,
     SigmaPoint,
-    SumNotStabilized,
     de,
     dual_shift,
     e_of,
@@ -26,7 +26,7 @@ from qaffine.invariants import (
 from qaffine.qcartan import ctilde_formula, default_qdatum
 from qaffine.qdata import sigma_q_points, simple_root_points, translate_star
 from qaffine.roots import FinWeight, NotInRootLattice
-from qaffine.scalars import MINUS_Q, MINUS_QT, ONE, Q, QS, SpectralScalar, scalar
+from qaffine.scalars import MINUS_Q, MINUS_QT, ONE, Q, QS, InvariantViolation, SpectralScalar, scalar
 
 ALL_SMALL = [
     "A1-1", "A4-1", "B2-1", "B3-1", "C3-1", "D4-1", "D5-1",
@@ -115,8 +115,9 @@ def test_lambda_inf_self_is_minus_two():
 def test_lambda_inf_rejects_nodes_outside_i0():
     d = build_type(Family.A1, 3)
     for p1, p2 in ((SigmaPoint(1, ONE), SigmaPoint(4, ONE)), (SigmaPoint(4, ONE), SigmaPoint(1, ONE))):
-        with pytest.raises(NodeOutOfRange):
-            lambda_inf(d, p1, p2)
+        for fn in (lambda_inf, lambda_):
+            with pytest.raises(NodeOutOfRange):
+                fn(d, p1, p2)
 
 
 def test_lambda_inf_a4_example():
@@ -238,9 +239,44 @@ def test_parse_sigma_point():
         parse_sigma_point(d, "x@q")
 
 
+# the window sum of the oracles below is centered on the only region that
+# can carry nonzero terms; nonzero de in the guard ring |off| >= GUARD_LOW
+# means the window arithmetic broke
+GUARD_LOW = 5
+GUARD_HIGH = 8
+
+
+class SumNotStabilized(InvariantViolation):
+    """A dual-orbit sum had support outside its stabilization window."""
+
+
+def _orbit_values(d, p1, p2):
+    """All nonzero de(p1, D^k p2), keyed by k.
+
+    Nonzero terms force |qexp(ratio) + k hvee| <= 2 hvee, so the window is
+    centered there; anything in the guard ring would mean that bound (and
+    hence the sum) is wrong, so it raises instead of truncating silently.
+    """
+    center = round(-(p2.param / p1.param).e / (6 * d.hvee))
+    values = {}
+    for off in range(-GUARD_HIGH, GUARD_HIGH + 1):
+        k = center + off
+        v = de(d, p1, dual_shift(d, p2, k))
+        if v:
+            if abs(off) >= GUARD_LOW:
+                raise SumNotStabilized(f"de({p1}, D^{k} {p2}) = {v} at the window boundary for {d}")
+            values[k] = v
+    return values
+
+
 def lambda_inf_oracle(d, p1, p2):
     """Oracle: the alternating dual-orbit sum sum_k (-1)^k de(M, D^k N), term by term."""
-    return sum(v if k % 2 == 0 else -v for k, v in invariants._orbit_values(d, p1, p2).items())
+    return sum(v if k % 2 == 0 else -v for k, v in _orbit_values(d, p1, p2).items())
+
+
+def lambda_oracle(d, p1, p2):
+    """Oracle: sum_k (-1)^{k + delta(k<0)} de(M, D^k N), term by term."""
+    return sum(v if (k % 2 == 0) == (k >= 0) else -v for k, v in _orbit_values(d, p1, p2).items())
 
 
 def support_candidates(d, p):
@@ -285,6 +321,30 @@ def test_lambda_inf_matches_oracle():
             assert lambda_inf(d, p1, p2) == want, (s, str(p1), str(p2))
             nonzero += want != 0
     assert nonzero > 310 * len(SWEEP) // 10
+
+
+def test_lambda_matches_oracle():
+    # the scatter of `lambda_` against the explicit window sum it replaces
+    rng = random.Random(20261020)
+    nonzero = 0
+    for s in SWEEP:
+        d = build(parse_type_string(s))
+        for _ in range(150):
+            p1, p2 = _near_pair(rng, d)
+            for a, b in ((p1, p2), (p2, p1)):
+                got, want = lambda_(d, a, b), lambda_oracle(d, a, b)
+                assert type(got) is int and got == want, (s, str(a), str(b))
+                nonzero += want != 0
+    assert nonzero > 300 * len(SWEEP) // 10
+
+
+def test_lambda_is_an_int_where_k_reaches_minus_two():
+    # terms with k <= -2 once made (-1) ** (k + 1) a float
+    d = build(parse_type_string("A5-2"))
+    p1, p2 = parse_sigma_point(d, "3@z24^3*q^-9"), parse_sigma_point(d, "3@z24^3*q^9")
+    assert min(_orbit_values(d, p1, p2)) <= -2
+    got = lambda_(d, p1, p2)
+    assert type(got) is int and got == lambda_oracle(d, p1, p2) == -2
 
 
 def _s_func_oracle(d, p):
@@ -450,14 +510,16 @@ def test_template_counts_only_canonical_denominator_roots():
 
 
 def test_window_guard_still_fires_from_lambda_and_oracle(monkeypatch):
+    # the guard of the oracles' window sum; the library sums no window
     d = build(parse_type_string("A4-1"))
     p = pt(d, 2, ONE)
-    monkeypatch.setattr(invariants, "GUARD_LOW", 1)
+    monkeypatch.setattr(sys.modules[__name__], "GUARD_LOW", 1)
     with pytest.raises(SumNotStabilized):
-        lambda_(d, p, p)
+        lambda_oracle(d, p, p)
     with pytest.raises(SumNotStabilized):
         lambda_inf_oracle(d, p, p)
-    assert lambda_inf(d, p, p) == -2  # the template sums no window
+    assert lambda_(d, p, p) == 0
+    assert lambda_inf(d, p, p) == -2
 
 
 def test_template_build_makes_no_de_call(monkeypatch):

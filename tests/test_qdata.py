@@ -1,13 +1,9 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import qaffine
-from qaffine.affine import Family, build, build_type, in_sigma_z, parse_type_string
+from qaffine.acceptance import SWEEP, sigma_q_window
+from qaffine.affine import Family, build, build_type, in_sigma_z, parse_type_string, untwisted_partner
 from qaffine.invariants import sigma_point
 from qaffine.qcartan import (
     InvalidQDatum,
@@ -22,17 +18,9 @@ from qaffine.qcartan import (
     tau_q,
     validate_qdatum,
 )
-from qaffine.qdata import (
-    esig,
-    phi_q,
-    phi_q_map,
-    sigma_q_points,
-    sigma_q_window,
-    translate_star,
-    twist_dagger,
-    twist_star,
-)
-from qaffine.scalars import I_UNIT, MINUS_ONE, MINUS_Q, MINUS_QS, OMEGA, ONE, Q, QS, scalar
+from qaffine.qdata import esig, phi_q, phi_q_map, sigma_q_points, translate_star, twist
+from qaffine.roots import identity_perm, perm_from_map
+from qaffine.scalars import I_UNIT, MINUS_ONE, MINUS_Q, MINUS_QS, MINUS_QT, OMEGA, ONE, Q, QS, scalar
 
 ALL_CRIT1 = (
     [f"A{n}-1" for n in range(1, 7)]
@@ -155,16 +143,114 @@ def test_esig_bn():
 
 def test_twists():
     d52 = build(parse_type_string("D5-2"))  # n = 4, partner D_5^{(1)}
-    assert twist_star(d52, 2, Q) == (2, I_UNIT ** 3 * Q)
-    assert twist_star(d52, 4, Q) == (4, Q)
-    assert twist_star(d52, 5, Q) == (4, MINUS_ONE * Q)
-    d43 = build(parse_type_string("D4-3"))
-    assert twist_dagger(d43, 3, Q) == (1, OMEGA * Q)
-    assert twist_dagger(d43, 2, Q) == (2, Q)
-    assert twist_dagger(d43, 4, Q) == (1, OMEGA * OMEGA * Q)
+    assert twist(d52, 2, Q) == (2, I_UNIT ** 3 * Q)
+    assert twist(d52, 4, Q) == (4, Q)
+    assert twist(d52, 5, Q) == (4, MINUS_ONE * Q)
+    d43 = build(parse_type_string("D4-3"))  # the dagger map
+    assert twist(d43, 3, Q) == (1, OMEGA * Q)
+    assert twist(d43, 2, Q) == (2, Q)
+    assert twist(d43, 4, Q) == (1, OMEGA * OMEGA * Q)
     e62 = build(parse_type_string("E6-2"))
-    assert twist_star(e62, 2, Q) == (4, I_UNIT * Q)
-    assert twist_star(e62, 6, Q) == (1, MINUS_ONE * Q)
+    assert twist(e62, 2, Q) == (4, I_UNIT * Q)
+    assert twist(e62, 6, Q) == (1, MINUS_ONE * Q)
+
+
+# The per-family chains that `affine._SPECS` replaced, kept as the oracle
+# of the spec table: the default rho and xi, the labelling epsilon and the
+# star/dagger folding maps.
+
+_ORACLE_RHO = {
+    Family.B1: lambda d: perm_from_map(d.gfin.rank, {k: 2 * d.n - k for k in range(1, 2 * d.n)}),
+    Family.C1: lambda d: perm_from_map(d.gfin.rank, {d.n: d.n + 1, d.n + 1: d.n}),
+    Family.F4_1: lambda d: perm_from_map(6, {1: 6, 6: 1, 3: 5, 5: 3}),
+    Family.G2_1: lambda d: perm_from_map(4, {1: 3, 3: 4, 4: 1}),
+}
+
+
+def _oracle_xi(d):
+    f, n = d.family, d.n
+    if d.simply_laced:
+        rank = d.gfin.rank
+        if d.gfin.letter == "A":
+            return {i: 1 - i for i in range(1, rank + 1)}
+        if d.gfin.letter == "D":
+            xi = {i: 1 - i for i in range(1, rank - 1)}
+            xi[rank - 1] = xi[rank] = 2 - rank
+            return xi
+        xi = {1: 0, 2: -1}
+        xi.update({k: 2 - k for k in range(3, rank + 1)})
+        return xi
+    if f == Family.B1:
+        xi = {i: 2 * n - 2 * i - 1 for i in range(1, n)}
+        xi[n], xi[n + 1] = 0, -1
+        xi.update({i: 2 * i - 2 * n - 3 for i in range(n + 2, 2 * n)})
+        return xi
+    if f == Family.C1:
+        xi = {i: 1 - i for i in range(1, n + 1)}
+        xi[n + 1] = -n - 1
+        return xi
+    if f == Family.F4_1:
+        return {1: 0, 2: -2, 3: -2, 4: -3, 5: -4, 6: -2}
+    return {1: -1, 2: 0, 3: -3, 4: -5}  # G2
+
+
+def _oracle_pi(base, q):
+    if base.family == Family.F4_1:
+        rep = {1: 1, 3: 2, 4: 3, 2: 4}
+        return {i: rep[min(o)] for i, o in q.orbits.items()}
+    return {i: min(o) for i, o in q.orbits.items()}
+
+
+def _oracle_esig(base, pi, i, p):
+    fam = base.family
+    if base.simply_laced:
+        return i, MINUS_Q ** p
+    if fam == Family.B1:
+        return pi[i], MINUS_ONE ** (i + base.n) * QS ** p
+    if fam == Family.C1:
+        return pi[i], MINUS_QS ** p
+    if fam == Family.F4_1:
+        return pi[i], MINUS_ONE ** pi[i] * QS ** p
+    return pi[i], MINUS_QT ** p  # G2
+
+
+def _oracle_twist(d, node, a):
+    f, n = d.family, d.n
+    if not d.twisted:  # phi_Q applied no twist
+        return node, a
+    if f in (Family.A2_EVEN, Family.A2_ODD):
+        big = d.gfin.rank
+        if node <= (big + 1) // 2:
+            return node, a
+        return big + 1 - node, MINUS_ONE ** big * a
+    if f == Family.D2:
+        if node <= n - 1:
+            return node, I_UNIT ** (n + 1 - node) * a
+        return n, MINUS_ONE ** node * a
+    if f == Family.E6_2:
+        tgt, mul = {1: (1, ONE), 3: (2, ONE), 5: (2, MINUS_ONE), 6: (1, MINUS_ONE),
+                    4: (3, I_UNIT), 2: (4, I_UNIT)}[node]
+        return tgt, mul * a
+    if node == 2:  # D4-3, the dagger map
+        return 2, a
+    return 1, {1: ONE, 3: OMEGA, 4: OMEGA * OMEGA}[node] * a
+
+
+@pytest.mark.parametrize("s", sorted(set(SWEEP) | {"B10-1", "C12-1", "A9-2", "A10-2", "D9-2"}))
+def test_family_spec_matches_the_chains_it_replaced(s):
+    d = build(parse_type_string(s))
+    base = untwisted_partner(d)
+    q = default_qdatum(d)
+    assert q.rho == _ORACLE_RHO.get(base.family, lambda b: identity_perm(b.gfin.rank))(base)
+    assert q.xi == _oracle_xi(base)
+    pi = _oracle_pi(base, q)
+    assert q.pi == pi
+    for i in range(1, q.rs.rank + 1):
+        for p in range(-40, 41):
+            assert esig(q, i, p) == _oracle_esig(base, pi, i, p), (i, p)
+    a = scalar(5, Fraction(7, 6))
+    for node in range(1, q.rs.rank + 1):
+        assert twist(d, node, a) == _oracle_twist(d, node, a), node
 
 
 def test_phi_golden_a():
@@ -260,8 +346,11 @@ def test_tau_tie_break_invariance():
     # must give the same bijection
     d = build_type(Family.E6_1)
     q1 = default_qdatum(d)
-    q2 = QDatum(rs=q1.rs, rho=q1.rho, xi=q1.xi, base=q1.base, tau_override=(1, 3, 2, 4, 5, 6))
+    q2 = QDatum(rs=q1.rs, rho=q1.rho, xi=q1.xi, base=q1.base)
     assert validate_qdatum(q2) == []
+    q2._tau = alt = (1, 3, 2, 4, 5, 6)
+    assert tau_q(q1) == (1, 2, 3, 4, 5, 6)
+    assert [q1.xi[t] for t in alt] == sorted(q1.xi.values(), reverse=True)  # still weakly decreasing
     assert phi_q_map(q1, d) == phi_q_map(q2, d)
 
 
@@ -286,29 +375,3 @@ def test_psi_window_bijectivity_spot():
                 steps += 1
                 assert steps < 500
         assert len(cells) == 3 * len(q.rs.positive_roots), s
-
-
-_BAD_TAU_OVERRIDE = """
-import sys
-from qaffine.affine import Family, build_type
-from qaffine.qcartan import InvalidQDatum, QDatum, default_qdatum, tau_q
-if not sys.flags.optimize:
-    sys.exit("not run under -O")
-q = default_qdatum(build_type(Family.E6_1))
-# (6, ..., 1) climbs in height; (1, 2, 4) is ordered but misses orbit tops
-for override in ((6, 5, 4, 3, 2, 1), (1, 2, 4)):
-    try:
-        tau_q(QDatum(rs=q.rs, rho=q.rho, xi=q.xi, base=q.base, tau_override=override))
-    except InvalidQDatum as exc:
-        print(type(exc).__name__)
-"""
-
-
-def test_bad_tau_override_raises_under_optimize():
-    src = str(Path(qaffine.__file__).parents[1])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", _BAD_TAU_OVERRIDE],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["InvalidQDatum", "InvalidQDatum"]

@@ -6,7 +6,10 @@ Imports `qaffine` from <src-dir> and runs `cli.run` in this process, in text
 and JSON, over all 33 `acceptance.SWEEP` types: `sigma-q`, `cartan-check`,
 `verify <type>` (timings masked), `denom` on every node pair (and on node
 row 1 of A32-1 and D24-1, near the rank cap), `sigma-q` and `cartan-check`
-on B10-1, C12-1 and D32-1 (rho-folded and large-rank psi_Q walks), `s-func` on
+on B10-1, C12-1 and D32-1 (rho-folded and large-rank psi_Q walks), `sigma-q`
+on A9-2, A10-2 and D9-2 (folds at larger rank), `lambda` from every `i@1` to
+the second and third dual translates of a template point (dual-orbit terms
+at k <= -2), `s-func` on
 every `i@1`, on seeded points, on one point per node whose exponent puts a
 template entry on the 12 hvee wrap, and at all 24 phases of each twisted type,
 seeded `e-of`, `de`, `lambda`, `lambda-inf` and `partition`, `block-label` on
@@ -44,7 +47,9 @@ def _weights(rng: random.Random, n: int) -> str:
 
 
 def sweep(tmp: Path) -> None:
-    from qaffine import build, default_qdatum, dual_shift, parse_type_string, sigma_q_points
+    from qaffine import (
+        SpectralScalar, build, default_qdatum, dual_shift, parse_type_string, sigma_point, sigma_q_points,
+    )
     from qaffine.acceptance import SWEEP
     from qaffine.cli import run
     from qaffine.invariants import _template
@@ -124,6 +129,17 @@ def sweep(tmp: Path) -> None:
     for s in ("B10-1", "C12-1", "D32-1"):
         call("sigma-q", s)
         call("cartan-check", s)
+    for s in ("A9-2", "A10-2", "D9-2"):
+        call("sigma-q", s)
+    for s in SWEEP:
+        d = build(parse_type_string(s))
+        for i in d.i0:
+            # c pairs nonzero with i@1, so D^2 c and D^3 c carry terms at k = -1, -2, -3
+            keys = sorted(_template(d, i))
+            j, phase, e = keys[len(keys) // 3]
+            c = sigma_point(d, j, SpectralScalar(phase, e))
+            for k in (2, 3):
+                call("lambda", s, f"{i}@1", str(dual_shift(d, c, k)))
     call("cartan-check", "Z9-1")
     call("cartan-check", "A300-1")
     call("s-func", "A3-1", "x@1")
