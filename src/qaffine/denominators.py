@@ -189,7 +189,7 @@ _E62_TABLE = Q, {
     (2, 3): [(2, 12, [6, 10, 14, 18, 22], [1, 2, 2, 2, 1])],
     (2, 4): [(2, 12, [8, 12, 16, 20], [1] * 4)],
     (3, 3): [(2, 0, [4, 8, 12, 16, 20, 24], [1, 2, 3, 3, 2, 1])],
-    (3, 4): [(2, 0, [6, 10, 14, 18, 22], [1, 1, 2, 2, 1])],
+    (3, 4): [(2, 0, [6, 10, 14, 18, 22], [1, 1, 2, 1, 1])],
     (4, 4): [(2, 0, [4, 12, 16, 24], [1] * 4)],
 }
 
