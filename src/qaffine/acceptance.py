@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .affine import AffineData, Family, build, component_class, parse_type_string, untwisted_partner
-from .blocks import delta0, gram
+from .blocks import NotInW0, delta0, gram, psi_lattice
 from .invariants import (
     SigmaPoint,
     de,
@@ -351,6 +351,22 @@ def criterion_11_cross_component_orthogonality() -> tuple[bool, str]:
     return True, "50 pairs"
 
 
+def criterion_12_delta0_coordinates() -> tuple[bool, str]:
+    """Every Delta_0 member solves through psi_lattice; the coordinates are +- Delta+ once each."""
+    for s in SWEEP:
+        d = build(parse_type_string(s))
+        q = default_qdatum(d)
+        pos = d.gfin.positive_roots
+        want = set(pos) | {tuple(-c for c in r) for r in pos}
+        try:
+            got = [psi_lattice(d, q, f) for f in delta0(d, q)]
+        except NotInW0 as exc:
+            return False, f"{s}: a Delta_0 member is not in W0: {exc}"
+        if len(got) != len(want) or set(got) != want:
+            return False, f"{s}: Delta_0 coordinates are not the roots of {d.gfin.type_name}"
+    return True, f"{len(SWEEP)} instances"
+
+
 CRITERIA: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("1 main theorem: gram = Cartan for all 14 families", criterion_1_main_theorem),
     ("2 self-pairing 2 and dual-orbit de", criterion_2_self_pairing),
@@ -363,6 +379,7 @@ CRITERIA: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("9 Delta_0 census", criterion_9_delta0_census),
     ("10 de/Lambda algebraic identities", criterion_10_algebraic_identities),
     ("11 cross-component orthogonality", criterion_11_cross_component_orthogonality),
+    ("12 Delta_0 coordinates = the roots of gfin", criterion_12_delta0_coordinates),
 ]
 
 

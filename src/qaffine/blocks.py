@@ -16,10 +16,9 @@ Each n(g) is solved and passed through the re-expansion check of
 `psi_lattice` once, and kept in the Q-datum's lattice table
 (`qdata.lattice_table`) under the `_key` of g; s_g depends on g only
 through that key, so the memo holds at most |I0| * 24 * 12 hvee entries.
-A generator whose own solve fails (NotInW0) is stored as unsolved.  A group
-with an unsolved generator falls back to solving E of the whole group, as
-before: a sum such as s_p + s_{D p} = 0 can lie in the lattice when its
-terms do not, and a group that still fails raises the same NotInW0 text.
+Every generator lies in W0 (criterion 12 of `acceptance` checks the roots
+of Delta_0 against psi_lattice), so a generator that fails its solve is a
+library bug and raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -27,11 +26,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .affine import AffineData, component_class
-from .invariants import Key, SigmaFunction, SigmaPoint, _key, e_of, pairing, s_func, sigma_point
+from .invariants import Key, SigmaFunction, SigmaPoint, _key, pairing, s_func, sigma_point
 from .qcartan import QDatum, default_qdatum
 from .qdata import lattice_table, sigma_q_points, simple_root_points, translate_star
 from .roots import FinWeight, NotInRootLattice
-from .scalars import QAffineError, SpectralScalar, order_key, print_scalar
+from .scalars import InvariantViolation, QAffineError, SpectralScalar, order_key, print_scalar
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -81,26 +80,23 @@ def psi_lattice(d: AffineData, q: QDatum, f: SigmaFunction) -> tuple[int, ...]:
     return coords
 
 
-def _generator_coords(d: AffineData, q: QDatum, p: SigmaPoint) -> tuple[int, ...] | None:
-    """psi_lattice of s_p from q's lattice table, solved on first use; None if not in W0."""
+def _generator_coords(d: AffineData, q: QDatum, p: SigmaPoint) -> tuple[int, ...]:
+    """psi_lattice of s_p from q's lattice table, solved on first use."""
     memo = lattice_table(q, d)[1]
     key = _key(d, p.node, *p.param)
-    if key not in memo:
+    coords = memo.get(key)
+    if coords is None:
         try:
-            memo[key] = psi_lattice(d, q, s_func(d, p))
-        except NotInW0:
-            memo[key] = None
-    return memo[key]
+            coords = memo[key] = psi_lattice(d, q, s_func(d, p))
+        except NotInW0 as exc:
+            raise InvariantViolation(f"generator {p} of {d} is not in W0: {exc}") from exc
+    return coords
 
 
 class BlockLabel(NamedTuple):
     """Per-component lattice coordinates; zero components are dropped."""
 
     components: tuple[tuple[str, tuple[int, ...]], ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.components
 
 
 def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
@@ -110,7 +106,7 @@ def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
     component and pulled back by the translation into sigma_Z (the pairing
     is shift-equivariant, so coordinates are independent of that choice).  The
     coordinates of a group are the sum of its generators' (see the module
-    docstring), or the solve of its E when a generator is unsolved.
+    docstring).
     """
     q = q or default_qdatum(d)
     groups: dict[SpectralScalar, list[SigmaPoint]] = {}
@@ -119,12 +115,7 @@ def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
         groups.setdefault(cls, []).append(sigma_point(d, p.node, p.param / cls))
     components = []
     for cls in sorted(groups, key=order_key):
-        translated = groups[cls]
-        gens = [_generator_coords(d, q, p) for p in translated]
-        if None in gens:
-            coords = psi_lattice(d, q, e_of(d, translated))
-        else:
-            coords = tuple(map(sum, zip(*gens)))
+        coords = tuple(map(sum, zip(*(_generator_coords(d, q, p) for p in groups[cls]))))
         if any(coords):
             components.append((print_scalar(cls), coords))
     return BlockLabel(tuple(components))

@@ -4,11 +4,17 @@ A denominator is stored as the multiset of its roots inside the exact
 scalar domain; z^2- and z^3-factors are expanded into linear roots at
 construction time so zero-order queries are plain multiset lookups.
 d_{j,i} is taken equal to d_{i,j} throughout.
+
+The untwisted A, D, E families and the twisted ones, whose partner is of
+type A, D or E, read their denominators off the inverse quantum Cartan
+matrix of that partner, i.e. off the psi_Q rows of the default Q-datum,
+through the family's fold (see `_folded_factors`).  B, C, F and G keep
+closed formulas and tables.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 from .affine import AffineData, Family
@@ -17,7 +23,6 @@ from .scalars import (
     MINUS_ONE,
     MINUS_Q,
     MINUS_QS,
-    Q,
     QS,
     QT,
     Frozen,
@@ -75,22 +80,43 @@ def _mq(k: int) -> SpectralScalar:
     return MINUS_Q ** k
 
 
-def _mq2(k: int) -> SpectralScalar:
-    return scalar(12 * k, 2 * k)  # (-q^2)^k
-
-
 def _neg(x: SpectralScalar) -> SpectralScalar:
     return MINUS_ONE * x
 
 
-def _ade_factors(d: AffineData, i: int, j: int) -> list[Factor]:
-    q = default_qdatum(d)
-    out = []
-    for k in range(1, d.hvee):
-        m = ctilde_formula(q, i, j, k)
-        if m:
-            out.append((1, _mq(k + 1), m))
+@lru_cache(maxsize=None)
+def _preimages(d: AffineData) -> dict[int, list[tuple[int, SpectralScalar]]]:
+    """node -> [(a, f_a)] over the partner's nodes a with fold(a) = (node, f_a)."""
+    out: dict[int, list[tuple[int, SpectralScalar]]] = {}
+    for a in range(1, default_qdatum(d).rs.rank + 1):
+        node, f = d.type.spec.fold(d.n, a)
+        out.setdefault(node, []).append((a, f))
     return out
+
+
+def _folded_factors(d: AffineData, i: int, j: int) -> list[Factor]:
+    """d_{i,j} folded from the partner's ctilde (the family itself when untwisted).
+
+    With fold(a) = (node, f_a) and m_i <= m_j, fix one preimage i0 of i; every
+    preimage a of j and every k with c = ctilde_{i0,a}(k) != 0 give the factor
+    (z^{m_j} - ((-q)^{k+1} f_a / f_{i0})^{m_j})^c, equal factors merged.  An
+    untwisted fold is the identity, which leaves the ADE factors
+    (z - (-q)^{k+1})^c in the order of k.
+    """
+    q = default_qdatum(d)  # the partner's Q-datum when d is twisted
+    if d.m[i] > d.m[j]:
+        i, j = j, i
+    (i0, f0), deg = _preimages(d)[i][0], d.m[j]
+    out: dict[SpectralScalar, int] = {}
+    for a, f in _preimages(d)[j]:
+        scale = (f / f0) ** deg
+        # ctilde_{i0,a}(k) vanishes unless k + xi_{i0} - xi_a is odd
+        for k in range(1 + (q.xi[i0] - q.xi[a]) % 2, q.base.hvee, 2):
+            c = ctilde_formula(q, i0, a, k)
+            if c:
+                value = _mq(deg * (k + 1)) * scale
+                out[value] = out.get(value, 0) + c
+    return [(deg, value, c) for value, c in out.items()]
 
 
 def _b1_factors(d: AffineData, k: int, l: int) -> list[Factor]:
@@ -118,38 +144,6 @@ def _c1_factors(d: AffineData, k: int, l: int) -> list[Factor]:
     return out
 
 
-def _a2odd_factors(d: AffineData, k: int, l: int) -> list[Factor]:
-    n = d.n
-    out: list[Factor] = []
-    for s in range(1, min(k, l) + 1):
-        out.append((1, _mq(abs(k - l) + 2 * s), 1))
-        out.append((1, _neg(_mq(2 * n - k - l + 2 * s)), 1))
-    return out
-
-
-def _a2even_factors(d: AffineData, k: int, l: int) -> list[Factor]:
-    n = d.n
-    out: list[Factor] = []
-    for s in range(1, min(k, l) + 1):
-        out.append((1, _mq(abs(k - l) + 2 * s), 1))
-        out.append((1, _mq(2 * n + 1 - k - l + 2 * s), 1))
-    return out
-
-
-def _d2_factors(d: AffineData, k: int, l: int) -> list[Factor]:
-    n = d.n
-    if k == n and l == n:
-        return [(1, _neg(_mq2(s)), 1) for s in range(1, n + 1)]
-    if l == n or k == n:
-        k = min(k, l)
-        return [(2, _neg(_mq2(n - k + 2 * s)), 1) for s in range(1, k + 1)]
-    out: list[Factor] = []
-    for s in range(1, min(k, l) + 1):
-        out.append((2, _mq2(abs(k - l) + 2 * s), 1))
-        out.append((2, _mq2(2 * n - k - l + 2 * s), 1))
-    return out
-
-
 # (base, {(i, j): [(deg, z24 phase, exponents, multiplicities)]}): the factors
 # (z^deg - z24^phase base^e)^mult of d_{i,j}
 _G2_TABLE = QT, {
@@ -171,28 +165,6 @@ _F4_TABLE = QS, {
     (4, 4): [(1, 0, [2, 8, 12, 18], [1] * 4)],
 }
 
-_D43_TABLE = Q, {
-    (1, 1): [(1, 0, [2, 6], [1, 1]), (1, 8, [4], [1]), (1, 16, [4], [1])],
-    (1, 2): [(3, 12, [9, 15], [1, 1])],
-    (2, 2): [(3, 0, [6, 12, 18], [1, 2, 1])],
-}
-
-_E62_TABLE = Q, {
-    (1, 1): [(1, 0, [2, 8], [1, 1]), (1, 12, [6, 12], [1, 1])],
-    (1, 2): [(1, 12, [3, 7, 9], [1, 1, 1]), (1, 0, [5, 7, 11], [1, 1, 1])],
-    (1, 3): [(2, 12, [8, 12, 16, 20], [1] * 4)],
-    (1, 4): [(2, 12, [10, 18], [1, 1])],
-    (2, 2): [
-        (1, 0, [2, 4, 6, 8, 10], [1, 1, 1, 2, 1]),
-        (1, 12, [4, 6, 8, 10, 12], [1, 2, 1, 1, 1]),
-    ],
-    (2, 3): [(2, 12, [6, 10, 14, 18, 22], [1, 2, 2, 2, 1])],
-    (2, 4): [(2, 12, [8, 12, 16, 20], [1] * 4)],
-    (3, 3): [(2, 0, [4, 8, 12, 16, 20, 24], [1, 2, 3, 3, 2, 1])],
-    (3, 4): [(2, 0, [6, 10, 14, 18, 22], [1, 1, 2, 1, 1])],
-    (4, 4): [(2, 0, [4, 12, 16, 24], [1] * 4)],
-}
-
 
 def _table_factors(table, d: AffineData, i: int, j: int) -> list[Factor]:
     base, entries = table
@@ -204,16 +176,12 @@ def _table_factors(table, d: AffineData, i: int, j: int) -> list[Factor]:
 
 
 _FAMILY_FACTORS = {
-    **dict.fromkeys((Family.A1, Family.D1, Family.E6_1, Family.E7_1, Family.E8_1), _ade_factors),
+    **dict.fromkeys((Family.A1, Family.D1, Family.E6_1, Family.E7_1, Family.E8_1, Family.A2_EVEN,
+                     Family.A2_ODD, Family.D2, Family.E6_2, Family.D4_3), _folded_factors),
     Family.B1: _b1_factors,
     Family.C1: _c1_factors,
-    Family.A2_ODD: _a2odd_factors,
-    Family.A2_EVEN: _a2even_factors,
-    Family.D2: _d2_factors,
     Family.G2_1: partial(_table_factors, _G2_TABLE),
     Family.F4_1: partial(_table_factors, _F4_TABLE),
-    Family.E6_2: partial(_table_factors, _E62_TABLE),
-    Family.D4_3: partial(_table_factors, _D43_TABLE),
 }
 
 

@@ -50,9 +50,8 @@ def phi_q_map(q: QDatum, d: AffineData) -> dict[Vec, SigmaPoint]:
 def lattice_table(q: QDatum, d: AffineData) -> tuple[tuple[SigmaPoint, ...], dict]:
     """q's lattice table for d: the simple-root points and a generator memo.
 
-    The memo maps the `_key` of a generator to its coordinates (or to the
-    unsolved marker None); `blocks` fills it.  Both parts are built once
-    per (q, d).
+    The memo maps the `_key` of a generator to its coordinates; `blocks`
+    fills it.  Both parts are built once per (q, d).
     """
     table = q._lattice.get(d)
     if table is None:

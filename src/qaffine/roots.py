@@ -134,11 +134,6 @@ class FinRootSystem:
     def is_positive_root(self, v: Vec) -> bool:
         return v in self._positive_set
 
-    def root_inner(self, v: Vec, w: Vec) -> int:
-        """(v, w) for root-coordinate vectors, via the Cartan matrix."""
-        n = self.rank
-        return sum(v[i] * self.cartan[i][j] * w[j] for i in range(n) for j in range(n))
-
     def dd(self, i: int, j: int) -> int:
         return graph_distance(self.adj, i, j)
 
@@ -153,10 +148,6 @@ class FinRootSystem:
         return i
 
     # weight-basis helpers ------------------------------------------------
-
-    def root_to_weight(self, v: Vec) -> FinWeight:
-        n = self.rank
-        return FinWeight(tuple(sum(self.cartan[j][i] * v[i] for i in range(n)) for j in range(n)))
 
     @cached_property
     def _cartan_inverse(self) -> tuple[int, tuple[Vec, ...]]:

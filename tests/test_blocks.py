@@ -27,7 +27,8 @@ from qaffine.qdata import (
     simple_root_points,
     translate_star,
 )
-from qaffine.scalars import MINUS_Q, ONE, Q, QS, order_key, print_scalar, scalar
+from qaffine.scalars import MINUS_Q, ONE, Q, QS, InvariantViolation, order_key, print_scalar, scalar
+from weyl_oracle import root_inner
 
 
 def det(mat):
@@ -139,7 +140,7 @@ def test_block_label_kernel_is_trivial():
     q = default_qdatum(d)
     for t in (ONE, scalar(5, 2)):
         pts = [sigma_point(d, 1, t * Q ** (2 * k)) for k in range(4)]
-        assert block_label(d, q, pts).is_trivial
+        assert block_label(d, q, pts).components == ()
 
 
 def test_block_label_kernel_augmented_equal():
@@ -188,7 +189,7 @@ def test_isometry_on_sampled_root_pairs():
         for _ in range(15):
             b1, b2 = rng.choice(roots), rng.choice(roots)
             got = pairing(d, phi_q(q, d, b1), phi_q(q, d, b2))
-            assert got == d.gfin.root_inner(b1, b2), (s, b1, b2)
+            assert got == root_inner(d.gfin.cartan, b1, b2), (s, b1, b2)
 
 
 def test_psi_lattice_round_trip_random_vectors():
@@ -305,6 +306,18 @@ def test_e62_census_points_solve_and_dual_pairs_stay_trivial():
         assert block_label(d, q, [p]) == _block_label_oracle(d, q, [p]), str(p)
         pair = [p, dual_shift(d, p, 1)]
         assert not block_label(d, q, pair).components and not _block_label_oracle(d, q, pair).components
+
+
+def test_generator_outside_w0_is_an_invariant_violation(monkeypatch):
+    # every generator lies in W0, so a failed solve is a library bug
+    d = build.__wrapped__(parse_type_string("A3-1"))  # fresh, with an empty lattice memo
+
+    def not_in_w0(d, q, f):
+        raise NotInW0("re-expansion of the solved coordinates does not reproduce the function")
+
+    monkeypatch.setattr(blocks, "psi_lattice", not_in_w0)
+    with pytest.raises(InvariantViolation, match="not in W0: re-expansion"):
+        block_label(d, None, [sigma_point(d, 1, ONE)])
 
 
 def test_ptilde_translates_share_one_memo_entry():

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from denominator_oracle import oracle_factors
 from qaffine.affine import Family, build, build_type, parse_type_string
 from qaffine.denominators import denominator, denominator_factors, expand_factors, zero_order
 from qaffine.qcartan import ctilde_formula, default_qdatum
@@ -191,3 +194,43 @@ def test_degrees_against_known_counts():
     for k in a.i0:
         for l in a.i0:
             assert denominator(a, k, l).degree == 2 * min(k, l)
+
+
+# The closed formulas and tables that the fold replaced, kept in
+# tests/denominator_oracle.py: every twisted A/D/E-partnered family at a
+# ladder of ranks, and the untwisted A/D/E SWEEP types, whose factor lists
+# (and so their printed `d_i,j(z) = ...` lines) must not move.
+FOLDED = (
+    [f"A{n}-2" for n in (2, 4, 6, 8, 10, 20)]
+    + [f"A{n}-2" for n in (3, 5, 7, 9, 21, 31)]
+    + [f"D{n}-2" for n in (4, 5, 6, 9, 12, 20, 30)]
+    + ["D4-3", "E6-2"]
+    + [f"A{n}-1" for n in range(1, 7)] + ["D4-1", "D5-1", "D6-1", "E6-1", "E7-1", "E8-1"]
+)
+
+
+@pytest.mark.parametrize("s", FOLDED)
+def test_folded_denominators_match_the_formulas_they_replaced(s):
+    d = build(parse_type_string(s))
+    for i in d.i0:
+        for j in d.i0[i - 1:]:
+            want, got = oracle_factors(d, i, j), denominator_factors(d, i, j)
+            assert denominator(d, i, j) == expand_factors(want), (s, i, j)
+            if d.simply_laced:
+                assert got == want, (s, i, j)
+            # one factor per distinct value, each of degree max(m_i, m_j)
+            assert len({value for _, value, _ in got}) == len(got), (s, i, j)
+            assert {deg for deg, _, _ in got} <= {max(d.m[i], d.m[j])}, (s, i, j)
+
+
+def test_e62_34_is_the_fold_of_e6_24():
+    # E6 nodes 2 and 4 fold onto E6-2 nodes 4 and 3 with the same factor i,
+    # so d_{3,4}(z) = d^{E6}_{2,4}(z) d^{E6}_{2,4}(-z): q^9 is a simple root
+    e6 = build(parse_type_string("E6-1"))
+    roots = {}
+    for r, m in denominator(e6, 2, 4):
+        for x in (r, MINUS_ONE * r):
+            roots[x] = roots.get(x, 0) + m
+    d = build(parse_type_string("E6-2"))
+    assert roots_set(d, 3, 4) == roots
+    assert roots_set(d, 3, 4)[Q ** 9] == 1

@@ -6,7 +6,7 @@ import pytest
 
 from qaffine import invariants
 from qaffine.acceptance import SWEEP
-from qaffine.affine import Family, NodeOutOfRange, build, build_type, parse_type_string
+from qaffine.affine import Family, NodeOutOfRange, build, build_type, parse_type_string, untwisted_partner
 from qaffine.blocks import NotInW0, psi_lattice
 from qaffine.denominators import denominator
 from qaffine.invariants import (
@@ -24,7 +24,7 @@ from qaffine.invariants import (
     sigma_point,
 )
 from qaffine.qcartan import ctilde_formula, default_qdatum
-from qaffine.qdata import sigma_q_points, simple_root_points, translate_star
+from qaffine.qdata import phi_q, sigma_q_points, simple_root_points, translate_star
 from qaffine.roots import FinWeight, NotInRootLattice
 from qaffine.scalars import MINUS_Q, MINUS_QT, ONE, Q, QS, InvariantViolation, SpectralScalar, scalar
 
@@ -536,3 +536,22 @@ def test_template_build_makes_no_de_call(monkeypatch):
         assert lambda_inf(fresh, p, p) == -2
         assert s_func(fresh, p).values == s_func(d, p).values
         monkeypatch.undo()
+
+
+FOLD_TYPES = [s for s in SWEEP if parse_type_string(s).spec.twist > 1] + ["A9-2", "A10-2", "D9-2"]
+
+
+@pytest.mark.parametrize("s", FOLD_TYPES)
+def test_lambda_inf_is_transported_by_the_fold(s):
+    # the fold carries phi_Q of the untwisted partner to phi_Q of the twisted
+    # family, and lambda_inf between phi_Q(b1) and D^k phi_Q(b2) with it
+    d = build(parse_type_string(s))
+    p = untwisted_partner(d)
+    qd, qp = default_qdatum(d), default_qdatum(p)
+    roots = d.gfin.positive_roots
+    for b1 in roots:
+        x, y = phi_q(qd, d, b1), phi_q(qp, p, b1)
+        for b2 in roots:
+            u, v = phi_q(qd, d, b2), phi_q(qp, p, b2)
+            for k in range(-2, 3):
+                assert lambda_inf(d, x, dual_shift(d, u, k)) == lambda_inf(p, y, dual_shift(p, v, k)), (b1, b2, k)

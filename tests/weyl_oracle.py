@@ -79,3 +79,13 @@ def matrix_order(m, cap=1000):
             return t
         cur = mat_mul(cur, m)
     raise AssertionError(f"no order below {cap}")
+
+
+def root_inner(cartan, v, w):
+    """(v, w) = v^T C w for root-coordinate vectors."""
+    return sum(x * y for x, y in zip(v, mat_vec(cartan, w)))
+
+
+def root_to_weight(cartan, v):
+    """The fundamental-weight coordinates C v of a root-coordinate vector."""
+    return mat_vec(cartan, v)
