@@ -106,7 +106,7 @@ def sweep(tmp: Path) -> None:
             # one point over several ptilde periods: one lattice-table entry
             call("block-label", s, "--weights", ",".join(str(dual_shift(d, p, 2 * k)) for k in (0, 1, -1, 3)))
         if s == "E6-2":
-            # s_p + s_{D p} = 0 even where s_p alone fails the re-expansion
+            # s_p + s_{D p} = 0, so each pair has the empty label
             for p in points:
                 call("block-label", s, "--weights", f"{p},{dual_shift(d, p, 1)}")
         partition(f"{s}.jsonl", s, [json.dumps(m.split(",")) for m in modules])
