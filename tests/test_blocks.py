@@ -295,8 +295,8 @@ def test_block_label_matches_the_per_module_solve():
 
 
 def test_e62_census_points_solve_and_dual_pairs_stay_trivial():
-    # the E6-2 points that failed psi_lattice while d_{3,4} carried a
-    # spurious second root at q^9 now solve to +- a positive root of E6
+    # with q^9 a simple root of d_{3,4}, as the fold of d^{E6}_{2,4} gives,
+    # every census point of E6-2 solves to +- a positive root of E6
     d = build(parse_type_string("E6-2"))
     q = default_qdatum(d)
     roots = set(d.gfin.positive_roots)
