@@ -293,7 +293,7 @@ class AffineData:
 
     __slots__ = ("type", "i0", "m", "pstar", "ptilde", "istar", "gfin", "hvee", "g0_adj", "k0_e_step",
                  "k0_phase_step", "k0_phase_mod", "sigma0_base", "simply_laced",
-                 "_denom_cache", "_template_cache", "_sfunc_cache", "_key_rows")
+                 "_denom_cache", "_template_cache", "_sfunc_cache")
 
     def __init__(self, type: AffineType, i0: tuple[int, ...], m: dict[int, int], pstar: SpectralScalar,
                  ptilde: SpectralScalar, istar: dict[int, int], gfin: FinRootSystem, hvee: int,
@@ -307,9 +307,9 @@ class AffineData:
         self.sigma0_base = sigma0_base
         # untwisted, with the family's own Dynkin type as the finite type (A, D, E)
         self.simply_laced = simply_laced
-        # memo caches; `_template_cache` maps a node to its lambda_inf template and its
-        # runs, `_key_rows` holds the shared keys of s-functions (see `invariants`)
-        self._denom_cache, self._template_cache, self._sfunc_cache, self._key_rows = {}, {}, {}, {}
+        # memo caches; `_template_cache` maps a node to its lambda_inf template, keyed by
+        # int `_key`s, and its runs, from which `s_func` slices its keys (see `invariants`)
+        self._denom_cache, self._template_cache, self._sfunc_cache = {}, {}, {}
 
     @property
     def family(self) -> Family:

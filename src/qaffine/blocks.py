@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .affine import AffineData, component_class
-from .invariants import Key, SigmaFunction, SigmaPoint, _key, pairing, s_func, sigma_point
+from .invariants import SigmaFunction, SigmaPoint, _key, pairing, s_func, sigma_point
 from .qcartan import QDatum, default_qdatum
 from .qdata import lattice_table, sigma_q_points, simple_root_points, translate_star
 from .roots import FinWeight, NotInRootLattice
@@ -70,12 +70,13 @@ def psi_lattice(d: AffineData, q: QDatum, f: SigmaFunction) -> tuple[int, ...]:
         coords = d.gfin.weight_to_root(FinWeight(tuple(pairing(d, p, f) for p in pts)))
     except NotInRootLattice as exc:
         raise NotInW0(f"coordinate solve is non-integral: {exc}") from exc
-    check: dict[Key, int] = {}
+    check: dict[int, int] = {}
     for p, c in zip(pts, coords):
         if c:
-            for k, v in s_func(d, p).keyed:
+            g = s_func(d, p)
+            for k, v in zip(g.keys, g.vals):
                 check[k] = check.get(k, 0) + c * v
-    if {k: v for k, v in check.items() if v} != dict(f.keyed):
+    if {k: v for k, v in check.items() if v} != dict(zip(f.keys, f.vals)):
         raise NotInW0("re-expansion of the solved coordinates does not reproduce the function")
     return coords
 

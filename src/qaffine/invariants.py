@@ -21,8 +21,10 @@ depends on b/a alone, so the dual-orbit sum obeys the translation law
 and by the periodicity above only b/a modulo ptilde matters (its phase
 only modulo 24/m_j, the sigma-equivalence at j).  The template of node i
 holds the nonzero lambda_inf((i, 1), c) over ptilde-representatives c,
-keyed by the flat int tuple (j, phase mod 24/m_j, e mod 12*hvee) for
-c = z24^phase * q^(e/6).
+keyed by the int `_key` of c = z24^phase * q^(e/6) at node j, the bit
+fields ((j << 5 | phase) << 16) + e of phase mod 24/m_j and e mod 12*hvee;
+`_point` decodes it.  The phase is below 2^5 and e below 2^16 (12*hvee is
+at most 1,512 at the rank cap), so int order is (node, phase, e) order.
 
 The template is a signed count of denominator roots (the scatter law):
 summed over all k at once, the even terms D^{2l} put +m at c = x and the
@@ -38,9 +40,9 @@ canonical parameter of D^k (j, b), whose q-power fixes k.  No window sum
 is left in the library; the explicit orbit sum that both scatters replaced
 is the tests' oracle.
 
-A SigmaFunction stores the same flat keys: `keyed` is its (key, value)
-pairs sorted by key, with no key twice, so equality and hashing compare
-the tuple itself.  `s_func` translates the template into it, and `e_of`,
+A SigmaFunction stores the same int keys: `keys` ascending with no key
+twice, and `vals` the value at each.  `s_func` translates the template
+into them, and `e_of`,
 the re-expansion check of `blocks.psi_lattice` and `value_at` all work on
 the keys.  SigmaPoints are built only for output, by `SigmaFunction.values`,
 through a bounded cache on `_point` so that equal keys share one point.  The
@@ -48,18 +50,16 @@ key order (node, phase, e) is the library order, numeric in the q-exponent,
 so `values` is in that order too.  Users see the printed order of
 `scalars.order_key`: the CLI sorts by it before printing.
 
-`s_func` sorts nothing.  Next to its dict, each template is kept as runs:
-per node j, its entries grouped by phase, each group holding its exponents
-in ascending order with their values.  Translating by z24^phase * q^(e/6)
-adds a constant modulo 24/m_j to every phase and a constant modulo 12 hvee
-to every exponent, so each sorted list is only rotated: the members that
-pass the modulus move to the front, in the same order.  One bisect finds
-the cut, and since each list is stored twice over, the rotated list is one
-slice.  The key tuples are not built per call either: `AffineData._key_rows`
-holds, per (j, phase), the row of keys (j, phase, f) for f in [0, 12 hvee),
-built on first use (at most |I0| * 24 rows) and listed twice so that
-row[f + e] is the reduced key for e in [0, 12 hvee).  Every s-function of d
-shares those tuples, and the result is the sorted `keyed` of the
+`s_func` sorts nothing and builds no tuple per entry.  Next to its dict,
+each template is kept as runs: per node j, its entries grouped by phase,
+each group holding its exponents in ascending order with their values.
+Translating by z24^phase * q^(e/6) adds a constant modulo 24/m_j to every
+phase and a constant modulo 12 hvee to every exponent, so each sorted list
+is only rotated: the members that pass the modulus move to the front, in
+the same order.  Each group lists its exponents twice, first as f - 12 hvee
+and then as f, and its values twice, so the rotated group is one slice
+found by one bisect, and its keys are that slice plus one constant (the
+node and phase fields and e).  The result is the sorted keys of the
 translation law exactly (the sort it replaced is the tests' oracle).
 """
 
@@ -123,52 +123,48 @@ def de(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
     return dmn.mult(ratio) + dmn.mult(ratio.inv())
 
 
-Key = tuple[int, int, int]
-
-
-def _key(d: AffineData, j: int, phase: int, e: int) -> Key:
+def _key(d: AffineData, j: int, phase: int, e: int) -> int:
     """Template key of (j, z24^phase * q^(e/6)), reduced mod sigma-equivalence and ptilde."""
-    return j, phase % (24 // d.m[j]), e % (12 * d.hvee)
+    return ((j << 5 | phase % (24 // d.m[j])) << 16) + e % (12 * d.hvee)
 
 
 @lru_cache(maxsize=1 << 16)
-def _point(key: Key) -> SigmaPoint:
+def _point(key: int) -> SigmaPoint:
     """The point of a key; cached so that equal keys share one SigmaPoint."""
-    j, phase, e = key
-    return SigmaPoint(j, SpectralScalar(phase, e))
+    return SigmaPoint(key >> 21, SpectralScalar(key >> 16 & 31, key & 0xFFFF))
 
 
 # node j of a template: (j, 24/m_j, its phases, its groups (phase, size, exponents, values))
 Run = tuple[int, int, list[int], list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]]
 
 
-def _scatter(d: AffineData, i: int) -> tuple[dict[Key, int], list[Run]]:
+def _scatter(d: AffineData, i: int) -> tuple[dict[int, int], list[Run]]:
     """Build node i's template by the scatter law, and its runs; both are kept on d."""
     ps, pe = d.pstar
     period = 12 * d.hvee
-    acc: dict[Key, int] = {}
+    acc: dict[int, int] = {}
     for j in d.i0:
-        mod = 24 // d.m[j]
         for jj, sign, ph, e in ((j, 1, 0, 0), (d.istar[j], -1, ps, pe)):
             canon = 24 // d.m[jj]  # x is canonical at jj iff its phase is below this
             for r, m in denominator(d, i, jj):
                 for x in (r, r.inv()):
                     if x.phase < canon:
-                        key = j, (x.phase - ph) % mod, (x.e - e) % period
+                        key = _key(d, j, x.phase - ph, x.e - e)
                         acc[key] = acc.get(key, 0) + sign * m
     table = {k: v for k, v in acc.items() if v}
     runs: list[Run] = []
-    for j, entries in groupby(sorted(table.items()), key=lambda kv: kv[0][0]):
+    for j, entries in groupby(sorted(table.items()), key=lambda kv: kv[0] >> 21):
         groups = []
-        for ph, group in groupby(entries, key=lambda kv: kv[0][1]):
-            fs, vs = zip(*((f, v) for (_, _, f), v in group))
-            groups.append((ph, len(fs), fs * 2, vs * 2))  # twice over: a rotation is one slice
+        for ph, group in groupby(entries, key=lambda kv: kv[0] >> 16 & 31):
+            fs, vs = zip(*((k & 0xFFFF, v) for k, v in group))
+            # twice over, the first copy shifted down a period: a rotation is one slice
+            groups.append((ph, len(fs), tuple(f - period for f in fs) + fs, vs * 2))
         runs.append((j, 24 // d.m[j], [g[0] for g in groups], groups * 2))
     d._template_cache[i] = table, runs
     return table, runs
 
 
-def _template(d: AffineData, i: int) -> dict[Key, int]:
+def _template(d: AffineData, i: int) -> dict[int, int]:
     """The nonzero lambda_inf((i, 1), c) by the scatter law, keyed by `_key` of c."""
     return (d._template_cache.get(i) or _scatter(d, i))[0]
 
@@ -198,53 +194,58 @@ def lambda_(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
 class SigmaFunction(Frozen):
     """A Z-valued function on sigma(g), periodic under the ptilde-shift.
 
-    `keyed` is the storage: the nonzero values on ptilde-orbit
-    representatives (the function takes the same value on the whole orbit),
-    as (`_key`, value) pairs sorted by key, each key once; every constructor
-    keeps this, so equal functions have equal tuples.  Equality, hashing and
-    the arithmetic of `e_of` and `psi_lattice` read it directly.  `values` is
-    the same function with each key turned into its SigmaPoint, for output;
-    those points come from a bounded cache, so equal keys share one point.
-    `gens` records how the function was assembled from s-generators; it is
-    required by the bilinear pairing and is None for raw functions.
+    The storage is two flat tuples over the ptilde-orbit representatives
+    where the function is nonzero (it is constant on each orbit): `keys`,
+    their `_key`s ascending, each once, and `vals`, the value at each.
+    Every constructor keeps this, so equal functions have equal tuples, and
+    equality and hashing read them.  `keyed` pairs them up on demand, for
+    tests and tools; it is never stored.  `values` is the same function with
+    each key turned into its (cached) SigmaPoint, for output.  `gens`
+    records how the function was assembled from s-generators; the bilinear
+    pairing requires it, and it is None for raw functions.
     """
 
-    __slots__ = ("keyed", "gens")
+    __slots__ = ("keys", "vals", "gens")
 
-    def __init__(self, keyed: tuple[tuple[Key, int], ...],
+    def __init__(self, keys: tuple[int, ...], vals: tuple[int, ...],
                  gens: tuple[tuple[SigmaPoint, int], ...] | None = None):
-        object.__setattr__(self, "keyed", keyed)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "vals", vals)
         object.__setattr__(self, "gens", gens)
 
     @property
+    def keyed(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.keys, self.vals))
+
+    @property
     def values(self) -> tuple[tuple[SigmaPoint, int], ...]:
-        return tuple((_point(k), v) for k, v in self.keyed)
+        return tuple(zip(map(_point, self.keys), self.vals))
 
     @property
     def support(self) -> tuple[SigmaPoint, ...]:
-        return tuple(_point(k) for k, _ in self.keyed)
+        return tuple(map(_point, self.keys))
 
     @property
     def is_zero(self) -> bool:
-        return not self.keyed
+        return not self.keys
 
     def value_at(self, d: AffineData, node: int, param: SpectralScalar) -> int:
         d.check_node(node)
-        return dict(self.keyed).get(_key(d, node, *param), 0)
+        key = _key(d, node, *param)
+        t = bisect_left(self.keys, key)
+        return self.vals[t] if t < len(self.keys) and self.keys[t] == key else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SigmaFunction):
             return NotImplemented
-        return self.keyed == other.keyed
+        return self.keys == other.keys and self.vals == other.vals
 
     def __hash__(self) -> int:
-        return hash(self.keyed)
+        return hash((self.keys, self.vals))
 
     def __neg__(self) -> "SigmaFunction":
-        return SigmaFunction(
-            tuple((k, -v) for k, v in self.keyed),
-            None if self.gens is None else tuple((p, -c) for p, c in self.gens),
-        )
+        gens = None if self.gens is None else tuple((p, -c) for p, c in self.gens)
+        return SigmaFunction(self.keys, tuple(-v for v in self.vals), gens)
 
 
 def s_func(d: AffineData, p: SigmaPoint) -> SigmaFunction:
@@ -253,23 +254,18 @@ def s_func(d: AffineData, p: SigmaPoint) -> SigmaFunction:
     if cached is not None:
         return cached
     phase, e = p.param
-    period = 12 * d.hvee
-    e %= period
-    cut = period - e
-    rows = d._key_rows
-    keyed: list[tuple[Key, int]] = []
+    e %= 12 * d.hvee
+    keys: list[int] = []
+    vals: list[int] = []
     for j, mod, phases, groups in (d._template_cache.get(p.node) or _scatter(d, p.node))[1]:
         s = phase % mod
         k = bisect_left(phases, mod - s)
         for ph, n, fs, vs in groups[k:k + len(phases)]:
-            ph = (ph + s) % mod
-            row = rows.get(j * 24 + ph)
-            if row is None:
-                # (j, ph, f) for f in [0, period), twice over, so row[f + e] is the reduced key
-                row = rows[j * 24 + ph] = [(j, ph, f) for f in range(period)] * 2
-            t = bisect_left(fs, cut, 0, n)
-            keyed += zip([row[f + e] for f in fs[t:t + n]], vs[t:t + n])
-    out = SigmaFunction(keyed=tuple(keyed), gens=((p, 1),))
+            # the first copy holds f - 12 hvee: those with f + e past the period come first
+            t = bisect_left(fs, -e, 0, n)
+            keys += map(_key(d, j, ph + s, e).__add__, fs[t:t + n])
+            vals += vs[t:t + n]
+    out = SigmaFunction(tuple(keys), tuple(vals), ((p, 1),))
     d._sfunc_cache[p] = out
     return out
 
@@ -279,14 +275,15 @@ AffineWeightList = Iterable[SigmaPoint]
 
 def e_of(d: AffineData, weights: AffineWeightList) -> SigmaFunction:
     """E of a module with the given affine weight: the sum of its s-functions."""
-    total: dict[Key, int] = {}
+    total: dict[int, int] = {}
     gens: dict[SigmaPoint, int] = {}
     for p in weights:
         gens[p] = gens.get(p, 0) + 1
-        for k, v in s_func(d, p).keyed:
+        f = s_func(d, p)
+        for k, v in zip(f.keys, f.vals):
             total[k] = total.get(k, 0) + v
-    keyed = tuple(sorted((k, v) for k, v in total.items() if v))
-    return SigmaFunction(keyed=keyed, gens=tuple(sorted(gens.items())))
+    keys = tuple(sorted(k for k, v in total.items() if v))
+    return SigmaFunction(keys, tuple(map(total.__getitem__, keys)), tuple(sorted(gens.items())))
 
 
 PairingArg = Union[SigmaPoint, SigmaFunction]

@@ -111,10 +111,10 @@ def test_psi_lattice_rejects_non_lattice_function():
     d = build_type(Family.A1, 2)
     q = default_qdatum(d)
     f = s_func(d, sigma_point(d, 1, ONE))
-    halved = SigmaFunction(keyed=tuple((k, 2 * v) for k, v in f.keyed), gens=f.gens)
+    halved = SigmaFunction(f.keys, tuple(2 * v for v in f.vals), f.gens)
     # doubled values but unchanged generators: the re-expansion must catch it
     with pytest.raises(NotInW0):
-        psi_lattice(d, q, SigmaFunction(keyed=halved.keyed, gens=((sigma_point(d, 1, ONE), 1),)))
+        psi_lattice(d, q, SigmaFunction(halved.keys, halved.vals, ((sigma_point(d, 1, ONE), 1),)))
 
 
 def test_psi_lattice_rejects_non_integral_solve(monkeypatch):
@@ -206,9 +206,11 @@ def test_psi_lattice_round_trip_random_vectors():
             for p, c in zip(pts, coords):
                 for k, v in s_func(d, p).keyed:
                     values[k] = values.get(k, 0) + c * v
+            keys = tuple(sorted(k for k, v in values.items() if v))
             f = SigmaFunction(
-                keyed=tuple(sorted((k, v) for k, v in values.items() if v)),
-                gens=tuple((p, c) for p, c in zip(pts, coords) if c),
+                keys,
+                tuple(values[k] for k in keys),
+                tuple((p, c) for p, c in zip(pts, coords) if c),
             )
             assert psi_lattice(d, q, f) == coords
 

@@ -1,12 +1,23 @@
 import functools
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from qaffine import invariants
 from qaffine.acceptance import SWEEP
-from qaffine.affine import Family, NodeOutOfRange, build, build_type, parse_type_string, untwisted_partner
+from qaffine.affine import (
+    MAX_GFIN_RANK,
+    AffineType,
+    Family,
+    NodeOutOfRange,
+    RankOutOfRange,
+    build,
+    build_type,
+    parse_type_string,
+    untwisted_partner,
+)
 from qaffine.blocks import NotInW0, psi_lattice
 from qaffine.denominators import denominator
 from qaffine.invariants import (
@@ -213,7 +224,7 @@ def test_pairing():
     zero = e_of(d, [])
     assert pairing(d, f, zero) == 0
     with pytest.raises(DecompositionUnavailable):
-        pairing(d, SigmaFunction(keyed=f.keyed, gens=None), f)
+        pairing(d, SigmaFunction(f.keys, f.vals, None), f)
 
 
 def test_shift_equivariance():
@@ -363,35 +374,133 @@ def test_s_func_matches_candidate_search():
             assert s_func(d, p).values == _s_func_oracle(d, p), (s, str(p))
 
 
-# The path that runs and key rows replaced: s_func reduced every template
-# entry by `_key` and sorted the translates.
+def _fields(key):
+    """The (node, phase, e) fields of an int key, read back through `_point`."""
+    p = invariants._point(key)
+    return p.node, p.param.phase, p.param.e
+
+
+def _template_fields(d, i):
+    """Node i's template with each int key replaced by its fields."""
+    return {_fields(k): v for k, v in invariants._template(d, i).items()}
+
+
+# The path that runs replaced: s_func reduced every template entry by
+# `_key` and sorted the translates.
 
 def _sorted_s_func(d, p):
     phase, e = p.param
     return tuple(sorted(
         (invariants._key(d, j, ph + phase, f + e), v)
-        for (j, ph, f), v in invariants._template(d, p.node).items()
+        for (j, ph, f), v in _template_fields(d, p.node).items()
     ))
 
 
+# The tuple-key path that int keys replaced: a key was the tuple
+# (node, phase mod 24/m_j, e mod 12 hvee), and a SigmaFunction stored its
+# (key, value) pairs sorted by key.
+
+def _tuple_key(d, j, phase, e):
+    return j, phase % (24 // d.m[j]), e % (12 * d.hvee)
+
+
+def _tuple_s_func(d, p):
+    phase, e = p.param
+    return tuple(sorted(
+        (_tuple_key(d, j, ph + phase, f + e), v)
+        for (j, ph, f), v in _template_fields(d, p.node).items()
+    ))
+
+
+def _rotation_points(rng, d):
+    """sigma_Q and its first dual translate, then raw points at every phase.
+
+    Raw points, so every one of the 24 phases reaches the rotation (s_func
+    reads the phase modulo 24/m_j); the exponents span +-3 ptilde periods
+    and include ones that put a template entry exactly on the 12 hvee wrap.
+    """
+    period = 12 * d.hvee
+    sq = sigma_q_points(d, default_qdatum(d))
+    points = sorted(sq | translate_star(d, sq, 1))
+    for i in d.i0:
+        fs = [f for _, _, f in _template_fields(d, i)]
+        for phase in range(24):
+            exps = rng.sample(range(-3 * period, 3 * period + 1), 2)
+            exps.append(period - rng.choice(fs) + period * rng.randrange(-3, 3))
+            points += [SigmaPoint(i, SpectralScalar(phase, e)) for e in exps]
+    return points
+
+
 def test_s_func_rotation_matches_the_sorted_path():
-    # raw points, so every one of the 24 phases reaches the rotation (s_func
-    # reads the phase modulo 24/m_j); the exponents span +-3 ptilde periods
-    # and include ones that put a template entry exactly on the 12 hvee wrap
     rng = random.Random(20261018)
     for s in SWEEP:
         d = build(parse_type_string(s))
-        period = 12 * d.hvee
-        sq = sigma_q_points(d, default_qdatum(d))
-        points = sorted(sq | translate_star(d, sq, 1))
-        for i in d.i0:
-            fs = [f for _, _, f in invariants._template(d, i)]
-            for phase in range(24):
-                exps = rng.sample(range(-3 * period, 3 * period + 1), 2)
-                exps.append(period - rng.choice(fs) + period * rng.randrange(-3, 3))
-                points += [SigmaPoint(i, SpectralScalar(phase, e)) for e in exps]
-        for p in points:
+        for p in _rotation_points(rng, d):
             assert s_func(d, p).keyed == _sorted_s_func(d, p), (s, p)
+
+
+def test_int_keys_match_the_tuple_path():
+    rng = random.Random(20261021)
+    for s in SWEEP:
+        d = build(parse_type_string(s))
+        for p in _rotation_points(rng, d):
+            f = s_func(d, p)
+            assert tuple((_fields(k), v) for k, v in f.keyed) == _tuple_s_func(d, p), (s, p)
+            assert all(a < b for a, b in zip(f.keys, f.keys[1:])), (s, p)
+
+
+def _cap_stand_in(t):
+    """The m_j and hvee that `build` derives for t, without building its root system."""
+    spec, n = t.spec, t.n
+    return SimpleNamespace(m={j: spec.m(n, j) for j in range(1, n + 1)}, hvee=spec.pstar(n).e // 6)
+
+
+def test_key_fields_fit_their_widths_at_the_rank_cap():
+    # hvee grows with the rank, so the largest rank the cap admits bounds every
+    # field; the root systems there take seconds to build, so the cap types
+    # use their spec's m_j and hvee, checked against `build` at the least rank
+    for family in Family:
+        ranks = []
+        for n in range(1, 2 * MAX_GFIN_RANK):
+            try:
+                ranks.append(AffineType(family, n).n)
+            except RankOutOfRange:
+                pass
+        small = build(AffineType(family, ranks[0]))
+        assert vars(_cap_stand_in(small.type)) == {"m": small.m, "hvee": small.hvee}, family
+        d = _cap_stand_in(AffineType(family, ranks[-1]))
+        period = 12 * d.hvee
+        assert period < 1 << 16, family
+        keys = []
+        for j in d.m:
+            mod = 24 // d.m[j]
+            assert mod <= 32, family
+            for phase in range(mod):
+                for e in (0, 1, period - 1):
+                    key = invariants._key(d, j, phase, e)
+                    assert invariants._key(d, j, phase - 3 * mod, e + 2 * period) == key
+                    assert invariants._point(key) == SigmaPoint(j, SpectralScalar(phase, e)), family
+                    keys.append(key)
+        assert all(a < b for a, b in zip(keys, keys[1:])), family  # int order is (node, phase, e)
+
+
+def test_value_at_bisects_the_sorted_keys():
+    d = build(parse_type_string("D4-3"))
+    f = s_func(d, pt(d, 1, Q))
+    (first, v_first), (last, v_last) = f.values[0], f.values[-1]
+    assert f.value_at(d, first.node, first.param) == v_first
+    assert f.value_at(d, last.node, last.param) == v_last
+    stored, absent = dict(f.keyed), []
+    for j in d.i0:
+        for phase in range(24):
+            for e in range(12 * d.hvee):
+                key = invariants._key(d, j, phase, e)
+                assert f.value_at(d, j, SpectralScalar(phase, e)) == stored.get(key, 0)
+                if key not in stored:
+                    absent.append(key)
+    # absent keys below the first stored key, between stored keys and above the last
+    assert min(absent) < f.keys[0] < max(absent) and max(absent) > f.keys[-1]
+    assert e_of(d, []).value_at(d, 1, ONE) == 0
 
 
 # The point-valued path that int keys replaced: s_func stored one reduced
@@ -402,7 +511,7 @@ def test_s_func_rotation_matches_the_sorted_path():
 def _point_s_func(d, p):
     return tuple(sorted(
         (_reduced(d, j, p.param * SpectralScalar(ph, e)), v)
-        for (j, ph, e), v in invariants._template(d, p.node).items()
+        for (j, ph, e), v in _template_fields(d, p.node).items()
     ))
 
 

@@ -14,7 +14,7 @@ import pytest
 from qaffine.affine import AffineData, AffineType, Family, FamilySpec, build, parse_type_string
 from qaffine.blocks import BlockLabel, GramResult
 from qaffine.denominators import RootMultiset, denominator
-from qaffine.invariants import SigmaFunction, s_func, sigma_point
+from qaffine.invariants import SigmaFunction, e_of, s_func, sigma_point
 from qaffine.qcartan import CTildeTable, QDatum, ctilde_oracle_for, default_qdatum
 from qaffine.roots import FinWeight
 from qaffine.scalars import ONE, Q, SpectralScalar
@@ -50,8 +50,9 @@ def _pairs():
         (BlockLabel((("1", (1, 0)),)), BlockLabel(components=(("1", (1, 0)),))),
         (RootMultiset(dmn.mults), RootMultiset(mults=tuple(dmn.mults))),
         (RootMultiset(dmn.mults), dmn),
-        (SigmaFunction(f.keyed, f.gens), SigmaFunction(keyed=tuple(f.keyed), gens=tuple(f.gens))),
-        (SigmaFunction(f.keyed), f),  # equality and hash read `keyed` only
+        (SigmaFunction(f.keys, f.vals, f.gens),
+         SigmaFunction(keys=tuple(f.keys), vals=tuple(f.vals), gens=tuple(f.gens))),
+        (SigmaFunction(f.keys, f.vals), f),  # equality and hash read `keys` and `vals` only
         (CTildeTable(table.rank, table.order, table.values),
          CTildeTable(rank=table.rank, order=table.order, values=table.values)),
         (FinWeight((1, -2)), FinWeight(coords=(1, -2))),
@@ -79,7 +80,7 @@ def test_unequal_values_differ():
 @pytest.mark.parametrize("index", range(11))
 def test_immutable_values_refuse_assignment(index):
     value = _pairs()[index][0]
-    name = next(n for n in ("letter", "family", "type_string", "components", "mults", "keyed", "rank", "coords")
+    name = next(n for n in ("letter", "family", "type_string", "components", "mults", "keys", "rank", "coords")
                 if hasattr(value, n))
     before = getattr(value, name)
     with pytest.raises(AttributeError):
@@ -87,6 +88,17 @@ def test_immutable_values_refuse_assignment(index):
     with pytest.raises(AttributeError):
         delattr(value, name)
     assert getattr(value, name) is before
+
+
+def test_s_functions_store_flat_int_keys():
+    # two flat tuples of plain ints: no per-entry (key, value) tuple is stored
+    assert SigmaFunction.__slots__ == ("keys", "vals", "gens")
+    d = build(parse_type_string("E6-2"))
+    p, other = sigma_point(d, 2, Q), sigma_point(d, 3, ONE)
+    for f in (s_func(d, p), -s_func(d, p), e_of(d, [p, other])):
+        assert type(f.keys) is tuple and type(f.vals) is tuple and len(f.keys) == len(f.vals) > 0
+        assert all(type(k) is int for k in f.keys) and all(type(v) is int for v in f.vals)
+    assert all(type(k) is int for k in d._template_cache[2][0])
 
 
 def test_root_multiset_index_is_not_compared():

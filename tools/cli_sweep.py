@@ -48,11 +48,11 @@ def _weights(rng: random.Random, n: int) -> str:
 
 def sweep(tmp: Path) -> None:
     from qaffine import (
-        SpectralScalar, build, default_qdatum, dual_shift, parse_type_string, sigma_point, sigma_q_points,
+        build, default_qdatum, dual_shift, parse_type_string, sigma_point, sigma_q_points,
     )
     from qaffine.acceptance import SWEEP
     from qaffine.cli import run
-    from qaffine.invariants import _template
+    from qaffine.invariants import _point as key_point, _template
     from qaffine.qdata import translate_star
 
     def call(*argv: str) -> None:
@@ -116,7 +116,7 @@ def sweep(tmp: Path) -> None:
             # an exponent that puts one template entry exactly on the 12 hvee wrap,
             # so s_func takes both halves of that entry's run
             keys = sorted(_template(d, i))
-            f = keys[len(keys) // 2][2]
+            f = key_point(keys[len(keys) // 2]).param.e
             call("s-func", s, f"{i}@q^({period - f + period * rng.randint(-3, 2)}/6)")
         if d.twisted:
             for k in range(24):
@@ -136,8 +136,8 @@ def sweep(tmp: Path) -> None:
         for i in d.i0:
             # c pairs nonzero with i@1, so D^2 c and D^3 c carry terms at k = -1, -2, -3
             keys = sorted(_template(d, i))
-            j, phase, e = keys[len(keys) // 3]
-            c = sigma_point(d, j, SpectralScalar(phase, e))
+            j, x = key_point(keys[len(keys) // 3])
+            c = sigma_point(d, j, x)
             for k in (2, 3):
                 call("lambda", s, f"{i}@1", str(dual_shift(d, c, k)))
     call("cartan-check", "Z9-1")
