@@ -50,7 +50,7 @@ from .qcartan import (
     validate_qdatum,
 )
 from .qdata import phi_q, phi_q_map, sigma_q_points
-from .roots import FinRootSystem, FinWeight, root_system
+from .roots import FinRootSystem, root_system
 from .scalars import (
     InvariantViolation,
     ParseError,

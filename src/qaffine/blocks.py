@@ -2,23 +2,20 @@
 
 The main theorem machinery: pairing the s-functions of the phi_Q images of
 the simple roots must reproduce the Cartan matrix of the associated
-simply-laced type.  Once that holds, every Z-combination of s-generators
-has well-defined integer coordinates in the simple-root basis, and block
-labels are those coordinates listed per connected component.
+simply-laced type.  Then s_{phi_Q(beta)} -> beta is an isometry onto the
+root lattice, and with s_{D p} = -s_p every point of sigma_0 has known
+coordinates: beta at phi_Q(beta), -beta at its dual translate
+(`qdata.root_coords`).  So `psi_lattice` solves nothing: it sums those of
+the generators and verifies the sum by re-expansion.  Block labels are
+such coordinates listed per connected component.
 
-Block labels are read from a table, not solved per module.  E is additive:
-E(M) = sum_g c_g s_g over the generators g of M's affine weight.  If each
-s_g = sum_i n_i(g) s_{phi(alpha_i)} holds exactly, then
-E(M) = sum_i (sum_g c_g n_i(g)) s_{phi(alpha_i)}, and since the pairing and
-`weight_to_root` are linear, `psi_lattice(E(M))` would return that same
-integer vector.  So `block_label` sums the coordinates of the generators.
-Each n(g) is solved and passed through the re-expansion check of
-`psi_lattice` once, and kept in the Q-datum's lattice table
-(`qdata.lattice_table`) under the `_key` of g; s_g depends on g only
-through that key, so the memo holds at most |I0| * 24 * 12 hvee entries.
-Every generator lies in W0 (criterion 12 of `acceptance` checks the roots
-of Delta_0 against psi_lattice), so a generator that fails its solve is a
-library bug and raises InvariantViolation.
+`block_label` sums per-generator coordinates as well.  Each generator g is
+passed through `psi_lattice` once and its coordinates kept in the Q-datum's
+lattice table (`qdata.lattice_table`) under the `_key` of g; s_g depends on
+g only through that key, so the memo holds at most |I0| * 24 * 12 hvee
+entries.  Every generator lies in W0 (criterion 12 of `acceptance` checks
+every point of sigma_Q and of its dual translate), so a generator that
+fails its check is a library bug and raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -26,10 +23,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .affine import AffineData, component_class
-from .invariants import SigmaFunction, SigmaPoint, _key, pairing, s_func, sigma_point
+from .invariants import SigmaFunction, SigmaPoint, _as_gens, _key, pairing, s_func, sigma_point
 from .qcartan import QDatum, default_qdatum
-from .qdata import lattice_table, sigma_q_points, simple_root_points, translate_star
-from .roots import FinWeight, NotInRootLattice
+from .qdata import lattice_table, root_coords, sigma_q_points, simple_root_points, translate_star
 from .scalars import InvariantViolation, QAffineError, SpectralScalar, order_key, print_scalar
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -64,12 +60,14 @@ def gram(d: AffineData, q: QDatum | None = None) -> GramResult:
 
 
 def psi_lattice(d: AffineData, q: QDatum, f: SigmaFunction) -> tuple[int, ...]:
-    """Coordinates n with sum n_i s_{phi(alpha_i)} = f, verified by re-expansion."""
-    pts = simple_root_points(q, d)
-    try:
-        coords = d.gfin.weight_to_root(FinWeight(tuple(pairing(d, p, f) for p in pts)))
-    except NotInRootLattice as exc:
-        raise NotInW0(f"coordinate solve is non-integral: {exc}") from exc
+    """Sum of c * `root_coords` over f's generators c * s_p (0 off sigma_0), verified by re-expansion."""
+    pts, table = simple_root_points(q, d), root_coords(q, d)
+    coords = [0] * len(pts)
+    for p, c in _as_gens(f):
+        d.check_node(p.node)
+        beta = table.get(_key(d, p.node, *p.param))
+        if beta:
+            coords = [a + c * b for a, b in zip(coords, beta)]
     check: dict[int, int] = {}
     for p, c in zip(pts, coords):
         if c:
@@ -78,11 +76,11 @@ def psi_lattice(d: AffineData, q: QDatum, f: SigmaFunction) -> tuple[int, ...]:
                 check[k] = check.get(k, 0) + c * v
     if {k: v for k, v in check.items() if v} != dict(zip(f.keys, f.vals)):
         raise NotInW0("re-expansion of the solved coordinates does not reproduce the function")
-    return coords
+    return tuple(coords)
 
 
 def _generator_coords(d: AffineData, q: QDatum, p: SigmaPoint) -> tuple[int, ...]:
-    """psi_lattice of s_p from q's lattice table, solved on first use."""
+    """psi_lattice of s_p from q's lattice table, verified on first use."""
     memo = lattice_table(q, d)[1]
     key = _key(d, p.node, *p.param)
     coords = memo.get(key)

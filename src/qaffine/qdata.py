@@ -14,7 +14,7 @@ are golden data of `acceptance`.
 from __future__ import annotations
 
 from .affine import AffineData
-from .invariants import SigmaPoint, dual_shift, sigma_point
+from .invariants import SigmaPoint, _key, dual_shift, sigma_point
 from .qcartan import QDatum, default_qdatum, phi_inverse_zero
 from .roots import Vec
 from .scalars import MINUS_ONE, SpectralScalar
@@ -47,17 +47,31 @@ def phi_q_map(q: QDatum, d: AffineData) -> dict[Vec, SigmaPoint]:
     return {beta: phi_q(q, d, beta) for beta in q.rs.positive_roots}
 
 
-def lattice_table(q: QDatum, d: AffineData) -> tuple[tuple[SigmaPoint, ...], dict]:
-    """q's lattice table for d: the simple-root points and a generator memo.
+def lattice_table(q: QDatum, d: AffineData) -> tuple[tuple[SigmaPoint, ...], dict, dict[int, Vec]]:
+    """q's lattice table for d: the simple-root points, a generator memo and `root_coords`.
 
-    The memo maps the `_key` of a generator to its coordinates; `blocks`
-    fills it.  Both parts are built once per (q, d).
+    The memo maps the `_key` of a generator to its coordinates; `blocks` fills
+    it.  The third part stays empty until `root_coords`, so `gram` never builds it.
     """
     table = q._lattice.get(d)
     if table is None:
         pts = tuple(phi_q(q, d, q.rs.simple_root(i)) for i in range(1, q.rs.rank + 1))
-        table = q._lattice[d] = (pts, {})
+        table = q._lattice[d] = (pts, {}, {})
     return table
+
+
+def root_coords(q: QDatum, d: AffineData) -> dict[int, Vec]:
+    """The `_key` of phi_Q(beta) -> beta and of its dual translate -> -beta, over Delta+.
+
+    The 2 |Delta+| keys are sigma_0 modulo the ptilde-shift (see `blocks`).
+    """
+    coords = lattice_table(q, d)[2]
+    if not coords:
+        for beta, p in phi_q_map(q, d).items():
+            coords[_key(d, p.node, *p.param)] = beta
+            p = dual_shift(d, p)
+            coords[_key(d, p.node, *p.param)] = tuple(-c for c in beta)
+    return coords
 
 
 def simple_root_points(q: QDatum, d: AffineData) -> tuple[SigmaPoint, ...]:

@@ -1,26 +1,19 @@
 """Simply-laced finite root systems: reflections, words, folding automorphisms.
 
 Roots are integer vectors in simple-root coordinates (index 0 unused so the
-code matches the usual 1-based node labels).  Weights use the
-fundamental-weight basis.  Inner products always go through the Cartan
-matrix; there is no Euclidean embedding anywhere.
+code matches the usual 1-based node labels).  Inner products always go
+through the Cartan matrix; there is no Euclidean embedding anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import lcm
-from typing import Iterable, NamedTuple, Sequence, Union
+from functools import lru_cache
+from typing import Iterable, Sequence, Union
 
 Vec = tuple[int, ...]
 # a word entry is a node index, or a diagram automorphism given as an
 # image tuple (perm[i] = image of node i, perm[0] unused)
 WordEntry = Union[int, tuple[int, ...]]
-
-
-class NotInRootLattice(ValueError):
-    """A weight whose Cartan solve is not integral."""
 
 
 def _chain_edges(rank: int) -> list[tuple[int, int]]:
@@ -71,12 +64,6 @@ def graph_distance(adj: Sequence[Sequence[int]], i: int, j: int) -> int:
                     nxt.append(v)
         frontier = nxt
     raise ValueError(f"nodes {i} and {j} are not connected")
-
-
-class FinWeight(NamedTuple):
-    """Integer vector in the fundamental-weight basis (1-based)."""
-
-    coords: Vec
 
 
 class FinRootSystem:
@@ -146,35 +133,6 @@ class FinRootSystem:
         if self.letter == "E" and self.rank == 6:
             return {1: 6, 6: 1, 3: 5, 5: 3}.get(i, i)
         return i
-
-    # weight-basis helpers ------------------------------------------------
-
-    @cached_property
-    def _cartan_inverse(self) -> tuple[int, tuple[Vec, ...]]:
-        """C^-1 as (den, M) with C^-1 = M / den, by one exact Gauss-Jordan."""
-        n = self.rank
-        aug = [[Fraction(c) for c in row] + [Fraction(int(r == k)) for k in range(n)]
-               for r, row in enumerate(self.cartan)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            scale = aug[col][col]
-            aug[col] = [x / scale for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        den = lcm(*(x.denominator for row in aug for x in row[n:]))
-        return den, tuple(tuple(int(x * den) for x in row[n:]) for row in aug)
-
-    def weight_to_root(self, w: FinWeight) -> Vec:
-        """Exact solve C x = w; raises NotInRootLattice if x is not integral."""
-        den, inv = self._cartan_inverse
-        x = [sum(a * b for a, b in zip(row, w.coords)) for row in inv]
-        if any(v % den for v in x):
-            sol = [Fraction(v, den) for v in x]
-            raise NotInRootLattice(f"{w} is not in the root lattice: C x = w gives x = {sol}")
-        return tuple(v // den for v in x)
 
 
 def identity_perm(rank: int) -> tuple[int, ...]:

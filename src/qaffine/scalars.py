@@ -17,9 +17,11 @@ the exponent.  Printing and every user-visible sort go through it.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class QAffineError(ValueError):
@@ -70,6 +72,7 @@ class SpectralScalar(NamedTuple):
 
     @property
     def qexp(self) -> Fraction:
+        from fractions import Fraction  # not at module level: it costs every cold start
         return Fraction(self.e, 6)
 
     def __mul__(self, other: "SpectralScalar") -> "SpectralScalar":  # type: ignore[override]
@@ -99,11 +102,11 @@ def order_key(x: SpectralScalar) -> tuple[int, int, int]:
 
 
 def scalar(phase: int = 0, qexp: Fraction | int = 0) -> SpectralScalar:
-    """Build a SpectralScalar; rejects q-exponents outside (1/6)Z."""
-    f = Fraction(qexp)
-    if 6 % f.denominator:
-        raise RootOutsideDomain(f"q-exponent {f} has denominator outside {{1,2,3,6}}")
-    return SpectralScalar(phase % 24, int(6 * f))
+    """Build a SpectralScalar from an int or Fraction q-exponent; rejects those outside (1/6)Z."""
+    num, den = qexp.numerator, qexp.denominator
+    if 6 % den:
+        raise RootOutsideDomain(f"q-exponent {qexp} has denominator outside {{1,2,3,6}}")
+    return SpectralScalar(phase % 24, 6 // den * num)
 
 
 ONE = scalar(0, 0)
@@ -111,11 +114,11 @@ MINUS_ONE = scalar(12, 0)
 I_UNIT = scalar(6, 0)
 OMEGA = scalar(8, 0)
 Q = scalar(0, 1)
-QS = scalar(0, Fraction(1, 2))
-QT = scalar(0, Fraction(1, 3))
+QS = SpectralScalar(0, 3)
+QT = SpectralScalar(0, 2)
 MINUS_Q = scalar(12, 1)
-MINUS_QS = scalar(12, Fraction(1, 2))
-MINUS_QT = scalar(12, Fraction(1, 3))
+MINUS_QS = SpectralScalar(12, 3)
+MINUS_QT = SpectralScalar(12, 2)
 
 
 def nth_roots(a: SpectralScalar, n: int) -> list[SpectralScalar]:

@@ -18,16 +18,17 @@ from qaffine.blocks import (
     partition_blocks,
     psi_lattice,
 )
-from qaffine.invariants import SigmaFunction, dual_shift, e_of, pairing, s_func, sigma_point
+from qaffine.invariants import SigmaFunction, _key, dual_shift, e_of, pairing, s_func, sigma_point
 from qaffine.qcartan import custom_qdatum, default_qdatum
 from qaffine.qdata import (
     lattice_table,
     phi_q,
+    root_coords,
     sigma_q_points,
     simple_root_points,
     translate_star,
 )
-from qaffine.scalars import MINUS_Q, ONE, Q, QS, InvariantViolation, order_key, print_scalar, scalar
+from qaffine.scalars import MINUS_Q, ONE, Q, QS, InvariantViolation, SpectralScalar, order_key, print_scalar, scalar
 from weyl_oracle import root_inner
 
 
@@ -117,14 +118,33 @@ def test_psi_lattice_rejects_non_lattice_function():
         psi_lattice(d, q, SigmaFunction(halved.keys, halved.vals, ((sigma_point(d, 1, ONE), 1),)))
 
 
-def test_psi_lattice_rejects_non_integral_solve(monkeypatch):
-    d = build_type(Family.A1, 2)
+def test_a_corrupted_root_coords_entry_fails_the_re_expansion():
+    d = build.__wrapped__(parse_type_string("A3-1"))  # fresh, so no other test sees the corruption
     q = default_qdatum(d)
-    p1 = simple_root_points(q, d)[0]
-    # pairings (1, 0) ask for the weight Lambda_1, outside the A2 root lattice
-    monkeypatch.setattr(blocks, "pairing", lambda d, p, f: int(p == p1))
-    with pytest.raises(NotInW0, match="non-integral"):
-        psi_lattice(d, q, s_func(d, p1))
+    p = phi_q(q, d, (1, 0, 0))
+    root_coords(q, d)[_key(d, p.node, *p.param)] = (0, 1, 0)
+    with pytest.raises(NotInW0, match="re-expansion"):
+        psi_lattice(d, q, s_func(d, p))
+    with pytest.raises(InvariantViolation, match="not in W0: re-expansion"):
+        block_label(d, q, [p])
+
+
+TABLE_TYPES = [*SWEEP, "A10-1", "D10-1", "B8-1", "C8-1", "A9-2", "A10-2", "D9-2"]
+
+
+@pytest.mark.parametrize("s", TABLE_TYPES)
+def test_root_coords_keys_are_sigma_0_over_one_ptilde_window(s):
+    d = build(parse_type_string(s))
+    q = default_qdatum.__wrapped__(d)  # uncached: a lattice table no other test has filled
+    gram(d, q), delta0(d, q)
+    assert not lattice_table(q, d)[2]  # neither builds the coordinates
+    table = root_coords(q, d)
+    sigma_0 = {
+        _key(d, j, ph, e)
+        for j in d.i0 for ph in range(24 // d.m[j]) for e in range(12 * d.hvee)
+        if component_class(d, j, SpectralScalar(ph, e)) == ONE
+    }
+    assert set(table) == sigma_0 and len(table) == 2 * len(q.rs.positive_roots)
 
 
 def test_block_label_single_fundamental():

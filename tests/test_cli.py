@@ -280,6 +280,7 @@ def test_cli_import_leaves_acceptance_unloaded():
 
 @pytest.mark.parametrize("flags", [(), ("-O",)])
 def test_cli_import_loads_neither_dataclasses_nor_inspect(flags):
-    # both cost cold start on every qaffine call: dataclasses imports inspect,
-    # which imports ast, dis and tokenize
-    assert _loaded_after_cli_import(["dataclasses", "inspect"], *flags) == []
+    # all cost cold start on every qaffine call: dataclasses imports inspect,
+    # which imports ast, dis and tokenize, and fractions imports decimal and numbers
+    modules = ["dataclasses", "inspect", "fractions", "decimal", "numbers"]
+    assert _loaded_after_cli_import(modules, *flags) == []

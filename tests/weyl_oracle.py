@@ -4,10 +4,18 @@ A simple reflection is the matrix read off its Cartan row, s_i(alpha_c) =
 alpha_c - C_ic alpha_i; a diagram automorphism is a permutation matrix; a
 word is the product of its entries' matrices.  Nothing here calls the
 library's word code.  Matrices act on root-coordinate columns:
-(M v)_r = sum_c M[r][c] v_c.
+(M v)_r = sum_c M[r][c] v_c.  `weight_to_root`, the exact Cartan solve, is
+the oracle of the lattice coordinates that the library reads off phi_Q.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+
+
+class NotInRootLattice(ValueError):
+    """A weight whose Cartan solve is not integral."""
 
 
 def identity(n):
@@ -89,3 +97,32 @@ def root_inner(cartan, v, w):
 def root_to_weight(cartan, v):
     """The fundamental-weight coordinates C v of a root-coordinate vector."""
     return mat_vec(cartan, v)
+
+
+@lru_cache(maxsize=None)
+def _cartan_inverse(cartan):
+    """C^-1 as Fractions, by one Gauss-Jordan elimination of [C | 1]."""
+    n = len(cartan)
+    aug = [[Fraction(c) for c in row] + [Fraction(int(r == k)) for k in range(n)]
+           for r, row in enumerate(cartan)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = aug[col][col]
+        aug[col] = [x / scale for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def weight_to_root(cartan, w):
+    """Solve C x = w for fundamental-weight coordinates w, exactly over Fractions.
+
+    `cartan` is a tuple of rows.  Raises NotInRootLattice when x is not integral.
+    """
+    sol = [sum(a * b for a, b in zip(row, w)) for row in _cartan_inverse(cartan)]
+    if any(x.denominator != 1 for x in sol):
+        raise NotInRootLattice(f"{tuple(w)} is not in the root lattice: C x = w gives x = {sol}")
+    return tuple(int(x) for x in sol)
