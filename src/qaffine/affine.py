@@ -292,7 +292,7 @@ class AffineData:
     """
 
     __slots__ = ("type", "i0", "m", "pstar", "ptilde", "istar", "gfin", "hvee", "g0_adj", "k0_e_step",
-                 "k0_phase_step", "k0_phase_mod", "sigma0_base", "simply_laced",
+                 "k0_phase_step", "k0_phase_mod", "sigma0_base", "simply_laced", "phase_mod", "period",
                  "_denom_cache", "_template_cache", "_sfunc_cache")
 
     def __init__(self, type: AffineType, i0: tuple[int, ...], m: dict[int, int], pstar: SpectralScalar,
@@ -301,6 +301,9 @@ class AffineData:
                  k0_phase_mod: int, sigma0_base: dict[int, SpectralScalar], simply_laced: bool):
         self.type, self.i0, self.m, self.istar, self.gfin = type, i0, m, istar, gfin
         self.pstar, self.ptilde, self.hvee, self.g0_adj = pstar, ptilde, hvee, g0_adj
+        # the moduli of `invariants._key`: phase mod 24/m_j (sigma-equivalence), e mod 12 hvee (ptilde)
+        self.phase_mod = {i: 24 // m[i] for i in i0}
+        self.period = 12 * hvee
         # stabilizer subgroup of sigma_Z, as reduction data on the scalar's (phase, e):
         # generator (phase_step, e_step) plus an optional pure-phase generator
         self.k0_e_step, self.k0_phase_step, self.k0_phase_mod = k0_e_step, k0_phase_step, k0_phase_mod
@@ -384,8 +387,7 @@ def untwisted_partner(d: AffineData) -> AffineData:
 
 def canonical_param(d: AffineData, i: int, x: SpectralScalar) -> SpectralScalar:
     """Reduce the phase modulo the sigma-equivalence at node i."""
-    mod = 24 // d.m[i]
-    return SpectralScalar(x.phase % mod, x.e)
+    return SpectralScalar(x.phase % d.phase_mod[i], x.e)
 
 
 def sigma_eq(d: AffineData, p1: tuple[int, SpectralScalar], p2: tuple[int, SpectralScalar]) -> bool:

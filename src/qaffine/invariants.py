@@ -23,8 +23,10 @@ only modulo 24/m_j, the sigma-equivalence at j).  The template of node i
 holds the nonzero lambda_inf((i, 1), c) over ptilde-representatives c,
 keyed by the int `_key` of c = z24^phase * q^(e/6) at node j, the bit
 fields ((j << 5 | phase) << 16) + e of phase mod 24/m_j and e mod 12*hvee;
-`_point` decodes it.  The phase is below 2^5 and e below 2^16 (12*hvee is
-at most 1,512 at the rank cap), so int order is (node, phase, e) order.
+`_point` decodes it.  Both moduli are fields of AffineData, computed
+once: `phase_mod[j]` = 24/m_j and `period` = 12*hvee.  The phase is below
+2^5 and e below 2^16 (12*hvee is at most 1,512 at the rank cap), so int
+order is (node, phase, e) order.
 
 The template is a signed count of denominator roots (the scatter law):
 summed over all k at once, the even terms D^{2l} put +m at c = x and the
@@ -33,12 +35,14 @@ multiplicity m of d_{i,j} (even) or d_{i,j*} (odd).  Only canonical x
 count (phase below 24/m_jj, jj the node of that denominator): de only
 probes canonical parameters, so it never hits the other members of x's
 sigma-class, and counting them overcounts twisted nodes with m > 1.
-So the build sums no window and calls no de.  `lambda_`, whose signs
-(-1)^{k + delta(k<0)} need k itself, scatters too: a root x of d_{i,j}
-(even k) or d_{i,j*} (odd k) hits D^k (j, b) exactly when x a is the
-canonical parameter of D^k (j, b), whose q-power fixes k.  No window sum
-is left in the library; the explicit orbit sum that both scatters replaced
-is the tests' oracle.
+So the build sums no window and calls no de, and it computes the keys
+inline: per node j it fixes the node field and the phase modulus once.
+`lambda_`, whose signs (-1)^{k + delta(k<0)} need k itself, scatters too:
+a root x of d_{i,j} (even k) or d_{i,j*} (odd k) hits D^k (j, b) exactly
+when x a is the canonical parameter of D^k (j, b), whose q-power fixes k.
+No window sum is left in the library; the explicit orbit sum that both
+scatters replaced is the tests' oracle, and the scatter with one `_key`
+call per root is the oracle of the inline keys.
 
 A SigmaFunction stores the same int keys: `keys` ascending with no key
 twice, and `vals` the value at each.  `s_func` translates the template
@@ -125,7 +129,7 @@ def de(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
 
 def _key(d: AffineData, j: int, phase: int, e: int) -> int:
     """Template key of (j, z24^phase * q^(e/6)), reduced mod sigma-equivalence and ptilde."""
-    return ((j << 5 | phase % (24 // d.m[j])) << 16) + e % (12 * d.hvee)
+    return ((j << 5 | phase % d.phase_mod[j]) << 16) + e % d.period
 
 
 @lru_cache(maxsize=1 << 16)
@@ -141,25 +145,35 @@ Run = tuple[int, int, list[int], list[tuple[int, int, tuple[int, ...], tuple[int
 def _scatter(d: AffineData, i: int) -> tuple[dict[int, int], list[Run]]:
     """Build node i's template by the scatter law, and its runs; both are kept on d."""
     ps, pe = d.pstar
-    period = 12 * d.hvee
+    period, phase_mod = d.period, d.phase_mod
     acc: dict[int, int] = {}
     for j in d.i0:
+        node, mod = j << 21, phase_mod[j]
         for jj, sign, ph, e in ((j, 1, 0, 0), (d.istar[j], -1, ps, pe)):
-            canon = 24 // d.m[jj]  # x is canonical at jj iff its phase is below this
-            for r, m in denominator(d, i, jj):
-                for x in (r, r.inv()):
-                    if x.phase < canon:
-                        key = _key(d, j, x.phase - ph, x.e - e)
-                        acc[key] = acc.get(key, 0) + sign * m
+            canon = phase_mod[jj]  # x is canonical at jj iff its phase is below this
+            for (rph, re6), m in denominator(d, i, jj).mults:
+                m *= sign
+                # the key of x = r, then of x = 1/r
+                if rph < canon:
+                    key = node + ((rph - ph) % mod << 16) + (re6 - e) % period
+                    acc[key] = acc.get(key, 0) + m
+                if -rph % 24 < canon:
+                    key = node + ((-rph - ph) % mod << 16) + (-re6 - e) % period
+                    acc[key] = acc.get(key, 0) + m
     table = {k: v for k, v in acc.items() if v}
+    keys = sorted(table)
+    vals = tuple(map(table.__getitem__, keys))
     runs: list[Run] = []
-    for j, entries in groupby(sorted(table.items()), key=lambda kv: kv[0] >> 21):
+    start = 0
+    for j, node_keys in groupby(keys, (21).__rrshift__):
         groups = []
-        for ph, group in groupby(entries, key=lambda kv: kv[0] >> 16 & 31):
-            fs, vs = zip(*((k & 0xFFFF, v) for k, v in group))
+        for head, group in groupby(node_keys, (16).__rrshift__):  # head: the node and phase fields
+            fs = tuple(map((0xFFFF).__and__, group))
+            n = len(fs)
             # twice over, the first copy shifted down a period: a rotation is one slice
-            groups.append((ph, len(fs), tuple(f - period for f in fs) + fs, vs * 2))
-        runs.append((j, 24 // d.m[j], [g[0] for g in groups], groups * 2))
+            groups.append((head & 31, n, tuple(map((-period).__add__, fs)) + fs, vals[start:start + n] * 2))
+            start += n
+        runs.append((j, phase_mod[j], [g[0] for g in groups], groups * 2))
     d._template_cache[i] = table, runs
     return table, runs
 
@@ -254,7 +268,7 @@ def s_func(d: AffineData, p: SigmaPoint) -> SigmaFunction:
     if cached is not None:
         return cached
     phase, e = p.param
-    e %= 12 * d.hvee
+    e %= d.period
     keys: list[int] = []
     vals: list[int] = []
     for j, mod, phases, groups in (d._template_cache.get(p.node) or _scatter(d, p.node))[1]:

@@ -2,12 +2,17 @@
 
 Roots are integer vectors in simple-root coordinates (index 0 unused so the
 code matches the usual 1-based node labels).  Inner products always go
-through the Cartan matrix; there is no Euclidean embedding anywhere.
+through the Cartan matrix; there is no Euclidean embedding anywhere.  The
+positive roots are found height by height by the simply-laced rule: for a
+positive root beta != alpha_i, beta + alpha_i is a root iff (beta, alpha_i)
+= -1.  Each root carries its row of inner products (beta, alpha_k), which
+one Cartan row updates, so the search costs O(|Delta+| n).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Sequence, Union
 
 Vec = tuple[int, ...]
@@ -94,20 +99,21 @@ class FinRootSystem:
         return tuple(1 if k == i else 0 for k in range(1, self.rank + 1))
 
     def _enumerate_positive_roots(self) -> tuple[Vec, ...]:
-        simples = [self.simple_root(i) for i in range(1, self.rank + 1)]
-        found = set(simples)
-        frontier = list(simples)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(1, self.rank + 1):
-                    w = self.reflect_root(i, v)
-                    if all(c >= 0 for c in w) and w not in found:
-                        found.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        rest = sorted(found - set(simples), key=lambda v: (sum(v), v))
-        return tuple(simples + rest)
+        """The simple roots in node order, then the rest by (height, v) (see the module docstring)."""
+        cartan = self.cartan
+        layer = {self.simple_root(i): cartan[i - 1] for i in range(1, self.rank + 1)}
+        out = list(layer)
+        while layer:
+            nxt: dict[Vec, Vec] = {}
+            for v, row in layer.items():
+                for i, x in enumerate(row):
+                    if x == -1:
+                        w = v[:i] + (v[i] + 1,) + v[i + 1:]
+                        if w not in nxt:
+                            nxt[w] = tuple(map(add, row, cartan[i]))
+            layer = dict(sorted(nxt.items()))
+            out += layer
+        return tuple(out)
 
     def reflect_root(self, i: int, v: Vec) -> Vec:
         """Simple reflection s_i on simple-root coordinates.

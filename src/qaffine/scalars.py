@@ -103,7 +103,10 @@ def order_key(x: SpectralScalar) -> tuple[int, int, int]:
 
 def scalar(phase: int = 0, qexp: Fraction | int = 0) -> SpectralScalar:
     """Build a SpectralScalar from an int or Fraction q-exponent; rejects those outside (1/6)Z."""
-    num, den = qexp.numerator, qexp.denominator
+    try:
+        num, den = qexp.numerator, qexp.denominator
+    except AttributeError:
+        raise TypeError(f"q-exponent must be an int or a Fraction, not {type(qexp).__name__}") from None
     if 6 % den:
         raise RootOutsideDomain(f"q-exponent {qexp} has denominator outside {{1,2,3,6}}")
     return SpectralScalar(phase % 24, 6 // den * num)
@@ -170,80 +173,61 @@ _BASES = {
 }
 
 
-# ASCII digits only: `str.isdigit` and `int` also take other Unicode digits
-_INT = re.compile(r"-?[0-9]+")
-# one factor's head; "w2" before "w", and "qs"/"qt" before "q" by greed
-_FACTOR = re.compile(r"z24\^|\(-q[st]?\)|-[1i]|1|i|w2?|q[st]?")
+# One factor, ASCII digits only (`str.isdigit` and `int` also take other
+# Unicode digits).  Each part after the head is an optional group nested in
+# the one before, so a match stops where the factor goes wrong, and every
+# error but "expected scalar factor" is reported at the match's end.
+_FACTOR = re.compile(
+    r"(?P<z>z24\^)(?P<phase>-?[0-9]+)?"
+    r"|(?P<atom>-[1i]|1|i|w2?)"
+    r"|(?P<base>\(-q[st]?\)|q[st]?)(?P<hat>\^(?:(?P<power>-?[0-9]+)"
+    r"|\((?:(?P<num>-?[0-9]+)(?P<slash>/(?:(?P<den>-?[0-9]+)(?P<close>\))?)?)?)?)?)?"
+)
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.pos)
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def take(self, token: str) -> bool:
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def int_(self) -> int:
-        m = _INT.match(self.text, self.pos)
-        if m is None:
-            raise self.fail("expected integer")
-        self.pos = m.end()
-        return int(m.group())
-
-    def exponent(self) -> tuple[int, int]:
-        """The exponent as (num, den) in lowest terms with den > 0."""
-        if self.take("("):
-            num = self.int_()
-            if not self.take("/"):
-                raise self.fail("expected '/' in fractional exponent")
-            den = self.int_()
-            if not self.take(")"):
-                raise self.fail("expected ')' closing fractional exponent")
-            if den == 0:
-                raise self.fail("zero denominator")
-            g = gcd(num, den) if den > 0 else -gcd(num, den)
-            return num // g, den // g
-        return self.int_(), 1
-
-    def factor(self) -> SpectralScalar:
-        m = _FACTOR.match(self.text, self.pos)
-        if m is None:
-            raise self.fail("expected scalar factor")
-        self.pos = m.end()
-        token = m.group()
-        if token == "z24^":
-            return SpectralScalar(self.int_() % 24, 0)
-        return _ATOMS[token] if token in _ATOMS else self._powered(_BASES[token])
-
-    def _powered(self, base: SpectralScalar) -> SpectralScalar:
-        if self.take("^"):
-            num, den = self.exponent()
-            if den == 1:
-                return base ** num
-            if base.phase:
-                raise self.fail("fractional power of a signed base is ambiguous")
-            if base.e * num % den:
-                raise self.fail("q-exponent leaves the z24*q^(Z/6) domain")
-            return SpectralScalar(0, base.e * num // den)
+def _factor(m: re.Match[str]) -> SpectralScalar:
+    """The value of one factor matched by _FACTOR."""
+    z, phase, atom, base, hat, power, num, slash, den, close = m.groups()
+    if z:
+        if phase is None:
+            raise ParseError("expected integer", m.end())
+        return SpectralScalar(int(phase) % 24, 0)
+    if atom:
+        return _ATOMS[atom]
+    base = _BASES[base]
+    if not hat:
         return base
+    if power is not None:
+        return base ** int(power)
+    for part, message in ((num, "expected integer"), (slash, "expected '/' in fractional exponent"),
+                          (den, "expected integer"), (close, "expected ')' closing fractional exponent")):
+        if part is None:
+            raise ParseError(message, m.end())
+    num, den = int(num), int(den)
+    if den == 0:
+        raise ParseError("zero denominator", m.end())
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    num, den = num // g, den // g
+    if den == 1:
+        return base ** num
+    if base.phase:
+        raise ParseError("fractional power of a signed base is ambiguous", m.end())
+    if base.e * num % den:
+        raise ParseError("q-exponent leaves the z24*q^(Z/6) domain", m.end())
+    return SpectralScalar(0, base.e * num // den)
 
 
 def parse_scalar(text: str) -> SpectralScalar:
     """Parse an ASCII scalar literal; inverse of print_scalar on canonical forms."""
-    sc = _Scanner(text)
-    out = sc.factor()
-    while not sc.eof():
-        if not sc.take("*"):
-            raise sc.fail("expected '*' between factors")
-        out = out * sc.factor()
-    return out
+    pos, out = 0, None
+    while True:
+        m = _FACTOR.match(text, pos)
+        if m is None:
+            raise ParseError("expected scalar factor", pos)
+        pos = m.end()
+        out = _factor(m) if out is None else out * _factor(m)
+        if pos == len(text):
+            return out
+        if text[pos] != "*":
+            raise ParseError("expected '*' between factors", pos)
+        pos += 1

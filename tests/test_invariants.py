@@ -1,7 +1,7 @@
 import functools
 import random
 import sys
-from types import SimpleNamespace
+from itertools import groupby
 
 import pytest
 
@@ -449,16 +449,8 @@ def test_int_keys_match_the_tuple_path():
             assert all(a < b for a, b in zip(f.keys, f.keys[1:])), (s, p)
 
 
-def _cap_stand_in(t):
-    """The m_j and hvee that `build` derives for t, without building its root system."""
-    spec, n = t.spec, t.n
-    return SimpleNamespace(m={j: spec.m(n, j) for j in range(1, n + 1)}, hvee=spec.pstar(n).e // 6)
-
-
 def test_key_fields_fit_their_widths_at_the_rank_cap():
-    # hvee grows with the rank, so the largest rank the cap admits bounds every
-    # field; the root systems there take seconds to build, so the cap types
-    # use their spec's m_j and hvee, checked against `build` at the least rank
+    # hvee grows with the rank, so the largest rank the cap admits bounds every field
     for family in Family:
         ranks = []
         for n in range(1, 2 * MAX_GFIN_RANK):
@@ -466,9 +458,8 @@ def test_key_fields_fit_their_widths_at_the_rank_cap():
                 ranks.append(AffineType(family, n).n)
             except RankOutOfRange:
                 pass
-        small = build(AffineType(family, ranks[0]))
-        assert vars(_cap_stand_in(small.type)) == {"m": small.m, "hvee": small.hvee}, family
-        d = _cap_stand_in(AffineType(family, ranks[-1]))
+        d = build(AffineType(family, ranks[-1]))
+        assert d.period == 12 * d.hvee and d.phase_mod == {j: 24 // d.m[j] for j in d.i0}, family
         period = 12 * d.hvee
         assert period < 1 << 16, family
         keys = []
@@ -605,6 +596,47 @@ def test_template_scatter_matches_oracle_on_every_sweep_node():
         d = build(parse_type_string(s))
         for i in d.i0:
             assert invariants._template(d, i) == _oracle_template(d, i), (s, i)
+
+
+# The scatter that the inlined keys replaced: one `_key` call per root, with
+# 24/m_j and 12 hvee recomputed on every call.
+
+def _old_key(d, j, phase, e):
+    return ((j << 5 | phase % (24 // d.m[j])) << 16) + e % (12 * d.hvee)
+
+
+def _old_scatter(d, i):
+    ps, pe = d.pstar
+    period = 12 * d.hvee
+    acc = {}
+    for j in d.i0:
+        for jj, sign, ph, e in ((j, 1, 0, 0), (d.istar[j], -1, ps, pe)):
+            canon = 24 // d.m[jj]
+            for r, m in denominator(d, i, jj):
+                for x in (r, r.inv()):
+                    if x.phase < canon:
+                        key = _old_key(d, j, x.phase - ph, x.e - e)
+                        acc[key] = acc.get(key, 0) + sign * m
+    table = {k: v for k, v in acc.items() if v}
+    runs = []
+    for j, entries in groupby(sorted(table.items()), key=lambda kv: kv[0] >> 21):
+        groups = []
+        for ph, group in groupby(entries, key=lambda kv: kv[0] >> 16 & 31):
+            fs, vs = zip(*((k & 0xFFFF, v) for k, v in group))
+            groups.append((ph, len(fs), tuple(f - period for f in fs) + fs, vs * 2))
+        runs.append((j, 24 // d.m[j], [g[0] for g in groups], groups * 2))
+    return table, runs
+
+
+def test_scatter_matches_the_per_root_key_path():
+    # a fresh instance per type, so `_scatter` itself runs, not a cached template
+    for s in SWEEP:
+        d = build.__wrapped__(parse_type_string(s))
+        for i in d.i0:
+            table, runs = invariants._scatter(d, i)
+            want_table, want_runs = _old_scatter(d, i)
+            assert list(table.items()) == list(want_table.items()), (s, i)
+            assert runs == want_runs, (s, i)
 
 
 def test_template_counts_only_canonical_denominator_roots():

@@ -12,6 +12,7 @@ from qaffine.roots import (
 )
 from weyl_oracle import (
     NotInRootLattice,
+    bfs_positive_roots,
     mat_vec,
     reflection_matrix,
     root_inner,
@@ -194,3 +195,18 @@ def test_reflections_match_cartan_row_matrices(letter, rank):
         word.insert(rng.randrange(len(word) + 1), star)  # a diagram automorphism, maybe trivial
         word = tuple(word)
         assert apply_word_root(rs, word, v) == mat_vec(word_matrix(rs.cartan, word), v), (word, v)
+
+
+ADE_UP_TO_RANK_12 = (
+    [("A", n) for n in range(1, 13)] + [("D", n) for n in range(3, 13)] + [("E", n) for n in (6, 7, 8)]
+)
+
+
+@pytest.mark.parametrize("letter,rank", [*ADE_UP_TO_RANK_12, ("A", 64), ("D", 64)],
+                         ids=[f"{l}{n}" for l, n in [*ADE_UP_TO_RANK_12, ("A", 64), ("D", 64)]])
+def test_positive_roots_match_the_reflection_search(letter, rank):
+    # the search the simply-laced rule replaced, order included
+    rs = root_system(letter, rank)
+    assert rs.positive_roots == bfs_positive_roots(rs.cartan)
+    assert len(rs.positive_roots) == {"A": rank * (rank + 1) // 2, "D": rank * (rank - 1),
+                                      "E": {6: 36, 7: 63, 8: 120}.get(rank)}[letter]

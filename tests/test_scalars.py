@@ -182,6 +182,13 @@ def test_scalar_reads_int_and_fraction_exponents_as_before():
     assert (MINUS_QS, MINUS_QT) == (scalar(12, Fraction(1, 2)), scalar(12, Fraction(1, 3)))
 
 
+@pytest.mark.parametrize("qexp", [2.0, "1", None, 0.5])
+def test_scalar_rejects_other_exponent_types(qexp):
+    want = f"q-exponent must be an int or a Fraction, not {type(qexp).__name__}$"
+    with pytest.raises(TypeError, match=want):
+        scalar(0, qexp)
+
+
 # Differential tests against the encoding SpectralScalar replaced: the pair
 # (phase, qexp) with qexp a Fraction, reduced by a gcd on every product.
 # The model is kept here, in the tests, as the oracle of the int pair.

@@ -6,12 +6,15 @@ word is the product of its entries' matrices.  Nothing here calls the
 library's word code.  Matrices act on root-coordinate columns:
 (M v)_r = sum_c M[r][c] v_c.  `weight_to_root`, the exact Cartan solve, is
 the oracle of the lattice coordinates that the library reads off phi_Q.
+`bfs_positive_roots`, a search under the simple reflections, is the oracle
+of the library's root enumeration.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 
 class NotInRootLattice(ValueError):
@@ -126,3 +129,27 @@ def weight_to_root(cartan, w):
     if any(x.denominator != 1 for x in sol):
         raise NotInRootLattice(f"{tuple(w)} is not in the root lattice: C x = w gives x = {sol}")
     return tuple(int(x) for x in sol)
+
+
+def bfs_positive_roots(cartan):
+    """The positive roots by breadth-first search under the simple reflections.
+
+    s_i(v) = v - (v, alpha_i) alpha_i, and a reflected root is kept when it
+    is positive and new.  The order is the library's: the simple roots in
+    node order, then the rest by (height, v).
+    """
+    n = len(cartan)
+    simples = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    found, frontier = set(simples), list(simples)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(n):
+                w = list(v)
+                w[i] -= sum(map(mul, cartan[i], v))
+                w = tuple(w)
+                if min(w) >= 0 and w not in found:
+                    found.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return tuple(simples + sorted(found - set(simples), key=lambda v: (sum(v), v)))
