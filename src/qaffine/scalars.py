@@ -176,7 +176,9 @@ _BASES = {
 # One factor, ASCII digits only (`str.isdigit` and `int` also take other
 # Unicode digits).  Each part after the head is an optional group nested in
 # the one before, so a match stops where the factor goes wrong, and every
-# error but "expected scalar factor" is reported at the match's end.
+# error but "expected scalar factor" is reported at the match's end.  Every
+# such offset depends on this nesting order: moving a group out of the one
+# before it moves where its error is reported.
 _FACTOR = re.compile(
     r"(?P<z>z24\^)(?P<phase>-?[0-9]+)?"
     r"|(?P<atom>-[1i]|1|i|w2?)"

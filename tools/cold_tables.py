@@ -1,6 +1,6 @@
 """Time the cold tables of large types in fresh processes, from one or more source trees.
 
-Usage: python tools/cold_tables.py [--runs N] <src-dir> [<src-dir> ...]
+Usage: python tools/cold_tables.py <src-dir> [<src-dir> ...]
 
 Each run starts a fresh interpreter with PYTHONPATH=<src-dir> and times, on
 one type, `build`, `default_qdatum`, `gram` and `delta0` in that order.  Each
@@ -8,9 +8,9 @@ step finds the tables of the steps before it and builds its own: `build`
 pays for the root system, `gram` for the templates of the nodes it pairs and
 `delta0` for the rest of its s-functions.  The import is not timed.  The
 types are A32-1, A64-1, B32-1, D64-1 and E8-1.  Runs go one process at a
-time, N per side (default 5), alternating between the source trees, so drift
-on the machine hits every side alike.  For each type and step it prints the
-median and quartiles in milliseconds per tree.  To compare two checkouts:
+time, 5 per type and tree, alternating between the source trees with the
+helpers of `import_cost.py`.  For each type and step it prints the median
+and quartiles in milliseconds per tree.  To compare two checkouts:
 
     python tools/cold_tables.py /path/to/parent/src src
 """
@@ -18,12 +18,14 @@ median and quartiles in milliseconds per tree.  To compare two checkouts:
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 from statistics import quantiles
 
+from import_cost import alternate, missing_tree, tree_env
+
+RUNS = 5
 TYPES = ("A32-1", "A64-1", "B32-1", "D64-1", "E8-1")
 STEPS = ("build", "default_qdatum", "gram", "delta0")
 CHILD = """
@@ -42,33 +44,26 @@ print(json.dumps(out))
 
 
 def _time_once(src: str, type_string: str) -> dict[str, float]:
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", CHILD, type_string], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", CHILD, type_string], env=tree_env(src), check=True,
                          capture_output=True, text=True)
     return json.loads(out.stdout)
 
 
 def main(argv: list[str]) -> int:
-    runs = 5
-    if argv[:1] == ["--runs"] and len(argv) > 1:
-        runs, argv = int(argv[1]), argv[2:]
-    if not argv or runs < 2:
+    if not argv:
         print(__doc__, file=sys.stderr)
         return 2
-    for src in argv:
-        if not (Path(src) / "qaffine" / "blocks.py").is_file():
-            print(f"{src} holds no qaffine/blocks.py", file=sys.stderr)
-            return 2
+    if (src := missing_tree(argv, "blocks.py")) is not None:
+        print(f"{src} holds no qaffine/blocks.py", file=sys.stderr)
+        return 2
 
     trees = [str(Path(src).resolve()) for src in argv]
     samples = {(src, t): {s: [] for s in STEPS} for src in trees for t in TYPES}
-    for run in range(runs):
-        for t in TYPES:
-            for src in trees if run % 2 == 0 else trees[::-1]:
-                for step, seconds in _time_once(src, t).items():
-                    samples[src, t][step].append(seconds)
+    for t, src in alternate([(t, src) for t in TYPES for src in trees], RUNS):
+        for step, seconds in _time_once(src, t).items():
+            samples[src, t][step].append(seconds)
 
-    print(f"{sys.executable} {sys.version.split()[0]}, {runs} fresh processes per type and tree")
+    print(f"{sys.executable} {sys.version.split()[0]}, {RUNS} fresh processes per type and tree")
     print(f"{'type':6s} {'step':15s} " + "  ".join(f"{'tree ' + str(k + 1):>24s}" for k in range(len(trees))))
     for t in TYPES:
         for step in (*STEPS, "total"):

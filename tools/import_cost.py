@@ -33,7 +33,8 @@ NEW_MODULES = (
 )
 
 
-def _env(src: str | None) -> dict[str, str]:
+def tree_env(src: str | None) -> dict[str, str]:
+    """The environment for a child that imports qaffine from `src` (None: from nowhere)."""
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
     if src is not None:
@@ -41,15 +42,27 @@ def _env(src: str | None) -> dict[str, str]:
     return env
 
 
+def missing_tree(srcs: list[str], module: str) -> str | None:
+    """The first of `srcs` that holds no qaffine/<module>, or None."""
+    return next((src for src in srcs if not (Path(src) / "qaffine" / module).is_file()), None)
+
+
+def alternate(sides: list, runs: int):
+    """Each side `runs` times, one at a time, in reverse order on every other pass,
+    so drift on the machine hits every side alike."""
+    for run in range(runs):
+        yield from sides if run % 2 == 0 else sides[::-1]
+
+
 def _time_once(code: str, src: str | None) -> float:
     t0 = perf_counter()
-    subprocess.run([sys.executable, "-c", code], env=_env(src), check=True)
+    subprocess.run([sys.executable, "-c", code], env=tree_env(src), check=True)
     return (perf_counter() - t0) * 1e3
 
 
 def _new_modules(src: str) -> list[str]:
     out = subprocess.run(
-        [sys.executable, "-c", NEW_MODULES], env=_env(src), check=True, capture_output=True, text=True
+        [sys.executable, "-c", NEW_MODULES], env=tree_env(src), check=True, capture_output=True, text=True
     )
     return out.stdout.split()
 
@@ -58,18 +71,15 @@ def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__, file=sys.stderr)
         return 2
-    for src in argv:
-        if not (Path(src) / "qaffine" / "cli.py").is_file():
-            print(f"{src} holds no qaffine/cli.py", file=sys.stderr)
-            return 2
+    if (src := missing_tree(argv, "cli.py")) is not None:
+        print(f"{src} holds no qaffine/cli.py", file=sys.stderr)
+        return 2
 
     sides: list[tuple[str, str, str | None]] = [("python -c pass", "pass", None)]
     sides += [(src, IMPORT, str(Path(src).resolve())) for src in argv]
     samples: dict[str, list[float]] = {label: [] for label, _, _ in sides}
-    for run in range(RUNS):
-        order = sides if run % 2 == 0 else sides[::-1]
-        for label, code, src in order:
-            samples[label].append(_time_once(code, src))
+    for label, code, src in alternate(sides, RUNS):
+        samples[label].append(_time_once(code, src))
 
     pyc = "off (PYTHONDONTWRITEBYTECODE is set)" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
     print(f"{sys.executable} {sys.version.split()[0]}, {RUNS} runs per side, bytecode cache {pyc}")
