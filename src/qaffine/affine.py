@@ -5,6 +5,9 @@ identification exponents m_i, the duality shift p*, the involution i -> i*,
 the finite simply-laced type of the associated root system, and the graph
 distance on the Dynkin diagram of g_0.  The affine node 0 is never
 materialized.
+
+`AffineData(t)` computes them once from the family's `FamilySpec`, and
+`build` shares one instance per type.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .roots import FinRootSystem, diagram_adj, graph_distance, root_system
+from .roots import diagram_adj, graph_distance, root_system
 from .scalars import (
     MINUS_ONE,
     MINUS_Q,
@@ -88,7 +91,7 @@ class FamilySpec(NamedTuple):
     (-1)^eps_sign(n, pi(i)) eps_base^p.  A twisted family folds its
     partner's sigma_0 into its own: `fold(n, i) = (node, factor)` sends the
     point (i, a) to (node, factor * a); an untwisted family's fold is the
-    identity.
+    identity.  `AffineData` tables the fold and its inverse.
     """
 
     letter: str
@@ -284,47 +287,50 @@ def format_type_string(t: AffineType) -> str:
 
 
 class AffineData:
-    """All I_0-level constants of one affine family at one rank.
+    """All I_0-level constants of one affine family at one rank, computed from its spec.
 
-    Instances are shared via `build()` and treated as immutable; the private
-    dicts are append-only memo caches (single-writer initialization).  They
-    compare and hash by identity: Q-data key their lattice tables by them.
+    A simply-laced family takes i* and the diagram of g_0 from its finite
+    type; every other family has i* = id and the chain A_n for g_0.  `build`
+    shares one instance per type, and instances are treated as immutable;
+    the private dicts are append-only memo caches (single-writer
+    initialization).  They compare and hash by identity: Q-data key their
+    lattice tables by them.
     """
 
-    __slots__ = ("type", "i0", "m", "pstar", "ptilde", "istar", "gfin", "hvee", "g0_adj", "k0_e_step",
-                 "k0_phase_step", "k0_phase_mod", "sigma0_base", "simply_laced", "phase_mod", "period",
+    __slots__ = ("type", "family", "n", "i0", "twisted", "m", "pstar", "ptilde", "istar", "gfin", "hvee",
+                 "g0_adj", "k0", "sigma0_base", "simply_laced", "phase_mod", "period", "fold", "preimages",
                  "_denom_cache", "_template_cache", "_sfunc_cache")
 
-    def __init__(self, type: AffineType, i0: tuple[int, ...], m: dict[int, int], pstar: SpectralScalar,
-                 ptilde: SpectralScalar, istar: dict[int, int], gfin: FinRootSystem, hvee: int,
-                 g0_adj: tuple[tuple[int, ...], ...], k0_e_step: int, k0_phase_step: int,
-                 k0_phase_mod: int, sigma0_base: dict[int, SpectralScalar], simply_laced: bool):
-        self.type, self.i0, self.m, self.istar, self.gfin = type, i0, m, istar, gfin
-        self.pstar, self.ptilde, self.hvee, self.g0_adj = pstar, ptilde, hvee, g0_adj
-        # the moduli of `invariants._key`: phase mod 24/m_j (sigma-equivalence), e mod 12 hvee (ptilde)
-        self.phase_mod = {i: 24 // m[i] for i in i0}
-        self.period = 12 * hvee
-        # stabilizer subgroup of sigma_Z, as reduction data on the scalar's (phase, e):
-        # generator (phase_step, e_step) plus an optional pure-phase generator
-        self.k0_e_step, self.k0_phase_step, self.k0_phase_mod = k0_e_step, k0_phase_step, k0_phase_mod
-        self.sigma0_base = sigma0_base
+    def __init__(self, t: AffineType):
+        spec, n = t.spec, t.n
+        self.type, self.family, self.n, self.i0 = t, t.family, n, tuple(range(1, n + 1))
+        self.gfin = gfin = root_system(*t.gfin_type)
+        self.twisted = spec.twist > 1
         # untwisted, with the family's own Dynkin type as the finite type (A, D, E)
-        self.simply_laced = simply_laced
+        self.simply_laced = not self.twisted and gfin.letter == spec.letter
+        self.g0_adj = gfin.adj if self.simply_laced else diagram_adj("A", n)
+        self.istar = {i: gfin.istar(i) if self.simply_laced else i for i in self.i0}
+        self.m = {i: spec.m(n, i) for i in self.i0}
+        self.pstar = spec.pstar(n)
+        if self.pstar.e % 6:
+            raise InvariantViolation(f"p* = {self.pstar} of {t} is not an integral power of q")
+        self.ptilde, self.hvee = self.pstar * self.pstar, self.pstar.e // 6
+        # the moduli of `invariants._key`: phase mod 24/m_j (sigma-equivalence), e mod 12 hvee (ptilde)
+        self.phase_mod = {i: 24 // self.m[i] for i in self.i0}
+        self.period = 12 * self.hvee
+        # stabilizer subgroup of sigma_Z, as reduction data (e_step, phase_step, phase_mod) on
+        # the scalar's (phase, e): generator (phase_step, e_step) plus an optional pure-phase one
+        self.k0 = spec.k0
+        self.sigma0_base = {i: spec.sigma0_base(n, i, self.dd) for i in self.i0}
+        # the fold of the partner's sigma_0 into sigma(g), partner node a -> (node, f_a)
+        # (the identity when untwisted), and its inverse node -> [(a, f_a)] in order of a
+        self.fold = {a: spec.fold(n, a) for a in range(1, gfin.rank + 1)}
+        self.preimages: dict[int, list[tuple[int, SpectralScalar]]] = {}
+        for a, (node, f) in self.fold.items():
+            self.preimages.setdefault(node, []).append((a, f))
         # memo caches; `_template_cache` maps a node to its lambda_inf template, keyed by
         # int `_key`s, and its runs, from which `s_func` slices its keys (see `invariants`)
         self._denom_cache, self._template_cache, self._sfunc_cache = {}, {}, {}
-
-    @property
-    def family(self) -> Family:
-        return self.type.family
-
-    @property
-    def n(self) -> int:
-        return self.type.n
-
-    @property
-    def twisted(self) -> bool:
-        return self.type.spec.twist > 1
 
     def dd(self, i: int, j: int) -> int:
         return graph_distance(self.g0_adj, i, j)
@@ -337,42 +343,8 @@ class AffineData:
         return format_type_string(self.type)
 
 
-@lru_cache(maxsize=None)
-def build(t: AffineType) -> AffineData:
-    """Populate every static table for one affine family instance.
-
-    A simply-laced family takes i* and the diagram of g_0 from its finite
-    type; every other family has i* = id and the chain A_n for g_0.
-    """
-    spec, n = t.spec, t.n
-    i0 = tuple(range(1, n + 1))
-    gfin = root_system(*t.gfin_type)
-    simply_laced = spec.twist == 1 and gfin.letter == spec.letter
-    g0_adj = gfin.adj if simply_laced else diagram_adj("A", n)
-
-    def dd(i: int, j: int) -> int:
-        return graph_distance(g0_adj, i, j)
-
-    pstar = spec.pstar(n)
-    if pstar.e % 6:
-        raise InvariantViolation(f"p* = {pstar} of {t} is not an integral power of q")
-    e_step, phase_step, phase_mod = spec.k0
-    return AffineData(
-        type=t,
-        i0=i0,
-        m={i: spec.m(n, i) for i in i0},
-        pstar=pstar,
-        ptilde=pstar * pstar,
-        istar={i: gfin.istar(i) if simply_laced else i for i in i0},
-        gfin=gfin,
-        hvee=pstar.e // 6,
-        g0_adj=g0_adj,
-        k0_e_step=e_step,
-        k0_phase_step=phase_step,
-        k0_phase_mod=phase_mod,
-        sigma0_base={i: spec.sigma0_base(n, i, dd) for i in i0},
-        simply_laced=simply_laced,
-    )
+# the shared `AffineData` of a type; `build.__wrapped__(t)` makes a fresh, unshared one
+build = lru_cache(maxsize=None)(AffineData)
 
 
 def build_type(family: Family, n: int | None = None) -> AffineData:
@@ -408,10 +380,11 @@ def component_class(d: AffineData, i: int, x: SpectralScalar) -> SpectralScalar:
     """
     d.check_node(i)
     c = x / d.sigma0_base[i]
-    k, e_red = divmod(c.e, d.k0_e_step)
-    phase = (c.phase - k * d.k0_phase_step) % 24
-    if d.k0_phase_mod:
-        phase %= d.k0_phase_mod
+    e_step, phase_step, phase_mod = d.k0
+    k, e_red = divmod(c.e, e_step)
+    phase = (c.phase - k * phase_step) % 24
+    if phase_mod:
+        phase %= phase_mod
     return SpectralScalar(phase, e_red)
 
 

@@ -14,7 +14,7 @@ closed formulas and tables.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable, Iterator
 
 from .affine import AffineData, Family
@@ -84,16 +84,6 @@ def _neg(x: SpectralScalar) -> SpectralScalar:
     return MINUS_ONE * x
 
 
-@lru_cache(maxsize=None)
-def _preimages(d: AffineData) -> dict[int, list[tuple[int, SpectralScalar]]]:
-    """node -> [(a, f_a)] over the partner's nodes a with fold(a) = (node, f_a)."""
-    out: dict[int, list[tuple[int, SpectralScalar]]] = {}
-    for a in range(1, default_qdatum(d).rs.rank + 1):
-        node, f = d.type.spec.fold(d.n, a)
-        out.setdefault(node, []).append((a, f))
-    return out
-
-
 def _folded_factors(d: AffineData, i: int, j: int) -> list[Factor]:
     """d_{i,j} folded from the partner's ctilde (the family itself when untwisted).
 
@@ -106,9 +96,9 @@ def _folded_factors(d: AffineData, i: int, j: int) -> list[Factor]:
     q = default_qdatum(d)  # the partner's Q-datum when d is twisted
     if d.m[i] > d.m[j]:
         i, j = j, i
-    (i0, f0), deg = _preimages(d)[i][0], d.m[j]
+    (i0, f0), deg = d.preimages[i][0], d.m[j]
     out: dict[SpectralScalar, int] = {}
-    for a, f in _preimages(d)[j]:
+    for a, f in d.preimages[j]:
         scale = (f / f0) ** deg
         # ctilde_{i0,a}(k) vanishes unless k + xi_{i0} - xi_a is odd
         for k in range(1 + (q.xi[i0] - q.xi[a]) % 2, q.base.hvee, 2):
@@ -175,9 +165,8 @@ def _table_factors(table, d: AffineData, i: int, j: int) -> list[Factor]:
     return out
 
 
+# the families whose partner is not of type A, D or E (see `denominator_factors`)
 _FAMILY_FACTORS = {
-    **dict.fromkeys((Family.A1, Family.D1, Family.E6_1, Family.E7_1, Family.E8_1, Family.A2_EVEN,
-                     Family.A2_ODD, Family.D2, Family.E6_2, Family.D4_3), _folded_factors),
     Family.B1: _b1_factors,
     Family.C1: _c1_factors,
     Family.G2_1: partial(_table_factors, _G2_TABLE),
@@ -189,7 +178,8 @@ def denominator_factors(d: AffineData, i: int, j: int) -> list[Factor]:
     """d_{i,j}(z) as a product of (z^deg - value)^mult factors."""
     d.check_node(i)
     d.check_node(j)
-    return _FAMILY_FACTORS[d.family](d, min(i, j), max(i, j))
+    factors = _folded_factors if d.simply_laced or d.twisted else _FAMILY_FACTORS[d.family]
+    return factors(d, min(i, j), max(i, j))
 
 
 def expand_factors(factors: Iterable[Factor]) -> RootMultiset:

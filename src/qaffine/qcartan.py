@@ -89,9 +89,10 @@ class QDatum:
 def default_qdatum(d: AffineData) -> QDatum:
     """The paper's fixed Q-datum (see the module docstring); for twisted d, its untwisted partner's.
 
-    Cached per `AffineData` (bounded by `affine.build`'s own cache), so every
-    caller that passes q=None shares one Q-datum, its psi_Q rows and its
-    lattice table.
+    Cached per `AffineData`, so every caller that passes q=None shares one
+    Q-datum, its psi_Q rows and its lattice table.  The cache holds its key,
+    so an instance from `build` adds nothing that `build` does not keep, but
+    one from `build.__wrapped__` stays in this cache for good.
     """
     base = untwisted_partner(d)
     spec, rank = base.type.spec, base.gfin.rank
@@ -120,11 +121,14 @@ def custom_qdatum(d: AffineData, xi: dict[int, int]) -> QDatum:
 
 
 def validate_qdatum(q: QDatum) -> list[str]:
-    """Check the two height-function axioms plus the orbit-chain condition."""
+    """Check that xi is an int on each node, the two height-function axioms and the orbit-chain condition."""
     out: list[str] = []
     rs, xi, rho = q.rs, q.xi, q.rho
     if set(xi) != set(range(1, rs.rank + 1)):
         return [f"height function defined on {sorted(xi)} instead of the node set"]
+    bad = [f"height xi_{i} = {xi[i]!r} is not an int" for i in sorted(xi) if not isinstance(xi[i], int)]
+    if bad:
+        return bad
     for a, b in rs.edges:
         if q.d[a] == q.d[b] and abs(xi[a] - xi[b]) != q.d[a]:
             out.append(f"condition (1) fails on edge {a}-{b}: |xi difference| != {q.d[a]}")

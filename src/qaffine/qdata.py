@@ -31,7 +31,7 @@ def twist(d: AffineData, node: int, a: SpectralScalar) -> tuple[int, SpectralSca
 
     It is the identity when d is untwisted.
     """
-    node, factor = d.type.spec.fold(d.n, node)
+    node, factor = d.fold[node]
     return node, factor * a
 
 

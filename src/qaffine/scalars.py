@@ -103,6 +103,8 @@ def order_key(x: SpectralScalar) -> tuple[int, int, int]:
 
 def scalar(phase: int = 0, qexp: Fraction | int = 0) -> SpectralScalar:
     """Build a SpectralScalar from an int or Fraction q-exponent; rejects those outside (1/6)Z."""
+    if not isinstance(phase, int):
+        raise TypeError(f"phase must be an int, not {type(phase).__name__}")
     try:
         num, den = qexp.numerator, qexp.denominator
     except AttributeError:

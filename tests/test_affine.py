@@ -222,7 +222,7 @@ def test_class_translate_lands_in_sigma_z():
     rng = random.Random(24)
     for s in SWEEP:
         d = build(parse_type_string(s))
-        assert d.k0_phase_mod in (0, 8, 12), s
+        assert d.k0[2] in (0, 8, 12), s
         for _ in range(2000):
             i = rng.choice(d.i0)
             x = SpectralScalar(rng.randrange(24), rng.randint(-1000, 1000))

@@ -3,7 +3,17 @@ from fractions import Fraction
 import pytest
 
 from qaffine.acceptance import SWEEP, sigma_q_window
-from qaffine.affine import Family, build, build_type, in_sigma_z, parse_type_string, untwisted_partner
+from qaffine.affine import (
+    MAX_GFIN_RANK,
+    AffineType,
+    Family,
+    RankOutOfRange,
+    build,
+    build_type,
+    in_sigma_z,
+    parse_type_string,
+    untwisted_partner,
+)
 from qaffine.invariants import sigma_point
 from qaffine.qcartan import (
     InvalidQDatum,
@@ -96,6 +106,16 @@ def test_custom_qdatum():
         custom_qdatum(build_type(Family.B1, 2), {1: 0, 2: 1, 3: 0})
 
 
+@pytest.mark.parametrize("xi, bad", [
+    ({1: 0.0, 2: 1.0, 3: 0.0}, "xi_1 = 0.0"),
+    ({1: 0, 2: 1, 3: "0"}, "xi_3 = '0'"),
+])
+def test_custom_qdatum_rejects_heights_that_are_not_ints(xi, bad):
+    # float heights used to pass and break `block_label`; a str one broke `validate_qdatum`
+    with pytest.raises(InvalidQDatum, match=f"height {bad} is not an int"):
+        custom_qdatum(build_type(Family.A1, 3), xi)
+
+
 def test_gamma_is_positive_root():
     for s in ALL_CRIT1:
         q = default_qdatum(build(parse_type_string(s)))
@@ -153,6 +173,33 @@ def test_twists():
     e62 = build(parse_type_string("E6-2"))
     assert twist(e62, 2, Q) == (4, I_UNIT * Q)
     assert twist(e62, 6, Q) == (1, MINUS_ONE * Q)
+
+
+def _largest_rank(family: Family) -> int:
+    ranks = []
+    for n in range(1, 2 * MAX_GFIN_RANK):
+        try:
+            ranks.append(AffineType(family, n).n)
+        except RankOutOfRange:
+            pass
+    return ranks[-1]
+
+
+@pytest.mark.parametrize("s", sorted(set(SWEEP) | {str(AffineType(f, _largest_rank(f))) for f in Family}))
+def test_fold_and_k0_tables_match_the_spec(s):
+    d = build(parse_type_string(s))
+    spec, partner = d.type.spec, range(1, d.gfin.rank + 1)
+    assert d.k0 == spec.k0
+    assert d.fold == {a: spec.fold(d.n, a) for a in partner}
+    # preimages inverts the fold exactly, each list in order of a
+    pairs = [(a, node, f) for node, pre in d.preimages.items() for a, f in pre]
+    assert sorted(pairs) == [(a, *d.fold[a]) for a in partner]
+    assert all(pre == sorted(pre) for pre in d.preimages.values())
+    # twist as it was before the table: the spec's fold, called on each use
+    a = scalar(5, Fraction(7, 6))
+    for node in partner:
+        target, factor = spec.fold(d.n, node)
+        assert twist(d, node, a) == (target, factor * a), node
 
 
 # The per-family chains that `affine._SPECS` replaced, kept as the oracle

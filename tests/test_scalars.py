@@ -189,6 +189,12 @@ def test_scalar_rejects_other_exponent_types(qexp):
         scalar(0, qexp)
 
 
+@pytest.mark.parametrize("phase", [1.5, 2.0, "1", None, Fraction(2)])
+def test_scalar_rejects_other_phase_types(phase):
+    with pytest.raises(TypeError, match=f"phase must be an int, not {type(phase).__name__}$"):
+        scalar(phase, 0)
+
+
 # Differential tests against the encoding SpectralScalar replaced: the pair
 # (phase, qexp) with qexp a Fraction, reduced by a gcd on every product.
 # The model is kept here, in the tests, as the oracle of the int pair.
