@@ -13,14 +13,11 @@ from .affine import (
     NodeOutOfRange,
     RankOutOfRange,
     build,
-    build_type,
     component_class,
-    in_sigma_z,
     parse_type_string,
-    sigma_eq,
 )
 from .blocks import BlockLabel, GramResult, NotInW0, block_label, delta0, gram, partition_blocks, psi_lattice
-from .denominators import RootMultiset, denominator, denominator_factors, zero_order
+from .denominators import RootMultiset, denominator, denominator_factors
 from .invariants import (
     DecompositionUnavailable,
     SigmaFunction,

@@ -257,14 +257,6 @@ class AffineType(Frozen):
         return format_type_string(self)
 
 
-def affine_type(family: Family, n: int | None = None) -> AffineType:
-    if n is None:
-        if not _SPECS[family].fixed:
-            raise RankOutOfRange(f"{family.value} needs an explicit rank")
-        n = _SPECS[family].rank
-    return AffineType(family, n)
-
-
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)-([123])$")
 
 
@@ -273,7 +265,11 @@ def parse_type_string(text: str) -> AffineType:
     m = _TYPE_RE.match(text.strip())
     if not m:
         raise RankOutOfRange(f"malformed type string {text!r}")
-    letter, num, twist = m.group(1), int(m.group(2)), int(m.group(3))
+    letter, digits, twist = m.group(1), m.group(2), int(m.group(3))
+    try:
+        num = int(digits)
+    except ValueError:  # past the interpreter's int-string limit
+        raise RankOutOfRange(f"rank of {letter}<{len(digits)} digits>-{twist} is too long") from None
     for family, spec in _SPECS.items():
         n, rest = divmod(num - spec.num_offset, spec.num_scale)
         if (spec.letter, spec.twist, rest) == (letter, twist, 0) and (not spec.fixed or n == spec.rank):
@@ -347,10 +343,6 @@ class AffineData:
 build = lru_cache(maxsize=None)(AffineData)
 
 
-def build_type(family: Family, n: int | None = None) -> AffineData:
-    return build(affine_type(family, n))
-
-
 def untwisted_partner(d: AffineData) -> AffineData:
     """The untwisted family whose Q-data drive the twisted sigma_Q."""
     partner = d.type.spec.partner
@@ -358,18 +350,8 @@ def untwisted_partner(d: AffineData) -> AffineData:
 
 
 def canonical_param(d: AffineData, i: int, x: SpectralScalar) -> SpectralScalar:
-    """Reduce the phase modulo the sigma-equivalence at node i."""
+    """Reduce the phase mod 24/m_i: (i, x) ~ (i, y), i.e. x^{m_i} = y^{m_i}, iff the results agree."""
     return SpectralScalar(x.phase % d.phase_mod[i], x.e)
-
-
-def sigma_eq(d: AffineData, p1: tuple[int, SpectralScalar], p2: tuple[int, SpectralScalar]) -> bool:
-    """(i,x) ~ (j,y) iff i = j and x^{m_i} = y^{m_i}."""
-    (i, x), (j, y) = p1, p2
-    d.check_node(i)
-    d.check_node(j)
-    if i != j or x.e != y.e:
-        return False
-    return (d.m[i] * (x.phase - y.phase)) % 24 == 0
 
 
 def component_class(d: AffineData, i: int, x: SpectralScalar) -> SpectralScalar:
@@ -386,8 +368,3 @@ def component_class(d: AffineData, i: int, x: SpectralScalar) -> SpectralScalar:
     if phase_mod:
         phase %= phase_mod
     return SpectralScalar(phase, e_red)
-
-
-def in_sigma_z(d: AffineData, i: int, x: SpectralScalar) -> bool:
-    """Membership of (i, x) in the reference component sigma_Z = sigma_0."""
-    return component_class(d, i, x).is_one

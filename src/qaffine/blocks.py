@@ -123,23 +123,14 @@ def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
 def partition_blocks(d: AffineData, q: QDatum, modules) -> list[tuple[BlockLabel, list]]:
     """Group affine-weight lists by equality of their block labels."""
     q = q or default_qdatum(d)
-    out: list[tuple[BlockLabel, list]] = []
-    index: dict[BlockLabel, int] = {}
+    groups: dict[BlockLabel, list] = {}
     for module in modules:
-        label = block_label(d, q, module)
-        if label not in index:
-            index[label] = len(out)
-            out.append((label, []))
-        out[index[label]][1].append(module)
-    return out
+        groups.setdefault(block_label(d, q, module), []).append(module)
+    return list(groups.items())
 
 
 def delta0(d: AffineData, q: QDatum | None = None) -> list[SigmaFunction]:
     """The root set: distinct s-functions over sigma_Q and its first dual translate."""
     q = q or default_qdatum(d)
     pts = sigma_q_points(d, q)
-    seen: dict[SigmaFunction, SigmaPoint] = {}
-    for p in sorted(pts | translate_star(d, pts, 1)):
-        f = s_func(d, p)
-        seen.setdefault(f, p)
-    return list(seen)
+    return list(dict.fromkeys(s_func(d, p) for p in sorted(pts | translate_star(d, pts, 1))))

@@ -158,6 +158,8 @@ def cmd_partition(args) -> int:
                     texts = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"{where}: {exc.msg}", exc.pos) from exc
+                except ValueError as exc:  # an int literal past the interpreter's int-string limit
+                    raise ParseError(f"{where}: integer literal too long", 0) from exc
                 if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
                     raise ParseError(f"{where}: expected a JSON list of point strings", 0)
                 try:

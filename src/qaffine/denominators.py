@@ -63,17 +63,8 @@ class RootMultiset(Frozen):
     def mult(self, x: SpectralScalar) -> int:
         return self._index.get(x, 0)
 
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.mults)
-
     def __iter__(self) -> Iterator[tuple[SpectralScalar, int]]:
         return iter(self.mults)
-
-
-def zero_order(p: RootMultiset, x: SpectralScalar) -> int:
-    """Order of vanishing of the polynomial at z = x."""
-    return p.mult(x)
 
 
 def _mq(k: int) -> SpectralScalar:

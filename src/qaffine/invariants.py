@@ -81,6 +81,7 @@ from .scalars import (
     ParseError,
     QAffineError,
     SpectralScalar,
+    _int,
     parse_scalar,
     print_scalar,
 )
@@ -111,7 +112,7 @@ def parse_sigma_point(d: AffineData, text: str) -> SigmaPoint:
     head = head.strip()
     if not sep or not (head.isascii() and head.isdigit()):
         raise ParseError("expected point of the form i@<scalar>", 0)
-    return sigma_point(d, int(head), parse_scalar(tail.strip()))
+    return sigma_point(d, _int(head, 0), parse_scalar(tail.strip()))
 
 
 def dual_shift(d: AffineData, p: SigmaPoint, k: int = 1) -> SigmaPoint:
@@ -212,8 +213,7 @@ class SigmaFunction(Frozen):
     where the function is nonzero (it is constant on each orbit): `keys`,
     their `_key`s ascending, each once, and `vals`, the value at each.
     Every constructor keeps this, so equal functions have equal tuples, and
-    equality and hashing read them.  `keyed` pairs them up on demand, for
-    tests and tools; it is never stored.  `values` is the same function with
+    equality and hashing read them.  `values` is the same function with
     each key turned into its (cached) SigmaPoint, for output.  `gens`
     records how the function was assembled from s-generators; the bilinear
     pairing requires it, and it is None for raw functions.
@@ -228,16 +228,8 @@ class SigmaFunction(Frozen):
         object.__setattr__(self, "gens", gens)
 
     @property
-    def keyed(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.keys, self.vals))
-
-    @property
     def values(self) -> tuple[tuple[SigmaPoint, int], ...]:
         return tuple(zip(map(_point, self.keys), self.vals))
-
-    @property
-    def support(self) -> tuple[SigmaPoint, ...]:
-        return tuple(map(_point, self.keys))
 
     @property
     def is_zero(self) -> bool:

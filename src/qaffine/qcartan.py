@@ -57,12 +57,11 @@ class InvalidQDatum(QAffineError):
 class QDatum:
     """(Dynkin diagram, automorphism rho, height function xi) for `base`; compared by identity."""
 
-    __slots__ = ("rs", "rho", "xi", "base", "non_default", "_rows", "_phi_inv", "_tau",
+    __slots__ = ("rs", "rho", "xi", "base", "_rows", "_phi_inv", "_tau",
                  "_lattice", "ord_rho", "orbits", "d", "pi", "__weakref__")
 
-    def __init__(self, rs: FinRootSystem, rho: tuple[int, ...], xi: dict[int, int], base: AffineData,
-                 non_default: bool = False):
-        self.rs, self.rho, self.xi, self.base, self.non_default = rs, rho, xi, base, non_default
+    def __init__(self, rs: FinRootSystem, rho: tuple[int, ...], xi: dict[int, int], base: AffineData):
+        self.rs, self.rho, self.xi, self.base = rs, rho, xi, base
         self._rows, self._phi_inv, self._tau = {}, None, None  # `_tau`: the word of `tau_q`, lazy
         # AffineData -> its lattice table (see `qdata.lattice_table`); it lives and
         # dies with this Q-datum, so custom data leave nothing behind on AffineData
@@ -108,12 +107,11 @@ def default_qdatum(d: AffineData) -> QDatum:
 def custom_qdatum(d: AffineData, xi: dict[int, int]) -> QDatum:
     """A user height function; only simply-laced untwisted types, validated.
 
-    Results computed from a non-default datum carry no golden-data
-    guarantee (the marker is the `non_default` flag).
+    Results computed from a custom datum carry no golden-data guarantee.
     """
     if not d.simply_laced:
         raise InvalidQDatum("custom height functions are supported for untwisted ADE only")
-    q = QDatum(rs=d.gfin, rho=identity_perm(d.gfin.rank), xi=dict(xi), base=d, non_default=True)
+    q = QDatum(rs=d.gfin, rho=identity_perm(d.gfin.rank), xi=dict(xi), base=d)
     violations = validate_qdatum(q)
     if violations:
         raise InvalidQDatum("; ".join(violations))
@@ -125,7 +123,8 @@ def validate_qdatum(q: QDatum) -> list[str]:
     out: list[str] = []
     rs, xi, rho = q.rs, q.xi, q.rho
     if set(xi) != set(range(1, rs.rank + 1)):
-        return [f"height function defined on {sorted(xi)} instead of the node set"]
+        nodes = sorted(xi, key=lambda k: (0, k) if isinstance(k, int) else (1, repr(k)))  # never int < str
+        return [f"height function defined on {nodes} instead of the node set"]
     bad = [f"height xi_{i} = {xi[i]!r} is not an int" for i in sorted(xi) if not isinstance(xi[i], int)]
     if bad:
         return bad

@@ -127,9 +127,6 @@ class FinRootSystem:
     def is_positive_root(self, v: Vec) -> bool:
         return v in self._positive_set
 
-    def dd(self, i: int, j: int) -> int:
-        return graph_distance(self.adj, i, j)
-
     def istar(self, i: int) -> int:
         """The involution alpha_{i*} = -w0(alpha_i)."""
         if self.letter == "A":

@@ -87,10 +87,6 @@ class SpectralScalar(NamedTuple):
     def __pow__(self, n: int) -> "SpectralScalar":  # type: ignore[override]
         return SpectralScalar((self.phase * n) % 24, self.e * n)
 
-    @property
-    def is_one(self) -> bool:
-        return self.phase == 0 and self.e == 0
-
     def __str__(self) -> str:
         return print_scalar(self)
 
@@ -189,25 +185,32 @@ _FACTOR = re.compile(
 )
 
 
+def _int(digits: str, offset: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's int-string limit (4,300 digits by default)
+        raise ParseError("integer literal too long", offset) from None
+
+
 def _factor(m: re.Match[str]) -> SpectralScalar:
     """The value of one factor matched by _FACTOR."""
     z, phase, atom, base, hat, power, num, slash, den, close = m.groups()
     if z:
         if phase is None:
             raise ParseError("expected integer", m.end())
-        return SpectralScalar(int(phase) % 24, 0)
+        return SpectralScalar(_int(phase, m.end()) % 24, 0)
     if atom:
         return _ATOMS[atom]
     base = _BASES[base]
     if not hat:
         return base
     if power is not None:
-        return base ** int(power)
+        return base ** _int(power, m.end())
     for part, message in ((num, "expected integer"), (slash, "expected '/' in fractional exponent"),
                           (den, "expected integer"), (close, "expected ')' closing fractional exponent")):
         if part is None:
             raise ParseError(message, m.end())
-    num, den = int(num), int(den)
+    num, den = _int(num, m.end()), _int(den, m.end())
     if den == 0:
         raise ParseError("zero denominator", m.end())
     g = gcd(num, den) if den > 0 else -gcd(num, den)

@@ -21,15 +21,13 @@ from qaffine.affine import (
     NodeOutOfRange,
     RankOutOfRange,
     build,
-    build_type,
     canonical_param,
     component_class,
     format_type_string,
-    in_sigma_z,
     parse_type_string,
-    sigma_eq,
     untwisted_partner,
 )
+from qaffine.invariants import sigma_point
 from qaffine.scalars import MINUS_Q, OMEGA, ONE, Q, QS, SpectralScalar, scalar, parse_scalar
 
 ALL_SMALL = [
@@ -74,16 +72,16 @@ def test_rank_ranges():
 
 
 def test_pstar_table():
-    assert build_type(Family.B1, 3).pstar == scalar(0, 5)
-    assert build_type(Family.A1, 4).pstar == MINUS_Q ** 5
-    assert build_type(Family.C1, 4).pstar == scalar(0, 5)
-    assert build_type(Family.D1, 5).pstar == scalar(0, 8)
-    assert build_type(Family.A2_EVEN, 2).pstar == scalar(12, 5)
-    assert build_type(Family.A2_ODD, 3).pstar == scalar(12, 6)
-    assert build_type(Family.D2, 4).pstar == scalar(12 * 5, 8)  # (-1)^{n+1} q^{2n}, n=4
-    assert build_type(Family.G2_1).pstar == scalar(0, 4)
-    assert build_type(Family.E6_2).pstar == scalar(12, 12)
-    assert build_type(Family.D4_3).pstar == scalar(0, 6)
+    assert build(AffineType(Family.B1, 3)).pstar == scalar(0, 5)
+    assert build(AffineType(Family.A1, 4)).pstar == MINUS_Q ** 5
+    assert build(AffineType(Family.C1, 4)).pstar == scalar(0, 5)
+    assert build(AffineType(Family.D1, 5)).pstar == scalar(0, 8)
+    assert build(AffineType(Family.A2_EVEN, 2)).pstar == scalar(12, 5)
+    assert build(AffineType(Family.A2_ODD, 3)).pstar == scalar(12, 6)
+    assert build(AffineType(Family.D2, 4)).pstar == scalar(12 * 5, 8)  # (-1)^{n+1} q^{2n}, n=4
+    assert build(parse_type_string("G2-1")).pstar == scalar(0, 4)
+    assert build(parse_type_string("E6-2")).pstar == scalar(12, 12)
+    assert build(parse_type_string("D4-3")).pstar == scalar(0, 6)
 
 
 def test_ptilde_is_pstar_squared():
@@ -94,13 +92,13 @@ def test_ptilde_is_pstar_squared():
 
 
 def test_istar():
-    d = build_type(Family.A1, 4)
+    d = build(AffineType(Family.A1, 4))
     assert d.istar[1] == 4 and d.istar[2] == 3
-    d5 = build_type(Family.D1, 5)
+    d5 = build(AffineType(Family.D1, 5))
     assert d5.istar[4] == 5 and d5.istar[5] == 4 and d5.istar[1] == 1
-    d6 = build_type(Family.D1, 6)
+    d6 = build(AffineType(Family.D1, 6))
     assert all(d6.istar[i] == i for i in d6.i0)
-    e6 = build_type(Family.E6_1)
+    e6 = build(parse_type_string("E6-1"))
     assert e6.istar[1] == 6 and e6.istar[3] == 5 and e6.istar[2] == 2
     for s in ("B3-1", "C3-1", "F4-1", "G2-1", "A4-2", "A5-2", "D5-2", "E6-2", "D4-3"):
         d = build(parse_type_string(s))
@@ -130,25 +128,44 @@ def test_m_tables():
     assert build(parse_type_string("B4-1")).m == {i: 1 for i in range(1, 5)}
 
 
+def _sigma_eq(d, p1, p2):
+    """The definition, as an oracle: (i,x) ~ (j,y) iff i = j and x^{m_i} = y^{m_i}."""
+    (i, x), (j, y) = p1, p2
+    d.check_node(i)
+    d.check_node(j)
+    if i != j or x.e != y.e:
+        return False
+    return (d.m[i] * (x.phase - y.phase)) % 24 == 0
+
+
+def _identified(d, p1, p2):
+    """Whether `sigma_point` stores the two points as one, checked against the oracle."""
+    same = sigma_point(d, *p1) == sigma_point(d, *p2)
+    assert same == _sigma_eq(d, p1, p2), (d, p1, p2)
+    return same
+
+
 def test_sigma_eq_examples():
     d52 = build(parse_type_string("D5-2"))
-    assert sigma_eq(d52, (1, Q), (1, MINUS_Q))
-    assert not sigma_eq(d52, (4, Q), (4, MINUS_Q))
+    assert _identified(d52, (1, Q), (1, MINUS_Q))
+    assert not _identified(d52, (4, Q), (4, MINUS_Q))
     d43 = build(parse_type_string("D4-3"))
-    assert sigma_eq(d43, (2, MINUS_Q), (2, OMEGA * MINUS_Q))
-    assert not sigma_eq(d43, (1, Q), (1, OMEGA * Q))
+    assert _identified(d43, (2, MINUS_Q), (2, OMEGA * MINUS_Q))
+    assert not _identified(d43, (1, Q), (1, OMEGA * Q))
     a52 = build(parse_type_string("A5-2"))
-    assert not sigma_eq(a52, (1, Q), (1, MINUS_Q))
-    assert sigma_eq(a52, (3, Q), (3, MINUS_Q))
+    assert not _identified(a52, (1, Q), (1, MINUS_Q))
+    assert _identified(a52, (3, Q), (3, MINUS_Q))
 
 
 def test_sigma_eq_untwisted_is_equality():
-    d = build_type(Family.B1, 3)
-    assert sigma_eq(d, (2, QS), (2, QS))
-    assert not sigma_eq(d, (2, QS), (2, QS * scalar(12, 0)))
+    d = build(AffineType(Family.B1, 3))
+    assert _identified(d, (2, QS), (2, QS))
+    assert not _identified(d, (2, QS), (2, QS * scalar(12, 0)))
 
 
 def test_sigma_eq_is_equivalence():
+    # over all pairs, sigma_point identifies exactly the pairs the definition
+    # does; point equality is an equivalence, so the definition is one too
     rng = random.Random(1)
     d = build(parse_type_string("D5-2"))
     pts = [
@@ -156,14 +173,8 @@ def test_sigma_eq_is_equivalence():
         for _ in range(60)
     ]
     for p in pts:
-        assert sigma_eq(d, p, p)
-    for p in pts:
         for q in pts:
-            assert sigma_eq(d, p, q) == sigma_eq(d, q, p)
-            if sigma_eq(d, p, q):
-                for r in pts:
-                    if sigma_eq(d, q, r):
-                        assert sigma_eq(d, p, r)
+            _identified(d, p, q)
 
 
 def test_canonical_param_respects_equivalence():
@@ -183,21 +194,21 @@ def test_untwisted_partner():
 
 
 def test_dd_on_g0():
-    d = build_type(Family.D1, 5)
+    d = build(AffineType(Family.D1, 5))
     assert d.dd(1, 5) == 3  # node 5 hangs off node 3 in the D_5 diagram
     assert d.dd(4, 5) == 2
-    f4 = build_type(Family.F4_1)
+    f4 = build(parse_type_string("F4-1"))
     assert f4.dd(1, 3) == 2
-    e7 = build_type(Family.E7_1)
+    e7 = build(parse_type_string("E7-1"))
     assert e7.dd(2, 7) == 4
 
 
 def test_component_classes():
     # same component: sigma_0 members of B_3^{(1)}
-    d = build_type(Family.B1, 3)
-    assert in_sigma_z(d, 3, Q ** 5)
-    assert in_sigma_z(d, 1, QS)  # (-1)^{3+1} q_s q^m branch
-    assert not in_sigma_z(d, 1, Q)
+    d = build(AffineType(Family.B1, 3))
+    assert component_class(d, 3, Q ** 5) == ONE
+    assert component_class(d, 1, QS) == ONE  # (-1)^{3+1} q_s q^m branch
+    assert component_class(d, 1, Q) != ONE
     assert component_class(d, 1, QS * Q) == component_class(d, 2, scalar(12, 0) * QS)
     # offset by q^(1/6) always leaves the component
     shift = parse_scalar("q^(1/6)")
@@ -210,8 +221,8 @@ def test_component_classes():
 def test_component_class_respects_sigma_eq():
     d43 = build(parse_type_string("D4-3"))
     assert component_class(d43, 2, MINUS_Q) == component_class(d43, 2, OMEGA * MINUS_Q)
-    assert in_sigma_z(d43, 2, OMEGA * OMEGA * MINUS_Q)
-    assert in_sigma_z(d43, 1, OMEGA * Q ** 2)
+    assert component_class(d43, 2, OMEGA * OMEGA * MINUS_Q) == ONE
+    assert component_class(d43, 1, OMEGA * Q ** 2) == ONE
     d52 = build(parse_type_string("D5-2"))
     assert component_class(d52, 1, Q) == component_class(d52, 1, MINUS_Q)
 
@@ -226,21 +237,21 @@ def test_class_translate_lands_in_sigma_z():
         for _ in range(2000):
             i = rng.choice(d.i0)
             x = SpectralScalar(rng.randrange(24), rng.randint(-1000, 1000))
-            assert in_sigma_z(d, i, x / component_class(d, i, x)), (s, i, x)
+            assert component_class(d, i, x / component_class(d, i, x)) == ONE, (s, i, x)
 
 
 def test_sigma0_membership_lists():
     # spot-check the sigma_0 lists for a twisted and an untwisted family
     a52 = build(parse_type_string("A5-2"))  # sigma_0: (i, +-(-q)^p) p = i+1 mod 2, (3, (-q)^r) r even
-    assert in_sigma_z(a52, 1, Q ** 2)
-    assert in_sigma_z(a52, 1, (MINUS_Q ** 2) * scalar(12, 0))  # the minus branch
-    assert not in_sigma_z(a52, 1, MINUS_Q)  # odd power at node 1
-    assert in_sigma_z(a52, 2, MINUS_Q)
-    assert in_sigma_z(a52, 3, Q ** 2)
-    g2 = build_type(Family.G2_1)
-    assert in_sigma_z(g2, 2, ONE)
-    assert in_sigma_z(g2, 1, parse_scalar("(-qt)^3"))
-    assert not in_sigma_z(g2, 1, ONE)
+    assert component_class(a52, 1, Q ** 2) == ONE
+    assert component_class(a52, 1, (MINUS_Q ** 2) * scalar(12, 0)) == ONE  # the minus branch
+    assert component_class(a52, 1, MINUS_Q) != ONE  # odd power at node 1
+    assert component_class(a52, 2, MINUS_Q) == ONE
+    assert component_class(a52, 3, Q ** 2) == ONE
+    g2 = build(parse_type_string("G2-1"))
+    assert component_class(g2, 2, ONE) == ONE
+    assert component_class(g2, 1, parse_scalar("(-qt)^3")) == ONE
+    assert component_class(g2, 1, ONE) != ONE
 
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from qaffine import blocks
 from qaffine.acceptance import SWEEP
-from qaffine.affine import Family, build, build_type, component_class, parse_type_string
+from qaffine.affine import AffineType, Family, build, component_class, parse_type_string
 from qaffine.blocks import (
     BlockLabel,
     NotInW0,
@@ -23,6 +23,7 @@ from qaffine.qcartan import custom_qdatum, default_qdatum
 from qaffine.qdata import (
     lattice_table,
     phi_q,
+    phi_q_map,
     root_coords,
     sigma_q_points,
     simple_root_points,
@@ -46,14 +47,14 @@ def det(mat):
 
 
 def test_gram_a4():
-    res = gram(build_type(Family.A1, 4))
+    res = gram(build(AffineType(Family.A1, 4)))
     assert res.equal
     assert res.matrix == res.expected
     assert all(res.matrix[i][i] == 2 for i in range(4))
 
 
 def test_gram_c4_is_cartan_d5():
-    d = build_type(Family.C1, 4)
+    d = build(AffineType(Family.C1, 4))
     res = gram(d)
     assert res.equal
     assert res.matrix[4][2] == -1  # the (n+1, n-1) off-diagonal entry
@@ -61,7 +62,7 @@ def test_gram_c4_is_cartan_d5():
 
 
 def test_gram_g2_is_cartan_d4():
-    res = gram(build_type(Family.G2_1))
+    res = gram(build(parse_type_string("G2-1")))
     assert res.equal
     assert len(res.matrix) == 4
 
@@ -82,7 +83,7 @@ def test_gram_positive_definite():
 
 
 def test_psi_lattice_unit_vectors():
-    d = build_type(Family.A1, 4)
+    d = build(AffineType(Family.A1, 4))
     q = default_qdatum(d)
     pts = simple_root_points(q, d)
     for i, p in enumerate(pts):
@@ -92,7 +93,7 @@ def test_psi_lattice_unit_vectors():
 
 def test_psi_lattice_a4_figure_cell():
     # the sigma-point of the (1100) cell carries coordinates (1,1,0,0)
-    d = build_type(Family.A1, 4)
+    d = build(AffineType(Family.A1, 4))
     q = default_qdatum(d)
     p = phi_q(q, d, (1, 1, 0, 0))
     assert p == sigma_point(d, 2, MINUS_Q ** -1)
@@ -100,7 +101,7 @@ def test_psi_lattice_a4_figure_cell():
 
 
 def test_psi_lattice_dual_pair_is_zero():
-    d = build_type(Family.B1, 3)
+    d = build(AffineType(Family.B1, 3))
     q = default_qdatum(d)
     p = sigma_point(d, 1, QS)
     f = e_of(d, [p, dual_shift(d, p, 1)])
@@ -109,7 +110,7 @@ def test_psi_lattice_dual_pair_is_zero():
 
 
 def test_psi_lattice_rejects_non_lattice_function():
-    d = build_type(Family.A1, 2)
+    d = build(AffineType(Family.A1, 2))
     q = default_qdatum(d)
     f = s_func(d, sigma_point(d, 1, ONE))
     halved = SigmaFunction(f.keys, tuple(2 * v for v in f.vals), f.gens)
@@ -147,8 +148,33 @@ def test_root_coords_keys_are_sigma_0_over_one_ptilde_window(s):
     assert set(table) == sigma_0 and len(table) == 2 * len(q.rs.positive_roots)
 
 
+# per variable family, rungs near rank 8, near 12 and at 16-21, far above the
+# SWEEP ranks (at most 6); the rungs at the rank cap take 5-32 s each, too
+# long for this suite
+LADDER = [
+    "A8-1", "B8-1", "C8-1", "D8-1", "A8-2", "A9-2", "D8-2",
+    "A12-1", "B12-1", "C12-1", "D12-1", "A12-2", "A13-2", "D12-2",
+    "A20-1", "B16-1", "C16-1", "D20-1", "A20-2", "A21-2", "D20-2",
+]
+
+
+@pytest.mark.parametrize("s", LADDER)
+def test_rank_ladder_contract(s):
+    # criteria 1, 9 and 12 at large rank: Gram = Cartan, |Delta_0| = 2|Delta+|
+    # with distinct members, and psi_lattice reads beta at phi_Q(beta), -beta
+    # at its dual translate
+    d = build(parse_type_string(s))
+    q = default_qdatum(d)
+    assert gram(d).equal
+    roots = delta0(d)
+    assert len(roots) == 2 * len(d.gfin.positive_roots) == len(set(roots))
+    for beta, p in phi_q_map(q, d).items():
+        assert psi_lattice(d, q, s_func(d, p)) == beta, (s, str(p))
+        assert psi_lattice(d, q, s_func(d, dual_shift(d, p))) == tuple(-c for c in beta), (s, str(p))
+
+
 def test_block_label_single_fundamental():
-    d = build_type(Family.A1, 3)
+    d = build(AffineType(Family.A1, 3))
     q = default_qdatum(d)
     p = phi_q(q, d, (0, 1, 0))
     label = block_label(d, q, [p])
@@ -156,7 +182,7 @@ def test_block_label_single_fundamental():
 
 
 def test_block_label_kernel_is_trivial():
-    d = build_type(Family.A1, 3)
+    d = build(AffineType(Family.A1, 3))
     q = default_qdatum(d)
     for t in (ONE, scalar(5, 2)):
         pts = [sigma_point(d, 1, t * Q ** (2 * k)) for k in range(4)]
@@ -164,7 +190,7 @@ def test_block_label_kernel_is_trivial():
 
 
 def test_block_label_kernel_augmented_equal():
-    d = build_type(Family.B1, 3)
+    d = build(AffineType(Family.B1, 3))
     q = default_qdatum(d)
     base = [sigma_point(d, 1, QS), sigma_point(d, 2, QS ** 3)]
     kernel = [sigma_point(d, 3, Q ** 2), sigma_point(d, 3, Q ** 7)]  # (n,t), (n,tq^{2n-1})
@@ -172,7 +198,7 @@ def test_block_label_kernel_augmented_equal():
 
 
 def test_block_label_translates_differ():
-    d = build_type(Family.A1, 2)
+    d = build(AffineType(Family.A1, 2))
     q = default_qdatum(d)
     p = sigma_point(d, 1, ONE)
     shifted = sigma_point(d, 1, scalar(1, Fraction(1, 6)))
@@ -183,7 +209,7 @@ def test_block_label_translates_differ():
 
 
 def test_partition_blocks():
-    d = build_type(Family.A1, 2)
+    d = build(AffineType(Family.A1, 2))
     q = default_qdatum(d)
     t = scalar(3, 1)
     a = [sigma_point(d, 1, ONE)]
@@ -224,7 +250,8 @@ def test_psi_lattice_round_trip_random_vectors():
             coords = tuple(rng.randint(-2, 2) for _ in pts)
             values = {}
             for p, c in zip(pts, coords):
-                for k, v in s_func(d, p).keyed:
+                g = s_func(d, p)
+                for k, v in zip(g.keys, g.vals):
                     values[k] = values.get(k, 0) + c * v
             keys = tuple(sorted(k for k, v in values.items() if v))
             f = SigmaFunction(
@@ -246,7 +273,7 @@ def test_delta0_counts():
 
 
 def test_delta0_closed_under_negation():
-    d = build_type(Family.A1, 3)
+    d = build(AffineType(Family.A1, 3))
     roots = delta0(d)
     rset = set(roots)
     for f in roots:

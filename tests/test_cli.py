@@ -10,7 +10,9 @@ import pytest
 import qaffine
 from qaffine import cli, invariants
 from qaffine.cli import run
-from qaffine.scalars import InvariantViolation
+from qaffine.affine import RankOutOfRange, build, parse_type_string
+from qaffine.invariants import parse_sigma_point
+from qaffine.scalars import InvariantViolation, ParseError, parse_scalar
 
 
 def test_cartan_check_g2(capsys):
@@ -217,6 +219,64 @@ def test_domain_error(capsys):
 def test_non_ascii_digits_are_a_domain_error(capsys, point, message):
     assert run(["de", "A2-1", point, "1@1"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# an integer literal past the interpreter's int-string limit (4,300 digits by
+# default): `int` raises a bare ValueError on it, which must not escape
+BIG = "9" * 5000
+needs_int_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(BIG),
+    reason="no int-string limit below the literal's length",
+)
+
+
+@needs_int_limit
+@pytest.mark.parametrize("text", [f"q^{BIG}", f"z24^{BIG}", f"q^({BIG}/2)", f"q^(2/{BIG})", f"q*(-qs)^-{BIG}"],
+                         ids=["power", "phase", "numerator", "denominator", "negative-power"])
+def test_long_integer_in_a_scalar_is_a_parse_error(text):
+    # reported, like the factor's other errors, at the factor's end
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text)
+    assert str(err.value) == f"integer literal too long (at offset {len(text)})"
+    assert err.value.offset == len(text)
+
+
+@needs_int_limit
+def test_long_integer_in_a_point_or_type_is_a_domain_error():
+    d = build(parse_type_string("A3-1"))
+    with pytest.raises(ParseError) as err:
+        parse_sigma_point(d, f"{BIG}@1")
+    assert err.value.offset == 0
+    with pytest.raises(ParseError) as err:
+        parse_sigma_point(d, f"1@q^{BIG}")
+    assert err.value.offset == 2 + len(BIG)
+    for text in (f"A{BIG}-1", f"D{BIG}-2"):
+        with pytest.raises(RankOutOfRange, match="digits>-[12] is too long"):
+            parse_type_string(text)
+
+
+@needs_int_limit
+@pytest.mark.parametrize("argv, message", [
+    (["de", "A2-1", f"1@q^{BIG}", "1@1"], f"integer literal too long (at offset {2 + len(BIG)})"),
+    (["lambda", "A2-1", "1@1", f"{BIG}@1"], "integer literal too long (at offset 0)"),
+    (["cartan-check", f"A{BIG}-1"], "rank of A<5000 digits>-1 is too long"),
+    (["s-func", "E6-2", f"1@q^({BIG}/2)"], f"integer literal too long (at offset {6 + len(BIG)})"),
+], ids=["scalar", "node", "type", "fraction"])
+def test_long_integer_arguments_exit_1(capsys, argv, message):
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@needs_int_limit
+@pytest.mark.parametrize("line", [f"[{BIG}]", f'["1@1", {BIG}]', f'["{BIG}@1"]', f'["1@z24^{BIG}"]'],
+                         ids=["json-int", "json-int-after-point", "node", "phase"])
+def test_long_integer_in_a_partition_file_names_its_line(tmp_path, capsys, line):
+    path = tmp_path / "weights.jsonl"
+    path.write_text(f'["1@1"]\n{line}\n', encoding="utf-8")
+    assert run(["partition", "A3-1", "--file", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: integer literal too long (at offset ")
+    assert "Traceback" not in err
 
 
 def test_malformed_partition_file_is_a_domain_error(tmp_path, capsys):

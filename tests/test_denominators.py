@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from denominator_oracle import oracle_factors
-from qaffine.affine import Family, build, build_type, parse_type_string
-from qaffine.denominators import denominator, denominator_factors, expand_factors, zero_order
+from qaffine.affine import AffineType, Family, build, parse_type_string
+from qaffine.denominators import denominator, denominator_factors, expand_factors
 from qaffine.qcartan import ctilde_formula, default_qdatum
 from qaffine.scalars import MINUS_ONE, OMEGA, ONE, Q, QS, QT, scalar
 
@@ -20,13 +20,13 @@ def roots_set(d, i, j):
 
 
 def test_b3_spin_denominator():
-    d = build_type(Family.B1, 3)
+    d = build(AffineType(Family.B1, 3))
     assert roots_set(d, 3, 3) == {QS ** 2: 1, QS ** 6: 1, QS ** 10: 1}
-    assert zero_order(denominator(d, 3, 3), QS ** 2) == 1
+    assert denominator(d, 3, 3).mult(QS ** 2) == 1
 
 
 def test_g2_12_denominator():
-    d = build_type(Family.G2_1)
+    d = build(parse_type_string("G2-1"))
     assert roots_set(d, 1, 2) == {MINUS_ONE * QT ** 7: 1, MINUS_ONE * QT ** 11: 1}
 
 
@@ -99,11 +99,11 @@ def test_d43_12_expansion_matches_symbolic_product():
 def test_d43_22_zero_orders():
     d = build(parse_type_string("D4-3"))
     p = denominator(d, 2, 2)
-    assert zero_order(p, Q ** 4) == 2  # q^4 is a cube root of q^12, multiplicity 2
-    assert zero_order(p, Q ** 2) == 1
-    assert zero_order(p, OMEGA * Q ** 4) == 2
-    assert zero_order(p, Q ** 6) == 1
-    assert p.degree == 12
+    assert p.mult(Q ** 4) == 2  # q^4 is a cube root of q^12, multiplicity 2
+    assert p.mult(Q ** 2) == 1
+    assert p.mult(OMEGA * Q ** 4) == 2
+    assert p.mult(Q ** 6) == 1
+    assert sum(m for _, m in p) == 12
 
 
 def test_zero_order_at_one_is_zero():
@@ -111,7 +111,7 @@ def test_zero_order_at_one_is_zero():
         d = build(parse_type_string(s))
         for i in d.i0:
             for j in d.i0:
-                assert zero_order(denominator(d, i, j), ONE) == 0
+                assert denominator(d, i, j).mult(ONE) == 0
 
 
 def test_symmetry_and_positive_exponents():
@@ -147,7 +147,7 @@ def test_a2_classical_formula_cross_check():
     # type A denominators from ctilde agree with the classical closed form
     # d_{k,l}(z) = prod_{s=1}^{min(k,l,n+1-k,n+1-l)} (z - (-q)^{|k-l|+2s})
     for n in (2, 3, 4):
-        d = build_type(Family.A1, n)
+        d = build(AffineType(Family.A1, n))
         for k in d.i0:
             for l in d.i0:
                 classical = {}
@@ -178,22 +178,22 @@ def test_e62_11_matches_paper_list():
 
 
 def test_b2_denominators():
-    d = build_type(Family.B1, 2)
+    d = build(AffineType(Family.B1, 2))
     assert roots_set(d, 1, 1) == {Q ** 2: 1, Q ** 3: 1}
     assert roots_set(d, 1, 2) == {MINUS_ONE * QS ** 5: 1}
     assert roots_set(d, 2, 2) == {QS ** 2: 1, QS ** 6: 1}
 
 
 def test_degrees_against_known_counts():
-    d = build_type(Family.C1, 4)
+    d = build(AffineType(Family.C1, 4))
     # C_n: deg d_{k,l} = min(k,l,n-k,n-l) + min(k,l)
     for k in d.i0:
         for l in d.i0:
-            assert denominator(d, k, l).degree == min(k, l, 4 - k, 4 - l) + min(k, l)
+            assert sum(m for _, m in denominator(d, k, l)) == min(k, l, 4 - k, 4 - l) + min(k, l)
     a = build(parse_type_string("A4-2"))
     for k in a.i0:
         for l in a.i0:
-            assert denominator(a, k, l).degree == 2 * min(k, l)
+            assert sum(m for _, m in denominator(a, k, l)) == 2 * min(k, l)
 
 
 # The closed formulas and tables that the fold replaced, kept in

@@ -3,7 +3,7 @@ feed the main-theorem matrices)."""
 
 from fractions import Fraction
 
-from qaffine.affine import Family, build, build_type, parse_type_string
+from qaffine.affine import AffineType, Family, build, parse_type_string
 from qaffine.invariants import lambda_inf, sigma_point
 from qaffine.qcartan import default_qdatum
 from qaffine.qdata import phi_q
@@ -30,14 +30,14 @@ def qs_pow(k):
 
 def test_a_type():
     for n in (2, 3, 4, 5):
-        d = build_type(Family.A1, n)
+        d = build(AffineType(Family.A1, n))
         for k in range(1, n):
             assert li(d, 1, 1, MINUS_Q ** (2 * k)) == int(k == 1)
 
 
 def test_b_type():
     for n in (2, 3, 4):
-        d = build_type(Family.B1, n)
+        d = build(AffineType(Family.B1, n))
         for k in range(1, 2 * n - 3):  # stated for k up to 2n-4; empty at n=2
             assert li(d, 1, 1, Q ** k) == int(k == 2), (n, k)
         sign = MINUS_ONE ** (n + 1)
@@ -48,7 +48,7 @@ def test_b_type():
 
 def test_c_type():
     for n in (3, 4, 5):
-        d = build_type(Family.C1, n)
+        d = build(AffineType(Family.C1, n))
         for k in range(2, 2 * n - 1, 2):
             assert li(d, 1, 1, MINUS_QS ** k) == int(k == 2)
         for t in range(n + 1, 3 * n, 2):
@@ -57,7 +57,7 @@ def test_c_type():
 
 def test_d_type():
     for n in (4, 5, 6):
-        d = build_type(Family.D1, n)
+        d = build(AffineType(Family.D1, n))
         h = 2 * n - 2
         for k in range(2, h - 3):
             assert li(d, 1, 1, MINUS_Q ** k) == int(k == 2)
@@ -68,21 +68,21 @@ def test_d_type():
 
 def test_a_even_twisted():
     for n in (1, 2, 3):
-        d = build_type(Family.A2_EVEN, n)
+        d = build(AffineType(Family.A2_EVEN, n))
         for k in range(2, 4 * n, 2):
             assert li(d, 1, 1, MINUS_Q ** k) == int(k == 2)
 
 
 def test_a_odd_twisted():
     for n in (2, 3, 4):
-        d = build_type(Family.A2_ODD, n)
+        d = build(AffineType(Family.A2_ODD, n))
         for k in range(2, 4 * n - 2, 2):
             assert li(d, 1, 1, MINUS_Q ** k) == int(k == 2)
 
 
 def test_d_twisted():
     for n in (3, 4, 5):
-        d = build_type(Family.D2, n)
+        d = build(AffineType(Family.D2, n))
         for k in range(2, 2 * n - 3, 2):
             assert li(d, 1, 1, MINUS_Q ** k) == int(k == 2)
         for sign in (ONE, MINUS_ONE):
@@ -93,7 +93,7 @@ def test_d_twisted():
 
 
 def test_e6_untwisted():
-    d = build_type(Family.E6_1)
+    d = build(parse_type_string("E6-1"))
     for k in (2, 4, 8, 10, 12, 14):
         assert li(d, 1, 1, MINUS_Q ** k) == int(k in (2, 8))
     for k in (-1, 1, 9, 11, 13):
@@ -101,7 +101,7 @@ def test_e6_untwisted():
 
 
 def test_e7():
-    d = build_type(Family.E7_1)
+    d = build(parse_type_string("E7-1"))
     assert li(d, 1, 1, MINUS_Q ** 2) == 1
     assert li(d, 1, 2, MINUS_Q) == 0
     assert li(d, 2, 1, MINUS_Q) == 0
@@ -114,7 +114,7 @@ def test_e7():
 
 
 def test_e8():
-    d = build_type(Family.E8_1)
+    d = build(parse_type_string("E8-1"))
     assert li(d, 1, 1, MINUS_Q ** 2) == 1
     assert li(d, 1, 2, MINUS_Q) == 0
     for k in (24, 26, 28, 30, 32, 34):
@@ -126,7 +126,7 @@ def test_e8():
 
 
 def test_f4():
-    d = build_type(Family.F4_1)
+    d = build(parse_type_string("F4-1"))
     for k in (2, 4):
         assert li(d, 1, 1, qs_pow(k)) == int(k == 4)
     for k in (15, 17, 19):
@@ -139,7 +139,7 @@ def test_f4():
 
 
 def test_g2():
-    d = build_type(Family.G2_1)
+    d = build(parse_type_string("G2-1"))
     for k in (3, 9, 11):
         assert li(d, 1, 2, MINUS_QT ** k) == int(k == 11)
     for k in (2, 6, 8):
@@ -165,7 +165,7 @@ def test_d4_triality():
 
 def test_phi_golden_d_untwisted():
     for n in (4, 5, 6):
-        d = build_type(Family.D1, n)
+        d = build(AffineType(Family.D1, n))
         q = default_qdatum(d)
         fin = d.gfin
         for i in range(1, n - 1):
@@ -184,7 +184,7 @@ def test_phi_golden_d_untwisted():
 
 def test_phi_golden_d_twisted():
     for n in (3, 4, 5):
-        d = build_type(Family.D2, n)
+        d = build(AffineType(Family.D2, n))
         q = default_qdatum(d)
         fin = d.gfin
         for i in range(1, n):

@@ -9,8 +9,7 @@ from qaffine.affine import (
     Family,
     RankOutOfRange,
     build,
-    build_type,
-    in_sigma_z,
+    component_class,
     parse_type_string,
     untwisted_partner,
 )
@@ -45,7 +44,7 @@ ALL_CRIT1 = (
 
 
 def test_default_qdatum_g2():
-    q = default_qdatum(build_type(Family.G2_1))
+    q = default_qdatum(build(parse_type_string("G2-1")))
     assert q.ord_rho == 3
     assert q.xi == {1: -1, 2: 0, 3: -3, 4: -5}
     assert q.rs.type_name == "D4"
@@ -53,7 +52,7 @@ def test_default_qdatum_g2():
 
 
 def test_default_qdatum_cn():
-    d = build_type(Family.C1, 4)
+    d = build(AffineType(Family.C1, 4))
     q = default_qdatum(d)
     assert q.xi[1] == 0 and q.xi[4] == -3 and q.xi[5] == -5
     assert tau_q(q)[:4] == (1, 2, 3, 4)
@@ -61,13 +60,13 @@ def test_default_qdatum_cn():
 
 
 def test_default_qdatum_an():
-    q = default_qdatum(build_type(Family.A1, 5))
+    q = default_qdatum(build(AffineType(Family.A1, 5)))
     assert all(q.xi[i] == 1 - i for i in range(1, 6))
     assert tau_q(q) == (1, 2, 3, 4, 5)
 
 
 def test_default_qdatum_f4():
-    q = default_qdatum(build_type(Family.F4_1))
+    q = default_qdatum(build(parse_type_string("F4-1")))
     assert tau_q(q)[:4] == (1, 2, 3, 4)
     assert q.pi == {1: 1, 6: 1, 3: 2, 5: 2, 4: 3, 2: 4}
 
@@ -80,7 +79,7 @@ def test_all_defaults_validate():
 
 
 def test_bn_perturbation_violates_condition_2():
-    d = build_type(Family.B1, 3)
+    d = build(AffineType(Family.B1, 3))
     q = default_qdatum(d)
     xi = dict(q.xi)
     xi[d.n + 1] += 1
@@ -90,20 +89,19 @@ def test_bn_perturbation_violates_condition_2():
 
 
 def test_simply_laced_bad_edge_violates_condition_1():
-    d = build_type(Family.A1, 3)
+    d = build(AffineType(Family.A1, 3))
     bad = QDatum(rs=d.gfin, rho=(0, 1, 2, 3), xi={1: 0, 2: -2, 3: -3}, base=d)
     violations = validate_qdatum(bad)
     assert violations and any("condition (1)" in v for v in violations)
 
 
 def test_custom_qdatum():
-    d = build_type(Family.A1, 3)
-    q = custom_qdatum(d, {1: 0, 2: 1, 3: 0})
-    assert q.non_default
+    d = build(AffineType(Family.A1, 3))
+    custom_qdatum(d, {1: 0, 2: 1, 3: 0})
     with pytest.raises(InvalidQDatum):
         custom_qdatum(d, {1: 0, 2: 2, 3: 0})
     with pytest.raises(InvalidQDatum):
-        custom_qdatum(build_type(Family.B1, 2), {1: 0, 2: 1, 3: 0})
+        custom_qdatum(build(AffineType(Family.B1, 2)), {1: 0, 2: 1, 3: 0})
 
 
 @pytest.mark.parametrize("xi, bad", [
@@ -113,7 +111,19 @@ def test_custom_qdatum():
 def test_custom_qdatum_rejects_heights_that_are_not_ints(xi, bad):
     # float heights used to pass and break `block_label`; a str one broke `validate_qdatum`
     with pytest.raises(InvalidQDatum, match=f"height {bad} is not an int"):
-        custom_qdatum(build_type(Family.A1, 3), xi)
+        custom_qdatum(build(AffineType(Family.A1, 3)), xi)
+
+
+@pytest.mark.parametrize("xi, nodes", [
+    ({1: 0, "2": 1, 3: 0}, "[1, 3, '2']"),
+    ({1: 0, 2: 1}, "[1, 2]"),
+    ({1: 0, 2: 1, 3: 0, 10: 1}, "[1, 2, 3, 10]"),
+], ids=["mixed-key-types", "missing-node", "extra-node"])
+def test_custom_qdatum_rejects_a_wrong_node_set(xi, nodes):
+    # a str key beside int ones used to escape as a bare TypeError from sorting the keys
+    with pytest.raises(InvalidQDatum) as exc:
+        custom_qdatum(build(AffineType(Family.A1, 3)), xi)
+    assert str(exc.value) == f"height function defined on {nodes} instead of the node set"
 
 
 def test_gamma_is_positive_root():
@@ -124,7 +134,7 @@ def test_gamma_is_positive_root():
 
 
 def test_psi_base_case_and_errors():
-    q = default_qdatum(build_type(Family.A1, 4))
+    q = default_qdatum(build(AffineType(Family.A1, 4)))
     for i in range(1, 5):
         assert psi_q(q, i, q.xi[i]) == (gamma_q(q, i), 0)
     with pytest.raises(NotInHatIQ):
@@ -133,15 +143,15 @@ def test_psi_base_case_and_errors():
 
 def test_psi_a4_figure_cell():
     # the (1100) cell of the A_4 grid sits at (i, k) = (2, -1)
-    q = default_qdatum(build_type(Family.A1, 4))
+    q = default_qdatum(build(AffineType(Family.A1, 4)))
     assert psi_q(q, 2, -1) == ((1, 1, 0, 0), 0)
     inv = phi_inverse_zero(q)
     assert inv[(1, 1, 0, 0)] == (2, -1)
 
 
 def test_iq_counts():
-    assert len(i_q(default_qdatum(build_type(Family.B1, 3)))) == 15
-    assert i_q(default_qdatum(build_type(Family.A1, 1))) == [(1, 0)]
+    assert len(i_q(default_qdatum(build(AffineType(Family.B1, 3))))) == 15
+    assert i_q(default_qdatum(build(AffineType(Family.A1, 1)))) == [(1, 0)]
     for s in ALL_CRIT1:
         d = build(parse_type_string(s))
         q = default_qdatum(d)
@@ -149,7 +159,7 @@ def test_iq_counts():
 
 
 def test_esig_bn():
-    d = build_type(Family.B1, 3)
+    d = build(AffineType(Family.B1, 3))
     q = default_qdatum(d)
     node, val = esig(q, 1, 3)
     assert (node, val) == (1, scalar(0, Fraction(3, 2)))  # (-1)^{1+3} qs^3
@@ -302,7 +312,7 @@ def test_family_spec_matches_the_chains_it_replaced(s):
 
 def test_phi_golden_a():
     for n in (1, 2, 4):
-        d = build_type(Family.A1, n)
+        d = build(AffineType(Family.A1, n))
         q = default_qdatum(d)
         for i in range(1, n + 1):
             assert phi_q(q, d, d.gfin.simple_root(i)) == sigma_point(d, 1, MINUS_Q ** (2 - 2 * i))
@@ -310,7 +320,7 @@ def test_phi_golden_a():
 
 def test_phi_golden_b():
     for n in (2, 3, 4):
-        d = build_type(Family.B1, n)
+        d = build(AffineType(Family.B1, n))
         q = default_qdatum(d)
         fin = q.rs
         sign = MINUS_ONE ** (n + 1)
@@ -329,7 +339,7 @@ def test_phi_golden_b():
 
 def test_phi_golden_c():
     for n in (3, 4, 5):
-        d = build_type(Family.C1, n)
+        d = build(AffineType(Family.C1, n))
         q = default_qdatum(d)
         fin = q.rs
         for i in range(1, n + 1):
@@ -353,7 +363,7 @@ def test_phi_injective_and_in_sigma0():
         mp = phi_q_map(q, d)
         assert len(set(mp.values())) == len(q.rs.positive_roots)
         for p in mp.values():
-            assert in_sigma_z(d, p.node, p.param), (s, p)
+            assert component_class(d, p.node, p.param) == ONE, (s, p)
 
 
 def test_sigma_q_window_equals_phi_image():
@@ -372,13 +382,13 @@ def test_sigma_q_translates_disjoint():
             assert not (t & seen)
             seen |= t
         for p in seen:
-            assert in_sigma_z(d, p.node, p.param)
+            assert component_class(d, p.node, p.param) == ONE
 
 
 def test_sigma_z_is_union_of_translates_a2():
     # A_2^{(1)}: five consecutive translates tile the (-q)-power grid
     # p in [-4, 8] at node 1 and [-5, 9] at node 2, one point each
-    d = build_type(Family.A1, 2)
+    d = build(AffineType(Family.A1, 2))
     union = set()
     for k in range(-1, 4):
         union |= translate_star(d, sigma_q_points(d), k)
@@ -391,7 +401,7 @@ def test_sigma_z_is_union_of_translates_a2():
 def test_tau_tie_break_invariance():
     # nodes 2 and 3 of E6 share a height and commute; both legal orderings
     # must give the same bijection
-    d = build_type(Family.E6_1)
+    d = build(parse_type_string("E6-1"))
     q1 = default_qdatum(d)
     q2 = QDatum(rs=q1.rs, rho=q1.rho, xi=q1.xi, base=q1.base)
     assert validate_qdatum(q2) == []
