@@ -33,6 +33,7 @@ from .invariants import (
     sigma_point,
 )
 from .qcartan import (
+    BeyondTruncation,
     CTildeTable,
     InvalidQDatum,
     NotInHatIQ,
@@ -46,7 +47,7 @@ from .qcartan import (
     tau_q,
     validate_qdatum,
 )
-from .qdata import phi_q, phi_q_map, sigma_q_points
+from .qdata import NotAPositiveRoot, phi_q, phi_q_map, sigma_q_points
 from .roots import FinRootSystem, root_system
 from .scalars import (
     InvariantViolation,

@@ -17,7 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .roots import diagram_adj, graph_distance, root_system
+from .roots import RankOutOfRange, diagram_adj, graph_distance, root_system
 from .scalars import (
     MINUS_ONE,
     MINUS_Q,
@@ -34,10 +34,6 @@ from .scalars import (
     SpectralScalar,
     scalar,
 )
-
-
-class RankOutOfRange(QAffineError):
-    """Rank parameter outside the family's legal range."""
 
 
 class NodeOutOfRange(QAffineError):
@@ -293,7 +289,7 @@ class AffineData:
     lattice tables by them.
     """
 
-    __slots__ = ("type", "family", "n", "i0", "twisted", "m", "pstar", "ptilde", "istar", "gfin", "hvee",
+    __slots__ = ("type", "family", "n", "i0", "twisted", "m", "pstar", "istar", "gfin", "hvee",
                  "g0_adj", "k0", "sigma0_base", "simply_laced", "phase_mod", "period", "fold", "preimages",
                  "_denom_cache", "_template_cache", "_sfunc_cache")
 
@@ -310,7 +306,7 @@ class AffineData:
         self.pstar = spec.pstar(n)
         if self.pstar.e % 6:
             raise InvariantViolation(f"p* = {self.pstar} of {t} is not an integral power of q")
-        self.ptilde, self.hvee = self.pstar * self.pstar, self.pstar.e // 6
+        self.hvee = self.pstar.e // 6
         # the moduli of `invariants._key`: phase mod 24/m_j (sigma-equivalence), e mod 12 hvee (ptilde)
         self.phase_mod = {i: 24 // self.m[i] for i in self.i0}
         self.period = 12 * self.hvee

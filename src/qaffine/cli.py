@@ -1,8 +1,11 @@
 """Command-line front end: `qaffine <subcommand> ...`.
 
-Exit codes: 0 on success, 1 on domain errors (bad type strings, parameters
-outside the scalar domain, failed verification), 2 on usage errors.  Any
-other exception is a bug and propagates with its traceback.
+Each `cmd_*` yields records (payload, text, ok), and `run` alone writes
+them: one `json.dumps(payload, sort_keys=True)` line each under `--format
+json`, else the text.  Exit codes: 0 if every record is ok, 1 if one is not
+(a failed check) or on a domain error (bad type strings, parameters outside
+the scalar domain), 2 on usage errors.  Any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -31,13 +34,6 @@ def _parse_weights(d: AffineData, text: str):
     return [parse_sigma_point(d, part) for part in text.split(",") if part.strip()]
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
 def _printed_values(f) -> list[dict]:
     """A function's values in printed order: by node, then `order_key` of the parameter."""
     values = sorted(f.values, key=lambda pv: (pv[0].node, order_key(pv[0].param)))
@@ -53,21 +49,17 @@ def _factor_str(deg: int, value, mult: int) -> str:
     return f"({body})" + (f"^{mult}" if mult > 1 else "")
 
 
-def cmd_cartan_check(args) -> int:
+def cmd_cartan_check(args):
     types = [args.type]
     if args.all_ranks:
         from . import acceptance
 
         family = parse_type_string(args.type).family
         types = [s for s in acceptance.SWEEP if parse_type_string(s).family == family]
-    ok_all = True
     for s in types:
         d = build(parse_type_string(s))
         res = gram(d)
-        verdict = f"OK: Cartan of {d.gfin.type_name}"
-        if not res.equal:
-            verdict = f"MISMATCH at {res.mismatches}"
-            ok_all = False
+        verdict = f"OK: Cartan of {d.gfin.type_name}" if res.equal else f"MISMATCH at {res.mismatches}"
         payload = {
             "type": s,
             "matrix": [list(r) for r in res.matrix],
@@ -75,11 +67,10 @@ def cmd_cartan_check(args) -> int:
             "equal": res.equal,
         }
         rows = "\n".join(" ".join(f"{v:3d}" for v in row) for row in res.matrix)
-        _emit(args, payload, f"{s}\n{rows}\n{verdict}")
-    return 0 if ok_all else 1
+        yield payload, f"{s}\n{rows}\n{verdict}", res.equal
 
 
-def cmd_denom(args) -> int:
+def cmd_denom(args):
     d = _data(args)
     factors = denominator_factors(d, args.i, args.j)
     rm = denominator(d, args.i, args.j)
@@ -90,40 +81,36 @@ def cmd_denom(args) -> int:
     }
     factored = " ".join(_factor_str(*f) for f in factors) or "1"
     roots = ", ".join(f"{print_scalar(r)} (x{m})" if m > 1 else print_scalar(r) for r, m in rm)
-    _emit(args, payload, f"d_{args.i},{args.j}(z) = {factored}\nroots: {roots or 'none'}")
-    return 0
+    yield payload, f"d_{args.i},{args.j}(z) = {factored}\nroots: {roots or 'none'}", True
 
 
-def _two_point_cmd(args, fn, name: str) -> int:
+def _two_point_cmd(args, fn, name: str):
     d = _data(args)
     p1 = parse_sigma_point(d, args.p1)
     p2 = parse_sigma_point(d, args.p2)
     val = fn(d, p1, p2)
-    _emit(args, {"p1": str(p1), "p2": str(p2), name: val}, f"{name}({p1}, {p2}) = {val}")
-    return 0
+    yield {"p1": str(p1), "p2": str(p2), name: val}, f"{name}({p1}, {p2}) = {val}", True
 
 
-def cmd_s_func(args) -> int:
+def cmd_s_func(args):
     d = _data(args)
     p = parse_sigma_point(d, args.point)
     values = _printed_values(s_func(d, p))
     payload = {"point": str(p), "period_qexp": 2 * d.hvee, "values": values}
     lines = [f"s_{p} (values repeat with q-exponent period {2 * d.hvee}):"]
     lines += [f"  {pv['at']}: {pv['value']}" for pv in values]
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    yield payload, "\n".join(lines), True
 
 
-def cmd_e_of(args) -> int:
+def cmd_e_of(args):
     d = _data(args)
     pts = _parse_weights(d, args.weights)
     values = _printed_values(e_of(d, pts))
     body = "\n".join(f"  {pv['at']}: {pv['value']}" for pv in values) or "  0"
-    _emit(args, {"values": values}, f"E({args.weights}):\n{body}")
-    return 0
+    yield {"values": values}, f"E({args.weights}):\n{body}", True
 
 
-def cmd_sigma_q(args) -> int:
+def cmd_sigma_q(args):
     d = _data(args)
     q = default_qdatum(d)
     table = sorted(
@@ -132,21 +119,19 @@ def cmd_sigma_q(args) -> int:
     )
     payload = {"points": [{"i": i, "scalar": s, "root": b} for i, s, b in table]}
     lines = [f"{i}@{s}  <-  {b}" for i, s, b in table]
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    yield payload, "\n".join(lines), True
 
 
-def cmd_block_label(args) -> int:
+def cmd_block_label(args):
     d = _data(args)
     q = default_qdatum(d)
     label = block_label(d, q, _parse_weights(d, args.weights))
     payload = [{"component": f"t={c}", "coords": list(v)} for c, v in label.components]
     text = "\n".join(f"component t={c}: {list(v)}" for c, v in label.components) or "trivial (zero) label"
-    _emit(args, {"label": payload}, text)
-    return 0
+    yield {"label": payload}, text, True
 
 
-def cmd_partition(args) -> int:
+def cmd_partition(args):
     modules = []
     with args.file as handle:
         d = _data(args)
@@ -179,33 +164,28 @@ def cmd_partition(args) -> int:
         lines.append(f"block {idx}: label={[(c, list(v)) for c, v in label.components]}")
         for module in members:
             lines.append("  " + ",".join(str(p) for p in module))
-    _emit(args, {"blocks": payload}, "\n".join(lines) or "no modules")
-    return 0
+    yield {"blocks": payload}, "\n".join(lines) or "no modules", True
 
 
-def _verdict(args, check: str, ok: bool, detail: str, seconds: float, text: str) -> bool:
+def _verdict(check: str, ok: bool, detail: str, seconds: float, text: str):
     payload = {"check": check, "ok": ok, "detail": detail, "seconds": round(seconds, 3)}
-    _emit(args, payload, f"[{'PASS' if ok else 'FAIL'}] {text}")
-    return ok
+    return payload, f"[{'PASS' if ok else 'FAIL'}] {text}", ok
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     """One PASS/FAIL line, or with --format json one record, per check."""
     if args.all or args.type is None:
         from . import acceptance
 
-        oks = [
-            _verdict(args, f"criterion {name}", ok, detail, seconds, f"criterion {name} ({detail})")
-            for name, ok, detail, seconds in acceptance.run_criteria()
-        ]
+        for name, ok, detail, seconds in acceptance.run_criteria():
+            yield _verdict(f"criterion {name}", ok, detail, seconds, f"criterion {name} ({detail})")
     else:
         start = time.perf_counter()
         d = build(parse_type_string(args.type))
         res = gram(d)
         detail = f"Cartan of {d.gfin.type_name}" if res.equal else f"mismatches at {res.mismatches}"
         check = f"gram({args.type})"
-        oks = [_verdict(args, check, res.equal, detail, time.perf_counter() - start, check)]
-    return 0 if all(oks) else 1
+        yield _verdict(check, res.equal, detail, time.perf_counter() - start, check)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,53 +195,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_type=True):
-        if with_type:
-            p.add_argument("type", help="affine type string, e.g. A5-1, B3-1, D5-2, E6-2, D4-3")
+    def command(name: str, fn, help: str) -> argparse.ArgumentParser:
+        """A subcommand on one affine type, whose records `fn(args)` yields."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("type", help="affine type string, e.g. A5-1, B3-1, D5-2, E6-2, D4-3")
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("cartan-check", help="verify the Gram matrix equals the Cartan matrix")
-    common(p)
+    p = command("cartan-check", cmd_cartan_check, "verify the Gram matrix equals the Cartan matrix")
     p.add_argument("--all-ranks", action="store_true", help="sweep the family's standard ranks")
-    p.set_defaults(fn=cmd_cartan_check)
 
-    p = sub.add_parser("denom", help="denominator polynomial between two fundamentals")
-    common(p)
+    p = command("denom", cmd_denom, "denominator polynomial between two fundamentals")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.set_defaults(fn=cmd_denom)
 
     for name, fn in (("de", de), ("lambda", lambda_), ("lambda-inf", lambda_inf)):
-        p = sub.add_parser(name, help=f"the {name} invariant of two points i@scalar")
-        common(p)
+        p = command(name, lambda a, f=fn, n=name: _two_point_cmd(a, f, n),
+                    f"the {name} invariant of two points i@scalar")
         p.add_argument("p1")
         p.add_argument("p2")
-        p.set_defaults(fn=lambda a, f=fn, n=name: _two_point_cmd(a, f, n))
 
-    p = sub.add_parser("s-func", help="the block invariant function of one point")
-    common(p)
+    p = command("s-func", cmd_s_func, "the block invariant function of one point")
     p.add_argument("point")
-    p.set_defaults(fn=cmd_s_func)
 
-    p = sub.add_parser("e-of", help="E of an affine weight list")
-    common(p)
+    p = command("e-of", cmd_e_of, "E of an affine weight list")
     p.add_argument("--weights", required=True, help="comma-separated points, e.g. 1@q^2,3@(-q)^5")
-    p.set_defaults(fn=cmd_e_of)
 
-    p = sub.add_parser("sigma-q", help="the sigma_Q table with positive-root labels")
-    common(p)
-    p.set_defaults(fn=cmd_sigma_q)
+    command("sigma-q", cmd_sigma_q, "the sigma_Q table with positive-root labels")
 
-    p = sub.add_parser("block-label", help="block label of an affine weight list")
-    common(p)
+    p = command("block-label", cmd_block_label, "block label of an affine weight list")
     p.add_argument("--weights", required=True)
-    p.set_defaults(fn=cmd_block_label)
 
-    p = sub.add_parser("partition", help="group affine weight lists (JSONL file) into blocks")
-    common(p)
+    p = command("partition", cmd_partition, "group affine weight lists (JSONL file) into blocks")
     p.add_argument("--file", required=True, type=argparse.FileType("r", encoding="utf-8"),
                    help="one JSON list of point strings per line")
-    p.set_defaults(fn=cmd_partition)
 
     p = sub.add_parser("verify", help="run acceptance criteria")
     p.add_argument("type", nargs="?", default=None)
@@ -278,11 +246,15 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    ok_all = True
     try:
-        return args.fn(args)
+        for payload, text, ok in args.fn(args):
+            print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
+            ok_all = ok_all and ok
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if ok_all else 1
 
 
 def main() -> None:

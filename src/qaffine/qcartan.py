@@ -54,6 +54,10 @@ class InvalidQDatum(QAffineError):
     """Height function fails the Q-datum axioms."""
 
 
+class BeyondTruncation(QAffineError):
+    """A coefficient past the order of a truncated series."""
+
+
 class QDatum:
     """(Dynkin diagram, automorphism rho, height function xi) for `base`; compared by identity."""
 
@@ -89,15 +93,18 @@ def default_qdatum(d: AffineData) -> QDatum:
     """The paper's fixed Q-datum (see the module docstring); for twisted d, its untwisted partner's.
 
     Cached per `AffineData`, so every caller that passes q=None shares one
-    Q-datum, its psi_Q rows and its lattice table.  The cache holds its key,
-    so an instance from `build` adds nothing that `build` does not keep, but
-    one from `build.__wrapped__` stays in this cache for good.
+    Q-datum, its psi_Q rows and its lattice table (keyed by d inside it); a
+    twisted type shares its partner's datum.  The cache holds its key, so an
+    instance from `build` adds nothing that `build` does not keep, but one
+    from `build.__wrapped__` stays in this cache for good.
     """
     base = untwisted_partner(d)
-    spec, rank = base.type.spec, base.gfin.rank
-    xi = spec.xi(base.n) if spec.xi else {
-        i: 2 * (spec.letter == "E" and i == 2) - base.dd(1, i) for i in range(1, rank + 1)}
-    q = QDatum(rs=base.gfin, rho=perm_from_map(rank, spec.rho(base.n)), xi=xi, base=base)
+    if base is not d:
+        return default_qdatum(base)
+    spec, rank = d.type.spec, d.gfin.rank
+    xi = spec.xi(d.n) if spec.xi else {
+        i: 2 * (spec.letter == "E" and i == 2) - d.dd(1, i) for i in range(1, rank + 1)}
+    q = QDatum(rs=d.gfin, rho=perm_from_map(rank, spec.rho(d.n)), xi=xi, base=d)
     violations = validate_qdatum(q)
     if violations:
         raise InvariantViolation(f"default Q-datum of {d} is invalid: " + "; ".join(violations))
@@ -290,7 +297,7 @@ class CTildeTable(NamedTuple):
         if k < 1 or k > self.order:
             if 0 <= k <= self.order:
                 return 0
-            raise ValueError(f"k={k} beyond truncation order {self.order}")
+            raise BeyondTruncation(f"k={k} beyond truncation order {self.order}")
         return self.values[k - 1][i - 1][j - 1]
 
 

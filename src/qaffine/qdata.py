@@ -17,7 +17,11 @@ from .affine import AffineData
 from .invariants import SigmaPoint, _key, dual_shift, sigma_point
 from .qcartan import QDatum, default_qdatum, phi_inverse_zero
 from .roots import Vec
-from .scalars import MINUS_ONE, SpectralScalar
+from .scalars import MINUS_ONE, QAffineError, SpectralScalar
+
+
+class NotAPositiveRoot(QAffineError):
+    """A vector outside the positive roots of the finite root system."""
 
 
 def esig(q: QDatum, i: int, p: int) -> tuple[int, SpectralScalar]:
@@ -39,7 +43,7 @@ def phi_q(q: QDatum, d: AffineData, beta: Vec) -> SigmaPoint:
     """phi_Q(beta): epsilon of psi^{-1}(beta, 0), folded into sigma(d)."""
     cell = phi_inverse_zero(q).get(tuple(beta))
     if cell is None:
-        raise ValueError(f"{beta} is not a positive root of {q.rs.type_name}")
+        raise NotAPositiveRoot(f"{beta} is not a positive root of {q.rs.type_name}")
     return sigma_point(d, *twist(d, *esig(q, *cell)))
 
 

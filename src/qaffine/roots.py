@@ -15,10 +15,16 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Sequence, Union
 
+from .scalars import QAffineError
+
 Vec = tuple[int, ...]
 # a word entry is a node index, or a diagram automorphism given as an
 # image tuple (perm[i] = image of node i, perm[0] unused)
 WordEntry = Union[int, tuple[int, ...]]
+
+
+class RankOutOfRange(QAffineError):
+    """Type letter or rank outside the legal range."""
 
 
 def _chain_edges(rank: int) -> list[tuple[int, int]]:
@@ -31,14 +37,14 @@ def dynkin_edges(letter: str, rank: int) -> list[tuple[int, int]]:
         return _chain_edges(rank)
     if letter == "D":
         if rank < 3:
-            raise ValueError("D rank must be >= 3")
+            raise RankOutOfRange("D rank must be >= 3")
         return _chain_edges(rank - 1) + [(rank - 2, rank)]
     if letter == "E":
         if rank not in (6, 7, 8):
-            raise ValueError("E rank must be 6, 7 or 8")
+            raise RankOutOfRange("E rank must be 6, 7 or 8")
         chain = [(1, 3)] + [(i, i + 1) for i in range(3, rank)]
         return chain + [(2, 4)]
-    raise ValueError(f"unknown simply-laced letter {letter!r}")
+    raise RankOutOfRange(f"unknown simply-laced letter {letter!r}")
 
 
 def diagram_adj(letter: str, rank: int) -> tuple[tuple[int, ...], ...]:

@@ -17,6 +17,7 @@ the exponent.  Printing and every user-visible sort go through it.
 from __future__ import annotations
 
 import re
+import sys
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -129,7 +130,7 @@ def nth_roots(a: SpectralScalar, n: int) -> list[SpectralScalar]:
     unity than zeta24 or a q-denominator beyond 6.
     """
     if n not in (2, 3):
-        raise ValueError(f"n must be 2 or 3, got {n}")
+        raise RootOutsideDomain(f"n must be 2 or 3, got {n}")
     if a.phase % n != 0:
         raise RootOutsideDomain(f"phase {a.phase} not divisible by {n}")
     if a.e % n:
@@ -224,8 +225,15 @@ def _factor(m: re.Match[str]) -> SpectralScalar:
     return SpectralScalar(0, base.e * num // den)
 
 
+_int_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+
+
 def parse_scalar(text: str) -> SpectralScalar:
-    """Parse an ASCII scalar literal; inverse of print_scalar on canonical forms."""
+    """Parse an ASCII scalar literal; inverse of print_scalar on canonical forms.
+
+    A product of literals within the int-string limit may not print; such a
+    result is rejected, screened by bit length (|num| <= |e|, and a number
+    past `limit` digits has more than 3 * limit bits)."""
     pos, out = 0, None
     while True:
         m = _FACTOR.match(text, pos)
@@ -234,6 +242,9 @@ def parse_scalar(text: str) -> SpectralScalar:
         pos = m.end()
         out = _factor(m) if out is None else out * _factor(m)
         if pos == len(text):
+            limit = _int_limit()
+            if limit and out.e.bit_length() > 3 * limit and abs(order_key(out)[1]) >= 10 ** limit:
+                raise ParseError("q-exponent too long to print", pos)
             return out
         if text[pos] != "*":
             raise ParseError("expected '*' between factors", pos)

@@ -84,10 +84,9 @@ def test_pstar_table():
     assert build(parse_type_string("D4-3")).pstar == scalar(0, 6)
 
 
-def test_ptilde_is_pstar_squared():
+def test_pstar_is_q_to_the_hvee():
     for s in ALL_SMALL:
         d = build(parse_type_string(s))
-        assert d.ptilde == d.pstar * d.pstar
         assert 6 * d.hvee == d.pstar.e
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from qaffine import blocks
 from qaffine.acceptance import SWEEP
-from qaffine.affine import AffineType, Family, build, component_class, parse_type_string
+from qaffine.affine import AffineType, Family, build, component_class, parse_type_string, untwisted_partner
 from qaffine.blocks import (
     BlockLabel,
     NotInW0,
@@ -135,8 +135,8 @@ TABLE_TYPES = [*SWEEP, "A10-1", "D10-1", "B8-1", "C8-1", "A9-2", "A10-2", "D9-2"
 
 @pytest.mark.parametrize("s", TABLE_TYPES)
 def test_root_coords_keys_are_sigma_0_over_one_ptilde_window(s):
-    d = build(parse_type_string(s))
-    q = default_qdatum.__wrapped__(d)  # uncached: a lattice table no other test has filled
+    d = build.__wrapped__(parse_type_string(s))  # fresh: a lattice table no other test has filled
+    q = default_qdatum(d)
     gram(d, q), delta0(d, q)
     assert not lattice_table(q, d)[2]  # neither builds the coordinates
     table = root_coords(q, d)
@@ -370,8 +370,8 @@ def test_generator_outside_w0_is_an_invariant_violation(monkeypatch):
 
 
 def test_ptilde_translates_share_one_memo_entry():
-    d = build(parse_type_string("D5-2"))
-    q = default_qdatum.__wrapped__(d)  # uncached: a memo no other test has filled
+    d = build.__wrapped__(parse_type_string("D5-2"))  # fresh: a memo no other test has filled
+    q = default_qdatum(d)
     p = _census(d, q)[7]
     memo = lattice_table(q, d)[1]
     before = len(memo)
@@ -383,6 +383,13 @@ def test_ptilde_translates_share_one_memo_entry():
 def test_default_qdatum_is_one_cached_datum():
     d = build(parse_type_string("E7-1"))
     assert default_qdatum(d) is default_qdatum(d)
+
+
+def test_twisted_types_share_their_partners_default_qdatum():
+    twisted = [d for d in (build(parse_type_string(s)) for s in SWEEP) if d.twisted]
+    assert twisted
+    for d in twisted:
+        assert default_qdatum(d) is default_qdatum(untwisted_partner(d)), str(d)
 
 
 def test_block_label_without_q_reuses_the_default_lattice_table():

@@ -1,18 +1,20 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 import qaffine
-from qaffine import cli, invariants
+from qaffine import blocks, cli, invariants
 from qaffine.cli import run
 from qaffine.affine import RankOutOfRange, build, parse_type_string
 from qaffine.invariants import parse_sigma_point
-from qaffine.scalars import InvariantViolation, ParseError, parse_scalar
+from qaffine.scalars import InvariantViolation, ParseError, parse_scalar, print_scalar
 
 
 def test_cartan_check_g2(capsys):
@@ -26,6 +28,25 @@ def test_cartan_check_all_ranks(capsys):
     assert run(["cartan-check", "B3-1", "--all-ranks"]) == 0
     out = capsys.readouterr().out
     assert "B2-1" in out and "B5-1" in out
+
+
+def test_cartan_check_all_ranks_prints_every_record_and_exits_1_on_a_mismatch(monkeypatch, capsys):
+    # one mismatching rank fails the command, and the ranks after it still print
+    def gram(d):
+        res = blocks.gram(d)
+        return res._replace(mismatches=((1, 2),)) if str(d) == "B3-1" else res
+
+    monkeypatch.setattr(cli, "gram", gram)
+    ranks = ["B2-1", "B3-1", "B4-1", "B5-1"]
+    assert run(["cartan-check", "B3-1", "--all-ranks", "--format", "json"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["type"], r["equal"]) for r in records] == [(s, s != "B3-1") for s in ranks]
+    assert run(["cartan-check", "B3-1", "--all-ranks"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line in ranks] == ranks
+    assert [line for line in out if line.startswith(("OK", "MISMATCH"))] == [
+        "OK: Cartan of A3", "MISMATCH at ((1, 2),)", "OK: Cartan of A7", "OK: Cartan of A9",
+    ]
 
 
 def test_denom_b3(capsys):
@@ -95,6 +116,17 @@ def test_partition_cli(tmp_path, capsys):
     assert len(payload["blocks"]) == 2
     sizes = sorted(len(b["members"]) for b in payload["blocks"])
     assert sizes == [1, 2]
+
+
+def test_partition_with_a_bad_type_closes_its_file(tmp_path, capsys):
+    path = tmp_path / "weights.jsonl"
+    path.write_text('["1@1"]\n', encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["partition", "Z9-1", "--file", str(path)]) == 1
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert capsys.readouterr().err == "error: malformed type string 'Z9-1'\n"
 
 
 def test_partition_missing_file_is_a_usage_error(tmp_path, capsys):
@@ -277,6 +309,39 @@ def test_long_integer_in_a_partition_file_names_its_line(tmp_path, capsys, line)
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:2: integer literal too long (at offset ")
     assert "Traceback" not in err
+
+
+# the longest literal within the int-string limit: it prints, twice it does not
+LONG = "9" * getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG_SCALAR = f"q^{LONG}*q^{LONG}"
+LONG_POINT = f"1@{LONG_SCALAR}"  # parse offsets count from the scalar
+
+
+@needs_int_limit
+def test_a_product_past_the_int_string_limit_is_a_parse_error():
+    assert print_scalar(parse_scalar(f"q^{LONG}")) == f"q^{LONG}"
+    for text in (f"q^{LONG}*q^{LONG}", f"q^{LONG}*q", f"q^(1/3)*q^{LONG}"):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text)
+        assert str(err.value) == f"q-exponent too long to print (at offset {len(text)})"
+
+
+@needs_int_limit
+@pytest.mark.parametrize("argv", [["de", "A3-1", LONG_POINT, "1@1"], ["s-func", "A3-1", LONG_POINT]],
+                         ids=["de", "s-func"])
+def test_a_point_past_the_int_string_limit_exits_1(capsys, argv):
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: q-exponent too long to print (at offset {len(LONG_SCALAR)})\n"
+
+
+@needs_int_limit
+def test_a_partition_point_past_the_int_string_limit_names_its_line(tmp_path, capsys):
+    path = tmp_path / "weights.jsonl"
+    path.write_text(f'["1@1"]\n["{LONG_POINT}"]\n', encoding="utf-8")
+    assert run(["partition", "A3-1", "--file", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: q-exponent too long to print (at offset {len(LONG_SCALAR)})\n"
+    )
 
 
 def test_malformed_partition_file_is_a_domain_error(tmp_path, capsys):

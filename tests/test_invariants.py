@@ -52,7 +52,7 @@ def pt(d, i, x):
 def _reduced(d, j, x):
     """(j, x) as a stored point: the phase by sigma_point, the exponent into
     [0, ptilde) by whole ptilde powers (no `_key`)."""
-    return sigma_point(d, j, x * d.ptilde ** -(x.e // (12 * d.hvee)))
+    return sigma_point(d, j, x * (d.pstar * d.pstar) ** -(x.e // (12 * d.hvee)))
 
 
 def random_point(rng, d):
@@ -97,7 +97,7 @@ def test_dual_shift():
     assert dual_shift(a4, p, 0) == p
     assert dual_shift(a4, p, 1) == pt(a4, 4, MINUS_Q ** 5)
     twice = dual_shift(a4, dual_shift(a4, p, 1), 1)
-    assert twice == pt(a4, 1, a4.ptilde)
+    assert twice == pt(a4, 1, a4.pstar * a4.pstar)
     for s in ALL_SMALL:
         d = build(parse_type_string(s))
         q = pt(d, d.i0[-1], scalar(3, 2))
@@ -314,7 +314,7 @@ def _near_pair(rng, d):
     if rng.random() < 0.2:
         j, b = rng.choice(sorted(support_candidates(d, p1)))
         periods = rng.choice((-1, 1)) * rng.randrange(2, 6)
-        return p1, sigma_point(d, j, b * d.ptilde ** periods)
+        return p1, sigma_point(d, j, b * (d.pstar * d.pstar) ** periods)
     off = SpectralScalar(rng.randrange(24), rng.randrange(-12 * d.hvee, 12 * d.hvee + 1))
     return p1, sigma_point(d, rng.choice(d.i0), p1.param * off)
 
@@ -541,7 +541,7 @@ def _seeded_weights(rng, d, census):
     for _ in range(rng.randrange(7)):
         if rng.random() < 0.7:
             p = rng.choice(census)
-            out.append(sigma_point(d, p.node, p.param * d.ptilde ** rng.randrange(-2, 3)))
+            out.append(sigma_point(d, p.node, p.param * (d.pstar * d.pstar) ** rng.randrange(-2, 3)))
         else:
             x = SpectralScalar(rng.randrange(24), rng.randrange(-40, 41))
             out.append(sigma_point(d, rng.choice(d.i0), x))
@@ -567,7 +567,8 @@ def test_keyed_s_functions_match_the_point_valued_path():
             probes.append((rng.choice(d.i0), SpectralScalar(rng.randrange(24), rng.randrange(-60, 61))))
             for j, x in probes:
                 # move x within its sigma-class and by whole ptilde periods
-                x *= SpectralScalar(24 // d.m[j] * rng.randrange(d.m[j]), 0) * d.ptilde ** rng.randrange(-3, 4)
+                ptilde = d.pstar * d.pstar
+                x *= SpectralScalar(24 // d.m[j] * rng.randrange(d.m[j]), 0) * ptilde ** rng.randrange(-3, 4)
                 assert f.value_at(d, j, x) == dict(f.values).get(_reduced(d, j, x), 0), (s, str(p), j, x)
             funcs += [f, -f, e_of(d, [p])]
         # == and hash group functions exactly as frozenset(values) does

@@ -3,6 +3,7 @@ import pytest
 from qaffine.acceptance import SWEEP
 from qaffine.affine import build, parse_type_string
 from qaffine.qcartan import (
+    BeyondTruncation,
     ctilde_formula,
     ctilde_oracle,
     ctilde_oracle_for,
@@ -101,6 +102,13 @@ def test_oracle_a2():
     assert table.get(1, 1, 0) == 0
     assert table.get(2, 1, 0) == 0
     with pytest.raises(ValueError):
+        table.get(1, 1, 9)
+
+
+def test_coefficient_past_the_truncation_order_is_a_domain_error():
+    # bad caller input, so a QAffineError (still a ValueError), not a bare ValueError
+    table = ctilde_oracle(ade("A", 2).rs.cartan, 8)
+    with pytest.raises(BeyondTruncation, match=r"^k=9 beyond truncation order 8$"):
         table.get(1, 1, 9)
 
 

@@ -27,7 +27,7 @@ from qaffine.qcartan import (
     tau_q,
     validate_qdatum,
 )
-from qaffine.qdata import esig, phi_q, phi_q_map, sigma_q_points, translate_star, twist
+from qaffine.qdata import NotAPositiveRoot, esig, phi_q, phi_q_map, sigma_q_points, translate_star, twist
 from qaffine.roots import identity_perm, perm_from_map
 from qaffine.scalars import I_UNIT, MINUS_ONE, MINUS_Q, MINUS_QS, MINUS_QT, OMEGA, ONE, Q, QS, scalar
 
@@ -139,6 +139,12 @@ def test_psi_base_case_and_errors():
         assert psi_q(q, i, q.xi[i]) == (gamma_q(q, i), 0)
     with pytest.raises(NotInHatIQ):
         psi_q(q, 1, q.xi[1] + 1)
+
+
+def test_phi_q_of_a_non_root_is_a_domain_error():
+    d = build(parse_type_string("A3-1"))
+    with pytest.raises(NotAPositiveRoot, match=r"^\(2, 2, 2\) is not a positive root of A3$"):
+        phi_q(default_qdatum(d), d, (2, 2, 2))
 
 
 def test_psi_a4_figure_cell():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qaffine.roots import (
+    RankOutOfRange,
     apply_word_root,
     graph_distance,
     perm_from_map,
@@ -210,3 +211,13 @@ def test_positive_roots_match_the_reflection_search(letter, rank):
     assert rs.positive_roots == bfs_positive_roots(rs.cartan)
     assert len(rs.positive_roots) == {"A": rank * (rank + 1) // 2, "D": rank * (rank - 1),
                                       "E": {6: 36, 7: 63, 8: 120}.get(rank)}[letter]
+
+
+@pytest.mark.parametrize("letter, rank, message", [
+    ("D", 2, "D rank must be >= 3"),
+    ("E", 9, "E rank must be 6, 7 or 8"),
+    ("X", 3, "unknown simply-laced letter 'X'"),
+], ids=["D2", "E9", "X3"])
+def test_unknown_root_system_is_a_domain_error(letter, rank, message):
+    with pytest.raises(RankOutOfRange, match=f"^{message}$"):
+        root_system(letter, rank)

@@ -101,6 +101,11 @@ def test_nth_roots_domain_errors():
         nth_roots(QS, 2)  # would need q^(1/4)
 
 
+def test_nth_roots_of_an_unsupported_degree_is_a_domain_error():
+    with pytest.raises(RootOutsideDomain, match="^n must be 2 or 3, got 5$"):
+        nth_roots(ONE, 5)
+
+
 def test_parse_examples():
     assert parse_scalar("(-q)^3") == scalar(12, 3)
     assert parse_scalar("i*q^2") == scalar(6, 2)

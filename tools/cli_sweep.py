@@ -15,7 +15,8 @@ template entry on the 12 hvee wrap, and at all 24 phases of each twisted type,
 seeded `e-of`, `de`, `lambda`, `lambda-inf` and `partition`, `block-label` on
 seeded weight lists, on every point of sigma_Q and its first dual translate,
 on three of those points each repeated over several ptilde periods, and on
-the pair [p, D p] of every such point of E6-2, and error paths.  Each call
+the pair [p, D p] of every such point of E6-2, `cartan-check --all-ranks`
+on the first SWEEP type of each family, and error paths.  Each call
 prints its argv and exit code, then its stdout and stderr.  To compare two
 checkouts:
 
@@ -140,7 +141,13 @@ def sweep(tmp: Path) -> None:
             c = sigma_point(d, j, x)
             for k in (2, 3):
                 call("lambda", s, f"{i}@1", str(dual_shift(d, c, k)))
+    families = {}
+    for s in SWEEP:
+        families.setdefault(parse_type_string(s).family, s)
+    for s in families.values():
+        call("cartan-check", s, "--all-ranks")
     call("cartan-check", "Z9-1")
+    call("cartan-check", "Z9-1", "--all-ranks")
     call("cartan-check", "A300-1")
     call("s-func", "A3-1", "x@1")
     call("s-func", "A3-1", "1@q^(1/5)")
