@@ -321,7 +321,9 @@ class AffineData:
         for a, (node, f) in self.fold.items():
             self.preimages.setdefault(node, []).append((a, f))
         # memo caches; `_template_cache` maps a node to its lambda_inf template, keyed by
-        # int `_key`s, and its runs, from which `s_func` slices its keys (see `invariants`)
+        # int `_key`s, and its runs, from which `s_func` slices its keys; `_sfunc_cache`
+        # maps a SigmaPoint, as given, to its s-function, and a dual pair shares one `keys`
+        # tuple (see `invariants`)
         self._denom_cache, self._template_cache, self._sfunc_cache = {}, {}, {}
 
     def dd(self, i: int, j: int) -> int:

@@ -65,6 +65,19 @@ and then as f, and its values twice, so the rotated group is one slice
 found by one bisect, and its keys are that slice plus one constant (the
 node and phase fields and e).  The result is the sorted keys of the
 translation law exactly (the sort it replaced is the tests' oracle).
+
+A miss need not rotate at all.  By the duality identity s_{D p} = -s_p,
+for D p = (i*, a p*), the two functions have the same keys and opposite
+values.  So a miss on p first looks up D p and D^-1 p = (i*, a / p*) in the
+cache, each point built from the ints of p, `istar`, p* and `phase_mod`.
+If one is cached, s_p is that function negated: it shares the partner's
+`keys` tuple and allocates no key.  Only a miss with no cached partner
+rotates the template.  On either path the result's `gens` are ((p, 1),),
+so the pairing cannot tell them apart.  `delta0` walks sigma_Q and its
+first dual translate, which hold p and D p for each positive root, so it
+keeps one key tuple per pair.  The cache is keyed by the point as given,
+so a partner is found when it was asked for with the canonical phase that
+`sigma_point` gives.
 """
 
 from __future__ import annotations
@@ -72,6 +85,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import groupby
+from operator import neg
 from typing import Iterable, NamedTuple, Union
 
 from .affine import AffineData, canonical_param
@@ -256,10 +270,21 @@ class SigmaFunction(Frozen):
 
 def s_func(d: AffineData, p: SigmaPoint) -> SigmaFunction:
     """E(V(varpi_i)_a): the function (j, b) -> lambda_inf((i,a), (j,b))."""
-    cached = d._sfunc_cache.get(p)
+    cache = d._sfunc_cache
+    cached = cache.get(p)
     if cached is not None:
         return cached
+    d.check_node(p.node)
     phase, e = p.param
+    # a cached dual neighbour D p or D^-1 p = (i*, a (p*)^{+-1}) gives s_p by negation
+    star, (ps, pe) = d.istar[p.node], d.pstar
+    mod = d.phase_mod[star]
+    partner = cache.get(SigmaPoint(star, SpectralScalar((phase + ps) % mod, e + pe)))
+    if partner is None:
+        partner = cache.get(SigmaPoint(star, SpectralScalar((phase - ps) % mod, e - pe)))
+    if partner is not None:
+        out = cache[p] = SigmaFunction(partner.keys, tuple(map(neg, partner.vals)), ((p, 1),))
+        return out
     e %= d.period
     keys: list[int] = []
     vals: list[int] = []
@@ -271,8 +296,7 @@ def s_func(d: AffineData, p: SigmaPoint) -> SigmaFunction:
             t = bisect_left(fs, -e, 0, n)
             keys += map(_key(d, j, ph + s, e).__add__, fs[t:t + n])
             vals += vs[t:t + n]
-    out = SigmaFunction(tuple(keys), tuple(vals), ((p, 1),))
-    d._sfunc_cache[p] = out
+    out = cache[p] = SigmaFunction(tuple(keys), tuple(vals), ((p, 1),))
     return out
 
 

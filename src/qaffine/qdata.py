@@ -47,21 +47,26 @@ def phi_q(q: QDatum, d: AffineData, beta: Vec) -> SigmaPoint:
     return sigma_point(d, *twist(d, *esig(q, *cell)))
 
 
-def phi_q_map(q: QDatum, d: AffineData) -> dict[Vec, SigmaPoint]:
-    return {beta: phi_q(q, d, beta) for beta in q.rs.positive_roots}
-
-
-def lattice_table(q: QDatum, d: AffineData) -> tuple[tuple[SigmaPoint, ...], dict, dict[int, Vec]]:
-    """q's lattice table for d: the simple-root points, a generator memo and `root_coords`.
+def lattice_table(q: QDatum, d: AffineData) -> list:
+    """q's lattice table for d: the simple-root points, a generator memo, `root_coords` and `phi_q_map`.
 
     The memo maps the `_key` of a generator to its coordinates; `blocks` fills
-    it.  The third part stays empty until `root_coords`, so `gram` never builds it.
+    it.  Every other part is filled by its reader on first use, so `gram`,
+    which reads only the simple-root points, builds neither the coordinates
+    nor phi_Q over the positive roots, and `delta0` builds only the latter.
     """
     table = q._lattice.get(d)
     if table is None:
-        pts = tuple(phi_q(q, d, q.rs.simple_root(i)) for i in range(1, q.rs.rank + 1))
-        table = q._lattice[d] = (pts, {}, {})
+        table = q._lattice[d] = [None, {}, {}, {}]
     return table
+
+
+def phi_q_map(q: QDatum, d: AffineData) -> dict[Vec, SigmaPoint]:
+    """phi_Q over the positive roots, tabled once (shared: do not change it)."""
+    phi = lattice_table(q, d)[3]
+    if not phi:
+        phi.update({beta: phi_q(q, d, beta) for beta in q.rs.positive_roots})
+    return phi
 
 
 def root_coords(q: QDatum, d: AffineData) -> dict[int, Vec]:
@@ -80,7 +85,10 @@ def root_coords(q: QDatum, d: AffineData) -> dict[int, Vec]:
 
 def simple_root_points(q: QDatum, d: AffineData) -> tuple[SigmaPoint, ...]:
     """phi_Q on the simple roots, in node order of the finite diagram (shared, so a tuple)."""
-    return lattice_table(q, d)[0]
+    table = lattice_table(q, d)
+    if table[0] is None:
+        table[0] = tuple(phi_q(q, d, q.rs.simple_root(i)) for i in range(1, q.rs.rank + 1))
+    return table[0]
 
 
 def sigma_q_points(d: AffineData, q: QDatum | None = None) -> frozenset[SigmaPoint]:

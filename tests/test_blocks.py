@@ -148,6 +148,27 @@ def test_root_coords_keys_are_sigma_0_over_one_ptilde_window(s):
     assert set(table) == sigma_0 and len(table) == 2 * len(q.rs.positive_roots)
 
 
+@pytest.mark.parametrize("s", ["A4-1", "E8-1", "C4-1", "D5-2", "D4-3"])
+def test_gram_leaves_the_phi_q_map_unbuilt(s):
+    t = parse_type_string(s)
+    d = build.__wrapped__(t)  # fresh: a lattice table no other test has filled
+    q = default_qdatum(d)
+    assert gram(d, q).equal
+    table = lattice_table(q, d)
+    assert table[0] == tuple(phi_q(q, d, q.rs.simple_root(i)) for i in range(1, q.rs.rank + 1))
+    _, _, coords, phi = table
+    assert not phi and not coords
+    delta0(d, q)
+    assert phi == {beta: phi_q(q, d, beta) for beta in q.rs.positive_roots}
+    assert phi_q_map(q, d) is phi and sigma_q_points(d, q) == frozenset(phi.values())
+    assert not coords
+    # and delta0 alone builds phi_Q over the positive roots only
+    d = build.__wrapped__(t)
+    delta0(d, q)
+    simple, _, coords, phi = lattice_table(q, d)
+    assert simple is None and not coords and len(phi) == len(q.rs.positive_roots)
+
+
 # per variable family, rungs near rank 8, near 12 and at 16-21, far above the
 # SWEEP ranks (at most 6); the rungs at the rank cap take 5-32 s each, too
 # long for this suite

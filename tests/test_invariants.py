@@ -17,7 +17,7 @@ from qaffine.affine import (
     parse_type_string,
     untwisted_partner,
 )
-from qaffine.blocks import NotInW0, psi_lattice
+from qaffine.blocks import NotInW0, delta0, psi_lattice
 from qaffine.denominators import denominator
 from qaffine.invariants import (
     DecompositionUnavailable,
@@ -430,23 +430,85 @@ def _rotation_points(rng, d):
     return points
 
 
+def _rotated(d, p):
+    """s_p on the rotation path: with no s-function cached, no dual partner can serve it."""
+    d._sfunc_cache.clear()
+    return s_func(d, p)
+
+
 def test_s_func_rotation_matches_the_sorted_path():
     rng = random.Random(20261018)
     for s in SWEEP:
-        d = build(parse_type_string(s))
+        d = build.__wrapped__(parse_type_string(s))  # unshared: `_rotated` empties its cache
         for p in _rotation_points(rng, d):
-            f = s_func(d, p)
+            f = _rotated(d, p)
             assert tuple(zip(f.keys, f.vals)) == _sorted_s_func(d, p), (s, p)
 
 
 def test_int_keys_match_the_tuple_path():
     rng = random.Random(20261021)
     for s in SWEEP:
-        d = build(parse_type_string(s))
+        d = build.__wrapped__(parse_type_string(s))
         for p in _rotation_points(rng, d):
-            f = s_func(d, p)
+            f = _rotated(d, p)
             assert tuple((_fields(k), v) for k, v in zip(f.keys, f.vals)) == _tuple_s_func(d, p), (s, p)
             assert all(a < b for a, b in zip(f.keys, f.keys[1:])), (s, p)
+
+
+# s_func serves a miss on p from a cached dual neighbour D^{+-1} p by
+# negation; the rotation path it skips is the oracle.  SWEEP holds E8-1; the
+# other types are rungs of `test_blocks.test_rank_ladder_contract`.
+DUAL_TYPES = [*SWEEP, "A12-1", "B8-1", "D12-1", "A13-2", "D12-2"]
+
+
+def _dual_seeds(rng, d):
+    """sigma_Q and its first dual translate, then points of other components
+    and ptilde periods at every node."""
+    sq = sigma_q_points(d, default_qdatum(d))
+    points = sorted(sq | translate_star(d, sq, 1))
+    period = 12 * d.hvee
+    for i in d.i0:
+        for _ in range(3):
+            points.append(pt(d, i, SpectralScalar(rng.randrange(24), rng.randrange(-3 * period, 3 * period))))
+    return points
+
+
+@pytest.mark.parametrize("s", DUAL_TYPES)
+def test_dual_served_s_func_matches_the_rotation_path(s):
+    t = parse_type_string(s)
+    d, cold = build.__wrapped__(t), build.__wrapped__(t)
+    for p in _dual_seeds(random.Random(s), d):
+        d._sfunc_cache.clear()
+        f = s_func(d, p)
+        for step in (1, -1):
+            # D^{step k} p is served from the D^{step (k - 1)} p cached just before it
+            for k in (1, 2, 3):
+                x = dual_shift(d, p, step * k)
+                g, want = s_func(d, x), _rotated(cold, x)
+                assert g.keys is f.keys, (s, str(p), step * k)
+                assert (g.keys, g.vals, g.gens) == (want.keys, want.vals, want.gens), (s, str(p), step * k)
+
+
+@pytest.mark.parametrize("s", DUAL_TYPES)
+def test_delta0_matches_the_two_sided_rotation_oracle(s):
+    t = parse_type_string(s)
+    d, cold = build.__wrapped__(t), build.__wrapped__(t)
+    roots = delta0(d)
+    sq = sigma_q_points(cold, default_qdatum(cold))
+    want = list(dict.fromkeys(_rotated(cold, p) for p in sorted(sq | translate_star(cold, sq, 1))))
+    assert roots == want
+    assert [f.gens for f in roots] == [f.gens for f in want]
+    # p and D p are the only dual neighbours in sigma_Q and its translate: one key tuple per pair
+    assert len({id(f.keys) for f in roots}) == len(roots) // 2 == len(d.gfin.positive_roots)
+
+
+def test_s_func_rejects_nodes_outside_i0_with_a_warm_cache():
+    d = build.__wrapped__(AffineType(Family.A1, 3))
+    for i in d.i0:
+        s_func(d, SigmaPoint(i, ONE))
+    for node in (0, 4):
+        with pytest.raises(NodeOutOfRange):
+            s_func(d, SigmaPoint(node, ONE))
 
 
 def test_key_fields_fit_their_widths_at_the_rank_cap():

@@ -3,14 +3,17 @@
 Usage: python tools/cold_tables.py <src-dir> [<src-dir> ...]
 
 Each run starts a fresh interpreter with PYTHONPATH=<src-dir> and times, on
-one type, `build`, `default_qdatum`, `gram` and `delta0` in that order.  Each
-step finds the tables of the steps before it and builds its own: `build`
-pays for the root system, `gram` for the templates of the nodes it pairs and
-`delta0` for the rest of its s-functions.  The import is not timed.  The
+one type, `build`, `default_qdatum`, `gram` and `delta0` in that order, then
+`delta0` once more.  Each step finds the tables of the steps before it and
+builds its own: `build` pays for the root system, `gram` for the templates of
+the nodes it pairs and `delta0` for the rest of its s-functions; the second,
+warm `delta0` finds every s-function cached.  The import is not timed.  The
+child also reports its peak RSS (`ru_maxrss`) after the last step.  The
 types are A32-1, A64-1, B32-1, D64-1 and E8-1.  Runs go one process at a
 time, 5 per type and tree, alternating between the source trees with the
-helpers of `import_cost.py`.  For each type and step it prints the median
-and quartiles in milliseconds per tree.  To compare two checkouts:
+helpers of `import_cost.py`.  For each type it prints the median and
+quartiles per tree of each step and of their total in milliseconds, and of
+the peak RSS in MB.  To compare two checkouts:
 
     python tools/cold_tables.py /path/to/parent/src src
 """
@@ -27,9 +30,10 @@ from import_cost import alternate, missing_tree, tree_env
 
 RUNS = 5
 TYPES = ("A32-1", "A64-1", "B32-1", "D64-1", "E8-1")
-STEPS = ("build", "default_qdatum", "gram", "delta0")
+STEPS = ("build", "default_qdatum", "gram", "delta0", "delta0 (warm)")
+RSS = "peak RSS (MB)"
 CHILD = """
-import json, sys
+import json, resource, sys
 from time import perf_counter
 from qaffine import build, default_qdatum, delta0, gram, parse_type_string
 t = parse_type_string(sys.argv[1])
@@ -38,15 +42,19 @@ t0 = perf_counter(); d = build(t); out["build"] = perf_counter() - t0
 t0 = perf_counter(); default_qdatum(d); out["default_qdatum"] = perf_counter() - t0
 t0 = perf_counter(); ok = gram(d).equal; out["gram"] = perf_counter() - t0
 t0 = perf_counter(); n = len(delta0(d)); out["delta0"] = perf_counter() - t0
-assert ok and n == 2 * len(d.gfin.positive_roots), (ok, n)
-print(json.dumps(out))
+t0 = perf_counter(); warm = delta0(d); out["delta0 (warm)"] = perf_counter() - t0
+assert ok and n == 2 * len(d.gfin.positive_roots) == len(warm), (ok, n, len(warm))
+print(json.dumps({"seconds": out, "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
 
 def _time_once(src: str, type_string: str) -> dict[str, float]:
+    """One child's step times in ms, their total, and its peak RSS in MB."""
     out = subprocess.run([sys.executable, "-c", CHILD, type_string], env=tree_env(src), check=True,
                          capture_output=True, text=True)
-    return json.loads(out.stdout)
+    record = json.loads(out.stdout)
+    ms = {step: seconds * 1e3 for step, seconds in record["seconds"].items()}
+    return {**ms, "total": sum(ms.values()), RSS: record["peak_rss_kb"] / 1024}
 
 
 def main(argv: list[str]) -> int:
@@ -58,25 +66,24 @@ def main(argv: list[str]) -> int:
         return 2
 
     trees = [str(Path(src).resolve()) for src in argv]
-    samples = {(src, t): {s: [] for s in STEPS} for src in trees for t in TYPES}
+    rows = (*STEPS, "total", RSS)
+    samples = {(src, t): {row: [] for row in rows} for src in trees for t in TYPES}
     for t, src in alternate([(t, src) for t in TYPES for src in trees], RUNS):
-        for step, seconds in _time_once(src, t).items():
-            samples[src, t][step].append(seconds)
+        for row, value in _time_once(src, t).items():
+            samples[src, t][row].append(value)
 
     print(f"{sys.executable} {sys.version.split()[0]}, {RUNS} fresh processes per type and tree")
     print(f"{'type':6s} {'step':15s} " + "  ".join(f"{'tree ' + str(k + 1):>24s}" for k in range(len(trees))))
     for t in TYPES:
-        for step in (*STEPS, "total"):
+        for row in rows:
             cells = []
             for src in trees:
-                values = ([sum(v) for v in zip(*samples[src, t].values())] if step == "total"
-                          else samples[src, t][step])
-                q1, med, q3 = quantiles(values, n=4)
-                cells.append(f"{med * 1e3:8.1f} ({q1 * 1e3:.1f}-{q3 * 1e3:.1f})")
-            print(f"{t:6s} {step:15s} " + "  ".join(f"{c:>24s}" for c in cells))
+                q1, med, q3 = quantiles(samples[src, t][row], n=4)
+                cells.append(f"{med:8.1f} ({q1:.1f}-{q3:.1f})")
+            print(f"{t:6s} {row:15s} " + "  ".join(f"{c:>24s}" for c in cells))
     for k, src in enumerate(trees, start=1):
         print(f"tree {k}: {src}")
-    print("ms: median (quartiles)")
+    print("ms, or MB for the peak RSS: median (quartiles)")
     return 0
 
 
