@@ -291,7 +291,7 @@ class AffineData:
 
     __slots__ = ("type", "family", "n", "i0", "twisted", "m", "pstar", "istar", "gfin", "hvee",
                  "g0_adj", "k0", "sigma0_base", "simply_laced", "phase_mod", "period", "fold", "preimages",
-                 "_denom_cache", "_template_cache", "_sfunc_cache")
+                 "_denom_cache", "_template_cache", "_sfunc_cache", "_qdatum", "_lattice")
 
     def __init__(self, t: AffineType):
         spec, n = t.spec, t.n
@@ -325,6 +325,9 @@ class AffineData:
         # maps a SigmaPoint, as given, to its s-function, and a dual pair shares one `keys`
         # tuple (see `invariants`)
         self._denom_cache, self._template_cache, self._sfunc_cache = {}, {}, {}
+        # `qcartan.default_qdatum`, filled on first use, and the lattice tables of Q-data
+        # whose base is another AffineData, such as a twisted type's partner (see `qdata.lattice_table`)
+        self._qdatum, self._lattice = None, {}
 
     def dd(self, i: int, j: int) -> int:
         return graph_distance(self.g0_adj, i, j)

@@ -6,8 +6,32 @@ simply-laced type.  Then s_{phi_Q(beta)} -> beta is an isometry onto the
 root lattice, and with s_{D p} = -s_p every point of sigma_0 has known
 coordinates: beta at phi_Q(beta), -beta at its dual translate
 (`qdata.root_coords`).  So `psi_lattice` solves nothing: it sums those of
-the generators and verifies the sum by re-expansion.  Block labels are
-such coordinates listed per connected component.
+the generators and verifies the sum.  Block labels are such coordinates
+listed per connected component.
+
+The check is one integer identity (Kronecker substitution), not a dict
+re-expansion.  Each of the 2 |Delta+| keys of `root_coords` gets its own
+slot of w bits, and a function g packs to the int pack(g) = sum of
+g(k) 2^(w slot(k)).  If every value of g lies strictly within +-2^(w-1),
+its values are the digits of a balanced base-2^w expansion of pack(g),
+which are unique; so for f and coordinates c,
+
+    f = sum_i c_i s_{phi_Q(alpha_i)}  iff  pack(f) = sum_i c_i P_i,
+
+with P_i the pack of s_{phi_Q(alpha_i)}, whenever w bounds both sides.  The
+values of f are bounded by max |f| and those of the sum by
+sum_i |c_i| max |s_{phi_Q(alpha_i)}|, so each call takes the least w of 16,
+32, 64, ... bits with both below 2^(w-1).  P_i and max |s_{phi_Q(alpha_i)}|
+are kept in the lattice table, per simple root and width, and built only
+for c_i != 0, so the check builds no s-function or template that the
+re-expansion did not; a call costs O(|f|) plus one big-int multiply-add per
+nonzero c_i.  A key of f with no slot puts f outside W0 (NotInW0); a key of
+some s_{phi_Q(alpha_i)} with none is a library bug (InvariantViolation).  A
+slot is written as its value plus the bias 2^(w-1), an unsigned w-bit
+digit, into a copy of a template of biases (through a typed view up to 64
+bits, as bytes beyond), and the template's own pack, `base`, is added to
+the right-hand side.  The dict re-expansion is kept in the tests as the
+oracle.
 
 `block_label` sums per-generator coordinates as well.  Each generator g is
 passed through `psi_lattice` once and its coordinates kept in the Q-datum's
@@ -20,6 +44,7 @@ fails its check is a library bug and raises InvariantViolation.
 
 from __future__ import annotations
 
+from sys import byteorder
 from typing import NamedTuple
 
 from .affine import AffineData, component_class
@@ -29,6 +54,9 @@ from .qdata import lattice_table, root_coords, sigma_q_points, simple_root_point
 from .scalars import InvariantViolation, QAffineError, SpectralScalar, order_key, print_scalar
 
 Matrix = tuple[tuple[int, ...], ...]
+
+# slot size in bytes -> the format of a native unsigned int of that size
+_SLOT_FORMATS = {2: "H", 4: "I", 8: "Q"}
 
 
 class NotInW0(QAffineError):
@@ -60,7 +88,7 @@ def gram(d: AffineData, q: QDatum | None = None) -> GramResult:
 
 
 def psi_lattice(d: AffineData, q: QDatum, f: SigmaFunction) -> tuple[int, ...]:
-    """Sum of c * `root_coords` over f's generators c * s_p (0 off sigma_0), verified by re-expansion."""
+    """Sum of c * `root_coords` over f's generators c * s_p (0 off sigma_0), verified by the packed identity."""
     pts, table = simple_root_points(q, d), root_coords(q, d)
     coords = [0] * len(pts)
     for p, c in _as_gens(f):
@@ -68,15 +96,51 @@ def psi_lattice(d: AffineData, q: QDatum, f: SigmaFunction) -> tuple[int, ...]:
         beta = table.get(_key(d, p.node, *p.param))
         if beta:
             coords = [a + c * b for a, b in zip(coords, beta)]
-    check: dict[int, int] = {}
-    for p, c in zip(pts, coords):
-        if c:
-            g = s_func(d, p)
-            for k, v in zip(g.keys, g.vals):
-                check[k] = check.get(k, 0) + c * v
-    if {k: v for k, v in check.items() if v} != dict(zip(f.keys, f.vals)):
-        raise NotInW0("re-expansion of the solved coordinates does not reproduce the function")
-    return tuple(coords)
+    packing = lattice_table(q, d)[4]
+    if not packing:
+        packing += [dict(zip(table, range(len(table)))), {}, {}]
+    slots, peaks, widths = packing
+    used = [(i, c) for i, c in enumerate(coords) if c]
+    for i, _ in used:
+        if i not in peaks:
+            peaks[i] = max(map(abs, s_func(d, pts[i]).vals), default=0)
+    bound = max(max(map(abs, f.vals), default=0), sum(abs(c) * peaks[i] for i, c in used))
+    size = 2  # bytes per slot: the least of 2, 4, 8, ... with bound < 2^(8 size - 1)
+    while bound >> 8 * size - 1:
+        size *= 2
+    if size not in widths:  # every slot holds the bias; base is that template packed
+        template = (1 << 8 * size - 1).to_bytes(size, byteorder) * len(slots)
+        widths[size] = template, int.from_bytes(template, byteorder), {}
+    template, base, packed = widths[size]
+    expansion = base
+    for i, c in used:
+        if i not in packed:
+            g = s_func(d, pts[i])
+            try:
+                packed[i] = _pack(slots, template, size, g.keys, g.vals) - base
+            except KeyError as exc:
+                raise InvariantViolation(f"s-function of simple root {i + 1} of {d} leaves sigma_0") from exc
+        expansion += c * packed[i]
+    try:
+        if _pack(slots, template, size, f.keys, f.vals) == expansion:
+            return tuple(coords)
+    except KeyError:  # a key of f off sigma_0
+        pass
+    raise NotInW0("re-expansion of the solved coordinates does not reproduce the function")
+
+
+def _pack(slots: dict[int, int], template: bytes, size: int, keys, vals) -> int:
+    """base + the sum of v * 2^(8 size slots[k]) over the entries (k, v); KeyError for a key with no slot."""
+    buf, bias = bytearray(template), 1 << 8 * size - 1
+    if size in _SLOT_FORMATS:  # a slot is one native unsigned int: write it through a cast view
+        view = memoryview(buf).cast(_SLOT_FORMATS[size])
+        for k, v in zip(keys, vals):
+            view[slots[k]] = v + bias  # an unsigned digit (see the module docstring)
+    else:
+        for k, v in zip(keys, vals):
+            at = slots[k] * size
+            buf[at:at + size] = (v + bias).to_bytes(size, byteorder)
+    return int.from_bytes(buf, byteorder)
 
 
 def _generator_coords(d: AffineData, q: QDatum, p: SigmaPoint) -> tuple[int, ...]:

@@ -46,10 +46,10 @@ call per root is the oracle of the inline keys.
 
 A SigmaFunction stores the same int keys: `keys` ascending with no key
 twice, and `vals` the value at each.  `s_func` translates the template
-into them, and `e_of`,
-the re-expansion check of `blocks.psi_lattice` and `value_at` all work on
-the keys.  SigmaPoints are built only for output, by `SigmaFunction.values`,
-through a bounded cache on `_point` so that equal keys share one point.  The
+into them, `e_of` and `value_at` work on the keys, and the packed check of
+`blocks.psi_lattice` reads them, giving each key of sigma_0 one slot.
+SigmaPoints are built only for output, by `SigmaFunction.values`, through
+a bounded cache on `_point` so that equal keys share one point.  The
 key order (node, phase, e) is the library order, numeric in the q-exponent,
 so `values` is in that order too.  Users see the printed order of
 `scalars.order_key`: the CLI sorts by it before printing.
@@ -227,19 +227,21 @@ class SigmaFunction(Frozen):
     where the function is nonzero (it is constant on each orbit): `keys`,
     their `_key`s ascending, each once, and `vals`, the value at each.
     Every constructor keeps this, so equal functions have equal tuples, and
-    equality and hashing read them.  `values` is the same function with
-    each key turned into its (cached) SigmaPoint, for output.  `gens`
-    records how the function was assembled from s-generators; the bilinear
-    pairing requires it, and it is None for raw functions.
+    equality and hashing read them.  The hash is computed on first use and
+    kept in `_hash`, which repr and pickle skip.  `values` is the same
+    function with each key turned into its (cached) SigmaPoint, for output.
+    `gens` records how the function was assembled from s-generators; the
+    bilinear pairing requires it, and it is None for raw functions.
     """
 
-    __slots__ = ("keys", "vals", "gens")
+    __slots__ = ("keys", "vals", "gens", "_hash")
 
     def __init__(self, keys: tuple[int, ...], vals: tuple[int, ...],
                  gens: tuple[tuple[SigmaPoint, int], ...] | None = None):
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "vals", vals)
         object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "_hash", None)
 
     @property
     def values(self) -> tuple[tuple[SigmaPoint, int], ...]:
@@ -261,7 +263,12 @@ class SigmaFunction(Frozen):
         return self.keys == other.keys and self.vals == other.vals
 
     def __hash__(self) -> int:
-        return hash((self.keys, self.vals))
+        # tuples do not keep their hash, so the function keeps it: computed once, on first use
+        h = self._hash
+        if h is None:
+            h = hash((self.keys, self.vals))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __neg__(self) -> "SigmaFunction":
         gens = None if self.gens is None else tuple((p, -c) for p, c in self.gens)

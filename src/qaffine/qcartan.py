@@ -67,8 +67,8 @@ class QDatum:
     def __init__(self, rs: FinRootSystem, rho: tuple[int, ...], xi: dict[int, int], base: AffineData):
         self.rs, self.rho, self.xi, self.base = rs, rho, xi, base
         self._rows, self._phi_inv, self._tau = {}, None, None  # `_tau`: the word of `tau_q`, lazy
-        # AffineData -> its lattice table (see `qdata.lattice_table`); it lives and
-        # dies with this Q-datum, so custom data leave nothing behind on AffineData
+        # `base` -> its lattice table (see `qdata.lattice_table`); it lives and dies
+        # with this Q-datum, so custom data leave nothing behind on AffineData
         self._lattice: dict = {}
         self.ord_rho = perm_order(self.rho)
         self.orbits: dict[int, tuple[int, ...]] = {}
@@ -88,19 +88,20 @@ class QDatum:
         return max(self.orbits[i], key=lambda j: (self.xi[j], -j))
 
 
-@lru_cache(maxsize=None)
 def default_qdatum(d: AffineData) -> QDatum:
     """The paper's fixed Q-datum (see the module docstring); for twisted d, its untwisted partner's.
 
-    Cached per `AffineData`, so every caller that passes q=None shares one
-    Q-datum, its psi_Q rows and its lattice table (keyed by d inside it); a
-    twisted type shares its partner's datum.  The cache holds its key, so an
-    instance from `build` adds nothing that `build` does not keep, but one
-    from `build.__wrapped__` stays in this cache for good.
+    Kept on d, filled on first use, so every caller that passes q=None
+    shares one Q-datum, its psi_Q rows and its lattice table, and the datum
+    dies with d; a twisted type shares its partner's datum.
     """
+    q = d._qdatum
+    if q is not None:
+        return q
     base = untwisted_partner(d)
     if base is not d:
-        return default_qdatum(base)
+        d._qdatum = q = default_qdatum(base)
+        return q
     spec, rank = d.type.spec, d.gfin.rank
     xi = spec.xi(d.n) if spec.xi else {
         i: 2 * (spec.letter == "E" and i == 2) - d.dd(1, i) for i in range(1, rank + 1)}
@@ -108,6 +109,7 @@ def default_qdatum(d: AffineData) -> QDatum:
     violations = validate_qdatum(q)
     if violations:
         raise InvariantViolation(f"default Q-datum of {d} is invalid: " + "; ".join(violations))
+    d._qdatum = q
     return q
 
 

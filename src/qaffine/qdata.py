@@ -48,16 +48,25 @@ def phi_q(q: QDatum, d: AffineData, beta: Vec) -> SigmaPoint:
 
 
 def lattice_table(q: QDatum, d: AffineData) -> list:
-    """q's lattice table for d: the simple-root points, a generator memo, `root_coords` and `phi_q_map`.
+    """q's lattice table for d: the simple-root points, a generator memo, `root_coords`, `phi_q_map`
+    and the packing of `blocks.psi_lattice`.
 
     The memo maps the `_key` of a generator to its coordinates; `blocks` fills
-    it.  Every other part is filled by its reader on first use, so `gram`,
-    which reads only the simple-root points, builds neither the coordinates
-    nor phi_Q over the positive roots, and `delta0` builds only the latter.
+    it.  The packing is empty, or [slots, peaks, widths]: slots maps each key
+    of `root_coords` to its slot, peaks maps a simple root i (from 0) to
+    max |s_{phi_Q(alpha_i)}|, and widths maps a slot size in bytes to its
+    bias template, that template packed, and the packed s_{phi_Q(alpha_i)}
+    at that size; `blocks` fills each entry on first use.  Every other part
+    is filled by its reader on first use, so `gram`, which reads only the
+    simple-root points, builds neither the coordinates nor phi_Q over the
+    positive roots, and `delta0` builds only the latter.  The table is kept
+    on q when d is q's base, and on d otherwise (a twisted type and its
+    partner's Q-datum), so it dies with d.
     """
-    table = q._lattice.get(d)
+    tables, key = (q._lattice, d) if q.base is d else (d._lattice, q)
+    table = tables.get(key)
     if table is None:
-        table = q._lattice[d] = [None, {}, {}, {}]
+        table = tables[key] = [None, {}, {}, {}, []]
     return table
 
 

@@ -1,11 +1,16 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qaffine
 from qaffine import blocks
 from qaffine.acceptance import SWEEP
 from qaffine.affine import AffineType, Family, build, component_class, parse_type_string, untwisted_partner
@@ -156,8 +161,8 @@ def test_gram_leaves_the_phi_q_map_unbuilt(s):
     assert gram(d, q).equal
     table = lattice_table(q, d)
     assert table[0] == tuple(phi_q(q, d, q.rs.simple_root(i)) for i in range(1, q.rs.rank + 1))
-    _, _, coords, phi = table
-    assert not phi and not coords
+    _, _, coords, phi, packing = table
+    assert not phi and not coords and not packing
     delta0(d, q)
     assert phi == {beta: phi_q(q, d, beta) for beta in q.rs.positive_roots}
     assert phi_q_map(q, d) is phi and sigma_q_points(d, q) == frozenset(phi.values())
@@ -165,8 +170,8 @@ def test_gram_leaves_the_phi_q_map_unbuilt(s):
     # and delta0 alone builds phi_Q over the positive roots only
     d = build.__wrapped__(t)
     delta0(d, q)
-    simple, _, coords, phi = lattice_table(q, d)
-    assert simple is None and not coords and len(phi) == len(q.rs.positive_roots)
+    simple, _, coords, phi, packing = lattice_table(q, d)
+    assert simple is None and not coords and not packing and len(phi) == len(q.rs.positive_roots)
 
 
 # per variable family, rungs near rank 8, near 12 and at 16-21, far above the
@@ -404,6 +409,55 @@ def test_ptilde_translates_share_one_memo_entry():
 def test_default_qdatum_is_one_cached_datum():
     d = build(parse_type_string("E7-1"))
     assert default_qdatum(d) is default_qdatum(d)
+
+
+LEAK_PROBE = """
+import gc, resource, sys
+from qaffine import AffineData, delta0, parse_type_string
+from qaffine.qcartan import QDatum
+
+def live(cls):
+    return sum(type(o) is cls for o in gc.get_objects())
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+for s in sys.argv[1:]:
+    t = parse_type_string(s)
+    rounds = []
+    for _ in range(5):
+        d = AffineData(t)
+        delta0(d)
+        del d
+        gc.collect()
+        rounds.append((live(AffineData), live(QDatum), peak_mb()))
+    print(s, *rounds[0][:2], *rounds[-1][:2], rounds[-1][2] - rounds[0][2])
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_affine_data_instances_die_with_their_default_qdatum(flags):
+    # each round builds an AffineData, fills its default Q-datum, s-functions
+    # and lattice table with delta0, and drops it: no instance or datum is
+    # left but a twisted type's shared partner, and peak RSS stays flat (a
+    # kept A24-1 round costs about 2 MB)
+    src = str(Path(qaffine.__file__).parents[1])
+    out = subprocess.run([sys.executable, *flags, "-c", LEAK_PROBE, "A24-1", "A11-2"], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    untwisted, twisted = (line.split() for line in out.stdout.splitlines())
+    assert untwisted[1:5] == ["0", "0", "0", "0"] and float(untwisted[5]) < 1.0, untwisted
+    assert twisted[1:5] == ["1", "1", "1", "1"] and float(twisted[5]) < 1.0, twisted
+
+
+def test_default_qdatum_lives_on_its_affine_data():
+    t = parse_type_string("A5-2")
+    d = build.__wrapped__(t)
+    assert d._qdatum is None
+    q = default_qdatum(d)
+    assert d._qdatum is q is default_qdatum(build(t)) is default_qdatum(untwisted_partner(d))
+    # the twisted type's lattice table is kept on it, not in its partner's Q-datum
+    assert lattice_table(q, d) is d._lattice[q] and d not in q._lattice
 
 
 def test_twisted_types_share_their_partners_default_qdatum():

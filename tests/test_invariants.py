@@ -1,4 +1,5 @@
 import functools
+import pickle
 import random
 import sys
 from itertools import groupby
@@ -502,6 +503,23 @@ def test_delta0_matches_the_two_sided_rotation_oracle(s):
     assert len({id(f.keys) for f in roots}) == len(roots) // 2 == len(d.gfin.positive_roots)
 
 
+@pytest.mark.parametrize("s", ["A4-1", "D5-2", "E6-1", "D4-3"])
+def test_equal_s_functions_hash_alike_rotated_or_dual_served(s):
+    # the hash is kept on first use; a dual-served function shares its
+    # partner's keys, a rotated one has its own, and both hash as their tuples
+    t = parse_type_string(s)
+    served, cold = build.__wrapped__(t), build.__wrapped__(t)
+    for p in sorted(sigma_q_points(served, default_qdatum(served))):
+        partner = s_func(served, dual_shift(served, p))
+        f, g = s_func(served, p), _rotated(cold, p)
+        assert f.keys is partner.keys and f.keys is not g.keys and f == g, (s, str(p))
+        assert hash(f) == hash(g) == hash((g.keys, g.vals)) == f._hash == g._hash, (s, str(p))
+        assert hash(-f) == hash(partner) and hash(SigmaFunction(f.keys, f.vals)) == hash(f)
+    clone = pickle.loads(pickle.dumps(f))
+    assert clone._hash is None and "_hash" not in repr(f)
+    assert hash(clone) == hash(f) and clone == f
+
+
 def test_s_func_rejects_nodes_outside_i0_with_a_warm_cache():
     d = build.__wrapped__(AffineType(Family.A1, 3))
     for i in d.i0:
@@ -611,8 +629,8 @@ def _seeded_weights(rng, d, census):
 
 
 def test_keyed_s_functions_match_the_point_valued_path():
-    # on E6-2, 46 of the 72 census points fail the re-expansion (a known
-    # defect both paths share), so the NotInW0 branch of the check is covered
+    # the seeded sums include random points, so both the coordinates and the
+    # NotInW0 branch of the check are covered (every census point solves)
     rng = random.Random(20261020)
     outcomes = {"coords": 0, "NotInW0": 0}
     for s in SWEEP:
