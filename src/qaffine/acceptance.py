@@ -84,7 +84,8 @@ _ADE_RANKS_6 = [("A", n) for n in range(1, 7)] + [("D", n) for n in range(4, 7)]
 
 
 def criterion_3_ctilde_cross_check() -> tuple[bool, str]:
-    """Closed formula equals exact series inversion for all ADE of rank <= 8."""
+    """Closed formula equals exact series inversion for all ADE of rank <= 8 (k reaches
+    2 h^vee - 1, past the window I_Q, so this checks the Nakayama shift too)."""
     checked = 0
     for letter, rank in _ADE_RANKS_8:
         d = build(parse_type_string(f"{letter}{rank}-1"))
@@ -193,7 +194,8 @@ def criterion_5_phi_golden() -> tuple[bool, str]:
 
 
 def criterion_6_psi_bijectivity() -> tuple[bool, str]:
-    """psi_Q covers Delta+ x {0,1,2} exactly once on the m-window."""
+    """psi_Q covers Delta+ x {0,1,2} exactly once on the m-window: I_Q maps onto Delta+,
+    and the m = 1, 2 cells, read off it by the Nakayama shift, are distinct."""
     for s in SWEEP:
         d = build(parse_type_string(s))
         q = default_qdatum(d)

@@ -285,8 +285,7 @@ class AffineData:
     type; every other family has i* = id and the chain A_n for g_0.  `build`
     shares one instance per type, and instances are treated as immutable;
     the private dicts are append-only memo caches (single-writer
-    initialization).  They compare and hash by identity: Q-data key their
-    lattice tables by them.
+    initialization).  They compare and hash by identity.
     """
 
     __slots__ = ("type", "family", "n", "i0", "twisted", "m", "pstar", "istar", "gfin", "hvee",
@@ -325,9 +324,9 @@ class AffineData:
         # maps a SigmaPoint, as given, to its s-function, and a dual pair shares one `keys`
         # tuple (see `invariants`)
         self._denom_cache, self._template_cache, self._sfunc_cache = {}, {}, {}
-        # `qcartan.default_qdatum`, filled on first use, and the lattice tables of Q-data
-        # whose base is another AffineData, such as a twisted type's partner (see `qdata.lattice_table`)
-        self._qdatum, self._lattice = None, {}
+        # `qcartan.default_qdatum`, and the lattice table of each Q-datum used with this
+        # type, weakly keyed by it (see `qdata.lattice_table`); both filled on first use
+        self._qdatum, self._lattice = None, None
 
     def dd(self, i: int, j: int) -> int:
         return graph_distance(self.g0_adj, i, j)

@@ -34,8 +34,8 @@ the right-hand side.  The dict re-expansion is kept in the tests as the
 oracle.
 
 `block_label` sums per-generator coordinates as well.  Each generator g is
-passed through `psi_lattice` once and its coordinates kept in the Q-datum's
-lattice table (`qdata.lattice_table`) under the `_key` of g; s_g depends on
+passed through `psi_lattice` once and its coordinates kept in the lattice
+table of q for d (`qdata.lattice_table`) under the `_key` of g; s_g depends on
 g only through that key, so the memo holds at most |I0| * 24 * 12 hvee
 entries.  Every generator lies in W0 (criterion 12 of `acceptance` checks
 every point of sigma_Q and of its dual translate), so a generator that
@@ -89,14 +89,15 @@ def gram(d: AffineData, q: QDatum | None = None) -> GramResult:
 
 def psi_lattice(d: AffineData, q: QDatum, f: SigmaFunction) -> tuple[int, ...]:
     """Sum of c * `root_coords` over f's generators c * s_p (0 off sigma_0), verified by the packed identity."""
-    pts, table = simple_root_points(q, d), root_coords(q, d)
+    lattice = lattice_table(q, d)  # one weak lookup; a part still unbuilt is built by its reader
+    pts, table = lattice[0] or simple_root_points(q, d), lattice[2] or root_coords(q, d)
+    packing = lattice[4]
     coords = [0] * len(pts)
     for p, c in _as_gens(f):
         d.check_node(p.node)
         beta = table.get(_key(d, p.node, *p.param))
         if beta:
             coords = [a + c * b for a, b in zip(coords, beta)]
-    packing = lattice_table(q, d)[4]
     if not packing:
         packing += [dict(zip(table, range(len(table)))), {}, {}]
     slots, peaks, widths = packing
@@ -143,9 +144,8 @@ def _pack(slots: dict[int, int], template: bytes, size: int, keys, vals) -> int:
     return int.from_bytes(buf, byteorder)
 
 
-def _generator_coords(d: AffineData, q: QDatum, p: SigmaPoint) -> tuple[int, ...]:
-    """psi_lattice of s_p from q's lattice table, verified on first use."""
-    memo = lattice_table(q, d)[1]
+def _generator_coords(d: AffineData, q: QDatum, memo: dict, p: SigmaPoint) -> tuple[int, ...]:
+    """psi_lattice of s_p from memo, q's generator memo for d, verified on first use."""
     key = _key(d, p.node, *p.param)
     coords = memo.get(key)
     if coords is None:
@@ -172,13 +172,14 @@ def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
     docstring).
     """
     q = q or default_qdatum(d)
+    memo = lattice_table(q, d)[1]
     groups: dict[SpectralScalar, list[SigmaPoint]] = {}
     for p in weights:
         cls = component_class(d, p.node, p.param)
         groups.setdefault(cls, []).append(sigma_point(d, p.node, p.param / cls))
     components = []
     for cls in sorted(groups, key=order_key):
-        coords = tuple(map(sum, zip(*(_generator_coords(d, q, p) for p in groups[cls]))))
+        coords = tuple(map(sum, zip(*(_generator_coords(d, q, memo, p) for p in groups[cls]))))
         if any(coords):
             components.append((print_scalar(cls), coords))
     return BlockLabel(tuple(components))

@@ -10,10 +10,16 @@ Its generalized Coxeter element tau_Q walks each
 gamma_i = (1 - tau_Q^{d_i}) Lambda_i through the rows of psi_Q.
 
 tau_Q is kept only as a word of simple reflections and rho, built once per
-Q-datum.  The row of i starts at psi_Q(i, xi_i) = (gamma_i, 0); one step
-down in p (p -> p - 2 d_i) applies the word tau_Q^{d_i} to the root
-coordinates, one step up applies the inverse word.  A step that lands on a
-negative root flips its sign and moves m by one.
+Q-datum.  Only the window I_Q = psi_Q^{-1}(Delta+ x {0}) is walked, once:
+the row of i starts at psi_Q(i, xi_i) = (gamma_i, 0), and one step down in
+p (p -> p - 2 d_i) applies the word tau_Q^{d_i} to the root coordinates,
+over the cells xi_{i*} - H < p <= xi_i, H = ord(rho) h^vee.  Every other
+cell is read off the window by the Nakayama shift nu(i, p) = (i*, p - H)
+(Hernandez-Leclerc, "Quantum Grothendieck rings and derived Hall
+algebras", 2015, for rho = id; Fujita-Oh, "Q-data and representation
+theory of untwisted quantum affine algebras", 2021):
+
+    psi_Q(i*, p - H) = (beta, m - 1)  for  (beta, m) = psi_Q(i, p).
 
 For an ADE type those rows are the inverse quantum Cartan matrix: the
 coefficient of z^k in its (i, j) entry is the j-th coordinate of
@@ -29,6 +35,7 @@ one of the acceptance checks.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 from typing import NamedTuple
 
 from .affine import AffineData, untwisted_partner
@@ -37,9 +44,7 @@ from .roots import (
     Vec,
     apply_word_root,
     identity_perm,
-    inverse_word,
     perm_from_map,
-    perm_order,
     perm_root,
     root_system,
 )
@@ -62,15 +67,12 @@ class QDatum:
     """(Dynkin diagram, automorphism rho, height function xi) for `base`; compared by identity."""
 
     __slots__ = ("rs", "rho", "xi", "base", "_rows", "_phi_inv", "_tau",
-                 "_lattice", "ord_rho", "orbits", "d", "pi", "__weakref__")
+                 "ord_rho", "orbits", "d", "pi", "__weakref__")
 
     def __init__(self, rs: FinRootSystem, rho: tuple[int, ...], xi: dict[int, int], base: AffineData):
         self.rs, self.rho, self.xi, self.base = rs, rho, xi, base
-        self._rows, self._phi_inv, self._tau = {}, None, None  # `_tau`: the word of `tau_q`, lazy
-        # `base` -> its lattice table (see `qdata.lattice_table`); it lives and dies
-        # with this Q-datum, so custom data leave nothing behind on AffineData
-        self._lattice: dict = {}
-        self.ord_rho = perm_order(self.rho)
+        # `_rows`: node -> its window cells (see `_row`); `_tau`: the word of `tau_q`; both lazy
+        self._rows, self._phi_inv, self._tau = {}, None, None
         self.orbits: dict[int, tuple[int, ...]] = {}
         for i in range(1, self.rs.rank + 1):
             orbit = [i]
@@ -80,6 +82,7 @@ class QDatum:
                 j = self.rho[j]
             self.orbits[i] = tuple(sorted(orbit))
         self.d = {i: len(o) for i, o in self.orbits.items()}
+        self.ord_rho = lcm(*self.d.values())
         rep = self.base.type.spec.relabel or {}
         self.pi = {i: rep.get(min(o), min(o)) for i, o in self.orbits.items()}
 
@@ -207,53 +210,54 @@ def gamma_q(q: QDatum, i: int) -> Vec:
     return r
 
 
-def _row(q: QDatum, i: int) -> dict[int, tuple[Vec, int]]:
-    """Lazily extendable row of psi_Q values at node i, seeded at (i, xi_i)."""
+def _window(q: QDatum, i: int) -> range:
+    """The p of row i in the window I_Q, descending: xi_{i*} - H < p <= xi_i, H = ord(rho) h^vee."""
+    return range(q.xi[i], q.xi[q.rs.istar(i)] - q.ord_rho * q.base.hvee, -2 * q.d[i])
+
+
+def _row(q: QDatum, i: int) -> list[tuple[Vec, int]]:
+    """psi_Q over the window cells of row i: row[k] = (beta, 0) at p = xi_i - 2 d_i k.
+
+    Walked once, downward from gamma_i, and kept on q.  Each cell must be a
+    positive root, and the step past the lowest cell must leave them (there
+    psi_Q(i, xi_{i*} - H) = (gamma_{i*}, -1) by the Nakayama shift).
+    """
     row = q._rows.get(i)
     if row is None:
-        row = {q.xi[i]: (gamma_q(q, i), 0)}
+        word, beta, row = tau_q(q) * q.d[i], gamma_q(q, i), []
+        for p in _window(q, i):
+            if not q.rs.is_positive_root(beta):
+                raise InvariantViolation(f"psi_Q({i},{p}) = {beta} in the window I_Q is not a positive root")
+            row.append((beta, 0))
+            beta = apply_word_root(q.rs, word, beta)
+        if q.rs.is_positive_root(beta):
+            raise InvariantViolation(f"below its window, row {i} reaches the positive root {beta}")
         q._rows[i] = row
     return row
 
 
 def psi_q(q: QDatum, i: int, p: int) -> tuple[Vec, int]:
-    """The bijection hat I_Q -> Delta+ x Z, computed by walking from the seed."""
+    """The bijection hat I_Q -> Delta+ x Z: a window cell, or one read off it by the Nakayama shift."""
     if not 1 <= i <= q.rs.rank:
         raise NotInHatIQ(f"node {i} outside the diagram")
-    step = 2 * q.d[i]
-    if (p - q.xi[i]) % step:
-        raise NotInHatIQ(f"p = {p} is not congruent to xi_{i} = {q.xi[i]} mod {step}")
-    row = _row(q, i)
-    if p not in row:
-        # extend the known run from its end nearer p: tau_Q^{d_i} takes one
-        # step down in p, its inverse one step up
-        sign = -1 if p < min(row) else 1
-        cur = min(row) if sign < 0 else max(row)
-        beta, m = row[cur]
-        word = tau_q(q) * q.d[i]
-        if sign > 0:
-            word = inverse_word(word)
-        while cur != p:
-            cur += sign * step
-            beta = apply_word_root(q.rs, word, beta)
-            if not any(c > 0 for c in beta):
-                beta = tuple(-c for c in beta)
-                m += sign
-            row[cur] = (beta, m)
-    return row[p]
+    k, off = divmod(q.xi[i] - p, 2 * q.d[i])
+    if off:
+        raise NotInHatIQ(f"p = {p} is not congruent to xi_{i} = {q.xi[i]} mod {2 * q.d[i]}")
+    row = q._rows.get(i) or _row(q, i)
+    if 0 <= k < len(row):
+        return row[k]
+    # below the window of i, one Nakayama shift away, lies the window of i*
+    # (m = -1); the two span one period 2H of p, and each period down moves m by -2
+    star = q._rows.get(istar := q.rs.istar(i)) or _row(q, istar)
+    periods, k = divmod(k, len(row) + len(star))
+    if k < len(row):
+        return row[k][0], -2 * periods
+    return star[k - len(row)][0], -2 * periods - 1
 
 
 def i_q(q: QDatum) -> list[tuple[int, int]]:
     """The window { (i,p) : xi_{i*} - ord(rho) h^vee < p <= xi_i } = psi^{-1}(Delta+ x {0})."""
-    out = []
-    bound = q.ord_rho * q.base.hvee
-    for i in range(1, q.rs.rank + 1):
-        lower = q.xi[q.rs.istar(i)] - bound
-        p = q.xi[i]
-        while p > lower:
-            out.append((i, p))
-            p -= 2 * q.d[i]
-    return out
+    return [(i, p) for i in range(1, q.rs.rank + 1) for p in _window(q, i)]
 
 
 def phi_inverse_zero(q: QDatum) -> dict[Vec, tuple[int, int]]:
@@ -261,13 +265,11 @@ def phi_inverse_zero(q: QDatum) -> dict[Vec, tuple[int, int]]:
     if q._phi_inv is not None:
         return q._phi_inv
     out: dict[Vec, tuple[int, int]] = {}
-    for i, p in i_q(q):
-        beta, m = psi_q(q, i, p)
-        if m != 0:
-            raise InvariantViolation(f"I_Q window cell ({i},{p}) has m = {m}")
-        if beta in out:
-            raise InvariantViolation(f"duplicate root {beta} in the m = 0 slice")
-        out[beta] = (i, p)
+    for i in range(1, q.rs.rank + 1):
+        for p, (beta, _) in zip(_window(q, i), _row(q, i)):
+            if beta in out:
+                raise InvariantViolation(f"duplicate root {beta} in the m = 0 slice")
+            out[beta] = (i, p)
     if len(out) != len(q.rs.positive_roots):
         raise InvariantViolation(
             f"the m = 0 slice has {len(out)} roots, not {len(q.rs.positive_roots)}"

@@ -13,6 +13,8 @@ are golden data of `acceptance`.
 
 from __future__ import annotations
 
+from weakref import WeakKeyDictionary
+
 from .affine import AffineData
 from .invariants import SigmaPoint, _key, dual_shift, sigma_point
 from .qcartan import QDatum, default_qdatum, phi_inverse_zero
@@ -60,13 +62,13 @@ def lattice_table(q: QDatum, d: AffineData) -> list:
     is filled by its reader on first use, so `gram`, which reads only the
     simple-root points, builds neither the coordinates nor phi_Q over the
     positive roots, and `delta0` builds only the latter.  The table is kept
-    on q when d is q's base, and on d otherwise (a twisted type and its
-    partner's Q-datum), so it dies with d.
+    on d, weakly keyed by q, so it dies with either of them.
     """
-    tables, key = (q._lattice, d) if q.base is d else (d._lattice, q)
-    table = tables.get(key)
+    if d._lattice is None:
+        d._lattice = WeakKeyDictionary()
+    table = d._lattice.get(q)
     if table is None:
-        table = tables[key] = [None, {}, {}, {}, []]
+        table = d._lattice[q] = [None, {}, {}, {}, []]
     return table
 
 

@@ -152,16 +152,6 @@ def perm_from_map(rank: int, mapping: dict[int, int]) -> tuple[int, ...]:
     return tuple(mapping.get(i, i) for i in range(rank + 1))
 
 
-def perm_order(perm: tuple[int, ...]) -> int:
-    order = 1
-    cur = perm
-    ident = identity_perm(len(perm) - 1)
-    while cur != ident:
-        cur = tuple(perm[c] for c in cur)
-        order += 1
-    return order
-
-
 def perm_root(perm: tuple[int, ...], v: Vec) -> Vec:
     """Diagram automorphism on root coordinates: alpha_i -> alpha_{perm(i)}."""
     out = [0] * len(v)
@@ -184,13 +174,6 @@ def apply_word_root(rs: FinRootSystem, word: Iterable[WordEntry], v: Vec) -> Vec
         else:
             out[:] = perm_root(entry, out)
     return tuple(out)
-
-
-def inverse_word(word: Iterable[WordEntry]) -> tuple[WordEntry, ...]:
-    """The word of the inverse element: reversed, each automorphism inverted."""
-    # sorting the nodes by their images inverts a permutation
-    return tuple(e if isinstance(e, int) else tuple(sorted(range(len(e)), key=e.__getitem__))
-                 for e in reversed(tuple(word)))
 
 
 @lru_cache(maxsize=None)

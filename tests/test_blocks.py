@@ -5,6 +5,7 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -455,9 +456,11 @@ def test_default_qdatum_lives_on_its_affine_data():
     d = build.__wrapped__(t)
     assert d._qdatum is None
     q = default_qdatum(d)
-    assert d._qdatum is q is default_qdatum(build(t)) is default_qdatum(untwisted_partner(d))
-    # the twisted type's lattice table is kept on it, not in its partner's Q-datum
-    assert lattice_table(q, d) is d._lattice[q] and d not in q._lattice
+    partner = untwisted_partner(d)
+    assert d._qdatum is q is default_qdatum(build(t)) is default_qdatum(partner)
+    # each type keeps its own lattice table for the shared datum, weakly keyed by it
+    assert lattice_table(q, d) is d._lattice[q]
+    assert lattice_table(q, partner) is partner._lattice[q] is not d._lattice[q]
 
 
 def test_twisted_types_share_their_partners_default_qdatum():
@@ -465,6 +468,34 @@ def test_twisted_types_share_their_partners_default_qdatum():
     assert twisted
     for d in twisted:
         assert default_qdatum(d) is default_qdatum(untwisted_partner(d)), str(d)
+
+
+CROSS_TYPE_PROBE = """
+import gc, weakref
+from qaffine import build, gram, parse_type_string
+from qaffine.qcartan import custom_qdatum
+
+d, other = (build(parse_type_string(s)) for s in ("A3-1", "A3-2"))
+refs, equal = [], True
+for _ in range(5):
+    q = custom_qdatum(d, {1: 0, 2: 1, 3: 0})
+    equal &= gram(other, q).equal
+    refs.append(weakref.ref(q))
+    del q
+gc.collect()
+print(equal, sum(ref() is not None for ref in refs), len(other._lattice))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_custom_qdatum_used_with_another_type_dies(flags):
+    # A3-2 keeps a lattice table for each A3-1 datum it is paired with, weakly
+    # keyed by it: once the data are dropped, none is alive and no table is left
+    src = str(Path(qaffine.__file__).parents[1])
+    out = subprocess.run([sys.executable, *flags, "-c", CROSS_TYPE_PROBE], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "0", "0"]
 
 
 def test_block_label_without_q_reuses_the_default_lattice_table():
@@ -494,14 +525,14 @@ def test_custom_qdatum_leaves_nothing_on_affine_data():
     def label_with_a_fresh_datum():
         q = custom_qdatum(d, {1: 0, 2: 1, 3: 0})
         block_label(d, q, weights)
-        assert d in q._lattice
+        assert q in d._lattice
         return weakref.ref(q)
 
     label_with_a_fresh_datum()  # fills d's own s_func and template caches
 
     def footprint():
         state = {k: getattr(d, k) for k in type(d).__slots__}  # AffineData has no __dict__
-        return {k: len(v) if isinstance(v, dict) else v for k, v in state.items()}
+        return {k: len(v) if isinstance(v, Mapping) else v for k, v in state.items()}
 
     before = footprint()
     refs = [label_with_a_fresh_datum() for _ in range(20)]

@@ -1,0 +1,133 @@
+"""psi_Q read off the window I_Q against the two-way walk it replaced.
+
+`qcartan` walks each row once, over its window cells, and reads every other
+cell off them by the Nakayama shift psi_Q(i*, p - H) = (beta, m - 1) for
+(beta, m) = psi_Q(i, p), H = ord(rho) h^vee.  The oracle walks each row one
+word at a time in both directions from its seed (`weyl_oracle.two_way_row`).
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qaffine
+from qaffine.acceptance import SWEEP
+from qaffine.affine import build, parse_type_string
+from qaffine.qcartan import custom_qdatum, default_qdatum, gamma_q, i_q, psi_q, tau_q
+from test_blocks import LADDER
+from weyl_oracle import two_way_row
+
+PERIODS = 5  # each way, in whole periods 2H of p
+
+
+def _random_heights(d, rng):
+    """A height function on the ADE diagram of d: |xi_a - xi_b| = 1 on each edge, signs drawn by rng."""
+    xi, todo = {1: rng.randrange(-4, 5)}, [1]
+    while todo:
+        a = todo.pop()
+        for b in d.gfin.adj[a]:
+            if b not in xi:
+                xi[b] = xi[a] + rng.choice((-1, 1))
+                todo.append(b)
+    return xi
+
+
+CUSTOM = [(s, seed) for s in ("A5-1", "D5-1", "D6-1", "E6-1", "E7-1") for seed in range(4)]
+
+
+def _qdatum(case):
+    if isinstance(case, str):
+        return default_qdatum(build(parse_type_string(case)))
+    s, seed = case
+    d = build(parse_type_string(s))
+    return custom_qdatum(d, _random_heights(d, random.Random(f"{s}/{seed}")))
+
+
+CASES = [*SWEEP, *LADDER, *CUSTOM]
+
+
+def _oracle_rows(q):
+    """node -> {p: (beta, m)} over PERIODS periods each way of xi_i, by the two-way walk."""
+    span = 2 * PERIODS * q.ord_rho * q.base.hvee
+    return {i: two_way_row(q.rs.cartan, tau_q(q) * q.d[i], gamma_q(q, i), q.xi[i], 2 * q.d[i],
+                           q.xi[i] - span, q.xi[i] + span)
+            for i in range(1, q.rs.rank + 1)}
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_psi_q_matches_the_two_way_walk(case):
+    q = _qdatum(case)
+    for i, row in _oracle_rows(q).items():
+        for p, cell in row.items():
+            assert psi_q(q, i, p) == cell, (case, i, p)
+    # every row was asked for 10 periods of cells, and holds only its window
+    assert sum(map(len, q._rows.values())) == len(i_q(q)) == len(q.rs.positive_roots)
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_nakayama_shift(case):
+    # psi_Q(i*, p - H) = (beta, m - 1), on the oracle's cells and through psi_q
+    q = _qdatum(case)
+    h = q.ord_rho * q.base.hvee
+    rows = _oracle_rows(q)
+    shifted = 0
+    for i, row in rows.items():
+        istar = q.rs.istar(i)
+        for p, (beta, m) in row.items():
+            assert psi_q(q, istar, p - h) == (beta, m - 1), (case, i, p)
+            if p - h in rows[istar]:
+                assert rows[istar][p - h] == (beta, m - 1), (case, i, p)
+                shifted += 1
+    assert shifted
+
+
+FAR_PROBE = """
+import json, sys, time
+from qaffine import build, parse_type_string
+from qaffine.qcartan import ctilde_formula, ctilde_oracle_for, default_qdatum, i_q, psi_q
+
+out = {}
+for s in sys.argv[1:]:
+    d = build(parse_type_string(s))
+    q = default_qdatum(d)
+    rank, far = q.rs.rank, 10**9
+    t0 = time.perf_counter()
+    first = psi_q(q, 1, q.xi[1] - q.d[1] * far)
+    signs = [(sign, psi_q(q, i, q.xi[i] + sign * 2 * q.d[i] * (far + k))[1])
+             for i in range(1, rank + 1) for sign in (-1, 1) for k in range(3)]
+    wrong = []
+    if d.simply_laced:  # ctilde(k + 2h) = ctilde(k): compare with the series at k mod 2h
+        table = ctilde_oracle_for(q.rs.letter, rank)
+        for i in range(1, rank + 1):
+            for j in range(1, rank + 1):
+                for k in range(far - 2, far + 3):
+                    if ctilde_formula(q, i, j, k) != table.get(i, j, (k - 1) % (2 * d.hvee) + 1):
+                        wrong.append((i, j, k))
+    seconds = time.perf_counter() - t0
+    out[s] = {"seconds": seconds, "first": first, "m_signs": all(sign * m > 0 for sign, m in signs),
+              "wrong": wrong, "row_cells": sum(map(len, q._rows.values())), "window": len(i_q(q))}
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_far_cells_are_read_off_the_window(flags):
+    # 10**9 steps of p away from the seeds, in a fresh interpreter: every answer
+    # comes by whole periods and one shift, and no row grows past its window
+    src = str(Path(qaffine.__file__).parents[1])
+    types = ["A3-1", "E8-1", "D6-1", "G2-1", "A5-2"]
+    out = subprocess.run([sys.executable, *flags, "-c", FAR_PROBE, *types], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    res = json.loads(out.stdout)
+    assert res["A3-1"]["first"] == [[1, 0, 0], -250000000]
+    for s in types:
+        r = res[s]
+        assert r["seconds"] < 0.5, (s, r["seconds"])
+        assert r["m_signs"] and not r["wrong"], (s, r["wrong"][:5])
+        assert r["row_cells"] == r["window"], s

@@ -30,6 +30,7 @@ from qaffine.qcartan import (
 from qaffine.qdata import NotAPositiveRoot, esig, phi_q, phi_q_map, sigma_q_points, translate_star, twist
 from qaffine.roots import identity_perm, perm_from_map
 from qaffine.scalars import I_UNIT, MINUS_ONE, MINUS_Q, MINUS_QS, MINUS_QT, OMEGA, ONE, Q, QS, scalar
+from weyl_oracle import matrix_order, perm_matrix
 
 ALL_CRIT1 = (
     [f"A{n}-1" for n in range(1, 7)]
@@ -49,6 +50,18 @@ def test_default_qdatum_g2():
     assert q.xi == {1: -1, 2: 0, 3: -3, 4: -5}
     assert q.rs.type_name == "D4"
     assert tau_q(q)[:2] == (2, 1)
+
+
+@pytest.mark.parametrize("s, mapping, order", [
+    ("D4-1", {1: 3, 3: 4, 4: 1}, 3),  # D4 triality
+    ("A5-1", {1: 2, 2: 1, 3: 4, 4: 5, 5: 3}, 6),
+    ("A5-1", {}, 1),
+])
+def test_ord_rho_is_the_order_of_rho(s, mapping, order):
+    d = build(parse_type_string(s))
+    rho = perm_from_map(d.gfin.rank, mapping)
+    q = QDatum(rs=d.gfin, rho=rho, xi={}, base=d)
+    assert q.ord_rho == order == matrix_order(perm_matrix(rho))
 
 
 def test_default_qdatum_cn():

@@ -7,7 +7,9 @@ library's word code.  Matrices act on root-coordinate columns:
 (M v)_r = sum_c M[r][c] v_c.  `weight_to_root`, the exact Cartan solve, is
 the oracle of the lattice coordinates that the library reads off phi_Q.
 `bfs_positive_roots`, a search under the simple reflections, is the oracle
-of the library's root enumeration.
+of the library's root enumeration.  `two_way_row`, a psi_Q row walked one
+word at a time in both directions from its seed, is the oracle of the rows
+the library reads off the window I_Q.
 """
 
 from __future__ import annotations
@@ -80,6 +82,48 @@ def word_powers(cartan, word, lo, hi):
     for m in range(-1, lo - 1, -1):
         out[m] = mat_mul(out[m + 1], back)
     return out
+
+
+def inverse_word(word):
+    """The word of the inverse element: reversed, each automorphism inverted."""
+    # sorting the nodes by their images inverts a permutation
+    return tuple(e if isinstance(e, int) else tuple(sorted(range(len(e)), key=e.__getitem__))
+                 for e in reversed(tuple(word)))
+
+
+def apply_word(cartan, word, v):
+    """A word (rightmost entry acts first) on root coordinates, one entry at a time."""
+    out = list(v)
+    for e in reversed(tuple(word)):
+        if isinstance(e, int):
+            out[e - 1] -= sum(map(mul, cartan[e - 1], out))
+        else:
+            moved = [0] * len(out)
+            for c, x in enumerate(out, start=1):
+                moved[e[c] - 1] = x
+            out = moved
+    return tuple(out)
+
+
+def two_way_row(cartan, word, gamma, top, step, lo, hi):
+    """{p: (beta, m)} on one psi_Q row, for lo <= p <= hi in the row's residue class.
+
+    The row is seeded at (gamma, 0) at p = top.  One step down in p
+    (p -> p - step) applies `word`, one step up its inverse; an image with
+    no positive coordinate flips its sign and moves m by one in the
+    direction of the step.  For the row of i, top = xi_i, step = 2 d_i and
+    word is that of tau_Q^{d_i}.
+    """
+    row = {top: (gamma, 0)}
+    for sign, w, end in ((-1, word, lo), (1, inverse_word(word), hi)):
+        beta, m, p = gamma, 0, top
+        while sign * (end - p) >= step:
+            p += sign * step
+            beta = apply_word(cartan, w, beta)
+            if not any(c > 0 for c in beta):
+                beta, m = tuple(-c for c in beta), m + sign
+            row[p] = beta, m
+    return row
 
 
 def matrix_order(m, cap=1000):
