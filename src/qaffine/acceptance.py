@@ -28,8 +28,9 @@ from .invariants import (
     s_func,
     sigma_point,
 )
-from .qcartan import ctilde_formula, ctilde_oracle_for, default_qdatum, i_q, psi_q
+from .qcartan import ctilde_formula, ctilde_oracle_for, default_qdatum, i_q, psi_q, tau_q
 from .qdata import phi_q_map, sigma_q_points, twist
+from .roots import apply_word_root
 from .scalars import MINUS_ONE, MINUS_Q, MINUS_QS, MINUS_QT, Q, QS, SpectralScalar, scalar
 
 SWEEP = (
@@ -120,37 +121,27 @@ def criterion_4_ade_lambda_identity() -> tuple[bool, str]:
     return True, f"{checked} evaluations"
 
 
-def _window(lo: int, hi: int, step: int) -> list[int]:
-    """hi, hi - step, ... down to lo inclusive."""
-    k = hi
-    out = []
-    while k >= lo:
-        out.append(k)
-        k -= step
-    return out
-
-
 def _untwisted_sigma_q_raw(d: AffineData) -> list[tuple[int, SpectralScalar]]:
     """The explicit sigma_Q window lists, family by family."""
     f, n = d.family, d.n
     pts: list[tuple[int, SpectralScalar]] = []
     if f == Family.A1:
         for i in d.i0:
-            pts += [(i, MINUS_Q ** k) for k in _window(i - 2 * n + 1, -i + 1, 2)]
+            pts += [(i, MINUS_Q ** k) for k in range(-i + 1, i - 2 * n, -2)]
     elif f == Family.B1:
         for i in range(1, n):
             sign = MINUS_ONE ** (n + i)
-            for k in _window(-2 * n - 2 * i + 3, 2 * n - 2 * i - 1, 2):
+            for k in range(2 * n - 2 * i - 1, -2 * n - 2 * i + 2, -2):
                 pts.append((i, sign * QS ** k))
-        pts += [(n, scalar(0, k)) for k in _window(-2 * n + 2, 0, 1)]
+        pts += [(n, scalar(0, k)) for k in range(0, -2 * n + 1, -1)]
     elif f == Family.C1:
         for i in d.i0:
             dd = d.dd(1, i)
-            pts += [(i, MINUS_QS ** k) for k in _window(-dd - 2 * n, -dd, 2)]
+            pts += [(i, MINUS_QS ** k) for k in range(-dd, -dd - 2 * n - 1, -2)]
     elif f == Family.D1:
         for i in d.i0:
             dd = d.dd(1, i)
-            pts += [(i, MINUS_Q ** k) for k in _window(-dd - 2 * n + 4, -dd, 2)]
+            pts += [(i, MINUS_Q ** k) for k in range(-dd, -dd - 2 * n + 3, -2)]
     elif f in (Family.E6_1, Family.E7_1, Family.E8_1):
         spread = {Family.E6_1: None, Family.E7_1: 16, Family.E8_1: 28}[f]
         for i in d.i0:
@@ -160,17 +151,17 @@ def _untwisted_sigma_q_raw(d: AffineData) -> list[tuple[int, SpectralScalar]]:
             else:
                 hi = -dd + 2 * (i == 2)
                 lo = hi - spread
-            pts += [(i, MINUS_Q ** k) for k in _window(lo, hi, 2)]
+            pts += [(i, MINUS_Q ** k) for k in range(hi, lo - 1, -2)]
     elif f == Family.F4_1:
         for i in d.i0:
             dd = d.dd(i, 3)
             half = int(i == 3)  # in units of q^(1/2)
-            for k in _window(2 * dd - 20 + half, 2 * dd - 4 + half, 2):
+            for k in range(2 * dd - 4 + half, 2 * dd - 21 + half, -2):
                 pts.append((i, (MINUS_ONE ** i) * QS ** k))
     elif f == Family.G2_1:
         for i in d.i0:
             dd = d.dd(2, i)
-            pts += [(i, MINUS_QT ** k) for k in _window(-dd - 10, -dd, 2)]
+            pts += [(i, MINUS_QT ** k) for k in range(-dd, -dd - 11, -2)]
     else:
         raise ValueError(f"{d} is not untwisted")
     return pts
@@ -195,12 +186,16 @@ def criterion_5_phi_golden() -> tuple[bool, str]:
 
 def criterion_6_psi_bijectivity() -> tuple[bool, str]:
     """psi_Q covers Delta+ x {0,1,2} exactly once on the m-window: I_Q maps onto Delta+,
-    and the m = 1, 2 cells, read off it by the Nakayama shift, are distinct."""
+    and the m = 1, 2 cells, read off it by the Nakayama shift, are distinct.  The shift
+    must also step across both edges of each row's window (p = xi_i + 2 d_i and its lowest
+    cell): psihat(i, p - 2 d_i) = tau_Q^{d_i} psihat(i, p), with psihat = (-1)^m beta."""
+    steps = 0
     for s in SWEEP:
         d = build(parse_type_string(s))
         q = default_qdatum(d)
-        cells = {}
+        cells, low = {}, {}
         for i, p in i_q(q):
+            low[i] = p  # each row is listed downward, so its last p is its lowest
             pp = p
             while True:
                 beta, m = psi_q(q, i, pp)
@@ -214,7 +209,13 @@ def criterion_6_psi_bijectivity() -> tuple[bool, str]:
                 pp += 2 * q.d[i]
         if len(cells) != 3 * len(q.rs.positive_roots):
             return False, f"{s}: m-window covers {len(cells)} cells"
-    return True, f"{len(SWEEP)} instances"
+        for i, p_low in low.items():
+            for p in (q.xi[i] + 2 * q.d[i], p_low):
+                (beta, m), (below, mb) = psi_q(q, i, p), psi_q(q, i, p - 2 * q.d[i])
+                if apply_word_root(q.rs, tau_q(q) * q.d[i], beta) != tuple((-1) ** (m - mb) * c for c in below):
+                    return False, f"{s}: psi_Q({i},{p - 2 * q.d[i]}) is not tau_Q^{q.d[i]} of psi_Q({i},{p})"
+                steps += 1
+    return True, f"{len(SWEEP)} instances, {steps} edge steps"
 
 
 def criterion_7_duality_shift_laws() -> tuple[bool, str]:

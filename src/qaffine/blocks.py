@@ -11,10 +11,10 @@ listed per connected component.
 
 The check is one integer identity (Kronecker substitution), not a dict
 re-expansion.  Each of the 2 |Delta+| keys of `root_coords` gets its own
-slot of w bits, and a function g packs to the int pack(g) = sum of
-g(k) 2^(w slot(k)).  If every value of g lies strictly within +-2^(w-1),
-its values are the digits of a balanced base-2^w expansion of pack(g),
-which are unique; so for f and coordinates c,
+slot of w bits, numbered as `root_coords` builds the keys, and a function g
+packs to the int pack(g) = sum of g(k) 2^(w slot(k)).  If every value of g
+lies strictly within +-2^(w-1), its values are the digits of a balanced
+base-2^w expansion of pack(g), which are unique; so for f and coordinates c,
 
     f = sum_i c_i s_{phi_Q(alpha_i)}  iff  pack(f) = sum_i c_i P_i,
 
@@ -22,24 +22,24 @@ with P_i the pack of s_{phi_Q(alpha_i)}, whenever w bounds both sides.  The
 values of f are bounded by max |f| and those of the sum by
 sum_i |c_i| max |s_{phi_Q(alpha_i)}|, so each call takes the least w of 16,
 32, 64, ... bits with both below 2^(w-1).  P_i and max |s_{phi_Q(alpha_i)}|
-are kept in the lattice table, per simple root and width, and built only
-for c_i != 0, so the check builds no s-function or template that the
-re-expansion did not; a call costs O(|f|) plus one big-int multiply-add per
-nonzero c_i.  A key of f with no slot puts f outside W0 (NotInW0); a key of
-some s_{phi_Q(alpha_i)} with none is a library bug (InvariantViolation).  A
-slot is written as its value plus the bias 2^(w-1), an unsigned w-bit
-digit, into a copy of a template of biases (through a typed view up to 64
-bits, as bytes beyond), and the template's own pack, `base`, is added to
-the right-hand side.  The dict re-expansion is kept in the tests as the
-oracle.
+are kept in the lattice table (`qdata.Lattice`), per simple root and width,
+and built only for c_i != 0, so the check builds no s-function or template
+that the re-expansion did not; a call costs O(|f|) plus one big-int
+multiply-add per nonzero c_i.  A key of f with no slot puts f outside W0
+(NotInW0); a key of some s_{phi_Q(alpha_i)} with none is a library bug
+(InvariantViolation).  A slot is written as its value plus the bias 2^(w-1),
+an unsigned w-bit digit, into a copy of a template of biases (through a
+typed view up to 64 bits, as bytes beyond), and the template's own pack,
+`base`, is added to the right-hand side.  The dict re-expansion is kept in
+the tests as the oracle.
 
 `block_label` sums per-generator coordinates as well.  Each generator g is
-passed through `psi_lattice` once and its coordinates kept in the lattice
-table of q for d (`qdata.lattice_table`) under the `_key` of g; s_g depends on
-g only through that key, so the memo holds at most |I0| * 24 * 12 hvee
-entries.  Every generator lies in W0 (criterion 12 of `acceptance` checks
-every point of sigma_Q and of its dual translate), so a generator that
-fails its check is a library bug and raises InvariantViolation.
+passed through `psi_lattice` once and its coordinates kept in the memo of
+q's lattice table for d under the `_key` of g; s_g depends on g only through
+that key, so the memo holds at most |I0| * 24 * 12 hvee entries.  Every
+generator lies in W0 (criterion 12 of `acceptance` checks every point of
+sigma_Q and of its dual translate), so a generator that fails its check is a
+library bug and raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -90,21 +90,18 @@ def gram(d: AffineData, q: QDatum | None = None) -> GramResult:
 def psi_lattice(d: AffineData, q: QDatum, f: SigmaFunction) -> tuple[int, ...]:
     """Sum of c * `root_coords` over f's generators c * s_p (0 off sigma_0), verified by the packed identity."""
     lattice = lattice_table(q, d)  # one weak lookup; a part still unbuilt is built by its reader
-    pts, table = lattice[0] or simple_root_points(q, d), lattice[2] or root_coords(q, d)
-    packing = lattice[4]
-    coords = [0] * len(pts)
+    table = lattice.coords or root_coords(q, d)
+    slots, peaks, widths = lattice.slots, lattice.peaks, lattice.widths
+    coords = [0] * q.rs.rank
     for p, c in _as_gens(f):
         d.check_node(p.node)
         beta = table.get(_key(d, p.node, *p.param))
         if beta:
             coords = [a + c * b for a, b in zip(coords, beta)]
-    if not packing:
-        packing += [dict(zip(table, range(len(table)))), {}, {}]
-    slots, peaks, widths = packing
     used = [(i, c) for i, c in enumerate(coords) if c]
     for i, _ in used:
         if i not in peaks:
-            peaks[i] = max(map(abs, s_func(d, pts[i]).vals), default=0)
+            peaks[i] = max(map(abs, s_func(d, simple_root_points(q, d)[i]).vals), default=0)
     bound = max(max(map(abs, f.vals), default=0), sum(abs(c) * peaks[i] for i, c in used))
     size = 2  # bytes per slot: the least of 2, 4, 8, ... with bound < 2^(8 size - 1)
     while bound >> 8 * size - 1:
@@ -116,7 +113,7 @@ def psi_lattice(d: AffineData, q: QDatum, f: SigmaFunction) -> tuple[int, ...]:
     expansion = base
     for i, c in used:
         if i not in packed:
-            g = s_func(d, pts[i])
+            g = s_func(d, simple_root_points(q, d)[i])
             try:
                 packed[i] = _pack(slots, template, size, g.keys, g.vals) - base
             except KeyError as exc:
@@ -172,7 +169,7 @@ def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
     docstring).
     """
     q = q or default_qdatum(d)
-    memo = lattice_table(q, d)[1]
+    memo = lattice_table(q, d).memo
     groups: dict[SpectralScalar, list[SigmaPoint]] = {}
     for p in weights:
         cls = component_class(d, p.node, p.param)

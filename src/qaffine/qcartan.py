@@ -56,7 +56,7 @@ class NotInHatIQ(QAffineError):
 
 
 class InvalidQDatum(QAffineError):
-    """Height function fails the Q-datum axioms."""
+    """A Q-datum that fails its axioms, or is used with a type whose untwisted partner it was not made for."""
 
 
 class BeyondTruncation(QAffineError):

@@ -8,16 +8,18 @@ epsilon of psi_Q^{-1}(beta, 0); the twisted families reuse the Q-datum of
 their untwisted partner and post-compose the parameter bijection with the
 star/dagger folding map.  Epsilon and the fold are read from the family's
 `affine.FamilySpec`; the explicit sigma_Q windows they are checked against
-are golden data of `acceptance`.
+are golden data of `acceptance`.  What a pair (q, d) computes, phi_Q too,
+is kept once in its `Lattice`, whose maker refuses a q that does not fit d.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from weakref import WeakKeyDictionary
 
-from .affine import AffineData
+from .affine import AffineData, untwisted_partner
 from .invariants import SigmaPoint, _key, dual_shift, sigma_point
-from .qcartan import QDatum, default_qdatum, phi_inverse_zero
+from .qcartan import InvalidQDatum, QDatum, default_qdatum, phi_inverse_zero
 from .roots import Vec
 from .scalars import MINUS_ONE, QAffineError, SpectralScalar
 
@@ -42,64 +44,68 @@ def twist(d: AffineData, node: int, a: SpectralScalar) -> tuple[int, SpectralSca
 
 
 def phi_q(q: QDatum, d: AffineData, beta: Vec) -> SigmaPoint:
-    """phi_Q(beta): epsilon of psi^{-1}(beta, 0), folded into sigma(d)."""
+    """phi_Q(beta): epsilon of psi^{-1}(beta, 0), folded into sigma(d); unlike `lattice_table` it
+    does not check that q fits d, which would cost `phi_q_map` a `build` lookup per root of a twisted d."""
     cell = phi_inverse_zero(q).get(tuple(beta))
     if cell is None:
         raise NotAPositiveRoot(f"{beta} is not a positive root of {q.rs.type_name}")
     return sigma_point(d, *twist(d, *esig(q, *cell)))
 
 
-def lattice_table(q: QDatum, d: AffineData) -> list:
-    """q's lattice table for d: the simple-root points, a generator memo, `root_coords`, `phi_q_map`
-    and the packing of `blocks.psi_lattice`.
+class Lattice:
+    """The lattice table of q for d; each part is filled by its reader, and none refers to q or d (the weak key).
 
-    The memo maps the `_key` of a generator to its coordinates; `blocks` fills
-    it.  The packing is empty, or [slots, peaks, widths]: slots maps each key
-    of `root_coords` to its slot, peaks maps a simple root i (from 0) to
-    max |s_{phi_Q(alpha_i)}|, and widths maps a slot size in bytes to its
-    bias template, that template packed, and the packed s_{phi_Q(alpha_i)}
-    at that size; `blocks` fills each entry on first use.  Every other part
-    is filled by its reader on first use, so `gram`, which reads only the
-    simple-root points, builds neither the coordinates nor phi_Q over the
-    positive roots, and `delta0` builds only the latter.  The table is kept
-    on d, weakly keyed by q, so it dies with either of them.
+    phi is `phi_q_map` (all that `gram` and `delta0` build), coords and slots
+    `root_coords`; the rest is `blocks`': memo maps the `_key` of a generator
+    to its coordinates, peaks a simple root i (from 0) to max |s_{phi_Q(alpha_i)}|,
+    and widths a slot size in bytes to its bias template, its pack, and the
+    packed s_{phi_Q(alpha_i)} at that size.
     """
+
+    __slots__ = ("phi", "coords", "slots", "memo", "peaks", "widths")
+
+    def __init__(self):
+        self.phi, self.coords, self.slots, self.memo, self.peaks, self.widths = {}, {}, {}, {}, {}, {}
+
+
+def lattice_table(q: QDatum, d: AffineData) -> Lattice:
+    """q's `Lattice` for d, kept on d weakly keyed by q; InvalidQDatum if q is not of d's untwisted partner."""
     if d._lattice is None:
         d._lattice = WeakKeyDictionary()
     table = d._lattice.get(q)
     if table is None:
-        table = d._lattice[q] = [None, {}, {}, {}, []]
+        if q.base.type != untwisted_partner(d).type:
+            raise InvalidQDatum(f"a Q-datum of {q.base} does not fit {d}")
+        table = d._lattice[q] = Lattice()
     return table
 
 
 def phi_q_map(q: QDatum, d: AffineData) -> dict[Vec, SigmaPoint]:
-    """phi_Q over the positive roots, tabled once (shared: do not change it)."""
-    phi = lattice_table(q, d)[3]
+    """phi_Q over the positive roots, simple roots first, tabled once (shared: do not change it)."""
+    phi = lattice_table(q, d).phi
     if not phi:
         phi.update({beta: phi_q(q, d, beta) for beta in q.rs.positive_roots})
     return phi
 
 
 def root_coords(q: QDatum, d: AffineData) -> dict[int, Vec]:
-    """The `_key` of phi_Q(beta) -> beta and of its dual translate -> -beta, over Delta+.
+    """The `_key` of phi_Q(beta) -> beta and of its dual translate -> -beta, over Delta+; each key gets its slot.
 
     The 2 |Delta+| keys are sigma_0 modulo the ptilde-shift (see `blocks`).
     """
-    coords = lattice_table(q, d)[2]
+    lattice = lattice_table(q, d)
+    coords, slots = lattice.coords, lattice.slots
     if not coords:
-        for beta, p in phi_q_map(q, d).items():
-            coords[_key(d, p.node, *p.param)] = beta
-            p = dual_shift(d, p)
-            coords[_key(d, p.node, *p.param)] = tuple(-c for c in beta)
+        for beta, point in phi_q_map(q, d).items():
+            for p, root in ((point, beta), (dual_shift(d, point), tuple(-c for c in beta))):
+                key = _key(d, p.node, *p.param)
+                coords[key], slots[key] = root, len(slots)
     return coords
 
 
 def simple_root_points(q: QDatum, d: AffineData) -> tuple[SigmaPoint, ...]:
-    """phi_Q on the simple roots, in node order of the finite diagram (shared, so a tuple)."""
-    table = lattice_table(q, d)
-    if table[0] is None:
-        table[0] = tuple(phi_q(q, d, q.rs.simple_root(i)) for i in range(1, q.rs.rank + 1))
-    return table[0]
+    """phi_Q on the simple roots in node order: the first rank values of `phi_q_map` (see `positive_roots`)."""
+    return tuple(islice(phi_q_map(q, d).values(), q.rs.rank))
 
 
 def sigma_q_points(d: AffineData, q: QDatum | None = None) -> frozenset[SigmaPoint]:

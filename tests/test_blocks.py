@@ -25,7 +25,7 @@ from qaffine.blocks import (
     psi_lattice,
 )
 from qaffine.invariants import SigmaFunction, _key, dual_shift, e_of, pairing, s_func, sigma_point
-from qaffine.qcartan import custom_qdatum, default_qdatum
+from qaffine.qcartan import InvalidQDatum, custom_qdatum, default_qdatum
 from qaffine.qdata import (
     lattice_table,
     phi_q,
@@ -144,7 +144,7 @@ def test_root_coords_keys_are_sigma_0_over_one_ptilde_window(s):
     d = build.__wrapped__(parse_type_string(s))  # fresh: a lattice table no other test has filled
     q = default_qdatum(d)
     gram(d, q), delta0(d, q)
-    assert not lattice_table(q, d)[2]  # neither builds the coordinates
+    assert not lattice_table(q, d).coords  # neither builds the coordinates
     table = root_coords(q, d)
     sigma_0 = {
         _key(d, j, ph, e)
@@ -154,25 +154,29 @@ def test_root_coords_keys_are_sigma_0_over_one_ptilde_window(s):
     assert set(table) == sigma_0 and len(table) == 2 * len(q.rs.positive_roots)
 
 
+def _unbuilt_beyond_phi(table):
+    return not any((table.coords, table.slots, table.memo, table.peaks, table.widths))
+
+
 @pytest.mark.parametrize("s", ["A4-1", "E8-1", "C4-1", "D5-2", "D4-3"])
-def test_gram_leaves_the_phi_q_map_unbuilt(s):
+def test_gram_builds_only_the_phi_q_map(s):
     t = parse_type_string(s)
     d = build.__wrapped__(t)  # fresh: a lattice table no other test has filled
     q = default_qdatum(d)
     assert gram(d, q).equal
     table = lattice_table(q, d)
-    assert table[0] == tuple(phi_q(q, d, q.rs.simple_root(i)) for i in range(1, q.rs.rank + 1))
-    _, _, coords, phi, packing = table
-    assert not phi and not coords and not packing
-    delta0(d, q)
+    phi = table.phi
     assert phi == {beta: phi_q(q, d, beta) for beta in q.rs.positive_roots}
+    assert simple_root_points(q, d) == tuple(phi_q(q, d, q.rs.simple_root(i)) for i in range(1, q.rs.rank + 1))
+    assert _unbuilt_beyond_phi(table)
+    delta0(d, q)
     assert phi_q_map(q, d) is phi and sigma_q_points(d, q) == frozenset(phi.values())
-    assert not coords
+    assert _unbuilt_beyond_phi(table)
     # and delta0 alone builds phi_Q over the positive roots only
     d = build.__wrapped__(t)
     delta0(d, q)
-    simple, _, coords, phi, packing = lattice_table(q, d)
-    assert simple is None and not coords and not packing and len(phi) == len(q.rs.positive_roots)
+    table = lattice_table(q, d)
+    assert _unbuilt_beyond_phi(table) and len(table.phi) == len(q.rs.positive_roots)
 
 
 # per variable family, rungs near rank 8, near 12 and at 16-21, far above the
@@ -400,7 +404,7 @@ def test_ptilde_translates_share_one_memo_entry():
     d = build.__wrapped__(parse_type_string("D5-2"))  # fresh: a memo no other test has filled
     q = default_qdatum(d)
     p = _census(d, q)[7]
-    memo = lattice_table(q, d)[1]
+    memo = lattice_table(q, d).memo
     before = len(memo)
     labels = {block_label(d, q, [dual_shift(d, p, 2 * k)]) for k in range(1, 51)}
     assert len(memo) == before + 1
@@ -498,10 +502,24 @@ def test_custom_qdatum_used_with_another_type_dies(flags):
     assert out.stdout.split() == ["True", "0", "0"]
 
 
+@pytest.mark.parametrize("s, foreign", [("D4-1", "A3-1"), ("A5-1", "B3-1")])
+def test_a_qdatum_of_another_type_is_refused(s, foreign):
+    # a datum made for another type than d's untwisted partner is bad input,
+    # refused by every reader of the lattice table before it computes anything
+    d = build(parse_type_string(s))
+    q = default_qdatum(build(parse_type_string(foreign)))
+    f = s_func(d, simple_root_points(default_qdatum(d), d)[0])
+    for call in (lambda: gram(d, q), lambda: delta0(d, q), lambda: block_label(d, q, [sigma_point(d, 1, ONE)]),
+                 lambda: psi_lattice(d, q, f)):
+        with pytest.raises(InvalidQDatum, match=f"Q-datum of {foreign} does not fit {s}"):
+            call()
+    assert d._lattice is None or q not in d._lattice
+
+
 def test_block_label_without_q_reuses_the_default_lattice_table():
     d = build.__wrapped__(parse_type_string("E7-1"))  # fresh, so its default Q-datum is too
     pts = sorted(sigma_q_points(d, default_qdatum(d)))[:5]
-    memo = lattice_table(default_qdatum(d), d)[1]
+    memo = lattice_table(default_qdatum(d), d).memo
     assert not memo
     first = block_label(d, None, pts)
     filled = len(memo)
@@ -510,12 +528,13 @@ def test_block_label_without_q_reuses_the_default_lattice_table():
     assert len(memo) == filled
 
 
-def test_simple_root_points_are_one_shared_tuple():
-    d = build(parse_type_string("B3-1"))
+@pytest.mark.parametrize("s", ["B3-1", "E6-1", "D4-3", "A5-2"])
+def test_simple_root_points_are_phi_q_on_the_simple_roots(s):
+    d = build(parse_type_string(s))
     q = default_qdatum(d)
     pts = simple_root_points(q, d)
     assert isinstance(pts, tuple)
-    assert simple_root_points(q, d) is pts
+    assert pts == tuple(phi_q(q, d, q.rs.simple_root(i)) for i in range(1, q.rs.rank + 1))
 
 
 def test_custom_qdatum_leaves_nothing_on_affine_data():

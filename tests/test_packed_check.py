@@ -174,7 +174,7 @@ def test_multiplicities_near_10_to_the_30_force_wider_slots():
 
 def _adjacent_slots(d, q, f):
     """A key of f and the key in the next slot."""
-    slots = lattice_table(q, d)[4][0]
+    slots = lattice_table(q, d).slots
     by_slot = {n: k for k, n in slots.items()}
     k = next(k for k in f.keys if slots[k] + 1 in by_slot)
     return k, by_slot[slots[k] + 1]
@@ -200,7 +200,7 @@ def test_large_coordinates_widen_the_slots_of_a_small_function():
     # values +-1 and +-2: the width must bound the coordinates' side too
     d, q, f = _simple_function()
     assert _agree(d, q, f) == (1, 0, 0, 0, 0)  # fills the slot map
-    slots = lattice_table(q, d)[4][0]
+    slots = lattice_table(q, d).slots
     by_slot = {n: k for k, n in slots.items()}
     moved = dict(sorted((by_slot[slots[k] + 1], v) for k, v in zip(f.keys, f.vals)))
     g = SigmaFunction(tuple(moved), tuple(moved.values()), ((f.gens[0][0], 2**16),))
@@ -230,9 +230,9 @@ def test_a_simple_root_key_without_a_slot_is_an_invariant_violation():
     p = phi_q(q, d, (1, 0, 0))
     f = s_func(d, p)
     assert psi_lattice(d, q, f) == (1, 0, 0)
-    slots, _, widths = lattice_table(q, d)[4]
-    del slots[f.keys[0]]
-    widths.clear()  # drop the packed s_i, so the next call packs s_1 again
+    lattice = lattice_table(q, d)
+    del lattice.slots[f.keys[0]]
+    lattice.widths.clear()  # drop the packed s_i, so the next call packs s_1 again
     with pytest.raises(InvariantViolation, match="simple root 1"):
         psi_lattice(d, q, f)
 
