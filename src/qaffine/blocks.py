@@ -87,8 +87,9 @@ def gram(d: AffineData, q: QDatum | None = None) -> GramResult:
     return GramResult(str(d), matrix, expected, mismatches)
 
 
-def psi_lattice(d: AffineData, q: QDatum, f: SigmaFunction) -> tuple[int, ...]:
+def psi_lattice(d: AffineData, q: QDatum | None, f: SigmaFunction) -> tuple[int, ...]:
     """Sum of c * `root_coords` over f's generators c * s_p (0 off sigma_0), verified by the packed identity."""
+    q = q or default_qdatum(d)
     lattice = lattice_table(q, d)  # one weak lookup; a part still unbuilt is built by its reader
     table = lattice.coords or root_coords(q, d)
     slots, peaks, widths = lattice.slots, lattice.peaks, lattice.widths

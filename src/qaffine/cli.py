@@ -4,8 +4,8 @@ Each `cmd_*` yields records (payload, text, ok), and `run` alone writes
 them: one `json.dumps(payload, sort_keys=True)` line each under `--format
 json`, else the text.  Exit codes: 0 if every record is ok, 1 if one is not
 (a failed check) or on a domain error (bad type strings, parameters outside
-the scalar domain), 2 on usage errors.  Any other exception is a bug and
-propagates with its traceback.
+the scalar domain), 2 on usage errors, and 3 on a bug: `main` prints the
+traceback of any other exception that `run` lets through, bar an `OSError`.
 """
 
 from __future__ import annotations
@@ -258,7 +258,14 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        sys.exit(run())
+    except OSError:  # a closed pipe, say: not a bug of the library
+        raise
+    except Exception:
+        import traceback
+        traceback.print_exc()
+        sys.exit(3)
 
 
 if __name__ == "__main__":

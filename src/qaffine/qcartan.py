@@ -21,9 +21,10 @@ theory of untwisted quantum affine algebras", 2021):
 
     psi_Q(i*, p - H) = (beta, m - 1)  for  (beta, m) = psi_Q(i, p).
 
-For an ADE type those rows are the inverse quantum Cartan matrix: the
-coefficient of z^k in its (i, j) entry is the j-th coordinate of
-tau_Q^{e/2} gamma_i, e = k + xi_i - xi_j - 1, so
+The window holds each positive root once, so `qdata` reads phi_Q off it
+(no inverse table is kept).  For an ADE type those rows are the inverse
+quantum Cartan matrix: the coefficient of z^k in its (i, j) entry is the
+j-th coordinate of tau_Q^{e/2} gamma_i, e = k + xi_i - xi_j - 1, so
 
     ctilde_{i,j}(k) = (-1)^m beta_j  with  (beta, m) = psi_Q(i, xi_j + 1 - k).
 
@@ -56,7 +57,8 @@ class NotInHatIQ(QAffineError):
 
 
 class InvalidQDatum(QAffineError):
-    """A Q-datum that fails its axioms, or is used with a type whose untwisted partner it was not made for."""
+    """A Q-datum that fails its axioms, or is used with a type whose untwisted partner it was not made for:
+    `qdata.lattice_table` refuses that for every (q, d) reader in `qdata` and `blocks`, `phi_q` too."""
 
 
 class BeyondTruncation(QAffineError):
@@ -66,13 +68,12 @@ class BeyondTruncation(QAffineError):
 class QDatum:
     """(Dynkin diagram, automorphism rho, height function xi) for `base`; compared by identity."""
 
-    __slots__ = ("rs", "rho", "xi", "base", "_rows", "_phi_inv", "_tau",
-                 "ord_rho", "orbits", "d", "pi", "__weakref__")
+    __slots__ = ("rs", "rho", "xi", "base", "_rows", "_tau", "ord_rho", "orbits", "d", "pi", "__weakref__")
 
     def __init__(self, rs: FinRootSystem, rho: tuple[int, ...], xi: dict[int, int], base: AffineData):
         self.rs, self.rho, self.xi, self.base = rs, rho, xi, base
         # `_rows`: node -> its window cells (see `_row`); `_tau`: the word of `tau_q`; both lazy
-        self._rows, self._phi_inv, self._tau = {}, None, None
+        self._rows, self._tau = {}, None
         self.orbits: dict[int, tuple[int, ...]] = {}
         for i in range(1, self.rs.rank + 1):
             orbit = [i]
@@ -258,24 +259,6 @@ def psi_q(q: QDatum, i: int, p: int) -> tuple[Vec, int]:
 def i_q(q: QDatum) -> list[tuple[int, int]]:
     """The window { (i,p) : xi_{i*} - ord(rho) h^vee < p <= xi_i } = psi^{-1}(Delta+ x {0})."""
     return [(i, p) for i in range(1, q.rs.rank + 1) for p in _window(q, i)]
-
-
-def phi_inverse_zero(q: QDatum) -> dict[Vec, tuple[int, int]]:
-    """beta -> (i, p) over the m = 0 slice; checks the slice is exactly Delta+."""
-    if q._phi_inv is not None:
-        return q._phi_inv
-    out: dict[Vec, tuple[int, int]] = {}
-    for i in range(1, q.rs.rank + 1):
-        for p, (beta, _) in zip(_window(q, i), _row(q, i)):
-            if beta in out:
-                raise InvariantViolation(f"duplicate root {beta} in the m = 0 slice")
-            out[beta] = (i, p)
-    if len(out) != len(q.rs.positive_roots):
-        raise InvariantViolation(
-            f"the m = 0 slice has {len(out)} roots, not {len(q.rs.positive_roots)}"
-        )
-    q._phi_inv = out
-    return out
 
 
 def ctilde_formula(q: QDatum, i: int, j: int, k: int) -> int:

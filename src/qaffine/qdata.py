@@ -8,8 +8,9 @@ epsilon of psi_Q^{-1}(beta, 0); the twisted families reuse the Q-datum of
 their untwisted partner and post-compose the parameter bijection with the
 star/dagger folding map.  Epsilon and the fold are read from the family's
 `affine.FamilySpec`; the explicit sigma_Q windows they are checked against
-are golden data of `acceptance`.  What a pair (q, d) computes, phi_Q too,
-is kept once in its `Lattice`, whose maker refuses a q that does not fit d.
+are golden data of `acceptance`.  phi_Q, read off the window I_Q in one
+pass, and all else a pair (q, d) computes is kept once in its `Lattice`,
+whose maker refuses a q unfit for d, for every reader here, `phi_q` too.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from weakref import WeakKeyDictionary
 
 from .affine import AffineData, untwisted_partner
 from .invariants import SigmaPoint, _key, dual_shift, sigma_point
-from .qcartan import InvalidQDatum, QDatum, default_qdatum, phi_inverse_zero
+from .qcartan import InvalidQDatum, QDatum, default_qdatum, i_q, psi_q
 from .roots import Vec
-from .scalars import MINUS_ONE, QAffineError, SpectralScalar
+from .scalars import MINUS_ONE, InvariantViolation, QAffineError, SpectralScalar
 
 
 class NotAPositiveRoot(QAffineError):
@@ -41,15 +42,6 @@ def twist(d: AffineData, node: int, a: SpectralScalar) -> tuple[int, SpectralSca
     """
     node, factor = d.fold[node]
     return node, factor * a
-
-
-def phi_q(q: QDatum, d: AffineData, beta: Vec) -> SigmaPoint:
-    """phi_Q(beta): epsilon of psi^{-1}(beta, 0), folded into sigma(d); unlike `lattice_table` it
-    does not check that q fits d, which would cost `phi_q_map` a `build` lookup per root of a twisted d."""
-    cell = phi_inverse_zero(q).get(tuple(beta))
-    if cell is None:
-        raise NotAPositiveRoot(f"{beta} is not a positive root of {q.rs.type_name}")
-    return sigma_point(d, *twist(d, *esig(q, *cell)))
 
 
 class Lattice:
@@ -81,11 +73,26 @@ def lattice_table(q: QDatum, d: AffineData) -> Lattice:
 
 
 def phi_q_map(q: QDatum, d: AffineData) -> dict[Vec, SigmaPoint]:
-    """phi_Q over the positive roots, simple roots first, tabled once (shared: do not change it)."""
+    """phi_Q over the positive roots in their order (simple roots first), tabled once (shared: do not change it);
+    read off the window I_Q in one pass: the cell (i, p) of (beta, 0) gives epsilon(i, p), folded into sigma(d)."""
     phi = lattice_table(q, d).phi
     if not phi:
-        phi.update({beta: phi_q(q, d, beta) for beta in q.rs.positive_roots})
+        window = i_q(q)
+        cells = {psi_q(q, i, p)[0]: (i, p) for i, p in window}
+        # `_row` makes every cell a positive root, so the counts decide that each is met once
+        if not len(window) == len(cells) == len(q.rs.positive_roots):
+            raise InvariantViolation(f"the window I_Q of {q.base} holds {len(cells)} distinct roots in"
+                                     f" {len(window)} cells, not the {len(q.rs.positive_roots)} positive roots")
+        phi.update({beta: sigma_point(d, *twist(d, *esig(q, *cells[beta]))) for beta in q.rs.positive_roots})
     return phi
+
+
+def phi_q(q: QDatum, d: AffineData, beta: Vec) -> SigmaPoint:
+    """phi_Q(beta), looked up in `phi_q_map`; so, like every reader of the lattice table, it refuses a q unfit for d."""
+    point = phi_q_map(q, d).get(tuple(beta))
+    if point is None:
+        raise NotAPositiveRoot(f"{beta} is not a positive root of {q.rs.type_name}")
+    return point
 
 
 def root_coords(q: QDatum, d: AffineData) -> dict[int, Vec]:

@@ -115,6 +115,16 @@ def test_psi_lattice_dual_pair_is_zero():
     assert psi_lattice(d, q, f) == (0, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("s", ["A4-1", "B3-1", "D4-3"])
+def test_psi_lattice_without_q_uses_the_default_qdatum(s):
+    # as gram, delta0, block_label and partition_blocks do
+    d = build(parse_type_string(s))
+    q = default_qdatum(d)
+    pts = simple_root_points(q, d)
+    f = e_of(d, [pts[0], pts[1], dual_shift(d, pts[-1], 1)])
+    assert psi_lattice(d, None, f) == psi_lattice(d, q, f) != (0,) * len(pts)
+
+
 def test_psi_lattice_rejects_non_lattice_function():
     d = build(AffineType(Family.A1, 2))
     q = default_qdatum(d)
@@ -510,7 +520,7 @@ def test_a_qdatum_of_another_type_is_refused(s, foreign):
     q = default_qdatum(build(parse_type_string(foreign)))
     f = s_func(d, simple_root_points(default_qdatum(d), d)[0])
     for call in (lambda: gram(d, q), lambda: delta0(d, q), lambda: block_label(d, q, [sigma_point(d, 1, ONE)]),
-                 lambda: psi_lattice(d, q, f)):
+                 lambda: psi_lattice(d, q, f), lambda: phi_q(q, d, q.rs.simple_root(1))):
         with pytest.raises(InvalidQDatum, match=f"Q-datum of {foreign} does not fit {s}"):
             call()
     assert d._lattice is None or q not in d._lattice

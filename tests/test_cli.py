@@ -372,6 +372,37 @@ def test_internal_guard_failure_propagates(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+EXIT_PROBE = """
+from qaffine import cli
+from qaffine.scalars import InvariantViolation
+
+
+def gram(d):
+    raise InvariantViolation("broken gram")
+
+
+cli.gram = gram
+cli.main()
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_main_exits_3_on_a_bug_and_1_on_bad_input(flags):
+    # `run` lets a bug through; `main` prints its traceback and exits 3, apart from a domain error's 1
+    src = str(Path(qaffine.__file__).parents[1])
+
+    def main(*argv):
+        return subprocess.run([sys.executable, *flags, "-c", EXIT_PROBE, *argv], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+
+    bug = main("cartan-check", "A2-1")
+    assert bug.returncode == 3 and bug.stdout == ""
+    assert bug.stderr.startswith("Traceback (most recent call last):")
+    assert bug.stderr.endswith("InvariantViolation: broken gram\n")
+    bad = main("cartan-check", "A300-1")
+    assert bad.returncode == 1 and "above the cap 64" in bad.stderr and "Traceback" not in bad.stderr
+
+
 def test_rank_cap_fails_fast(capsys):
     start = time.perf_counter()
     assert run(["cartan-check", "A300-1"]) == 1

@@ -4,6 +4,8 @@
 cell off them by the Nakayama shift psi_Q(i*, p - H) = (beta, m - 1) for
 (beta, m) = psi_Q(i, p), H = ord(rho) h^vee.  The oracle walks each row one
 word at a time in both directions from its seed (`weyl_oracle.two_way_row`).
+`qdata.phi_q_map` reads phi_Q off the same window; its oracle is the inverse
+of the walked rows on Delta+ x {0} (`weyl_oracle.zero_slice`).
 """
 
 import json
@@ -18,9 +20,11 @@ import pytest
 import qaffine
 from qaffine.acceptance import SWEEP
 from qaffine.affine import build, parse_type_string
+from qaffine.invariants import sigma_point
 from qaffine.qcartan import custom_qdatum, default_qdatum, gamma_q, i_q, psi_q, tau_q
+from qaffine.qdata import esig, phi_q_map, twist
 from test_blocks import LADDER
-from weyl_oracle import two_way_row
+from weyl_oracle import two_way_row, zero_slice
 
 PERIODS = 5  # each way, in whole periods 2H of p
 
@@ -40,12 +44,14 @@ def _random_heights(d, rng):
 CUSTOM = [(s, seed) for s in ("A5-1", "D5-1", "D6-1", "E6-1", "E7-1") for seed in range(4)]
 
 
-def _qdatum(case):
+def _data(case):
+    """(d, q): the type of the case and its default Q-datum, or a seeded custom one."""
     if isinstance(case, str):
-        return default_qdatum(build(parse_type_string(case)))
+        d = build(parse_type_string(case))
+        return d, default_qdatum(d)
     s, seed = case
     d = build(parse_type_string(s))
-    return custom_qdatum(d, _random_heights(d, random.Random(f"{s}/{seed}")))
+    return d, custom_qdatum(d, _random_heights(d, random.Random(f"{s}/{seed}")))
 
 
 CASES = [*SWEEP, *LADDER, *CUSTOM]
@@ -61,18 +67,24 @@ def _oracle_rows(q):
 
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_psi_q_matches_the_two_way_walk(case):
-    q = _qdatum(case)
-    for i, row in _oracle_rows(q).items():
+    d, q = _data(case)
+    rows = _oracle_rows(q)
+    for i, row in rows.items():
         for p, cell in row.items():
             assert psi_q(q, i, p) == cell, (case, i, p)
     # every row was asked for 10 periods of cells, and holds only its window
     assert sum(map(len, q._rows.values())) == len(i_q(q)) == len(q.rs.positive_roots)
+    # phi_Q, read off the window, is epsilon of the walk's m = 0 slice, in positive-root order
+    inverse = zero_slice(rows)
+    assert inverse.keys() == set(q.rs.positive_roots), case
+    assert list(phi_q_map(q, d).items()) == [
+        (beta, sigma_point(d, *twist(d, *esig(q, *inverse[beta])))) for beta in q.rs.positive_roots]
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_nakayama_shift(case):
     # psi_Q(i*, p - H) = (beta, m - 1), on the oracle's cells and through psi_q
-    q = _qdatum(case)
+    _, q = _data(case)
     h = q.ord_rho * q.base.hvee
     rows = _oracle_rows(q)
     shifted = 0
@@ -131,3 +143,35 @@ def test_far_cells_are_read_off_the_window(flags):
         assert r["seconds"] < 0.5, (s, r["seconds"])
         assert r["m_signs"] and not r["wrong"], (s, r["wrong"][:5])
         assert r["row_cells"] == r["window"], s
+
+
+GUARD_PROBE = """
+from qaffine import build, parse_type_string
+from qaffine.qcartan import default_qdatum, psi_q
+from qaffine.qdata import lattice_table, phi_q, phi_q_map
+from qaffine.scalars import InvariantViolation
+
+d = build(parse_type_string("D5-1"))
+q = default_qdatum(d)
+for i in (1, 2):
+    psi_q(q, i, q.xi[i])  # walk rows 1 and 2
+q._rows[1][0] = q._rows[2][-1]  # row 1's top cell repeats a root of row 2, and one root is lost
+for name, call in (("phi_q_map", lambda: phi_q_map(q, d)), ("phi_q", lambda: phi_q(q, d, (1, 0, 0, 0, 0)))):
+    try:
+        call()
+        print(name, "returned")
+    except InvariantViolation as exc:
+        print(name, "raised", exc)
+print("table", len(lattice_table(q, d).phi))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_a_window_that_repeats_a_root_is_an_invariant_violation(flags):
+    # in a fresh interpreter, so no other test sees the corrupted rows
+    src = str(Path(qaffine.__file__).parents[1])
+    out = subprocess.run([sys.executable, *flags, "-c", GUARD_PROBE], capture_output=True,
+                         text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    refusal = "raised the window I_Q of D5-1 holds 19 distinct roots in 20 cells, not the 20 positive roots"
+    assert out.stdout.splitlines() == [f"phi_q_map {refusal}", f"phi_q {refusal}", "table 0"]

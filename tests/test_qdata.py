@@ -22,7 +22,6 @@ from qaffine.qcartan import (
     default_qdatum,
     gamma_q,
     i_q,
-    phi_inverse_zero,
     psi_q,
     tau_q,
     validate_qdatum,
@@ -162,10 +161,10 @@ def test_phi_q_of_a_non_root_is_a_domain_error():
 
 def test_psi_a4_figure_cell():
     # the (1100) cell of the A_4 grid sits at (i, k) = (2, -1)
-    q = default_qdatum(build(AffineType(Family.A1, 4)))
+    d = build(AffineType(Family.A1, 4))
+    q = default_qdatum(d)
     assert psi_q(q, 2, -1) == ((1, 1, 0, 0), 0)
-    inv = phi_inverse_zero(q)
-    assert inv[(1, 1, 0, 0)] == (2, -1)
+    assert phi_q(q, d, (1, 1, 0, 0)) == sigma_point(d, *esig(q, 2, -1))
 
 
 def test_iq_counts():

@@ -9,7 +9,8 @@ the oracle of the lattice coordinates that the library reads off phi_Q.
 `bfs_positive_roots`, a search under the simple reflections, is the oracle
 of the library's root enumeration.  `two_way_row`, a psi_Q row walked one
 word at a time in both directions from its seed, is the oracle of the rows
-the library reads off the window I_Q.
+the library reads off the window I_Q, and `zero_slice`, the inverse of
+psi_Q on Delta+ x {0} read off such rows, that of the phi_Q map.
 """
 
 from __future__ import annotations
@@ -124,6 +125,18 @@ def two_way_row(cartan, word, gamma, top, step, lo, hi):
                 beta, m = tuple(-c for c in beta), m + sign
             row[p] = beta, m
     return row
+
+
+def zero_slice(rows):
+    """beta -> (i, p) over the m = 0 cells of psi_Q rows {i: {p: (beta, m)}}; each root must occur once."""
+    out = {}
+    for i, row in rows.items():
+        for p, (beta, m) in row.items():
+            if m == 0:
+                if beta in out:
+                    raise AssertionError(f"{beta} at both {out[beta]} and {(i, p)} of the m = 0 slice")
+                out[beta] = (i, p)
+    return out
 
 
 def matrix_order(m, cap=1000):

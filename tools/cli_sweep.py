@@ -16,7 +16,8 @@ seeded `e-of`, `de`, `lambda`, `lambda-inf` and `partition`, `block-label` on
 seeded weight lists, on every point of sigma_Q and its first dual translate,
 on three of those points each repeated over several ptilde periods, and on
 the pair [p, D p] of every such point of E6-2, `cartan-check --all-ranks`
-on the first SWEEP type of each family, and error paths.  Each call
+on the first SWEEP type of each family, `verify --all` (every acceptance
+criterion with its detail, timings masked), and error paths.  Each call
 prints its argv and exit code, then its stdout and stderr.  To compare two
 checkouts:
 
@@ -146,6 +147,7 @@ def sweep(tmp: Path) -> None:
         families.setdefault(parse_type_string(s).family, s)
     for s in families.values():
         call("cartan-check", s, "--all-ranks")
+    call("verify", "--all")
     call("cartan-check", "Z9-1")
     call("cartan-check", "Z9-1", "--all-ranks")
     call("cartan-check", "A300-1")
