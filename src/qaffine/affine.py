@@ -319,10 +319,9 @@ class AffineData:
         self.preimages: dict[int, list[tuple[int, SpectralScalar]]] = {}
         for a, (node, f) in self.fold.items():
             self.preimages.setdefault(node, []).append((a, f))
-        # memo caches; `_template_cache` maps a node to its lambda_inf template, keyed by
-        # int `_key`s, and its runs, from which `s_func` slices its keys; `_sfunc_cache`
-        # maps a SigmaPoint, as given, to its s-function, and a dual pair shares one `keys`
-        # tuple (see `invariants`)
+        # memo caches; `_template_cache` maps a node to its template, the runs from which
+        # `s_func` slices its keys; `_sfunc_cache`, unbounded, maps a SigmaPoint, as given,
+        # to its s-function, and a dual pair shares one `keys` tuple (see `invariants`)
         self._denom_cache, self._template_cache, self._sfunc_cache = {}, {}, {}
         # `qcartan.default_qdatum`, and the lattice table of each Q-datum used with this
         # type, weakly keyed by it (see `qdata.lattice_table`); both filled on first use
@@ -339,7 +338,8 @@ class AffineData:
         return format_type_string(self.type)
 
 
-# the shared `AffineData` of a type; `build.__wrapped__(t)` makes a fresh, unshared one
+# the shared `AffineData` of a type, never evicted (the rank cap admits 348 types; D64-1
+# holds about 150 MB after `delta0`); `build.__wrapped__(t)` makes a fresh, unshared one
 build = lru_cache(maxsize=None)(AffineData)
 
 

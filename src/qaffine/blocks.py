@@ -33,13 +33,13 @@ typed view up to 64 bits, as bytes beyond), and the template's own pack,
 `base`, is added to the right-hand side.  The dict re-expansion is kept in
 the tests as the oracle.
 
-`block_label` sums per-generator coordinates as well.  Each generator g is
-passed through `psi_lattice` once and its coordinates kept in the memo of
-q's lattice table for d under the `_key` of g; s_g depends on g only through
-that key, so the memo holds at most |I0| * 24 * 12 hvee entries.  Every
-generator lies in W0 (criterion 12 of `acceptance` checks every point of
-sigma_Q and of its dual translate), so a generator that fails its check is a
-library bug and raises InvariantViolation.
+`block_label` sums per-generator coordinates as well.  Each generator g,
+moved into the component of sigma_Q, is passed through `psi_lattice` once
+and its coordinates kept in the memo of q's lattice table for d under the
+`_key` of g; s_g depends on g only through that key, so the memo holds at
+most |I0| * 24 * 12 hvee entries.  Every generator lies in W0 (criterion 12
+of `acceptance` checks every point of sigma_Q and of its dual translate), so
+a generator that fails its check is a library bug: InvariantViolation.
 """
 
 from __future__ import annotations
@@ -164,20 +164,23 @@ def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
     """Group the affine weight by component and sum coordinates per group.
 
     Each parameter is classified once into its translate of the reference
-    component and pulled back by the translation into sigma_Z (the pairing
-    is shift-equivariant, so coordinates are independent of that choice).  The
-    coordinates of a group are the sum of its generators' (see the module
-    docstring).
+    component and moved by the translation into q's home, the component of
+    sigma_Q: sigma_Z unless q is a height function of the other parity (the
+    pairing is shift-equivariant, so coordinates are independent of that
+    choice).  A group's coordinates are the sum of its generators' (see the module docstring).
     """
     q = q or default_qdatum(d)
-    memo = lattice_table(q, d).memo
+    lattice = lattice_table(q, d)
+    if lattice.home is None:
+        lattice.home = component_class(d, *simple_root_points(q, d)[0])
     groups: dict[SpectralScalar, list[SigmaPoint]] = {}
     for p in weights:
-        cls = component_class(d, p.node, p.param)
-        groups.setdefault(cls, []).append(sigma_point(d, p.node, p.param / cls))
+        groups.setdefault(component_class(d, p.node, p.param), []).append(p)
     components = []
     for cls in sorted(groups, key=order_key):
-        coords = tuple(map(sum, zip(*(_generator_coords(d, q, memo, p) for p in groups[cls]))))
+        shift = lattice.home / cls
+        coords = tuple(map(sum, zip(*[_generator_coords(d, q, lattice.memo, sigma_point(d, p.node, p.param * shift))
+                                      for p in groups[cls]])))
         if any(coords):
             components.append((print_scalar(cls), coords))
     return BlockLabel(tuple(components))

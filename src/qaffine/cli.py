@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .affine import AffineData, build, parse_type_string
 from .blocks import block_label, gram, partition_blocks
@@ -84,11 +85,11 @@ def cmd_denom(args):
     yield payload, f"d_{args.i},{args.j}(z) = {factored}\nroots: {roots or 'none'}", True
 
 
-def _two_point_cmd(args, fn, name: str):
-    d = _data(args)
+def _two_point_cmd(args):
+    d, name = _data(args), args.command
     p1 = parse_sigma_point(d, args.p1)
     p2 = parse_sigma_point(d, args.p2)
-    val = fn(d, p1, p2)
+    val = {"de": de, "lambda": lambda_, "lambda-inf": lambda_inf}[name](d, p1, p2)
     yield {"p1": str(p1), "p2": str(p2), name: val}, f"{name}({p1}, {p2}) = {val}", True
 
 
@@ -188,6 +189,8 @@ def cmd_verify(args):
         yield _verdict(check, res.equal, detail, time.perf_counter() - start, check)
 
 
+# one parser per process, built at first use; a parse leaves no state, and commands look up `de` etc. per call
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qaffine",
@@ -210,9 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
 
-    for name, fn in (("de", de), ("lambda", lambda_), ("lambda-inf", lambda_inf)):
-        p = command(name, lambda a, f=fn, n=name: _two_point_cmd(a, f, n),
-                    f"the {name} invariant of two points i@scalar")
+    for name in ("de", "lambda", "lambda-inf"):
+        p = command(name, _two_point_cmd, f"the {name} invariant of two points i@scalar")
         p.add_argument("p1")
         p.add_argument("p2")
 
@@ -241,9 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     ok_all = True

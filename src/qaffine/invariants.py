@@ -13,20 +13,22 @@ and are NOT finitely supported.  They are stored exactly by their values
 on representatives modulo the ptilde-shift, which is a faithful finite
 encoding for every Z-combination of s-generators.
 
-lambda_inf is read from one table per node, its template.  de((i,a),(j,b))
-depends on b/a alone, so the dual-orbit sum obeys the translation law
+lambda_inf((i,a), (j,b)) is s_{i,a}(j, b), and both rest on one table per
+node, its template.  de((i,a),(j,b)) depends on b/a alone, so the dual-orbit
+sum obeys the translation law
 
     lambda_inf((i, a), (j, b)) = lambda_inf((i, 1), (j, b/a)),
 
-and by the periodicity above only b/a modulo ptilde matters (its phase
-only modulo 24/m_j, the sigma-equivalence at j).  The template of node i
-holds the nonzero lambda_inf((i, 1), c) over ptilde-representatives c,
-keyed by the int `_key` of c = z24^phase * q^(e/6) at node j, the bit
+and by the periodicity above only b/a modulo ptilde matters (its phase only
+modulo 24/m_j, the sigma-equivalence at j).  So `lambda_inf` reads s_{i,1} at
+(j, b/a), and caches one function per node i whatever p1.  The template of
+node i holds the nonzero lambda_inf((i, 1), c) over ptilde-representatives
+c, keyed by the int `_key` of c = z24^phase * q^(e/6) at node j, the bit
 fields ((j << 5 | phase) << 16) + e of phase mod 24/m_j and e mod 12*hvee;
-`_point` decodes it.  Both moduli are fields of AffineData, computed
-once: `phase_mod[j]` = 24/m_j and `period` = 12*hvee.  The phase is below
-2^5 and e below 2^16 (12*hvee is at most 1,512 at the rank cap), so int
-order is (node, phase, e) order.
+`_point` decodes it.  Both moduli are fields of AffineData, computed once:
+`phase_mod[j]` = 24/m_j and `period` = 12*hvee.  The phase is below 2^5 and e
+below 2^16 (12*hvee is at most 1,512 at the rank cap), so int order is
+(node, phase, e) order.
 
 The template is a signed count of denominator roots (the scatter law):
 summed over all k at once, the even terms D^{2l} put +m at c = x and the
@@ -54,9 +56,9 @@ key order (node, phase, e) is the library order, numeric in the q-exponent,
 so `values` is in that order too.  Users see the printed order of
 `scalars.order_key`: the CLI sorts by it before printing.
 
-`s_func` sorts nothing and builds no tuple per entry.  Next to its dict,
-each template is kept as runs: per node j, its entries grouped by phase,
-each group holding its exponents in ascending order with their values.
+`s_func` sorts nothing and builds no tuple per entry.  A template is kept
+only as runs: per node j, its entries grouped by phase, each group
+holding its exponents in ascending order with their values.
 Translating by z24^phase * q^(e/6) adds a constant modulo 24/m_j to every
 phase and a constant modulo 12 hvee to every exponent, so each sorted list
 is only rotated: the members that pass the modulus move to the front, in
@@ -77,7 +79,8 @@ so the pairing cannot tell them apart.  `delta0` walks sigma_Q and its
 first dual translate, which hold p and D p for each positive root, so it
 keeps one key tuple per pair.  The cache is keyed by the point as given,
 so a partner is found when it was asked for with the canonical phase that
-`sigma_point` gives.
+`sigma_point` gives.  It has no bound: it keeps one function per point ever
+given to `s_func`.
 """
 
 from __future__ import annotations
@@ -91,6 +94,7 @@ from typing import Iterable, NamedTuple, Union
 from .affine import AffineData, canonical_param
 from .denominators import denominator
 from .scalars import (
+    ONE,
     Frozen,
     ParseError,
     QAffineError,
@@ -149,7 +153,7 @@ def _key(d: AffineData, j: int, phase: int, e: int) -> int:
 
 @lru_cache(maxsize=1 << 16)
 def _point(key: int) -> SigmaPoint:
-    """The point of a key; cached so that equal keys share one SigmaPoint."""
+    """The point of a key; cached, for at most 2^16 keys, so that equal keys share one SigmaPoint."""
     return SigmaPoint(key >> 21, SpectralScalar(key >> 16 & 31, key & 0xFFFF))
 
 
@@ -157,8 +161,8 @@ def _point(key: int) -> SigmaPoint:
 Run = tuple[int, int, list[int], list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]]
 
 
-def _scatter(d: AffineData, i: int) -> tuple[dict[int, int], list[Run]]:
-    """Build node i's template by the scatter law, and its runs; both are kept on d."""
+def _scatter(d: AffineData, i: int) -> list[Run]:
+    """Build node i's template by the scatter law, as runs; they are kept on d."""
     ps, pe = d.pstar
     period, phase_mod = d.period, d.phase_mod
     acc: dict[int, int] = {}
@@ -175,9 +179,8 @@ def _scatter(d: AffineData, i: int) -> tuple[dict[int, int], list[Run]]:
                 if -rph % 24 < canon:
                     key = node + ((-rph - ph) % mod << 16) + (-re6 - e) % period
                     acc[key] = acc.get(key, 0) + m
-    table = {k: v for k, v in acc.items() if v}
-    keys = sorted(table)
-    vals = tuple(map(table.__getitem__, keys))
+    keys = sorted(k for k, v in acc.items() if v)
+    vals = tuple(map(acc.__getitem__, keys))
     runs: list[Run] = []
     start = 0
     for j, node_keys in groupby(keys, (21).__rrshift__):
@@ -189,20 +192,13 @@ def _scatter(d: AffineData, i: int) -> tuple[dict[int, int], list[Run]]:
             groups.append((head & 31, n, tuple(map((-period).__add__, fs)) + fs, vals[start:start + n] * 2))
             start += n
         runs.append((j, phase_mod[j], [g[0] for g in groups], groups * 2))
-    d._template_cache[i] = table, runs
-    return table, runs
-
-
-def _template(d: AffineData, i: int) -> dict[int, int]:
-    """The nonzero lambda_inf((i, 1), c) by the scatter law, keyed by `_key` of c."""
-    return (d._template_cache.get(i) or _scatter(d, i))[0]
+    d._template_cache[i] = runs
+    return runs
 
 
 def lambda_inf(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
-    """Alternating dual-orbit sum sum_k (-1)^k de(M, D^k N), read from M's template."""
-    d.check_node(p2.node)
-    a, b = p1.param, p2.param
-    return _template(d, p1.node).get(_key(d, p2.node, b.phase - a.phase, b.e - a.e), 0)
+    """Alternating dual-orbit sum sum_k (-1)^k de(M, D^k N): s_{p1} at p2, read as s_{(i, 1)} at p2 / p1."""
+    return s_func(d, SigmaPoint(p1.node, ONE)).value_at(d, p2.node, p2.param / p1.param)
 
 
 def lambda_(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
@@ -295,7 +291,7 @@ def s_func(d: AffineData, p: SigmaPoint) -> SigmaFunction:
     e %= d.period
     keys: list[int] = []
     vals: list[int] = []
-    for j, mod, phases, groups in (d._template_cache.get(p.node) or _scatter(d, p.node))[1]:
+    for j, mod, phases, groups in d._template_cache.get(p.node) or _scatter(d, p.node):
         s = phase % mod
         k = bisect_left(phases, mod - s)
         for ph, n, fs, vs in groups[k:k + len(phases)]:
@@ -307,10 +303,7 @@ def s_func(d: AffineData, p: SigmaPoint) -> SigmaFunction:
     return out
 
 
-AffineWeightList = Iterable[SigmaPoint]
-
-
-def e_of(d: AffineData, weights: AffineWeightList) -> SigmaFunction:
+def e_of(d: AffineData, weights: Iterable[SigmaPoint]) -> SigmaFunction:
     """E of a module with the given affine weight: the sum of its s-functions."""
     total: dict[int, int] = {}
     gens: dict[SigmaPoint, int] = {}

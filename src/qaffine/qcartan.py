@@ -329,6 +329,7 @@ def ctilde_oracle(cartan: tuple[tuple[int, ...], ...], order: int) -> CTildeTabl
 
 @lru_cache(maxsize=None)
 def ctilde_oracle_for(letter: str, rank: int) -> CTildeTable:
+    """The series inversion for one ADE type, shared; unbounded, and criterion 3 asks for 16 types."""
     rs = root_system(letter, rank)
     h = 2 * len(rs.positive_roots) // rank  # the Coxeter number of an ADE type
     return ctilde_oracle(rs.cartan, 2 * h + 2)

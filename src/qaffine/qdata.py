@@ -48,16 +48,16 @@ class Lattice:
     """The lattice table of q for d; each part is filled by its reader, and none refers to q or d (the weak key).
 
     phi is `phi_q_map` (all that `gram` and `delta0` build), coords and slots
-    `root_coords`; the rest is `blocks`': memo maps the `_key` of a generator
-    to its coordinates, peaks a simple root i (from 0) to max |s_{phi_Q(alpha_i)}|,
-    and widths a slot size in bytes to its bias template, its pack, and the
-    packed s_{phi_Q(alpha_i)} at that size.
+    `root_coords`; the rest is `blocks`': home the component class of sigma_Q,
+    memo maps the `_key` of a generator to its coordinates, peaks a simple root
+    i (from 0) to max |s_{phi_Q(alpha_i)}|, and widths a slot size in bytes to
+    its bias template, its pack, and the packed s_{phi_Q(alpha_i)} at that size.
     """
 
-    __slots__ = ("phi", "coords", "slots", "memo", "peaks", "widths")
+    __slots__ = ("phi", "home", "coords", "slots", "memo", "peaks", "widths")
 
     def __init__(self):
-        self.phi, self.coords, self.slots, self.memo, self.peaks, self.widths = {}, {}, {}, {}, {}, {}
+        self.phi, self.home, self.coords, self.slots, self.memo, self.peaks, self.widths = {}, None, {}, {}, {}, {}, {}
 
 
 def lattice_table(q: QDatum, d: AffineData) -> Lattice:

@@ -178,4 +178,5 @@ def apply_word_root(rs: FinRootSystem, word: Iterable[WordEntry], v: Vec) -> Vec
 
 @lru_cache(maxsize=None)
 def root_system(letter: str, rank: int) -> FinRootSystem:
+    """The shared root system of a finite type; unbounded; the library asks for at most 128 types."""
     return FinRootSystem(letter, rank)

@@ -118,6 +118,27 @@ def test_partition_cli(tmp_path, capsys):
     assert sizes == [1, 2]
 
 
+def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys):
+    # the parser is built once per process: each call still reads its own
+    # file, and no option of one call carries into the next
+    assert cli.build_parser() is cli.build_parser()
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    first.write_text('["1@1"]\n', encoding="utf-8")
+    second.write_text('["2@1"]\n["2@1", "2@1"]\n', encoding="utf-8")
+    assert run(["partition", "A3-1", "--file", str(first), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["blocks"][0]["members"] == [["1@1"]]
+    assert run(["cartan-check", "B3-1", "--all-ranks"]) == 0
+    assert capsys.readouterr().out.count("OK: Cartan") == 4
+    assert run(["partition", "A4-1", "--file"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert run(["partition", "A4-1", "--file", str(second)]) == 0
+    assert capsys.readouterr().out == (
+        "block 0: label=[('z24^12*q', [1, 1, 0, 0])]\n  2@1\nblock 1: label=[('z24^12*q', [2, 2, 0, 0])]\n  2@1,2@1\n"
+    )
+    assert run(["cartan-check", "B3-1"]) == 0
+    assert capsys.readouterr().out.count("OK: Cartan") == 1
+
+
 def test_partition_with_a_bad_type_closes_its_file(tmp_path, capsys):
     path = tmp_path / "weights.jsonl"
     path.write_text('["1@1"]\n', encoding="utf-8")

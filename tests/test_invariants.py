@@ -37,6 +37,7 @@ from qaffine.invariants import (
 from qaffine.qcartan import ctilde_formula, default_qdatum
 from qaffine.qdata import phi_q, sigma_q_points, simple_root_points, translate_star
 from qaffine.scalars import MINUS_Q, MINUS_QT, ONE, Q, QS, InvariantViolation, SpectralScalar, scalar
+from test_blocks import LADDER
 from weyl_oracle import NotInRootLattice, weight_to_root
 
 ALL_SMALL = [
@@ -380,9 +381,25 @@ def _fields(key):
     return p.node, p.param.phase, p.param.e
 
 
+@functools.cache
+def _twin(t):
+    """A fresh, unshared instance of type t; its cache only ever holds points i@1."""
+    return build.__wrapped__(t)
+
+
+def _template(d, i):
+    """Node i's template as {key: value}: s_{i@1}, whose rotation is by zero.
+
+    It is asked of a twin of d, which caches no dual neighbour of i@1, so no
+    partner serves it, even where a test has just emptied d's cache.
+    """
+    f = s_func(_twin(d.type), SigmaPoint(i, ONE))
+    return dict(zip(f.keys, f.vals))
+
+
 def _template_fields(d, i):
     """Node i's template with each int key replaced by its fields."""
-    return {_fields(k): v for k, v in invariants._template(d, i).items()}
+    return {_fields(k): v for k, v in _template(d, i).items()}
 
 
 # The path that runs replaced: s_func reduced every template entry by
@@ -676,7 +693,7 @@ def test_template_scatter_matches_oracle_on_every_sweep_node():
     for s in SWEEP:
         d = build(parse_type_string(s))
         for i in d.i0:
-            assert invariants._template(d, i) == _oracle_template(d, i), (s, i)
+            assert _template(d, i) == _oracle_template(d, i), (s, i)
 
 
 # The scatter that the inlined keys replaced: one `_key` call per root, with
@@ -714,10 +731,63 @@ def test_scatter_matches_the_per_root_key_path():
     for s in SWEEP:
         d = build.__wrapped__(parse_type_string(s))
         for i in d.i0:
-            table, runs = invariants._scatter(d, i)
+            runs = invariants._scatter(d, i)
             want_table, want_runs = _old_scatter(d, i)
-            assert list(table.items()) == list(want_table.items()), (s, i)
-            assert runs == want_runs, (s, i)
+            assert d._template_cache[i] is runs and runs == want_runs, (s, i)
+            assert _template(d, i) == want_table, (s, i)
+
+
+@functools.cache
+def _old_table(t, i):
+    """Node i's template as the dict that lambda_inf once read, built by the per-root-key scatter."""
+    return _old_scatter(build(t), i)[0]
+
+
+def _old_lambda_inf(d, p1, p2):
+    """lambda_inf as a lookup of the translated key of p2 in p1's template dict (the translation law)."""
+    a, b = p1.param, p2.param
+    return _old_table(d.type, p1.node).get(invariants._key(d, p2.node, b.phase - a.phase, b.e - a.e), 0)
+
+
+def _raw_point(rng, d, i, periods):
+    """A SigmaPoint at node i, stored as given: any of the 24 phases, e within +-periods ptilde periods."""
+    span = periods * 12 * d.hvee
+    return SigmaPoint(i, SpectralScalar(rng.randrange(24), rng.randrange(-span, span + 1)))
+
+
+@pytest.mark.parametrize("s", ["SWEEP", *LADDER])
+def test_lambda_inf_is_the_value_of_its_s_function(s):
+    # lambda_inf(p1, p2) = s_{p1}(p2) against the template-dict lookup it
+    # replaced; p1 and p2 take non-canonical phases and exponents up to 5
+    # ptilde periods out, and p2 is a template entry of p1 one time in two
+    rng = random.Random(s)
+    nonzero = total = 0
+    for t in SWEEP if s == "SWEEP" else [s]:
+        d = build(parse_type_string(t))
+        for i in d.i0:
+            for _ in range(6):
+                p1 = _raw_point(rng, d, i, 5)
+                if rng.random() < 0.5:
+                    j, x = invariants._point(rng.choice(list(_old_table(d.type, i))))
+                    off = SpectralScalar(24 // d.m[j] * rng.randrange(d.m[j]), 12 * d.hvee * rng.randrange(-5, 6))
+                    p2 = SigmaPoint(j, p1.param * x * off)
+                else:
+                    p2 = _raw_point(rng, d, rng.choice(d.i0), 5)
+                want = _old_lambda_inf(d, p1, p2)
+                assert lambda_inf(d, p1, p2) == want, (t, p1, p2)
+                assert s_func(d, p1).value_at(d, p2.node, p2.param) == want, (t, p1, p2)
+                nonzero += want != 0
+                total += 1
+    assert nonzero > total // 3, (nonzero, total)
+
+
+def test_lambda_inf_caches_one_function_per_node():
+    # by the translation law lambda_inf reads s_{i,1}, so fresh first arguments add no cache entry
+    d = build.__wrapped__(parse_type_string("E6-2"))
+    rng = random.Random(5)
+    for _ in range(200):
+        lambda_inf(d, _raw_point(rng, d, rng.choice(d.i0), 5), _raw_point(rng, d, rng.choice(d.i0), 5))
+    assert set(d._sfunc_cache) <= {SigmaPoint(i, ONE) for i in d.i0}
 
 
 def test_template_counts_only_canonical_denominator_roots():
@@ -751,9 +821,11 @@ def test_template_build_makes_no_de_call(monkeypatch):
     for s in ("A4-1", "G2-1", "D5-2", "E6-2", "D4-3"):
         d = build(parse_type_string(s))
         fresh = build.__wrapped__(parse_type_string(s))
-        want = {i: invariants._template(d, i) for i in d.i0}
+        want = {i: _template(d, i) for i in d.i0}
         monkeypatch.setattr(invariants, "de", no_de)
-        assert {i: invariants._template(fresh, i) for i in fresh.i0} == want, s
+        for i in fresh.i0:
+            f = s_func(fresh, SigmaPoint(i, ONE))
+            assert dict(zip(f.keys, f.vals)) == want[i], (s, i)
         p = pt(fresh, fresh.i0[-1], Q)
         assert lambda_inf(fresh, p, p) == -2
         assert s_func(fresh, p).values == s_func(d, p).values

@@ -1,0 +1,80 @@
+"""Q-datum independence as a contract.
+
+The paper defines W0 and Delta0 from the fundamental modules, with no
+Q-datum, so every valid Q-datum must give Gram = Cartan, the same Delta0
+and the same grouping into blocks.  A height function xi of either parity
+is valid, but one whose parity is opposite to the default's puts sigma_Q in
+another translate of sigma_Z than the default does: its home, the component
+class shared by sigma_Q and its dual translate.  Delta0 agrees after moving
+each point back by that home, and `block_label` moves each generator into
+q's home before reading its coordinates.
+"""
+
+import random
+
+import pytest
+
+from qaffine.affine import build, component_class, parse_type_string
+from qaffine.blocks import BlockLabel, block_label, delta0, gram, partition_blocks
+from qaffine.invariants import dual_shift, s_func, sigma_point
+from qaffine.qcartan import custom_qdatum, default_qdatum
+from qaffine.qdata import lattice_table, phi_q_map, sigma_q_points, translate_star
+from qaffine.scalars import ONE, parse_scalar, print_scalar, scalar
+from test_blocks import _seeded_module
+from test_psi_window import CUSTOM, _data
+
+
+def _home(d, q):
+    """The component classes of sigma_Q and its first dual translate (one class, by the contract)."""
+    sq = sigma_q_points(d, q)
+    return {component_class(d, p.node, p.param) for p in sq | translate_star(d, sq, 1)}
+
+
+def test_the_custom_heights_take_both_parities():
+    homes = [_home(*_data(case)) for case in CUSTOM]
+    assert {ONE} in homes and any(home != {ONE} for home in homes)
+
+
+@pytest.mark.parametrize("case", CUSTOM, ids=str)
+def test_gram_is_cartan(case):
+    d, q = _data(case)
+    assert gram(d, q).equal
+
+
+@pytest.mark.parametrize("case", CUSTOM, ids=str)
+def test_delta0_moved_back_by_home_is_the_defaults(case):
+    d, q = _data(case)
+    (home,) = _home(d, q)
+    moved = {s_func(d, sigma_point(d, p.node, p.param / home)) for f in delta0(d, q) for p, _ in f.gens}
+    assert moved == set(delta0(d))
+
+
+@pytest.mark.parametrize("case", CUSTOM, ids=str)
+def test_partition_groups_as_the_default_does(case):
+    d, q = _data(case)
+    rng = random.Random(str(case))
+    sq = sigma_q_points(d, default_qdatum(d))
+    census = sorted(sq | translate_star(d, sq, 1))
+    translates = [ONE] + [scalar(rng.randrange(24), rng.randrange(1, 6)) for _ in range(2)]
+    modules = [_seeded_module(rng, d, census, translates) for _ in range(80)]
+    index = {id(m): n for n, m in enumerate(modules)}
+
+    def grouping(datum):
+        return {frozenset(index[id(m)] for m in members) for _, members in partition_blocks(d, datum, modules)}
+
+    assert grouping(q) == grouping(default_qdatum(d))
+
+
+def test_block_label_on_the_sigma_q_of_an_other_parity_datum():
+    # every point of this datum's sigma_Q has class z24^12*q, not 1; each
+    # generator was once moved into class 1, where the datum has no coordinates
+    d = build(parse_type_string("A3-1"))
+    q = custom_qdatum(d, {1: 1, 2: 0, 3: 1})
+    home = parse_scalar("z24^12*q")
+    assert _home(d, q) == {home}
+    assert gram(d, q).equal
+    for beta, p in phi_q_map(q, d).items():
+        assert block_label(d, q, [p]) == BlockLabel(((print_scalar(home), beta),)), str(p)
+        minus = tuple(-c for c in beta)
+        assert block_label(d, q, [dual_shift(d, p)]) == BlockLabel(((print_scalar(home), minus),)), str(p)
+    assert lattice_table(q, d).home == home

@@ -97,7 +97,9 @@ def test_s_functions_store_flat_int_keys():
     for f in (s_func(d, p), -s_func(d, p), e_of(d, [p, other])):
         assert type(f.keys) is tuple and type(f.vals) is tuple and len(f.keys) == len(f.vals) > 0
         assert all(type(k) is int for k in f.keys) and all(type(v) is int for v in f.vals)
-    assert all(type(k) is int for k in d._template_cache[2][0])
+    # the template is stored only as runs, whose exponents and values are plain ints
+    for _, _, _, groups in d._template_cache[2]:
+        assert all(type(x) is int for _, _, fs, vs in groups for x in fs + vs)
 
 
 def test_root_multiset_index_is_not_compared():

@@ -1,6 +1,6 @@
 """Print the output of a fixed sweep of `qaffine` CLI calls, to check byte-identity.
 
-Usage: python tools/cli_sweep.py <src-dir> > sweep.txt
+Usage: python tools/cli_sweep.py [--digests] <src-dir> > sweep.txt
 
 Imports `qaffine` from <src-dir> and runs `cli.run` in this process, in text
 and JSON, over all 33 `acceptance.SWEEP` types: `sigma-q`, `cartan-check`,
@@ -24,11 +24,25 @@ checkouts:
     python tools/cli_sweep.py /path/to/parent/src > parent.txt
     python tools/cli_sweep.py src > change.txt
     cmp parent.txt change.txt
+
+With --digests it prints, as JSON, the sha256 of each section of that text
+instead: a section is every call of one subcommand on one type (its first
+two arguments), in the order the sweep first reaches it.  The few calls
+whose error text argparse or json words go to sections of their own, named
+with a " [python]" suffix, and the Python minor version is recorded, since
+that wording varies between versions.  `tests/sweep_digests.json` is that
+output for the tree whose outputs are the contract, and
+`tests/test_sweep_digests.py` recomputes it in-process and names the first
+section that differs.  A change that alters an output on purpose
+regenerates the file:
+
+    python tools/cli_sweep.py --digests src > tests/sweep_digests.json
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -36,8 +50,10 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 SECONDS = re.compile(r'"seconds": [0-9.e-]+')
+WORDED = " [python]"  # the digest section of the calls whose errors the interpreter words
 
 
 def _point(rng: random.Random, n: int) -> str:
@@ -48,16 +64,19 @@ def _weights(rng: random.Random, n: int) -> str:
     return ",".join(_point(rng, n) for _ in range(rng.randint(1, 4)))
 
 
-def sweep(tmp: Path) -> None:
+def sweep(tmp: Path, emit: Callable[[list[str], str, bool], None]) -> None:
+    """Run every call of the sweep, passing `emit` its argv, its printed text, and
+    whether that text holds an error worded by the interpreter (argparse or json)."""
     from qaffine import (
-        build, default_qdatum, dual_shift, parse_type_string, sigma_point, sigma_q_points,
+        build, default_qdatum, dual_shift, parse_type_string, s_func, sigma_point, sigma_q_points,
     )
     from qaffine.acceptance import SWEEP
     from qaffine.cli import run
-    from qaffine.invariants import _point as key_point, _template
+    from qaffine.invariants import _point as key_point
     from qaffine.qdata import translate_star
+    from qaffine.scalars import ONE
 
-    def call(*argv: str) -> None:
+    def call(*argv: str, worded: bool = False) -> None:
         for fmt in ("text", "json"):
             args = [*argv, "--format", fmt]
             out, err = io.StringIO(), io.StringIO()
@@ -69,12 +88,12 @@ def sweep(tmp: Path) -> None:
             text = f"$ qaffine {' '.join(args)} -> {rc}\n{out.getvalue()}"
             if err.getvalue():
                 text += f"stderr: {err.getvalue()}"
-            print(SECONDS.sub('"seconds": <masked>', text).replace(str(tmp), "<tmp>"), end="")
+            emit(args, SECONDS.sub('"seconds": <masked>', text).replace(str(tmp), "<tmp>"), worded)
 
-    def partition(name: str, type_string: str, lines: list[str]) -> None:
+    def partition(name: str, type_string: str, lines: list[str], worded: bool = False) -> None:
         path = tmp / name
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        call("partition", type_string, "--file", str(path))
+        call("partition", type_string, "--file", str(path), worded=worded)
 
     for s in SWEEP:
         d = build(parse_type_string(s))
@@ -117,7 +136,7 @@ def sweep(tmp: Path) -> None:
         for i in d.i0:
             # an exponent that puts one template entry exactly on the 12 hvee wrap,
             # so s_func takes both halves of that entry's run
-            keys = sorted(_template(d, i))
+            keys = s_func(d, sigma_point(d, i, ONE)).keys
             f = key_point(keys[len(keys) // 2]).param.e
             call("s-func", s, f"{i}@q^({period - f + period * rng.randint(-3, 2)}/6)")
         if d.twisted:
@@ -137,7 +156,7 @@ def sweep(tmp: Path) -> None:
         d = build(parse_type_string(s))
         for i in d.i0:
             # c pairs nonzero with i@1, so D^2 c and D^3 c carry terms at k = -1, -2, -3
-            keys = sorted(_template(d, i))
+            keys = s_func(d, sigma_point(d, i, ONE)).keys
             j, x = key_point(keys[len(keys) // 3])
             c = sigma_point(d, j, x)
             for k in (2, 3):
@@ -154,20 +173,37 @@ def sweep(tmp: Path) -> None:
     call("s-func", "A3-1", "x@1")
     call("s-func", "A3-1", "1@q^(1/5)")
     call("e-of", "A3-1", "--weights", "1@1,,2@q^")
-    call("de", "A3-1", "1@1")
+    call("de", "A3-1", "1@1", worded=True)  # argparse's usage error
     call("block-label", "E6-2", "--weights", "2@q^-3")
     for name, line in (("json", '["1@1",'), ("list", '[1, 2]'), ("point", '["x@1"]'), ("node", '["9@1"]')):
-        partition(f"bad-{name}.jsonl", "A3-1", ['["1@1"]', line])
-    call("partition", "A3-1", "--file", str(tmp / "absent.jsonl"))
+        partition(f"bad-{name}.jsonl", "A3-1", ['["1@1"]', line], worded=name == "json")  # json's message
+    call("partition", "A3-1", "--file", str(tmp / "absent.jsonl"), worded=True)
+
+
+def digests() -> dict:
+    """The sha256 of each section of the sweep, with the Python minor version."""
+    sections: dict = {}
+
+    def emit(argv: list[str], text: str, worded: bool) -> None:
+        name = " ".join(argv[:2]) + WORDED * worded
+        sections.setdefault(name, hashlib.sha256()).update(text.encode())
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sweep(Path(tmp), emit)
+    python = f"{sys.version_info.major}.{sys.version_info.minor}"
+    return {"python": python, "sections": {name: h.hexdigest() for name, h in sections.items()}}
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if not argv or len(argv) != 1 + (argv[0] == "--digests"):
         print(__doc__, file=sys.stderr)
         return 2
-    sys.path.insert(0, str(Path(argv[0]).resolve()))
+    sys.path.insert(0, str(Path(argv[-1]).resolve()))
+    if argv[0] == "--digests":
+        print(json.dumps(digests(), indent=1))
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
-        sweep(Path(tmp))
+        sweep(Path(tmp), lambda argv, text, worded: print(text, end=""))
     return 0
 
 
