@@ -37,14 +37,17 @@ multiplicity m of d_{i,j} (even) or d_{i,j*} (odd).  Only canonical x
 count (phase below 24/m_jj, jj the node of that denominator): de only
 probes canonical parameters, so it never hits the other members of x's
 sigma-class, and counting them overcounts twisted nodes with m > 1.
-So the build sums no window and calls no de, and it computes the keys
-inline: per node j it fixes the node field and the phase modulus once.
+For untwisted ADE those roots are (-q)^{+-(k+1)} of multiplicity
+ctilde_ij(k), 1 <= k < hvee, so a template is read straight off psi_Q row
+i of the default Q-datum (see `qcartan`), one list of 2 hvee values per
+node, building no denominator and sorting nothing; the other families
+compute each root's key inline.  Neither path sums a window or calls de;
 `lambda_`, whose signs (-1)^{k + delta(k<0)} need k itself, scatters too:
 a root x of d_{i,j} (even k) or d_{i,j*} (odd k) hits D^k (j, b) exactly
 when x a is the canonical parameter of D^k (j, b), whose q-power fixes k.
-No window sum is left in the library; the explicit orbit sum that both
-scatters replaced is the tests' oracle, and the scatter with one `_key`
-call per root is the oracle of the inline keys.
+No window sum is left in the library; the explicit orbit sum is the tests'
+oracle, and the scatter with one `_key` call per root is the oracle of both
+template paths.
 
 A SigmaFunction stores the same int keys: `keys` ascending with no key
 twice, and `vals` the value at each.  `s_func` translates the template
@@ -93,9 +96,11 @@ from typing import Iterable, NamedTuple, Union
 
 from .affine import AffineData, canonical_param
 from .denominators import denominator
+from .qcartan import default_qdatum, psi_q
 from .scalars import (
     ONE,
     Frozen,
+    InvariantViolation,
     ParseError,
     QAffineError,
     SpectralScalar,
@@ -161,8 +166,31 @@ def _point(key: int) -> SigmaPoint:
 Run = tuple[int, int, list[int], list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]]
 
 
-def _scatter(d: AffineData, i: int) -> list[Run]:
-    """Build node i's template by the scatter law, as runs; they are kept on d."""
+def _row_keys(d: AffineData, i: int) -> tuple[list[int], tuple[int, ...]]:
+    """Node i's template for untwisted ADE, off row i of psi_Q (see above): keys ascending, values."""
+    q, h = default_qdatum(d), d.hvee
+    acc = {j: [0] * 2 * h for j in d.i0}  # node j's values at (-q)^t, t mod 2 hvee
+    cols = [(q.xi[j] + 1, acc[j], acc[d.istar[j]]) for j in d.i0]  # beta_j's k is xi_j + 1 - p
+    top = max(q.xi.values())
+    for p in range(top - (top - q.xi[i]) % 2, min(q.xi.values()) + 1 - h, -2):
+        beta, m = psi_q(q, i, p)
+        for b, (x1, at, dual) in zip(beta, cols):
+            if b and 0 < (k := x1 - p) < h:
+                c = -b if m % 2 else b  # ctilde_ij(k)
+                at[k + 1] += c
+                at[-k - 1] += c
+                dual[k + 1 - h] -= c
+                dual[-k - 1 - h] -= c
+    if acc[i][0] != -2:
+        raise InvariantViolation(f"lambda_inf(({i}, 1), ({i}, 1)) = {acc[i][0]} on {d}, not -2")
+    # (-q)^t has phase 12 t mod 24 and e = 6 t, so keys ascend by node, then even t before odd t
+    keys = [((j << 5 | 12 * odd) << 16) + 6 * t
+            for j, row in acc.items() for odd in (0, 1) for t in range(odd, 2 * h, 2) if row[t]]
+    return keys, tuple(acc[k >> 21][(k & 0xFFFF) // 6] for k in keys)
+
+
+def _root_keys(d: AffineData, i: int) -> tuple[list[int], tuple[int, ...]]:
+    """Node i's template by the scatter law (see above): keys ascending, values."""
     ps, pe = d.pstar
     period, phase_mod = d.period, d.phase_mod
     acc: dict[int, int] = {}
@@ -180,7 +208,12 @@ def _scatter(d: AffineData, i: int) -> list[Run]:
                     key = node + ((-rph - ph) % mod << 16) + (-re6 - e) % period
                     acc[key] = acc.get(key, 0) + m
     keys = sorted(k for k, v in acc.items() if v)
-    vals = tuple(map(acc.__getitem__, keys))
+    return keys, tuple(map(acc.__getitem__, keys))
+
+
+def _scatter(d: AffineData, i: int) -> list[Run]:
+    """Build node i's template as runs, kept on d: off psi_Q for untwisted ADE, else by the scatter law."""
+    keys, vals = (_row_keys if d.simply_laced else _root_keys)(d, i)
     runs: list[Run] = []
     start = 0
     for j, node_keys in groupby(keys, (21).__rrshift__):
@@ -189,9 +222,9 @@ def _scatter(d: AffineData, i: int) -> list[Run]:
             fs = tuple(map((0xFFFF).__and__, group))
             n = len(fs)
             # twice over, the first copy shifted down a period: a rotation is one slice
-            groups.append((head & 31, n, tuple(map((-period).__add__, fs)) + fs, vals[start:start + n] * 2))
+            groups.append((head & 31, n, tuple(map((-d.period).__add__, fs)) + fs, vals[start:start + n] * 2))
             start += n
-        runs.append((j, phase_mod[j], [g[0] for g in groups], groups * 2))
+        runs.append((j, d.phase_mod[j], [g[0] for g in groups], groups * 2))
     d._template_cache[i] = runs
     return runs
 

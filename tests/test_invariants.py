@@ -726,15 +726,51 @@ def _old_scatter(d, i):
     return table, runs
 
 
+def _check_scatter(s, template=True):
+    # a fresh instance, so `_scatter` itself runs, not a cached template
+    d = build.__wrapped__(parse_type_string(s))
+    for i in d.i0:
+        runs = invariants._scatter(d, i)
+        want_table, want_runs = _old_scatter(d, i)
+        assert d._template_cache[i] is runs and runs == want_runs, (s, i)
+        assert not template or _template(d, i) == want_table, (s, i)
+
+
 def test_scatter_matches_the_per_root_key_path():
-    # a fresh instance per type, so `_scatter` itself runs, not a cached template
     for s in SWEEP:
-        d = build.__wrapped__(parse_type_string(s))
-        for i in d.i0:
-            runs = invariants._scatter(d, i)
-            want_table, want_runs = _old_scatter(d, i)
-            assert d._template_cache[i] is runs and runs == want_runs, (s, i)
-            assert _template(d, i) == want_table, (s, i)
+        _check_scatter(s)
+
+
+ADE_LADDER = [s for s in LADDER if build(parse_type_string(s)).simply_laced]
+
+
+@pytest.mark.parametrize("s", [*ADE_LADDER, "A64-1", "D64-1"])
+def test_row_runs_match_the_per_root_key_path_at_the_ladder_and_the_cap(s):
+    # untwisted ADE templates come off the psi_Q rows; the scatter over
+    # denominators is the oracle (at the cap only the runs are compared: the
+    # template dict would keep a twin of A64-1 and D64-1 for the rest of the run)
+    _check_scatter(s, template=s in ADE_LADDER)
+
+
+class DenominatorCalled(Exception):
+    pass
+
+
+def test_only_untwisted_ade_templates_build_no_denominator(monkeypatch):
+    def no_denominator(*args):
+        raise DenominatorCalled(args)
+
+    want = {}
+    for s in ("A1-1", "A5-1", "D4-1", "D7-1", "E6-1", "E7-1", "E8-1"):
+        d = build(parse_type_string(s))
+        want[s] = [_old_scatter(d, i)[1] for i in d.i0]
+    monkeypatch.setattr(invariants, "denominator", no_denominator)
+    for s, runs in want.items():
+        fresh = build.__wrapped__(parse_type_string(s))
+        assert [invariants._scatter(fresh, i) for i in fresh.i0] == runs, s
+    for s in ("B3-1", "C3-1", "F4-1", "G2-1", "A4-2", "A5-2", "D5-2", "E6-2", "D4-3"):
+        with pytest.raises(DenominatorCalled):
+            invariants._scatter(build.__wrapped__(parse_type_string(s)), 1)
 
 
 @functools.cache

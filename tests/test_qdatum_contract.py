@@ -13,6 +13,8 @@ q's home before reading its coordinates.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaffine.affine import build, component_class, parse_type_string
 from qaffine.blocks import BlockLabel, block_label, delta0, gram, partition_blocks
@@ -41,12 +43,16 @@ def test_gram_is_cartan(case):
     assert gram(d, q).equal
 
 
+def _delta0_moved_back(d, q):
+    """Delta0 under q, each generator moved back by q's home."""
+    (home,) = _home(d, q)
+    return {s_func(d, sigma_point(d, p.node, p.param / home)) for f in delta0(d, q) for p, _ in f.gens}
+
+
 @pytest.mark.parametrize("case", CUSTOM, ids=str)
 def test_delta0_moved_back_by_home_is_the_defaults(case):
     d, q = _data(case)
-    (home,) = _home(d, q)
-    moved = {s_func(d, sigma_point(d, p.node, p.param / home)) for f in delta0(d, q) for p, _ in f.gens}
-    assert moved == set(delta0(d))
+    assert _delta0_moved_back(d, q) == set(delta0(d))
 
 
 @pytest.mark.parametrize("case", CUSTOM, ids=str)
@@ -78,3 +84,30 @@ def test_block_label_on_the_sigma_q_of_an_other_parity_datum():
         minus = tuple(-c for c in beta)
         assert block_label(d, q, [dual_shift(d, p)]) == BlockLabel(((print_scalar(home), minus),)), str(p)
     assert lattice_table(q, d).home == home
+
+
+ADE_RANK_8 = [f"A{n}-1" for n in range(1, 9)] + [f"D{n}-1" for n in range(4, 9)] + ["E6-1", "E7-1", "E8-1"]
+
+
+@st.composite
+def _heights(draw):
+    """(d, xi): an ADE type of rank <= 8 and a height function on its diagram, of either parity."""
+    d = build(parse_type_string(draw(st.sampled_from(ADE_RANK_8))))
+    xi, todo = {1: draw(st.integers(-4, 4))}, [1]
+    while todo:
+        a = todo.pop()
+        for b in d.gfin.adj[a]:
+            if b not in xi:
+                xi[b] = xi[a] + draw(st.sampled_from((-1, 1)))
+                todo.append(b)
+    return d, xi
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(_heights())
+def test_any_height_function_gives_cartan_and_the_defaults_delta0(case):
+    # a custom datum's Delta0 rotates the templates read off the default datum's rows
+    d, xi = case
+    q = custom_qdatum(d, xi)
+    assert gram(d, q).equal
+    assert _delta0_moved_back(d, q) == set(delta0(d))
