@@ -31,23 +31,23 @@ below 2^16 (12*hvee is at most 1,512 at the rank cap), so int order is
 (node, phase, e) order.
 
 The template is a signed count of denominator roots (the scatter law):
-summed over all k at once, the even terms D^{2l} put +m at c = x and the
-odd terms put -m at c = x/p*, for x in {r, 1/r} and r a root of
-multiplicity m of d_{i,j} (even) or d_{i,j*} (odd).  Only canonical x
-count (phase below 24/m_jj, jj the node of that denominator): de only
-probes canonical parameters, so it never hits the other members of x's
-sigma-class, and counting them overcounts twisted nodes with m > 1.
-For untwisted ADE those roots are (-q)^{+-(k+1)} of multiplicity
-ctilde_ij(k), 1 <= k < hvee, so a template is read straight off psi_Q row
-i of the default Q-datum (see `qcartan`), one list of 2 hvee values per
-node, building no denominator and sorting nothing; the other families
-compute each root's key inline.  Neither path sums a window or calls de;
-`lambda_`, whose signs (-1)^{k + delta(k<0)} need k itself, scatters too:
-a root x of d_{i,j} (even k) or d_{i,j*} (odd k) hits D^k (j, b) exactly
-when x a is the canonical parameter of D^k (j, b), whose q-power fixes k.
-No window sum is left in the library; the explicit orbit sum is the tests'
-oracle, and the scatter with one `_key` call per root is the oracle of both
-template paths.
+summed over all k at once, the even terms D^{2l} put +m at c = x and the odd
+terms put -m at c = x/p*, for x in {r, 1/r} and r a root of multiplicity m
+of d_{i,j} (even) or d_{i,j*} (odd).  For untwisted ADE those roots are
+(-q)^{+-(k+1)} of multiplicity ctilde_ij(k), 1 <= k < hvee, so a template is
+read straight off psi_Q row i of the default Q-datum (see `qcartan`), one
+list of 2 hvee values per node, building no denominator and sorting nothing.
+A twisted template is the fold of its ADE partner's row i0, for i0 any
+preimage of i: each key (j, x) goes to (node(j), x f_j / f_i0), a one-to-one
+move (a collision raises InvariantViolation) of the phase field alone, as
+the f_j are roots of unity.  Only B, C, F and G scatter denominators, each
+root's key inline: there m_j = 1, j* = j and p* is a power of q.  No path
+sums a window or calls de; `lambda_`, whose signs (-1)^{k + delta(k<0)}
+need k itself, scatters too: a root x of d_{i,j} (even k) or d_{i,j*} (odd
+k) hits D^k (j, b) exactly when x a is the canonical parameter of D^k (j, b),
+whose q-power fixes k.  No window sum is left in the library; the explicit
+orbit sum is the tests' oracle, and the scatter with one `_key` call per
+root is the oracle of every template path.
 
 A SigmaFunction stores the same int keys: `keys` ascending with no key
 twice, and `vals` the value at each.  `s_func` translates the template
@@ -167,53 +167,57 @@ Run = tuple[int, int, list[int], list[tuple[int, int, tuple[int, ...], tuple[int
 
 
 def _row_keys(d: AffineData, i: int) -> tuple[list[int], tuple[int, ...]]:
-    """Node i's template for untwisted ADE, off row i of psi_Q (see above): keys ascending, values."""
-    q, h = default_qdatum(d), d.hvee
-    acc = {j: [0] * 2 * h for j in d.i0}  # node j's values at (-q)^t, t mod 2 hvee
-    cols = [(q.xi[j] + 1, acc[j], acc[d.istar[j]]) for j in d.i0]  # beta_j's k is xi_j + 1 - p
+    """Node i's template off psi_Q row i0 of the ADE partner, folded if twisted (see above): keys ascending, values."""
+    q = default_qdatum(d)  # the partner's Q-datum when d is twisted
+    base, h, (i0, f0) = q.base, d.hvee, d.preimages[i][0]
+    acc = {j: [0] * 2 * h for j in base.i0}  # partner node j's values at (-q)^t, t mod 2 hvee
+    cols = [(q.xi[j] + 1, acc[j], acc[base.istar[j]]) for j in base.i0]  # beta_j's k is xi_j + 1 - p
     top = max(q.xi.values())
-    for p in range(top - (top - q.xi[i]) % 2, min(q.xi.values()) + 1 - h, -2):
-        beta, m = psi_q(q, i, p)
+    for p in range(top - (top - q.xi[i0]) % 2, min(q.xi.values()) + 1 - h, -2):
+        beta, m = psi_q(q, i0, p)
         for b, (x1, at, dual) in zip(beta, cols):
             if b and 0 < (k := x1 - p) < h:
-                c = -b if m % 2 else b  # ctilde_ij(k)
+                c = -b if m % 2 else b  # ctilde_{i0,j}(k)
                 at[k + 1] += c
                 at[-k - 1] += c
                 dual[k + 1 - h] -= c
                 dual[-k - 1 - h] -= c
-    if acc[i][0] != -2:
-        raise InvariantViolation(f"lambda_inf(({i}, 1), ({i}, 1)) = {acc[i][0]} on {d}, not -2")
-    # (-q)^t has phase 12 t mod 24 and e = 6 t, so keys ascend by node, then even t before odd t
-    keys = [((j << 5 | 12 * odd) << 16) + 6 * t
-            for j, row in acc.items() for odd in (0, 1) for t in range(odd, 2 * h, 2) if row[t]]
-    return keys, tuple(acc[k >> 21][(k & 0xFFFF) // 6] for k in keys)
+    if d.twisted:  # the fold (j, (-q)^t) -> (node(j), (-q)^t f_j / f_i0) moves the phase field alone
+        moved = {((node << 5 | (12 * t + f.phase - f0.phase) % d.phase_mod[node]) << 16) + 6 * t: v
+                 for j, row in acc.items() for node, f in (d.fold[j],) for t, v in enumerate(row) if v}
+        if len(moved) < sum(2 * h - row.count(0) for row in acc.values()):
+            raise InvariantViolation(f"the fold of {d} is not one-to-one on node {i}'s template")
+        keys = sorted(moved)
+        vals = tuple(map(moved.__getitem__, keys))
+    else:
+        # (-q)^t has phase 12 t mod 24 and e = 6 t, so keys ascend by node, then even t before odd t
+        keys = [((j << 5 | 12 * odd) << 16) + 6 * t
+                for j, row in acc.items() for odd in (0, 1) for t in range(odd, 2 * h, 2) if row[t]]
+        vals = tuple(acc[k >> 21][(k & 0xFFFF) // 6] for k in keys)
+    t = bisect_left(keys, i << 21)  # the key of (i, 1)
+    if keys[t:t + 1] != [i << 21] or vals[t] != -2:
+        raise InvariantViolation(f"lambda_inf(({i}, 1), ({i}, 1)) is not -2 on {d}")
+    return keys, vals
 
 
 def _root_keys(d: AffineData, i: int) -> tuple[list[int], tuple[int, ...]]:
-    """Node i's template by the scatter law (see above): keys ascending, values."""
-    ps, pe = d.pstar
-    period, phase_mod = d.period, d.phase_mod
+    """Node i's template for B, C, F, G by the scatter law (see above): keys ascending, values."""
+    pe, period = d.pstar.e, d.period
     acc: dict[int, int] = {}
     for j in d.i0:
-        node, mod = j << 21, phase_mod[j]
-        for jj, sign, ph, e in ((j, 1, 0, 0), (d.istar[j], -1, ps, pe)):
-            canon = phase_mod[jj]  # x is canonical at jj iff its phase is below this
-            for (rph, re6), m in denominator(d, i, jj).mults:
-                m *= sign
-                # the key of x = r, then of x = 1/r
-                if rph < canon:
-                    key = node + ((rph - ph) % mod << 16) + (re6 - e) % period
-                    acc[key] = acc.get(key, 0) + m
-                if -rph % 24 < canon:
-                    key = node + ((-rph - ph) % mod << 16) + (-re6 - e) % period
-                    acc[key] = acc.get(key, 0) + m
+        for (rph, re6), m in denominator(d, i, j).mults:
+            for ph, e in ((rph, re6), (-rph % 24, -re6)):  # x = r, then x = 1/r
+                key = (j << 5 | ph) << 16  # +m at x, -m at x / p*
+                acc[k] = acc.get(k := key + e % period, 0) + m
+                acc[k] = acc.get(k := key + (e - pe) % period, 0) - m
     keys = sorted(k for k, v in acc.items() if v)
     return keys, tuple(map(acc.__getitem__, keys))
 
 
 def _scatter(d: AffineData, i: int) -> list[Run]:
-    """Build node i's template as runs, kept on d: off psi_Q for untwisted ADE, else by the scatter law."""
-    keys, vals = (_row_keys if d.simply_laced else _root_keys)(d, i)
+    """Build node i's template as runs, kept on d: by the scatter law for B, C, F and G, else off psi_Q, so
+    for the other nine families only `de`, `lambda_`, `denom` and criteria 2, 4 and 10 build denominators."""
+    keys, vals = (_row_keys if d.simply_laced or d.twisted else _root_keys)(d, i)
     runs: list[Run] = []
     start = 0
     for j, node_keys in groupby(keys, (21).__rrshift__):

@@ -741,36 +741,65 @@ def test_scatter_matches_the_per_root_key_path():
         _check_scatter(s)
 
 
-ADE_LADDER = [s for s in LADDER if build(parse_type_string(s)).simply_laced]
+FOLD_TYPES = [s for s in SWEEP if parse_type_string(s).spec.twist > 1] + ["A9-2", "A10-2", "D9-2"]
+# the rungs whose templates come off psi_Q rows (all but B and C), and the FOLD_TYPES past SWEEP
+ROW_TYPES = [s for s in LADDER if parse_type_string(s).family not in (Family.B1, Family.C1)] + ["A10-2", "D9-2"]
 
 
-@pytest.mark.parametrize("s", [*ADE_LADDER, "A64-1", "D64-1"])
+@pytest.mark.parametrize("s", [*ROW_TYPES, "A64-1", "D64-1", "D64-2"])
 def test_row_runs_match_the_per_root_key_path_at_the_ladder_and_the_cap(s):
-    # untwisted ADE templates come off the psi_Q rows; the scatter over
-    # denominators is the oracle (at the cap only the runs are compared: the
-    # template dict would keep a twin of A64-1 and D64-1 for the rest of the run)
-    _check_scatter(s, template=s in ADE_LADDER)
+    # ADE and twisted templates come off the psi_Q rows, folded when twisted;
+    # the scatter over denominators is the oracle (at the cap only the runs are
+    # compared: the template dict would keep a twin of each for the rest of the run)
+    _check_scatter(s, template=s in ROW_TYPES)
 
 
 class DenominatorCalled(Exception):
     pass
 
 
-def test_only_untwisted_ade_templates_build_no_denominator(monkeypatch):
+def test_only_b_c_f_g_templates_build_a_denominator(monkeypatch):
     def no_denominator(*args):
         raise DenominatorCalled(args)
 
     want = {}
-    for s in ("A1-1", "A5-1", "D4-1", "D7-1", "E6-1", "E7-1", "E8-1"):
+    for s in ("A1-1", "A5-1", "D4-1", "D7-1", "E6-1", "E7-1", "E8-1", "A4-2", "A5-2", "D5-2", "E6-2", "D4-3"):
         d = build(parse_type_string(s))
         want[s] = [_old_scatter(d, i)[1] for i in d.i0]
     monkeypatch.setattr(invariants, "denominator", no_denominator)
     for s, runs in want.items():
         fresh = build.__wrapped__(parse_type_string(s))
         assert [invariants._scatter(fresh, i) for i in fresh.i0] == runs, s
-    for s in ("B3-1", "C3-1", "F4-1", "G2-1", "A4-2", "A5-2", "D5-2", "E6-2", "D4-3"):
+    for s in ("B3-1", "C3-1", "F4-1", "G2-1"):
         with pytest.raises(DenominatorCalled):
             invariants._scatter(build.__wrapped__(parse_type_string(s)), 1)
+
+
+@pytest.mark.parametrize("s", FOLD_TYPES)
+def test_every_preimage_gives_the_same_template(s):
+    # `_row_keys` folds the row of i's first preimage; put each preimage first in turn
+    d = build(parse_type_string(s))
+    want = [_old_scatter(d, i)[1] for i in d.i0]
+    turns = max(map(len, d.preimages.values()))
+    assert turns > 1, s
+    for r in range(turns):
+        fresh = build.__wrapped__(parse_type_string(s))
+        fresh.preimages = {i: pre[r % len(pre):] + pre[:r % len(pre)] for i, pre in d.preimages.items()}
+        assert [invariants._scatter(fresh, i) for i in fresh.i0] == want, (s, r)
+
+
+def test_a_fold_that_is_not_one_to_one_or_moves_i_at_1_is_refused():
+    # A5-2 folds partner node 4 onto node 2 with the factor -1; with the factor 1
+    # its keys would land on those of partner node 2, where the values would add
+    d = build.__wrapped__(parse_type_string("A5-2"))
+    d.fold = {**d.fold, 4: (2, ONE)}
+    with pytest.raises(InvariantViolation, match="not one-to-one on node 1's template"):
+        invariants._scatter(d, 1)
+    # the -2 check reads the folded keys: a factor -1 on i0 = 1 moves (1, 1) away
+    d = build.__wrapped__(parse_type_string("A5-2"))
+    d.fold = {**d.fold, 1: (1, scalar(12, 0))}
+    with pytest.raises(InvariantViolation, match="is not -2"):
+        invariants._scatter(d, 1)
 
 
 @functools.cache
@@ -866,9 +895,6 @@ def test_template_build_makes_no_de_call(monkeypatch):
         assert lambda_inf(fresh, p, p) == -2
         assert s_func(fresh, p).values == s_func(d, p).values
         monkeypatch.undo()
-
-
-FOLD_TYPES = [s for s in SWEEP if parse_type_string(s).spec.twist > 1] + ["A9-2", "A10-2", "D9-2"]
 
 
 @pytest.mark.parametrize("s", FOLD_TYPES)

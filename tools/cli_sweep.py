@@ -17,7 +17,8 @@ seeded weight lists, on every point of sigma_Q and its first dual translate,
 on three of those points each repeated over several ptilde periods, and on
 the pair [p, D p] of every such point of E6-2, `cartan-check --all-ranks`
 on the first SWEEP type of each family, `verify --all` (every acceptance
-criterion with its detail, timings masked), and error paths.  Each call
+criterion with its detail, timings masked), error paths, and `--help` of
+`qaffine` and of every subcommand (wrapped at COLUMNS=80).  Each call
 prints its argv and exit code, then its stdout and stderr.  To compare two
 checkouts:
 
@@ -27,8 +28,8 @@ checkouts:
 
 With --digests it prints, as JSON, the sha256 of each section of that text
 instead: a section is every call of one subcommand on one type (its first
-two arguments), in the order the sweep first reaches it.  The few calls
-whose error text argparse or json words go to sections of their own, named
+two arguments), in the order the sweep first reaches it.  The calls whose
+help or error text argparse or json words go to sections of their own, named
 with a " [python]" suffix, and the Python minor version is recorded, since
 that wording varies between versions.  `tests/sweep_digests.json` is that
 output for the tree whose outputs are the contract, and
@@ -45,15 +46,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import sys
 import tempfile
 from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 SECONDS = re.compile(r'"seconds": [0-9.e-]+')
-WORDED = " [python]"  # the digest section of the calls whose errors the interpreter words
+WORDED = " [python]"  # the digest section of the calls whose help or errors the interpreter words
 
 
 def _point(rng: random.Random, n: int) -> str:
@@ -65,8 +68,8 @@ def _weights(rng: random.Random, n: int) -> str:
 
 
 def sweep(tmp: Path, emit: Callable[[list[str], str, bool], None]) -> None:
-    """Run every call of the sweep, passing `emit` its argv, its printed text, and
-    whether that text holds an error worded by the interpreter (argparse or json)."""
+    """Run every call of the sweep, passing `emit` its argv (without --format), its printed
+    text, and whether that text holds help or an error worded by the interpreter (argparse or json)."""
     from qaffine import (
         build, default_qdatum, dual_shift, parse_type_string, s_func, sigma_point, sigma_q_points,
     )
@@ -88,7 +91,7 @@ def sweep(tmp: Path, emit: Callable[[list[str], str, bool], None]) -> None:
             text = f"$ qaffine {' '.join(args)} -> {rc}\n{out.getvalue()}"
             if err.getvalue():
                 text += f"stderr: {err.getvalue()}"
-            emit(args, SECONDS.sub('"seconds": <masked>', text).replace(str(tmp), "<tmp>"), worded)
+            emit(list(argv), SECONDS.sub('"seconds": <masked>', text).replace(str(tmp), "<tmp>"), worded)
 
     def partition(name: str, type_string: str, lines: list[str], worded: bool = False) -> None:
         path = tmp / name
@@ -178,6 +181,11 @@ def sweep(tmp: Path, emit: Callable[[list[str], str, bool], None]) -> None:
     for name, line in (("json", '["1@1",'), ("list", '[1, 2]'), ("point", '["x@1"]'), ("node", '["9@1"]')):
         partition(f"bad-{name}.jsonl", "A3-1", ['["1@1"]', line], worded=name == "json")  # json's message
     call("partition", "A3-1", "--file", str(tmp / "absent.jsonl"), worded=True)
+    with mock.patch.dict(os.environ, COLUMNS="80"):  # argparse wraps help to the terminal's width
+        call("--help", worded=True)
+        for cmd in ("cartan-check", "denom", "de", "lambda", "lambda-inf", "s-func", "e-of", "sigma-q",
+                    "block-label", "partition", "verify"):
+            call(cmd, "--help", worded=True)
 
 
 def digests() -> dict:

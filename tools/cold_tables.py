@@ -11,7 +11,7 @@ for the templates of the nodes it pairs and `delta0` for the rest of its
 s-functions; the second, warm `delta0` finds every s-function cached, and
 "coords" builds the root coordinates and checks each member's.  The import is not timed.  The
 child also reports its peak RSS (`ru_maxrss`) after the last step.  The
-types are A32-1, A64-1, B32-1, D64-1 and E8-1.  Runs go one process at a
+types are A32-1, A64-1, B32-1, D64-1, D64-2 and E8-1.  Runs go one process at a
 time, 5 per type and tree, alternating between the source trees with the
 helpers of `import_cost.py`.  For each type it prints the median and
 quartiles per tree of each step and of their total in milliseconds, and of
@@ -31,7 +31,7 @@ from statistics import quantiles
 from import_cost import alternate, missing_tree, tree_env
 
 RUNS = 5
-TYPES = ("A32-1", "A64-1", "B32-1", "D64-1", "E8-1")
+TYPES = ("A32-1", "A64-1", "B32-1", "D64-1", "D64-2", "E8-1")
 STEPS = ("build", "default_qdatum", "gram", "delta0", "delta0 (warm)", "coords")
 RSS = "peak RSS (MB)"
 CHILD = """
