@@ -354,17 +354,21 @@ def canonical_param(d: AffineData, i: int, x: SpectralScalar) -> SpectralScalar:
     return SpectralScalar(x.phase % d.phase_mod[i], x.e)
 
 
+def class_of(d: AffineData, i: int, phase: int, e: int) -> tuple[int, int]:
+    """(phase, e) of `component_class` at (i, z24^phase * q^(e/6)), in ints; i is not checked."""
+    base_phase, base_e = d.sigma0_base[i]
+    e_step, phase_step, phase_mod = d.k0
+    k, e_red = divmod(e - base_e, e_step)
+    phase = (phase - base_phase - k * phase_step) % 24
+    return (phase % phase_mod if phase_mod else phase), e_red
+
+
 def component_class(d: AffineData, i: int, x: SpectralScalar) -> SpectralScalar:
     """Canonical translation datum of the sigma_Z-translate containing (i, x).
 
     Two points lie in the same connected component of sigma(g) iff their
-    classes coincide; the class of sigma_Z itself is the scalar 1.
+    classes coincide; the class of sigma_Z itself is the scalar 1.  The
+    reduction of x / sigma0_base[i] by k0 is `class_of`.
     """
     d.check_node(i)
-    c = x / d.sigma0_base[i]
-    e_step, phase_step, phase_mod = d.k0
-    k, e_red = divmod(c.e, e_step)
-    phase = (c.phase - k * phase_step) % 24
-    if phase_mod:
-        phase %= phase_mod
-    return SpectralScalar(phase, e_red)
+    return SpectralScalar(*class_of(d, i, *x))

@@ -40,6 +40,13 @@ and its coordinates kept in the memo of q's lattice table for d under the
 most |I0| * 24 * 12 hvee entries.  Every generator lies in W0 (criterion 12
 of `acceptance` checks every point of sigma_Q and of its dual translate), so
 a generator that fails its check is a library bug: InvariantViolation.
+
+A weight is read as its ints (node, phase, e).  `block_label` checks the
+node, takes its component class by `affine.class_of` and its moved key by
+`invariants._key`, all in int arithmetic, and looks the key up in the memo.
+Only a miss builds the moved SigmaPoint, which `psi_lattice` verifies by the
+packed identity before its coordinates enter the memo; a SpectralScalar is
+built once per component, to sort and print it.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from __future__ import annotations
 from sys import byteorder
 from typing import NamedTuple
 
-from .affine import AffineData, component_class
+from .affine import AffineData, class_of, component_class
 from .invariants import SigmaFunction, SigmaPoint, _as_gens, _key, pairing, s_func, sigma_point
 from .qcartan import QDatum, default_qdatum
 from .qdata import lattice_table, root_coords, sigma_q_points, simple_root_points, translate_star
@@ -167,20 +174,27 @@ def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
     component and moved by the translation into q's home, the component of
     sigma_Q: sigma_Z unless q is a height function of the other parity (the
     pairing is shift-equivariant, so coordinates are independent of that
-    choice).  A group's coordinates are the sum of its generators' (see the module docstring).
+    choice).  A group's coordinates are the sum of its generators', read from
+    the memo by int keys (see the module docstring).
     """
     q = q or default_qdatum(d)
     lattice = lattice_table(q, d)
     if lattice.home is None:
         lattice.home = component_class(d, *simple_root_points(q, d)[0])
-    groups: dict[SpectralScalar, list[SigmaPoint]] = {}
-    for p in weights:
-        groups.setdefault(component_class(d, p.node, p.param), []).append(p)
+    home_phase, home_e = lattice.home
+    memo = lattice.memo
+    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for node, (phase, e) in weights:
+        d.check_node(node)
+        cls = class_of(d, node, phase, e)
+        moved = phase + home_phase - cls[0], e + home_e - cls[1]  # (node, z24^phase q^(e/6) home / cls)
+        coords = memo.get(_key(d, node, *moved))
+        if coords is None:
+            coords = _generator_coords(d, q, memo, sigma_point(d, node, SpectralScalar(moved[0] % 24, moved[1])))
+        groups.setdefault(cls, []).append(coords)
     components = []
-    for cls in sorted(groups, key=order_key):
-        shift = lattice.home / cls
-        coords = tuple(map(sum, zip(*[_generator_coords(d, q, lattice.memo, sigma_point(d, p.node, p.param * shift))
-                                      for p in groups[cls]])))
+    for cls in sorted(map(SpectralScalar._make, groups), key=order_key):
+        coords = tuple(map(sum, zip(*groups[cls])))
         if any(coords):
             components.append((print_scalar(cls), coords))
     return BlockLabel(tuple(components))

@@ -12,6 +12,14 @@ The native tuple order (phase, e) is numeric in the exponent.  The order
 shown to users is that of (phase, num, den) with q^(e/6) = q^(num/den) in
 lowest terms; `order_key` gives it, and it is the only place that reduces
 the exponent.  Printing and every user-visible sort go through it.
+
+`parse_scalar` reads every form `print_scalar` gives ("1", "z24^A" with A in
+1..23, "q", "q^N", "q^(P/Q)" with Q in 2, 3 or 6, and "z24^A*" before any
+of the q forms) by one match, when each of its ints has at most 9 digits.
+Every other text -- other spellings such as "(-q)^3", "qs^4", "z24^25*q" or
+"q^(2/4)", longer ints, and every error -- goes through the factor loop,
+which reports each error with its offset.  Which path a text takes depends
+on the text alone.
 """
 
 from __future__ import annotations
@@ -225,11 +233,29 @@ def _factor(m: re.Match[str]) -> SpectralScalar:
     return SpectralScalar(0, base.e * num // den)
 
 
+# the forms `print_scalar` gives, each int of at most 9 digits (see the module docstring)
+_PRINTED = re.compile(
+    r"1|(?=.)(?:z24\^(?P<phase>1[0-9]?|2[0-3]?|[3-9])(?:\*(?=q)|\Z))?"
+    r"(?P<q>q(?:\^(?P<power>-?[1-9][0-9]{0,8})|\^\((?P<num>-?[1-9][0-9]{0,8})/(?P<den>[236])\))?)?"
+)
+
 _int_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
 
 
 def parse_scalar(text: str) -> SpectralScalar:
     """Parse an ASCII scalar literal; inverse of print_scalar on canonical forms.
+
+    One match of `_PRINTED` reads a printed form; `_parse_factors` reads every other text."""
+    m = _PRINTED.fullmatch(text)
+    if m is None:
+        return _parse_factors(text)
+    phase, q, power, num, den = m.groups()
+    e = 0 if not q else 6 * int(power) if power else 6 // int(den) * int(num) if den else 6
+    return SpectralScalar(int(phase) if phase else 0, e)
+
+
+def _parse_factors(text: str) -> SpectralScalar:
+    """Parse a product of factors (`_FACTOR`), one at a time.
 
     A product of literals within the int-string limit may not print; such a
     result is rejected, screened by bit length (|num| <= |e|, and a number

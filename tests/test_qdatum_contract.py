@@ -20,7 +20,7 @@ from qaffine.affine import build, component_class, parse_type_string
 from qaffine.blocks import BlockLabel, block_label, delta0, gram, partition_blocks
 from qaffine.invariants import dual_shift, s_func, sigma_point
 from qaffine.qcartan import custom_qdatum, default_qdatum
-from qaffine.qdata import lattice_table, phi_q_map, sigma_q_points, translate_star
+from qaffine.qdata import lattice_table, phi_q, phi_q_map, sigma_q_points, translate_star
 from qaffine.scalars import ONE, parse_scalar, print_scalar, scalar
 from test_blocks import _seeded_module
 from test_psi_window import CUSTOM, _data
@@ -69,6 +69,39 @@ def test_partition_groups_as_the_default_does(case):
         return {frozenset(index[id(m)] for m in members) for _, members in partition_blocks(d, datum, modules)}
 
     assert grouping(q) == grouping(default_qdatum(d))
+
+
+@pytest.mark.parametrize("case", CUSTOM, ids=str)
+def test_one_lattice_automorphism_carries_the_default_labels_to_q(case):
+    # column i of M is the label under q of the default datum's phi_Q(alpha_i)
+    d, q = _data(case)
+    default = default_qdatum(d)
+    rs, rank = q.rs, q.rs.rank
+    columns = []
+    for i in range(1, rank + 1):
+        ((cls, column),) = block_label(d, q, [phi_q(default, d, rs.simple_root(i))]).components
+        assert cls == "1"
+        columns.append(column)
+
+    def apply(v):
+        return tuple(sum(columns[j][r] * v[j] for j in range(rank)) for r in range(rank))
+
+    cartan = rs.cartan
+    for a in range(rank):
+        for b in range(rank):
+            form = sum(columns[a][r] * cartan[r][s] * columns[b][s] for r in range(rank) for s in range(rank))
+            assert form == cartan[a][b], (a, b)
+    roots = set(rs.positive_roots)
+    for beta in rs.positive_roots:
+        image = apply(beta)
+        assert image in roots or tuple(-c for c in image) in roots, beta
+    rng = random.Random(f"M {case}")
+    sq = sigma_q_points(d, default)
+    census = sorted(sq | translate_star(d, sq, 1))
+    translates = [ONE] + [scalar(rng.randrange(24), rng.randrange(1, 6)) for _ in range(2)]
+    for module in (_seeded_module(rng, d, census, translates) for _ in range(80)):
+        want = tuple((cls, apply(v)) for cls, v in block_label(d, default, module).components)
+        assert block_label(d, q, module).components == want, list(map(str, module))
 
 
 def test_block_label_on_the_sigma_q_of_an_other_parity_datum():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -19,6 +20,8 @@ from qaffine.scalars import (
     ParseError,
     RootOutsideDomain,
     SpectralScalar,
+    _PRINTED,
+    _parse_factors,
     nth_roots,
     order_key,
     parse_scalar,
@@ -442,3 +445,61 @@ def test_parse_matches_the_fraction_scanner():
         outcomes["value" if isinstance(want, SpectralScalar) else "error"] += 1
     assert parse_scalar("(-q)^(4/2)") == scalar(0, 2)
     assert min(outcomes.values()) > 1000, outcomes
+
+
+# parse_scalar reads a printed form by one match (`_PRINTED`) and everything
+# else by the factor loop, which stays the oracle of that match.
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # any error: its type, its message and its offset
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+PRINTED_EXPONENTS = [*range(-60, 61), *(s * 6 * 10 ** k + r for s in (1, -1) for k in (8, 9, 10, 12) for r in (0, 1, 2, 3))]
+
+
+def test_every_printed_form_parses_alike_by_the_match_and_the_loop():
+    fast = 0
+    for a in range(24):
+        for e in PRINTED_EXPONENTS:
+            x = SpectralScalar(a, e)
+            text = print_scalar(x)
+            assert parse_scalar(text) == _parse_factors(text) == x, text
+            short = all(len(part) <= 9 for part in re.findall(r"[0-9]+", text.replace("z24", "")))
+            assert bool(_PRINTED.fullmatch(text)) == short, text
+            fast += short
+    assert fast > 24 * 121
+
+
+_TOKENS = ("z24^", "1", "-1", "i", "-i", "w", "w2", "q", "qs", "qt", "(-q)", "(-qs)", "(-qt)",
+           "^", "(", ")", "/", "*", "-", "0", "2", "3", "6", "23", "24", " ", "x")
+
+
+def _token_string(rng):
+    """1-8 tokens of the scalar grammar, or ints of up to 12 digits."""
+    parts = []
+    for _ in range(rng.randint(1, 8)):
+        if rng.random() < 0.2:
+            parts.append(str(rng.randrange(10 ** rng.randint(1, 12))))
+        else:
+            parts.append(rng.choice(_TOKENS))
+    return "".join(parts)
+
+
+def test_the_match_and_the_loop_agree_on_a_seeded_fuzz():
+    rng = random.Random(20261020)
+    counts = {"fast": 0, "value": 0, "error": 0}
+    for k in range(100_000):
+        if k % 2:
+            text = _token_string(rng)
+        else:
+            bound = 10 ** rng.randint(1, 11)
+            printed = print_scalar(SpectralScalar(rng.randrange(24), rng.randint(-bound, bound)))
+            text = printed if k % 4 else _malformed(rng, printed)
+        want = _parse_outcome(_parse_factors, text)
+        assert _parse_outcome(parse_scalar, text) == want, text
+        counts["fast"] += bool(_PRINTED.fullmatch(text))
+        counts["value" if isinstance(want, SpectralScalar) else "error"] += 1
+    assert min(counts.values()) > 20_000, counts

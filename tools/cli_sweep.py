@@ -7,7 +7,10 @@ and JSON, over all 33 `acceptance.SWEEP` types: `sigma-q`, `cartan-check`,
 `verify <type>` (timings masked), `denom` on every node pair (and on node
 row 1 of A32-1 and D24-1, near the rank cap), `sigma-q` and `cartan-check`
 on B10-1, C12-1 and D32-1 (rho-folded and large-rank psi_Q walks), `sigma-q`
-on A9-2, A10-2 and D9-2 (folds at larger rank), `lambda` from every `i@1` to
+on A9-2, A10-2 and D9-2 (folds at larger rank), `block-label` and `partition`
+on A7-1, C6-1, D7-1, A9-2 and D7-2 with points spelled other than printed
+(`(-q)^3`, `qs^4`, `z24^25*q`, ints past 9 digits, ...) and with scalars that
+do not parse, so the parser's factor loop reads them, `lambda` from every `i@1` to
 the second and third dual translates of a template point (dual-orbit terms
 at k <= -2), `s-func` on
 every `i@1`, on seeded points, on one point per node whose exponent puts a
@@ -56,7 +59,10 @@ from typing import Callable
 from unittest import mock
 
 SECONDS = re.compile(r'"seconds": [0-9.e-]+')
-WORDED = " [python]"  # the digest section of the calls whose help or errors the interpreter words
+WORDED = " [python]"
+# scalars that are not printed forms, or whose ints pass 9 digits; and scalars that do not parse
+SPELLED = ("(-q)^3", "-1*q^2", "qs^4", "z24^25*q", "q^(2/4)", "w*q", "q^1234567890", "z24^3*q^(-1234567891/2)")
+MISSPELLED = ("q^(1/4)", "z24^", "q^(1/0)", "(-q)^(1/2)", "q^2*", "q^(1/2")  # the digest section of the calls whose help or errors the interpreter words
 
 
 def _point(rng: random.Random, n: int) -> str:
@@ -71,7 +77,8 @@ def sweep(tmp: Path, emit: Callable[[list[str], str, bool], None]) -> None:
     """Run every call of the sweep, passing `emit` its argv (without --format), its printed
     text, and whether that text holds help or an error worded by the interpreter (argparse or json)."""
     from qaffine import (
-        build, default_qdatum, dual_shift, parse_type_string, s_func, sigma_point, sigma_q_points,
+        build, default_qdatum, dual_shift, parse_sigma_point, parse_type_string, s_func, sigma_point,
+        sigma_q_points,
     )
     from qaffine.acceptance import SWEEP
     from qaffine.cli import run
@@ -155,6 +162,20 @@ def sweep(tmp: Path, emit: Callable[[list[str], str, bool], None]) -> None:
         call("cartan-check", s)
     for s in ("A9-2", "A10-2", "D9-2"):
         call("sigma-q", s)
+    for s in ("A7-1", "C6-1", "D7-1", "A9-2", "D7-2"):
+        # points spelled other than `print_scalar` prints them, or with ints past 9 digits,
+        # so the parser's factor loop reads them; each module beside its printed form
+        n = len(build(parse_type_string(s)).i0)
+        points = [f"{1 + k % n}@{x}" for k, x in enumerate(SPELLED)]
+        for p in points:
+            call("block-label", s, "--weights", p)
+        call("block-label", s, "--weights", ",".join(points))
+        for x in MISSPELLED:
+            call("block-label", s, "--weights", f"1@{x}")
+        d = build(parse_type_string(s))
+        printed = [str(parse_sigma_point(d, p)) for p in points]
+        partition(f"{s}-spelled.jsonl", s, [json.dumps(m[k:k + 2]) for k in range(0, len(points), 2)
+                                            for m in (points, printed)])
     for s in SWEEP:
         d = build(parse_type_string(s))
         for i in d.i0:
