@@ -165,14 +165,13 @@ def sweep(tmp: Path, emit: Callable[[list[str], str, bool], None]) -> None:
     for s in ("A7-1", "C6-1", "D7-1", "A9-2", "D7-2"):
         # points spelled other than `print_scalar` prints them, or with ints past 9 digits,
         # so the parser's factor loop reads them; each module beside its printed form
-        n = len(build(parse_type_string(s)).i0)
-        points = [f"{1 + k % n}@{x}" for k, x in enumerate(SPELLED)]
+        d = build(parse_type_string(s))
+        points = [f"{1 + k % len(d.i0)}@{x}" for k, x in enumerate(SPELLED)]
         for p in points:
             call("block-label", s, "--weights", p)
         call("block-label", s, "--weights", ",".join(points))
         for x in MISSPELLED:
             call("block-label", s, "--weights", f"1@{x}")
-        d = build(parse_type_string(s))
         printed = [str(parse_sigma_point(d, p)) for p in points]
         partition(f"{s}-spelled.jsonl", s, [json.dumps(m[k:k + 2]) for k in range(0, len(points), 2)
                                             for m in (points, printed)])
