@@ -36,7 +36,8 @@ terms put -m at c = x/p*, for x in {r, 1/r} and r a root of multiplicity m
 of d_{i,j} (even) or d_{i,j*} (odd).  For untwisted ADE those roots are
 (-q)^{+-(k+1)} of multiplicity ctilde_ij(k), 1 <= k < hvee, so a template is
 read straight off psi_Q row i of the default Q-datum (see `qcartan`), one
-list of 2 hvee values per node, building no denominator and sorting nothing.
+list of 2 hvee values per node, laid out as runs (even t at phase 0, then odd
+t at phase 12), building no denominator or key list and sorting nothing.
 A twisted template is the fold of its ADE partner's row i0, for i0 any
 preimage of i: each key (j, x) goes to (node(j), x f_j / f_i0), a one-to-one
 move (a collision raises InvariantViolation) of the phase field alone, as
@@ -74,7 +75,9 @@ translation law exactly (the sort it replaced is the tests' oracle).
 A miss need not rotate at all.  By the duality identity s_{D p} = -s_p,
 for D p = (i*, a p*), the two functions have the same keys and opposite
 values.  So a miss on p first looks up D p and D^-1 p = (i*, a / p*) in the
-cache, each point built from the ints of p, `istar`, p* and `phase_mod`.
+cache, each point built from the ints of p, `istar`, p* and `phase_mod`;
+`dual_shift` moves a point by the same ints, and `lambda_inf` reads its key
+from the ints of p2 - p1, so neither multiplies scalars.
 If one is cached, s_p is that function negated: it shares the partner's
 `keys` tuple and allocates no key.  Only a miss with no cached partner
 rotates the template.  On either path the result's `gens` are ((p, 1),),
@@ -126,7 +129,7 @@ class SigmaPoint(NamedTuple):
 
 def sigma_point(d: AffineData, node: int, param: SpectralScalar) -> SigmaPoint:
     d.check_node(node)
-    return SigmaPoint(node, canonical_param(d, node, param))
+    return SigmaPoint(node, param if 0 <= param.phase < d.phase_mod[node] else canonical_param(d, node, param))
 
 
 def parse_sigma_point(d: AffineData, text: str) -> SigmaPoint:
@@ -139,9 +142,11 @@ def parse_sigma_point(d: AffineData, text: str) -> SigmaPoint:
 
 
 def dual_shift(d: AffineData, p: SigmaPoint, k: int = 1) -> SigmaPoint:
-    """The k-fold dual: (i, a) -> (i^{*k}, a * (p*)^k)."""
+    """The k-fold dual: (i, a) -> (i^{*k}, a * (p*)^k), in ints."""
+    d.check_node(p.node)
     node = p.node if k % 2 == 0 else d.istar[p.node]
-    return sigma_point(d, node, p.param * d.pstar ** k)
+    (phase, e), (ps, pe) = p.param, d.pstar
+    return SigmaPoint(node, SpectralScalar((phase + k * ps) % d.phase_mod[node], e + k * pe))
 
 
 def de(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
@@ -166,8 +171,25 @@ def _point(key: int) -> SigmaPoint:
 Run = tuple[int, int, list[int], list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]]
 
 
-def _row_keys(d: AffineData, i: int) -> tuple[list[int], tuple[int, ...]]:
-    """Node i's template off psi_Q row i0 of the ADE partner, folded if twisted (see above): keys ascending, values."""
+def _run(d: AffineData, j: int, groups: list[tuple[int, tuple[int, ...], tuple[int, ...]]]) -> Run:
+    """Node j's run from its groups (phase, exponents ascending, values), the one run format: each group
+    lists its exponents twice, the first copy shifted down a period, so a rotation is one slice."""
+    groups = [(ph, len(fs), tuple(map((-d.period).__add__, fs)) + fs, vs * 2) for ph, fs, vs in groups]
+    return j, d.phase_mod[j], [g[0] for g in groups], groups * 2
+
+
+def _key_runs(d: AffineData, table: dict[int, int]) -> list[Run]:
+    """The runs of a template given as a dict key -> value (zero values dropped)."""
+    runs = []
+    for j, node_keys in groupby(sorted(filter(table.get, table)), (21).__rrshift__):
+        groups = [tuple(g) for _, g in groupby(node_keys, (16).__rrshift__)]  # by the node and phase fields
+        runs.append(_run(d, j, [(g[0] >> 16 & 31, tuple(map((0xFFFF).__and__, g)), tuple(map(table.__getitem__, g)))
+                                for g in groups]))
+    return runs
+
+
+def _row_runs(d: AffineData, i: int) -> list[Run]:
+    """Node i's template off psi_Q row i0 of the ADE partner, folded if twisted (see above), as runs."""
     q = default_qdatum(d)  # the partner's Q-datum when d is twisted
     base, h, (i0, f0) = q.base, d.hvee, d.preimages[i][0]
     acc = {j: [0] * 2 * h for j in base.i0}  # partner node j's values at (-q)^t, t mod 2 hvee
@@ -187,21 +209,19 @@ def _row_keys(d: AffineData, i: int) -> tuple[list[int], tuple[int, ...]]:
                  for j, row in acc.items() for node, f in (d.fold[j],) for t, v in enumerate(row) if v}
         if len(moved) < sum(2 * h - row.count(0) for row in acc.values()):
             raise InvariantViolation(f"the fold of {d} is not one-to-one on node {i}'s template")
-        keys = sorted(moved)
-        vals = tuple(map(moved.__getitem__, keys))
-    else:
-        # (-q)^t has phase 12 t mod 24 and e = 6 t, so keys ascend by node, then even t before odd t
-        keys = [((j << 5 | 12 * odd) << 16) + 6 * t
-                for j, row in acc.items() for odd in (0, 1) for t in range(odd, 2 * h, 2) if row[t]]
-        vals = tuple(acc[k >> 21][(k & 0xFFFF) // 6] for k in keys)
-    t = bisect_left(keys, i << 21)  # the key of (i, 1)
-    if keys[t:t + 1] != [i << 21] or vals[t] != -2:
+        at_one, runs = moved.get(i << 21), _key_runs(d, moved)  # i << 21: the key of (i, 1)
+    else:  # (-q)^t has phase 12 t mod 24 and e = 6 t: per node, even t at phase 0, then odd t at phase 12
+        at_one, runs = acc[i][0], []
+        for j, row in acc.items():
+            runs.append(_run(d, j, [(12 * odd, *zip(*hits)) for odd in (0, 1)
+                                    if (hits := [(6 * t, v) for t, v in zip(range(odd, 2 * h, 2), row[odd::2]) if v])]))
+    if at_one != -2:
         raise InvariantViolation(f"lambda_inf(({i}, 1), ({i}, 1)) is not -2 on {d}")
-    return keys, vals
+    return runs
 
 
-def _root_keys(d: AffineData, i: int) -> tuple[list[int], tuple[int, ...]]:
-    """Node i's template for B, C, F, G by the scatter law (see above): keys ascending, values."""
+def _root_runs(d: AffineData, i: int) -> list[Run]:
+    """Node i's template for B, C, F, G by the scatter law (see above), as runs."""
     pe, period = d.pstar.e, d.period
     acc: dict[int, int] = {}
     for j in d.i0:
@@ -210,32 +230,20 @@ def _root_keys(d: AffineData, i: int) -> tuple[list[int], tuple[int, ...]]:
                 key = (j << 5 | ph) << 16  # +m at x, -m at x / p*
                 acc[k] = acc.get(k := key + e % period, 0) + m
                 acc[k] = acc.get(k := key + (e - pe) % period, 0) - m
-    keys = sorted(k for k, v in acc.items() if v)
-    return keys, tuple(map(acc.__getitem__, keys))
+    return _key_runs(d, acc)
 
 
 def _scatter(d: AffineData, i: int) -> list[Run]:
     """Build node i's template as runs, kept on d: by the scatter law for B, C, F and G, else off psi_Q, so
     for the other nine families only `de`, `lambda_`, `denom` and criteria 2, 4 and 10 build denominators."""
-    keys, vals = (_row_keys if d.simply_laced or d.twisted else _root_keys)(d, i)
-    runs: list[Run] = []
-    start = 0
-    for j, node_keys in groupby(keys, (21).__rrshift__):
-        groups = []
-        for head, group in groupby(node_keys, (16).__rrshift__):  # head: the node and phase fields
-            fs = tuple(map((0xFFFF).__and__, group))
-            n = len(fs)
-            # twice over, the first copy shifted down a period: a rotation is one slice
-            groups.append((head & 31, n, tuple(map((-d.period).__add__, fs)) + fs, vals[start:start + n] * 2))
-            start += n
-        runs.append((j, d.phase_mod[j], [g[0] for g in groups], groups * 2))
-    d._template_cache[i] = runs
+    runs = d._template_cache[i] = (_row_runs if d.simply_laced or d.twisted else _root_runs)(d, i)
     return runs
 
 
 def lambda_inf(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
-    """Alternating dual-orbit sum sum_k (-1)^k de(M, D^k N): s_{p1} at p2, read as s_{(i, 1)} at p2 / p1."""
-    return s_func(d, SigmaPoint(p1.node, ONE)).value_at(d, p2.node, p2.param / p1.param)
+    """Alternating dual-orbit sum sum_k (-1)^k de(M, D^k N): s_{p1} at p2, read as s_{(i, 1)} at p2 / p1 (in ints)."""
+    (a, x), (b, y) = p1.param, p2.param
+    return s_func(d, SigmaPoint(p1.node, ONE)).value_at(d, p2.node, SpectralScalar((b - a) % 24, y - x))
 
 
 def lambda_(d: AffineData, p1: SigmaPoint, p2: SigmaPoint) -> int:
@@ -332,9 +340,9 @@ def s_func(d: AffineData, p: SigmaPoint) -> SigmaFunction:
         s = phase % mod
         k = bisect_left(phases, mod - s)
         for ph, n, fs, vs in groups[k:k + len(phases)]:
-            # the first copy holds f - 12 hvee: those with f + e past the period come first
+            # the first copy holds f - 12 hvee (f + e past the period first); a key is f + `_key(d, j, ph + s, e)`
             t = bisect_left(fs, -e, 0, n)
-            keys += map(_key(d, j, ph + s, e).__add__, fs[t:t + n])
+            keys += map((((j << 5 | (ph + s) % mod) << 16) + e).__add__, fs[t:t + n])
             vals += vs[t:t + n]
     out = cache[p] = SigmaFunction(tuple(keys), tuple(vals), ((p, 1),))
     return out

@@ -12,12 +12,13 @@ gamma_i = (1 - tau_Q^{d_i}) Lambda_i through the rows of psi_Q.
 tau_Q is kept only as a word of simple reflections and rho, built once per
 Q-datum.  Only the window I_Q = psi_Q^{-1}(Delta+ x {0}) is walked, once:
 the row of i starts at psi_Q(i, xi_i) = (gamma_i, 0), and one step down in
-p (p -> p - 2 d_i) applies the word tau_Q^{d_i} to the root coordinates,
-over the cells xi_{i*} - H < p <= xi_i, H = ord(rho) h^vee.  Every other
-cell is read off the window by the Nakayama shift nu(i, p) = (i*, p - H)
-(Hernandez-Leclerc, "Quantum Grothendieck rings and derived Hall
-algebras", 2015, for rho = id; Fujita-Oh, "Q-data and representation
-theory of untwisted quantum affine algebras", 2021):
+p (p -> p - 2 d_i) applies the word tau_Q^{d_i}, compiled once per row into
+int steps (`roots.compile_word`), to the root coordinates, over the cells
+xi_{i*} - H < p <= xi_i, H = ord(rho) h^vee.  Every other cell is read off
+the window by the Nakayama shift nu(i, p) = (i*, p - H) (Hernandez-Leclerc,
+"Quantum Grothendieck rings and derived Hall algebras", 2015, for rho = id;
+Fujita-Oh, "Q-data and representation theory of untwisted quantum affine
+algebras", 2021):
 
     psi_Q(i*, p - H) = (beta, m - 1)  for  (beta, m) = psi_Q(i, p).
 
@@ -40,15 +41,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .affine import AffineData, untwisted_partner
-from .roots import (
-    FinRootSystem,
-    Vec,
-    apply_word_root,
-    identity_perm,
-    perm_from_map,
-    perm_root,
-    root_system,
-)
+from .roots import FinRootSystem, Vec, compile_word, identity_perm, perm_from_map, perm_root, root_system, run_word
 from .scalars import InvariantViolation, QAffineError
 
 
@@ -219,18 +212,19 @@ def _window(q: QDatum, i: int) -> range:
 def _row(q: QDatum, i: int) -> list[tuple[Vec, int]]:
     """psi_Q over the window cells of row i: row[k] = (beta, 0) at p = xi_i - 2 d_i k.
 
-    Walked once, downward from gamma_i, and kept on q.  Each cell must be a
-    positive root, and the step past the lowest cell must leave them (there
-    psi_Q(i, xi_{i*} - H) = (gamma_{i*}, -1) by the Nakayama shift).
+    Walked once, downward from gamma_i by tau_Q^{d_i} compiled once, and
+    kept on q.  Each cell must be a positive root, and the step past the
+    lowest cell must leave them (there psi_Q(i, xi_{i*} - H) = (gamma_{i*}, -1)
+    by the Nakayama shift).
     """
     row = q._rows.get(i)
     if row is None:
-        word, beta, row = tau_q(q) * q.d[i], gamma_q(q, i), []
+        steps, beta, row = compile_word(q.rs, tau_q(q) * q.d[i]), gamma_q(q, i), []
         for p in _window(q, i):
             if not q.rs.is_positive_root(beta):
                 raise InvariantViolation(f"psi_Q({i},{p}) = {beta} in the window I_Q is not a positive root")
             row.append((beta, 0))
-            beta = apply_word_root(q.rs, word, beta)
+            beta = run_word(steps, beta)
         if q.rs.is_positive_root(beta):
             raise InvariantViolation(f"below its window, row {i} reaches the positive root {beta}")
         q._rows[i] = row

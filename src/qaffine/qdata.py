@@ -8,9 +8,10 @@ epsilon of psi_Q^{-1}(beta, 0); the twisted families reuse the Q-datum of
 their untwisted partner and post-compose the parameter bijection with the
 star/dagger folding map.  Epsilon and the fold are read from the family's
 `affine.FamilySpec`; the explicit sigma_Q windows they are checked against
-are golden data of `acceptance`.  phi_Q, read off the window I_Q in one
-pass, and all else a pair (q, d) computes is kept once in its `Lattice`,
-whose maker refuses a q unfit for d, for every reader here, `phi_q` too.
+are golden data of `acceptance`.  phi_Q, read off the rows of the window
+I_Q in ints (one offset per node, then eps_base^p per cell), and all else
+a pair (q, d) computes is kept once in its `Lattice`, whose maker refuses
+a q unfit for d, for every reader here, `phi_q` too.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from itertools import islice
 from weakref import WeakKeyDictionary
 
 from .affine import AffineData, untwisted_partner
-from .invariants import SigmaPoint, _key, dual_shift, sigma_point
-from .qcartan import InvalidQDatum, QDatum, default_qdatum, i_q, psi_q
+from .invariants import SigmaPoint, _key, dual_shift
+from .qcartan import InvalidQDatum, QDatum, _row, _window, default_qdatum
 from .roots import Vec
 from .scalars import MINUS_ONE, InvariantViolation, QAffineError, SpectralScalar
 
@@ -74,16 +75,22 @@ def lattice_table(q: QDatum, d: AffineData) -> Lattice:
 
 def phi_q_map(q: QDatum, d: AffineData) -> dict[Vec, SigmaPoint]:
     """phi_Q over the positive roots in their order (simple roots first), tabled once (shared: do not change it);
-    read off the window I_Q in one pass: the cell (i, p) of (beta, 0) gives epsilon(i, p), folded into sigma(d)."""
+    the cell (i, p) of (beta, 0) is epsilon(i, p) folded into sigma(d): `twist` of `esig` at p = 0, times eps_base^p."""
     phi = lattice_table(q, d).phi
     if not phi:
-        window = i_q(q)
-        cells = {psi_q(q, i, p)[0]: (i, p) for i, p in window}
+        (bph, be), cells, points = q.base.type.spec.eps_base, 0, {}
+        for i in range(1, q.rs.rank + 1):
+            node, (phase, e) = twist(d, *esig(q, i, 0))
+            d.check_node(node)
+            mod, row = d.phase_mod[node], _row(q, i)
+            for p, (beta, _) in zip(_window(q, i), row):
+                points[beta] = SigmaPoint(node, SpectralScalar((phase + p * bph) % mod, e + p * be))
+            cells += len(row)
         # `_row` makes every cell a positive root, so the counts decide that each is met once
-        if not len(window) == len(cells) == len(q.rs.positive_roots):
-            raise InvariantViolation(f"the window I_Q of {q.base} holds {len(cells)} distinct roots in"
-                                     f" {len(window)} cells, not the {len(q.rs.positive_roots)} positive roots")
-        phi.update({beta: sigma_point(d, *twist(d, *esig(q, *cells[beta]))) for beta in q.rs.positive_roots})
+        if not cells == len(points) == len(q.rs.positive_roots):
+            raise InvariantViolation(f"the window I_Q of {q.base} holds {len(points)} distinct roots in"
+                                     f" {cells} cells, not the {len(q.rs.positive_roots)} positive roots")
+        phi.update({beta: points[beta] for beta in q.rs.positive_roots})
     return phi
 
 

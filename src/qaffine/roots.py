@@ -160,20 +160,31 @@ def perm_root(perm: tuple[int, ...], v: Vec) -> Vec:
     return tuple(out)
 
 
-def apply_word_root(rs: FinRootSystem, word: Iterable[WordEntry], v: Vec) -> Vec:
-    """Apply a word in W_fin x Aut right-to-left (rightmost entry acts first).
+def compile_word(rs: FinRootSystem, word: Iterable[WordEntry]) -> list:
+    """The word as int steps in acting order (rightmost first): s_i is (i - 1, its neighbours' indices), as in
+    `FinRootSystem.reflect_root`, and an automorphism the list of the index each coordinate is taken from."""
+    return [(e - 1, tuple(j - 1 for j in rs.adj[e])) if isinstance(e, int)
+            else [e.index(k) - 1 for k in range(1, len(e))] for e in reversed(tuple(word))]
 
-    The reflections update one coordinate list in place, by the formula of
-    `FinRootSystem.reflect_root`.
-    """
-    adj = rs.adj
+
+def run_word(steps: list, v: Vec) -> Vec:
+    """Apply the steps of `compile_word` to root coordinates."""
     out = list(v)
-    for entry in reversed(tuple(word)):
-        if isinstance(entry, int):
-            out[entry - 1] = sum(out[j - 1] for j in adj[entry]) - out[entry - 1]
+    for step in steps:
+        if type(step) is list:
+            out = [out[k] for k in step]
         else:
-            out[:] = perm_root(entry, out)
+            i, nbrs = step
+            c = -out[i]
+            for j in nbrs:
+                c += out[j]
+            out[i] = c
     return tuple(out)
+
+
+def apply_word_root(rs: FinRootSystem, word: Iterable[WordEntry], v: Vec) -> Vec:
+    """Apply a word in W_fin x Aut right-to-left (rightmost entry acts first): compiled, then run."""
+    return run_word(compile_word(rs, word), v)
 
 
 @lru_cache(maxsize=None)

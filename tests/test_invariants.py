@@ -754,6 +754,12 @@ def test_row_runs_match_the_per_root_key_path_at_the_ladder_and_the_cap(s):
     _check_scatter(s, template=s in ROW_TYPES)
 
 
+@pytest.mark.parametrize("s", [s for s in LADDER if parse_type_string(s).family in (Family.B1, Family.C1)] + ["B32-1"])
+def test_scattered_runs_match_the_per_root_key_path_at_the_ladder_and_the_cap(s):
+    # B and C lay out their denominator scatter by the same run code as the twisted fold
+    _check_scatter(s, template=s in LADDER)
+
+
 class DenominatorCalled(Exception):
     pass
 

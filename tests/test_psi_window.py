@@ -6,6 +6,13 @@ cell off them by the Nakayama shift psi_Q(i*, p - H) = (beta, m - 1) for
 word at a time in both directions from its seed (`weyl_oracle.two_way_row`).
 `qdata.phi_q_map` reads phi_Q off the same window; its oracle is the inverse
 of the walked rows on Delta+ x {0} (`weyl_oracle.zero_slice`).
+
+The window rows are walked by tau_Q^{d_i} compiled once per row into int
+steps (`roots.compile_word`), and phi_Q is read off them in ints, from one
+offset per node.  The bodies these replaced are kept below as oracles: the
+word read entry by entry at every cell (`generic_word_root`), and phi_Q as
+`sigma_point(twist(esig(i, p)))` per window cell (`scalar_phi_q_map`).  Both
+run on every case above and at the rank cap.
 """
 
 import json
@@ -19,10 +26,12 @@ import pytest
 
 import qaffine
 from qaffine.acceptance import SWEEP
-from qaffine.affine import build, parse_type_string
-from qaffine.invariants import sigma_point
-from qaffine.qcartan import custom_qdatum, default_qdatum, gamma_q, i_q, psi_q, tau_q
+from qaffine.affine import build, canonical_param, parse_type_string
+from qaffine.invariants import SigmaPoint, sigma_point
+from qaffine.qcartan import _row, custom_qdatum, default_qdatum, gamma_q, i_q, psi_q, tau_q
 from qaffine.qdata import esig, phi_q_map, twist
+from qaffine.roots import apply_word_root, perm_root
+from qaffine.scalars import SpectralScalar
 from test_blocks import LADDER
 from weyl_oracle import two_way_row, zero_slice
 
@@ -55,6 +64,7 @@ def _data(case):
 
 
 CASES = [*SWEEP, *LADDER, *CUSTOM]
+CAP = ["A64-1", "D64-1", "D64-2", "B32-1"]
 
 
 def _oracle_rows(q):
@@ -79,6 +89,57 @@ def test_psi_q_matches_the_two_way_walk(case):
     assert inverse.keys() == set(q.rs.positive_roots), case
     assert list(phi_q_map(q, d).items()) == [
         (beta, sigma_point(d, *twist(d, *esig(q, *inverse[beta])))) for beta in q.rs.positive_roots]
+
+
+def _fresh(case):
+    """(d, q) as `_data` gives them, but d unshared, so that q's rows (of an untwisted default datum) and
+    phi_Q are built here; a twisted d keeps its partner's shared Q-datum."""
+    if not isinstance(case, str):
+        return _data(case)
+    d = build.__wrapped__(parse_type_string(case))
+    return d, default_qdatum(d)
+
+
+def generic_word_root(rs, word, v):
+    """The word action that the compiled steps replaced: every entry read off the word at each call."""
+    out = list(v)
+    for entry in reversed(tuple(word)):
+        if isinstance(entry, int):
+            out[entry - 1] = sum(out[j - 1] for j in rs.adj[entry]) - out[entry - 1]
+        else:
+            out[:] = perm_root(entry, out)
+    return tuple(out)
+
+
+def scalar_phi_q_map(q, d):
+    """phi_Q as it was read before: psi_q at each cell of i_q, then sigma_point of twist of esig."""
+    cells = {psi_q(q, i, p)[0]: (i, p) for i, p in i_q(q)}
+    return {beta: SigmaPoint(node, canonical_param(d, node, x))
+            for beta in q.rs.positive_roots for node, x in (twist(d, *esig(q, *cells[beta])),)}
+
+
+@pytest.mark.parametrize("case", [*CASES, *CAP], ids=str)
+def test_the_compiled_row_walk_matches_the_generic_word_action(case):
+    # cell by cell down each window row, and one step past its lowest cell;
+    # `apply_word_root` (criterion 6's routine) is compile plus run
+    _, q = _fresh(case)
+    for i in range(1, q.rs.rank + 1):
+        word, beta = tau_q(q) * q.d[i], gamma_q(q, i)
+        for cell in _row(q, i):
+            assert cell == (beta, 0), (case, i)
+            step = generic_word_root(q.rs, word, beta)
+            assert apply_word_root(q.rs, word, beta) == step, (case, i, beta)
+            beta = step
+        assert not q.rs.is_positive_root(beta), (case, i)
+
+
+@pytest.mark.parametrize("case", [*CASES, *CAP], ids=str)
+def test_phi_q_in_ints_is_twist_of_esig_on_every_window_cell(case):
+    d, q = _fresh(case)
+    got = phi_q_map(q, d)
+    assert list(got.items()) == list(scalar_phi_q_map(q, d).items()), case
+    assert all(type(p.param) is SpectralScalar and 0 <= p.param.phase < d.phase_mod[p.node]
+               for p in got.values()), case
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)

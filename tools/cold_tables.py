@@ -3,16 +3,17 @@
 Usage: python tools/cold_tables.py <src-dir> [<src-dir> ...]
 
 Each run starts a fresh interpreter with PYTHONPATH=<src-dir> and times, on
-one type, `build`, `default_qdatum`, `gram` and `delta0` in that order, then
-`delta0` once more, then `psi_lattice` over every member of Delta_0, the work
-of acceptance criterion 12 ("coords").  Each step finds the tables of the
-steps before it and builds its own: `build` pays for the root system, `gram`
-for the templates of the nodes it pairs and `delta0` for the rest of its
-s-functions; the second, warm `delta0` finds every s-function cached, and
-"coords" builds the root coordinates and checks each member's.  The import is not timed.  The
-child also reports its peak RSS (`ru_maxrss`) after the last step.  The
-types are A32-1, A64-1, B32-1, D64-1, D64-2 and E8-1.  Runs go one process at a
-time, 5 per type and tree, alternating between the source trees with the
+one type, `build`, `default_qdatum`, `sigma_q_points`, `gram` and `delta0` in
+that order, then `delta0` once more, then `psi_lattice` over every member of
+Delta_0, the work of acceptance criterion 12 ("coords").  Each step finds the
+tables of the steps before it and builds its own: `build` pays for the root
+system, `sigma_q_points` for the psi_Q rows of the window I_Q and phi_Q on
+them, `gram` for the templates of the nodes it pairs and `delta0` for the
+dual translates and the rest of its s-functions; the second, warm `delta0`
+finds every s-function cached, and "coords" builds the root coordinates and
+checks each member's.  The import is not timed.  The child also reports its
+peak RSS (`ru_maxrss`) after the last step.  The types are A32-1, A64-1,
+B32-1, D64-1, D64-2 and E8-1.  Runs go one process at a time, 5 per type and tree, alternating between the source trees with the
 helpers of `import_cost.py`.  For each type it prints the median and
 quartiles per tree of each step and of their total in milliseconds, and of
 the peak RSS in MB.  To compare two checkouts:
@@ -32,21 +33,22 @@ from import_cost import alternate, missing_tree, tree_env
 
 RUNS = 5
 TYPES = ("A32-1", "A64-1", "B32-1", "D64-1", "D64-2", "E8-1")
-STEPS = ("build", "default_qdatum", "gram", "delta0", "delta0 (warm)", "coords")
+STEPS = ("build", "default_qdatum", "sigma_q_points", "gram", "delta0", "delta0 (warm)", "coords")
 RSS = "peak RSS (MB)"
 CHILD = """
 import json, resource, sys
 from time import perf_counter
-from qaffine import build, default_qdatum, delta0, gram, parse_type_string, psi_lattice
+from qaffine import build, default_qdatum, delta0, gram, parse_type_string, psi_lattice, sigma_q_points
 t = parse_type_string(sys.argv[1])
 out = {}
 t0 = perf_counter(); d = build(t); out["build"] = perf_counter() - t0
 t0 = perf_counter(); q = default_qdatum(d); out["default_qdatum"] = perf_counter() - t0
+t0 = perf_counter(); pts = sigma_q_points(d, q); out["sigma_q_points"] = perf_counter() - t0
 t0 = perf_counter(); ok = gram(d).equal; out["gram"] = perf_counter() - t0
 t0 = perf_counter(); n = len(delta0(d)); out["delta0"] = perf_counter() - t0
 t0 = perf_counter(); warm = delta0(d); out["delta0 (warm)"] = perf_counter() - t0
 t0 = perf_counter(); coords = {psi_lattice(d, q, f) for f in warm}; out["coords"] = perf_counter() - t0
-assert ok and n == 2 * len(d.gfin.positive_roots) == len(warm) == len(coords), (ok, n, len(warm), len(coords))
+assert ok and n == 2 * len(d.gfin.positive_roots) == 2 * len(pts) == len(warm) == len(coords), (ok, n, len(pts))
 assert coords == {tuple(s * c for c in beta) for s in (1, -1) for beta in d.gfin.positive_roots}
 print(json.dumps({"seconds": out, "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
