@@ -55,7 +55,7 @@ from sys import byteorder
 from typing import NamedTuple
 
 from .affine import AffineData, class_of, component_class
-from .invariants import SigmaFunction, SigmaPoint, _as_gens, _key, pairing, s_func, sigma_point
+from .invariants import SigmaFunction, _as_gens, _key, pairing, s_func, sigma_point
 from .qcartan import QDatum, default_qdatum
 from .qdata import lattice_table, root_coords, sigma_q_points, simple_root_points, translate_star
 from .scalars import InvariantViolation, QAffineError, SpectralScalar, order_key, print_scalar
@@ -149,18 +149,6 @@ def _pack(slots: dict[int, int], template: bytes, size: int, keys, vals) -> int:
     return int.from_bytes(buf, byteorder)
 
 
-def _generator_coords(d: AffineData, q: QDatum, memo: dict, p: SigmaPoint) -> tuple[int, ...]:
-    """psi_lattice of s_p from memo, q's generator memo for d, verified on first use."""
-    key = _key(d, p.node, *p.param)
-    coords = memo.get(key)
-    if coords is None:
-        try:
-            coords = memo[key] = psi_lattice(d, q, s_func(d, p))
-        except NotInW0 as exc:
-            raise InvariantViolation(f"generator {p} of {d} is not in W0: {exc}") from exc
-    return coords
-
-
 class BlockLabel(NamedTuple):
     """Per-component lattice coordinates; zero components are dropped."""
 
@@ -188,9 +176,13 @@ def block_label(d: AffineData, q: QDatum, weights) -> BlockLabel:
         d.check_node(node)
         cls = class_of(d, node, phase, e)
         moved = phase + home_phase - cls[0], e + home_e - cls[1]  # (node, z24^phase q^(e/6) home / cls)
-        coords = memo.get(_key(d, node, *moved))
-        if coords is None:
-            coords = _generator_coords(d, q, memo, sigma_point(d, node, SpectralScalar(moved[0] % 24, moved[1])))
+        coords = memo.get(key := _key(d, node, *moved))
+        if coords is None:  # psi_lattice of the generator's s-function, verified once and kept
+            p = sigma_point(d, node, SpectralScalar(moved[0] % 24, moved[1]))
+            try:
+                coords = memo[key] = psi_lattice(d, q, s_func(d, p))
+            except NotInW0 as exc:
+                raise InvariantViolation(f"generator {p} of {d} is not in W0: {exc}") from exc
         groups.setdefault(cls, []).append(coords)
     components = []
     for cls in sorted(map(SpectralScalar._make, groups), key=order_key):

@@ -10,15 +10,16 @@ Its generalized Coxeter element tau_Q walks each
 gamma_i = (1 - tau_Q^{d_i}) Lambda_i through the rows of psi_Q.
 
 tau_Q is kept only as a word of simple reflections and rho, built once per
-Q-datum.  Only the window I_Q = psi_Q^{-1}(Delta+ x {0}) is walked, once:
-the row of i starts at psi_Q(i, xi_i) = (gamma_i, 0), and one step down in
-p (p -> p - 2 d_i) applies the word tau_Q^{d_i}, compiled once per row into
-int steps (`roots.compile_word`), to the root coordinates, over the cells
-xi_{i*} - H < p <= xi_i, H = ord(rho) h^vee.  Every other cell is read off
-the window by the Nakayama shift nu(i, p) = (i*, p - H) (Hernandez-Leclerc,
-"Quantum Grothendieck rings and derived Hall algebras", 2015, for rho = id;
-Fujita-Oh, "Q-data and representation theory of untwisted quantum affine
-algebras", 2021):
+Q-datum, and compiled once per row into the int steps of tau_Q^{d_i}
+(`roots.compile_word`).  Only the window I_Q = psi_Q^{-1}(Delta+ x {0}) is
+walked, once, and only by those steps: the row of i starts at
+psi_Q(i, xi_i) = (gamma_i, 0), gamma_i walked on the same steps (`_row`),
+and one step down in p (p -> p - 2 d_i) runs them on the root coordinates,
+over the cells xi_{i*} - H < p <= xi_i, H = ord(rho) h^vee.  Every other
+cell is read off the window by the Nakayama shift nu(i, p) = (i*, p - H)
+(Hernandez-Leclerc, "Quantum Grothendieck rings and derived Hall algebras",
+2015, for rho = id; Fujita-Oh, "Q-data and representation theory of
+untwisted quantum affine algebras", 2021):
 
     psi_Q(i*, p - H) = (beta, m - 1)  for  (beta, m) = psi_Q(i, p).
 
@@ -41,7 +42,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .affine import AffineData, untwisted_partner
-from .roots import FinRootSystem, Vec, compile_word, identity_perm, perm_from_map, perm_root, root_system, run_word
+from .roots import FinRootSystem, Vec, compile_word, identity_perm, perm_from_map, root_system, run_word
 from .scalars import InvariantViolation, QAffineError
 
 
@@ -182,28 +183,6 @@ def tau_q(q: QDatum) -> tuple:
     return q._tau
 
 
-def gamma_q(q: QDatum, i: int) -> Vec:
-    """gamma_i = (1 - tau_Q^{d_i}) Lambda_i, a positive root.
-
-    The walk keeps tau_Q^{d_i} Lambda_i as Lambda_a - r with r in root
-    coordinates: s_j takes it to Lambda_a - (s_j r + [j = a] alpha_j) and
-    rho to Lambda_{rho(a)} - rho(r).  It must end at a = i, where gamma_i = r.
-    """
-    a, r = i, (0,) * q.rs.rank
-    for entry in reversed(tau_q(q) * q.d[i]):
-        if isinstance(entry, int):
-            r = q.rs.reflect_root(entry, r)
-            if entry == a:
-                r = r[: a - 1] + (r[a - 1] + 1,) + r[a:]
-        else:
-            a, r = entry[a], perm_root(entry, r)
-    if a != i:
-        raise InvariantViolation(f"tau_Q^{q.d[i]} Lambda_{i} = Lambda_{a} - {r}: the walk leaves node {i}")
-    if not q.rs.is_positive_root(r):
-        raise InvariantViolation(f"gamma_{i} = {r} is not a positive root")
-    return r
-
-
 def _window(q: QDatum, i: int) -> range:
     """The p of row i in the window I_Q, descending: xi_{i*} - H < p <= xi_i, H = ord(rho) h^vee."""
     return range(q.xi[i], q.xi[q.rs.istar(i)] - q.ord_rho * q.base.hvee, -2 * q.d[i])
@@ -212,14 +191,27 @@ def _window(q: QDatum, i: int) -> range:
 def _row(q: QDatum, i: int) -> list[tuple[Vec, int]]:
     """psi_Q over the window cells of row i: row[k] = (beta, 0) at p = xi_i - 2 d_i k.
 
-    Walked once, downward from gamma_i by tau_Q^{d_i} compiled once, and
-    kept on q.  Each cell must be a positive root, and the step past the
-    lowest cell must leave them (there psi_Q(i, xi_{i*} - H) = (gamma_{i*}, -1)
-    by the Nakayama shift).
+    Walked once by tau_Q^{d_i}, compiled once, and kept on q.  The first
+    cell is gamma_i = (1 - tau_Q^{d_i}) Lambda_i: the steps act on
+    tau_Q^{d_i} Lambda_i kept as Lambda_a - beta, so s_j takes it to
+    Lambda_a - (s_j beta + [j = a] alpha_j) and rho to Lambda_{rho(a)} -
+    rho(beta), and a must end at i.  Each later cell is the step of the one
+    above.  Each cell must be a positive root, and the step past the lowest
+    cell must leave them (there psi_Q(i, xi_{i*} - H) = (gamma_{i*}, -1) by
+    the Nakayama shift).
     """
     row = q._rows.get(i)
     if row is None:
-        steps, beta, row = compile_word(q.rs, tau_q(q) * q.d[i]), gamma_q(q, i), []
+        steps, a, r, row = compile_word(q.rs, tau_q(q) * q.d[i]), i - 1, [0] * q.rs.rank, []
+        for step in steps:
+            if type(step) is list:  # rho moves Lambda_a to Lambda_{rho(a)}; a is an index here
+                a, r = step.index(a), [r[k] for k in step]
+            else:
+                j, nbrs = step
+                r[j] = sum(r[k] for k in nbrs) - r[j] + (j == a)
+        beta = tuple(r)
+        if a != i - 1:
+            raise InvariantViolation(f"tau_Q^{q.d[i]} Lambda_{i} = Lambda_{a + 1} - {beta}: the walk leaves node {i}")
         for p in _window(q, i):
             if not q.rs.is_positive_root(beta):
                 raise InvariantViolation(f"psi_Q({i},{p}) = {beta} in the window I_Q is not a positive root")

@@ -1,4 +1,4 @@
-"""Simply-laced finite root systems: reflections, words, folding automorphisms.
+"""Simply-laced finite root systems, and words of reflections and folding automorphisms acting on them.
 
 Roots are integer vectors in simple-root coordinates (index 0 unused so the
 code matches the usual 1-based node labels).  Inner products always go
@@ -6,7 +6,9 @@ through the Cartan matrix; there is no Euclidean embedding anywhere.  The
 positive roots are found height by height by the simply-laced rule: for a
 positive root beta != alpha_i, beta + alpha_i is a root iff (beta, alpha_i)
 = -1.  Each root carries its row of inner products (beta, alpha_k), which
-one Cartan row updates, so the search costs O(|Delta+| n).
+one Cartan row updates, so the search costs O(|Delta+| n).  A word acts on
+root coordinates in one way only: compiled into int steps (`compile_word`),
+then run (`run_word`).
 """
 
 from __future__ import annotations
@@ -121,15 +123,6 @@ class FinRootSystem:
             out += layer
         return tuple(out)
 
-    def reflect_root(self, i: int, v: Vec) -> Vec:
-        """Simple reflection s_i on simple-root coordinates.
-
-        Simply laced, s_i changes only coordinate i: c_i -> sum_{j~i} c_j - c_i.
-        """
-        out = list(v)
-        out[i - 1] = sum(v[j - 1] for j in self.adj[i]) - v[i - 1]
-        return tuple(out)
-
     def is_positive_root(self, v: Vec) -> bool:
         return v in self._positive_set
 
@@ -152,17 +145,11 @@ def perm_from_map(rank: int, mapping: dict[int, int]) -> tuple[int, ...]:
     return tuple(mapping.get(i, i) for i in range(rank + 1))
 
 
-def perm_root(perm: tuple[int, ...], v: Vec) -> Vec:
-    """Diagram automorphism on root coordinates: alpha_i -> alpha_{perm(i)}."""
-    out = [0] * len(v)
-    for i, c in enumerate(v, start=1):
-        out[perm[i] - 1] = c
-    return tuple(out)
-
-
 def compile_word(rs: FinRootSystem, word: Iterable[WordEntry]) -> list:
-    """The word as int steps in acting order (rightmost first): s_i is (i - 1, its neighbours' indices), as in
-    `FinRootSystem.reflect_root`, and an automorphism the list of the index each coordinate is taken from."""
+    """The word as int steps in acting order (rightmost first), the library's one word action on root
+    coordinates: simply laced, s_i changes only c_i -> sum_{j~i} c_j - c_i, so its step is (i - 1, its
+    neighbours' indices); an automorphism, alpha_i -> alpha_{perm(i)}, is the list of the index each
+    coordinate is taken from."""
     return [(e - 1, tuple(j - 1 for j in rs.adj[e])) if isinstance(e, int)
             else [e.index(k) - 1 for k in range(1, len(e))] for e in reversed(tuple(word))]
 

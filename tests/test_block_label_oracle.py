@@ -15,12 +15,23 @@ import pytest
 
 from qaffine.acceptance import SWEEP
 from qaffine.affine import NodeOutOfRange, build, component_class, parse_type_string
-from qaffine.blocks import BlockLabel, _generator_coords, block_label
-from qaffine.invariants import SigmaPoint, dual_shift, sigma_point
+from qaffine.blocks import BlockLabel, NotInW0, block_label, psi_lattice
+from qaffine.invariants import SigmaPoint, _key, dual_shift, s_func, sigma_point
 from qaffine.qcartan import default_qdatum
 from qaffine.qdata import lattice_table, sigma_q_points, simple_root_points, translate_star
-from qaffine.scalars import SpectralScalar, order_key, print_scalar
+from qaffine.scalars import InvariantViolation, SpectralScalar, order_key, print_scalar
 from test_psi_window import CUSTOM, _data
+
+
+def generator_coords(d, q, memo, p):
+    """psi_lattice of s_p, kept in memo under the `_key` of p on first use, as the replaced body did."""
+    key = _key(d, p.node, *p.param)
+    if key not in memo:
+        try:
+            memo[key] = psi_lattice(d, q, s_func(d, p))
+        except NotInW0 as exc:
+            raise InvariantViolation(f"generator {p} of {d} is not in W0: {exc}") from exc
+    return memo[key]
 
 
 def generator_label(d, q, memo, weights):
@@ -32,7 +43,7 @@ def generator_label(d, q, memo, weights):
     components = []
     for cls in sorted(groups, key=order_key):
         shift = home / cls
-        coords = tuple(map(sum, zip(*[_generator_coords(d, q, memo, sigma_point(d, p.node, p.param * shift))
+        coords = tuple(map(sum, zip(*[generator_coords(d, q, memo, sigma_point(d, p.node, p.param * shift))
                                       for p in groups[cls]])))
         if any(coords):
             components.append((print_scalar(cls), coords))

@@ -13,6 +13,12 @@ offset per node.  The bodies these replaced are kept below as oracles: the
 word read entry by entry at every cell (`generic_word_root`), and phi_Q as
 `sigma_point(twist(esig(i, p)))` per window cell (`scalar_phi_q_map`).  Both
 run on every case above and at the rank cap.
+
+Each row's first cell gamma_i is walked on the row's compiled steps too.
+Every oracle here is seeded with gamma_i from `test_qcartan.walked_gamma`,
+the entry-by-entry walk that this replaced, never from `psi_q`, and that
+walk is checked against the weight-basis walk (and for rho = id the
+ancestor set) on every case and at the rank cap.
 """
 
 import json
@@ -28,12 +34,13 @@ import qaffine
 from qaffine.acceptance import SWEEP
 from qaffine.affine import build, canonical_param, parse_type_string
 from qaffine.invariants import SigmaPoint, sigma_point
-from qaffine.qcartan import _row, custom_qdatum, default_qdatum, gamma_q, i_q, psi_q, tau_q
+from qaffine.qcartan import _row, custom_qdatum, default_qdatum, i_q, psi_q, tau_q
 from qaffine.qdata import esig, phi_q_map, twist
-from qaffine.roots import apply_word_root, perm_root
+from qaffine.roots import apply_word_root, identity_perm
 from qaffine.scalars import SpectralScalar
 from test_blocks import LADDER
-from weyl_oracle import two_way_row, zero_slice
+from test_qcartan import _ancestor_gamma, walked_gamma, weight_walk
+from weyl_oracle import root_to_weight, two_way_row, zero_slice
 
 PERIODS = 5  # each way, in whole periods 2H of p
 
@@ -68,9 +75,10 @@ CAP = ["A64-1", "D64-1", "D64-2", "B32-1"]
 
 
 def _oracle_rows(q):
-    """node -> {p: (beta, m)} over PERIODS periods each way of xi_i, by the two-way walk."""
+    """node -> {p: (beta, m)} over PERIODS periods each way of xi_i, by the two-way walk from the oracle's
+    gamma_i."""
     span = 2 * PERIODS * q.ord_rho * q.base.hvee
-    return {i: two_way_row(q.rs.cartan, tau_q(q) * q.d[i], gamma_q(q, i), q.xi[i], 2 * q.d[i],
+    return {i: two_way_row(q.rs.cartan, tau_q(q) * q.d[i], walked_gamma(q, i), q.xi[i], 2 * q.d[i],
                            q.xi[i] - span, q.xi[i] + span)
             for i in range(1, q.rs.rank + 1)}
 
@@ -106,8 +114,11 @@ def generic_word_root(rs, word, v):
     for entry in reversed(tuple(word)):
         if isinstance(entry, int):
             out[entry - 1] = sum(out[j - 1] for j in rs.adj[entry]) - out[entry - 1]
-        else:
-            out[:] = perm_root(entry, out)
+        else:  # alpha_j -> alpha_{entry[j]}
+            moved = [0] * len(out)
+            for j, c in enumerate(out, start=1):
+                moved[entry[j] - 1] = c
+            out = moved
     return tuple(out)
 
 
@@ -124,13 +135,26 @@ def test_the_compiled_row_walk_matches_the_generic_word_action(case):
     # `apply_word_root` (criterion 6's routine) is compile plus run
     _, q = _fresh(case)
     for i in range(1, q.rs.rank + 1):
-        word, beta = tau_q(q) * q.d[i], gamma_q(q, i)
+        word, beta = tau_q(q) * q.d[i], walked_gamma(q, i)
         for cell in _row(q, i):
             assert cell == (beta, 0), (case, i)
             step = generic_word_root(q.rs, word, beta)
             assert apply_word_root(q.rs, word, beta) == step, (case, i, beta)
             beta = step
         assert not q.rs.is_positive_root(beta), (case, i)
+
+
+@pytest.mark.parametrize("case", [*CASES, *CAP], ids=str)
+def test_each_row_starts_at_gamma_by_the_replaced_walk(case):
+    # gamma_i, walked by `_row` on the row's compiled steps, against the entry-by-entry walk it replaced
+    # and the walk in the weight basis; for rho = id also against the ancestor set of i
+    _, q = _data(case)
+    plain = q.rho == identity_perm(q.rs.rank)
+    for i in range(1, q.rs.rank + 1):
+        gamma = walked_gamma(q, i)
+        assert psi_q(q, i, q.xi[i]) == (gamma, 0), (case, i)
+        assert root_to_weight(q.rs.cartan, gamma) == weight_walk(q, i), (case, i)
+        assert not plain or gamma == _ancestor_gamma(q, i), (case, i)
 
 
 @pytest.mark.parametrize("case", [*CASES, *CAP], ids=str)

@@ -1,5 +1,6 @@
 import pytest
 
+from qaffine import qcartan
 from qaffine.acceptance import SWEEP
 from qaffine.affine import build, parse_type_string
 from qaffine.qcartan import (
@@ -8,11 +9,11 @@ from qaffine.qcartan import (
     ctilde_oracle,
     ctilde_oracle_for,
     default_qdatum,
-    gamma_q,
     psi_q,
     tau_q,
 )
-from weyl_oracle import mat_power, mat_vec, matrix_order, weight_to_root, word_matrix, word_powers
+from qaffine.scalars import InvariantViolation
+from weyl_oracle import apply_word, mat_power, mat_vec, matrix_order, weight_to_root, word_matrix, word_powers
 
 
 def delta(*ks):
@@ -41,13 +42,14 @@ def test_tau_words():
 
 
 def test_gamma_vectors():
+    # gamma_i is the first cell of row i, psi_Q(i, xi_i)
     q = ade("D", 5)
-    assert gamma_q(q, 3) == (1, 1, 1, 0, 0)
-    assert gamma_q(q, 5) == (1, 1, 1, 0, 1)
+    assert psi_q(q, 3, q.xi[3]) == ((1, 1, 1, 0, 0), 0)
+    assert psi_q(q, 5, q.xi[5]) == ((1, 1, 1, 0, 1), 0)
     e = ade("E", 6)
-    assert gamma_q(e, 2) == (0, 1, 0, 0, 0, 0)
-    assert gamma_q(e, 3) == (1, 0, 1, 0, 0, 0)
-    assert gamma_q(e, 6) == (1, 1, 1, 1, 1, 1)
+    assert psi_q(e, 2, e.xi[2]) == ((0, 1, 0, 0, 0, 0), 0)
+    assert psi_q(e, 3, e.xi[3]) == ((1, 0, 1, 0, 0, 0), 0)
+    assert psi_q(e, 6, e.xi[6]) == ((1, 1, 1, 1, 1, 1), 0)
 
 
 def test_type_a_ctilde():
@@ -137,6 +139,26 @@ def test_ctilde_symmetry_and_signs():
                     assert ctilde_formula(q, i, j, h + k) == -ctilde_formula(q, q.rs.istar(j), i, k)
 
 
+def walked_gamma(q, i):
+    """Oracle: gamma_i = (1 - tau_Q^{d_i}) Lambda_i as the library walked it before its rows did, entry
+    by entry off the word, each entry acting through `weyl_oracle.apply_word`.
+
+    tau_Q^{d_i} Lambda_i is kept as Lambda_a - r with r in root coordinates:
+    s_j takes it to Lambda_a - (s_j r + [j = a] alpha_j) and rho to
+    Lambda_{rho(a)} - rho(r).  The walk must end at a = i, where gamma_i = r.
+    """
+    a, r = i, (0,) * q.rs.rank
+    for entry in reversed(tau_q(q) * q.d[i]):
+        r = apply_word(q.rs.cartan, (entry,), r)
+        if entry == a:
+            r = r[: a - 1] + (r[a - 1] + 1,) + r[a:]
+        elif not isinstance(entry, int):
+            a = entry[a]
+    if a != i:
+        raise AssertionError(f"tau_Q^{q.d[i]} Lambda_{i} = Lambda_{a} - {r}: the walk leaves node {i}")
+    return r
+
+
 def _ancestor_gamma(q, i):
     """Oracle: gamma_i as the indicator of the nodes with a path to i, in the
     quiver whose arrows run from each node to its neighbours one step lower."""
@@ -168,7 +190,7 @@ def test_ctilde_psi_row_matches_matrix_power_oracle(letter, rank):
     images = {}
     for i in range(1, rank + 1):
         gamma = _ancestor_gamma(q, i)
-        assert gamma == gamma_q(q, i)
+        assert psi_q(q, i, q.xi[i]) == (gamma, 0)
         for j in range(1, rank + 1):
             for k in range(1, 2 * h):
                 e = k + q.xi[i] - q.xi[j] - 1
@@ -193,7 +215,8 @@ def test_psi_rows_match_tau_matrix_powers(s):
         reach = -(-2 * period // q.d[i])
         for sign, tau in ((-1, down), (1, up)):
             mat = mat_power(tau, q.d[i])
-            beta, m = gamma_q(q, i), 0
+            beta, m = walked_gamma(q, i), 0
+            assert psi_q(q, i, q.xi[i]) == (beta, m), (s, i)
             psi_q(q, i, q.xi[i] + sign * 2 * q.d[i] * reach)
             for k in range(1, reach + 1):
                 beta = mat_vec(mat, beta)
@@ -207,6 +230,12 @@ def test_psi_rows_match_tau_matrix_powers(s):
 def _weight_walk_gamma(q, i):
     """Oracle: (1 - tau_Q^{d_i}) Lambda_i walked in the fundamental-weight basis,
     then solved back to root coordinates."""
+    return weight_to_root(q.rs.cartan, weight_walk(q, i))
+
+
+def weight_walk(q, i):
+    """(1 - tau_Q^{d_i}) Lambda_i in the fundamental-weight basis: a root beta is gamma_i iff C beta is this,
+    C being invertible; checking that skips the exact Cartan solve, which takes seconds at the rank cap."""
     rs = q.rs
     lam = tuple(int(k == i) for k in range(1, rs.rank + 1))
     w = lam
@@ -219,11 +248,58 @@ def _weight_walk_gamma(q, i):
             for j, c in enumerate(w, start=1):
                 out[entry[j] - 1] = c
             w = tuple(out)
-    return weight_to_root(rs.cartan, tuple(a - b for a, b in zip(lam, w)))
+    return tuple(a - b for a, b in zip(lam, w))
 
 
 @pytest.mark.parametrize("s", [*SWEEP, "D32-1", "B10-1", "C12-1"])
 def test_gamma_root_walk_matches_weight_walk_oracle(s):
     q = default_qdatum(build(parse_type_string(s)))
     for i in range(1, q.rs.rank + 1):
-        assert gamma_q(q, i) == _weight_walk_gamma(q, i), (s, i)
+        assert psi_q(q, i, q.xi[i]) == (_weight_walk_gamma(q, i), 0), (s, i)
+
+
+def _fresh_qdatum(s):
+    """The default Q-datum of an unshared instance of type s, so that its word and rows can be corrupted."""
+    return default_qdatum(build.__wrapped__(parse_type_string(s)))
+
+
+def test_a_walk_that_leaves_its_node_is_an_invariant_violation():
+    # G2-1's rho (a 3-cycle on D4) replaced by a transposition in the word: the
+    # walks of nodes 1 and 3 end on each other's weight, node 4's gamma is 0 and
+    # node 2's row walks off the positive roots
+    q = _fresh_qdatum("G2-1")
+    q._tau = tau_q(q)[:-1] + ((0, 3, 2, 1, 4),)
+    for i, message in (
+        (1, "tau_Q^3 Lambda_1 = Lambda_3 - (1, 1, 1, 0): the walk leaves node 1"),
+        (2, "psi_Q(2,-6) = (0, -1, 0, 0) in the window I_Q is not a positive root"),
+        (3, "tau_Q^3 Lambda_3 = Lambda_1 - (1, 1, 1, 0): the walk leaves node 3"),
+        (4, "psi_Q(4,-5) = (0, 0, 0, 0) in the window I_Q is not a positive root"),
+    ):
+        with pytest.raises(InvariantViolation) as exc:
+            qcartan._row(q, i)
+        assert str(exc.value) == message
+    assert q._rows == {}
+
+
+def test_a_gamma_that_is_not_a_positive_root_fails_the_window_check():
+    # s_1 twice in A4-1's word cancels, so the rest fixes Lambda_1 and gamma_1 = 0;
+    # the other rows do not see s_1 twice at their node
+    q = _fresh_qdatum("A4-1")
+    q._tau = tau_q(q)[:1] + tau_q(q)
+    with pytest.raises(InvariantViolation) as exc:
+        qcartan._row(q, 1)
+    assert str(exc.value) == "psi_Q(1,0) = (0, 0, 0, 0) in the window I_Q is not a positive root"
+    assert [psi_q(q, i, q.xi[i])[0] for i in (2, 3, 4)] == [(0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("s", ["A4-1", "D5-1", "E6-1", "G2-1", "B3-1"])
+def test_a_window_one_cell_short_is_an_invariant_violation(s, monkeypatch):
+    # the step past the lowest kept cell reaches the dropped one, a positive root
+    shared, q = default_qdatum(build(parse_type_string(s))), _fresh_qdatum(s)
+    dropped = {i: psi_q(shared, i, qcartan._window(shared, i)[-1])[0] for i in range(1, q.rs.rank + 1)}
+    window = qcartan._window
+    monkeypatch.setattr(qcartan, "_window", lambda q, i: window(q, i)[:-1])
+    for i, beta in dropped.items():
+        with pytest.raises(InvariantViolation) as exc:
+            qcartan._row(q, i)
+        assert str(exc.value) == f"below its window, row {i} reaches the positive root {beta}"

@@ -20,7 +20,6 @@ from qaffine.qcartan import (
     QDatum,
     custom_qdatum,
     default_qdatum,
-    gamma_q,
     i_q,
     psi_q,
     tau_q,
@@ -29,6 +28,7 @@ from qaffine.qcartan import (
 from qaffine.qdata import NotAPositiveRoot, esig, phi_q, phi_q_map, sigma_q_points, translate_star, twist
 from qaffine.roots import identity_perm, perm_from_map
 from qaffine.scalars import I_UNIT, MINUS_ONE, MINUS_Q, MINUS_QS, MINUS_QT, OMEGA, ONE, Q, QS, scalar
+from test_qcartan import walked_gamma
 from weyl_oracle import matrix_order, perm_matrix
 
 ALL_CRIT1 = (
@@ -142,13 +142,13 @@ def test_gamma_is_positive_root():
     for s in ALL_CRIT1:
         q = default_qdatum(build(parse_type_string(s)))
         for i in range(1, q.rs.rank + 1):
-            gamma_q(q, i)  # asserts positivity internally
+            assert q.rs.is_positive_root(psi_q(q, i, q.xi[i])[0]), (s, i)
 
 
 def test_psi_base_case_and_errors():
     q = default_qdatum(build(AffineType(Family.A1, 4)))
     for i in range(1, 5):
-        assert psi_q(q, i, q.xi[i]) == (gamma_q(q, i), 0)
+        assert psi_q(q, i, q.xi[i]) == (walked_gamma(q, i), 0)
     with pytest.raises(NotInHatIQ):
         psi_q(q, 1, q.xi[1] + 1)
 

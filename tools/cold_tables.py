@@ -11,7 +11,10 @@ system, `sigma_q_points` for the psi_Q rows of the window I_Q and phi_Q on
 them, `gram` for the templates of the nodes it pairs and `delta0` for the
 dual translates and the rest of its s-functions; the second, warm `delta0`
 finds every s-function cached, and "coords" builds the root coordinates and
-checks each member's.  The import is not timed.  The child also reports its
+checks each member's.  The child checks its results by explicit tests, which
+`python -O` keeps: Gram = Cartan, |Delta_0| = 2|Delta+| = 2|sigma_Q| with
+distinct coordinates, and coordinates = +-Delta+; a failed check stops the
+tool with a non-zero exit and the child's message.  The import is not timed.  The child also reports its
 peak RSS (`ru_maxrss`) after the last step.  The types are A32-1, A64-1,
 B32-1, D64-1, D64-2 and E8-1.  Runs go one process at a time, 5 per type and tree, alternating between the source trees with the
 helpers of `import_cost.py`.  For each type it prints the median and
@@ -48,16 +51,22 @@ t0 = perf_counter(); ok = gram(d).equal; out["gram"] = perf_counter() - t0
 t0 = perf_counter(); n = len(delta0(d)); out["delta0"] = perf_counter() - t0
 t0 = perf_counter(); warm = delta0(d); out["delta0 (warm)"] = perf_counter() - t0
 t0 = perf_counter(); coords = {psi_lattice(d, q, f) for f in warm}; out["coords"] = perf_counter() - t0
-assert ok and n == 2 * len(d.gfin.positive_roots) == 2 * len(pts) == len(warm) == len(coords), (ok, n, len(pts))
-assert coords == {tuple(s * c for c in beta) for s in (1, -1) for beta in d.gfin.positive_roots}
+roots = d.gfin.positive_roots  # checked by raising, not by assert, so that -O keeps the checks
+if not ok or not n == 2 * len(roots) == 2 * len(pts) == len(warm) == len(coords):
+    sys.exit(f"{sys.argv[1]}: Gram = Cartan is {ok}; |Delta0| = {n} (warm {len(warm)}), {len(coords)} distinct"
+             f" coordinates, 2|Delta+| = {2 * len(roots)}, 2|sigma_Q| = {2 * len(pts)}")
+if coords != {tuple(s * c for c in beta) for s in (1, -1) for beta in roots}:
+    sys.exit(f"{sys.argv[1]}: the coordinates of Delta0 are not +-Delta+")
 print(json.dumps({"seconds": out, "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
 
 def _time_once(src: str, type_string: str) -> dict[str, float]:
     """One child's step times in ms, their total, and its peak RSS in MB."""
-    out = subprocess.run([sys.executable, "-c", CHILD, type_string], env=tree_env(src), check=True,
-                         capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", CHILD, type_string], env=tree_env(src), capture_output=True,
+                         text=True)
+    if out.returncode:
+        raise SystemExit(f"{type_string} from {src}: {out.stderr.strip()}")
     record = json.loads(out.stdout)
     ms = {step: seconds * 1e3 for step, seconds in record["seconds"].items()}
     return {**ms, "total": sum(ms.values()), RSS: record["peak_rss_kb"] / 1024}
