@@ -9,9 +9,9 @@ The untwisted A, D, E families and the twisted ones, whose partner is of
 type A, D or E, read their denominators off the inverse quantum Cartan
 matrix of that partner, i.e. off the psi_Q rows of the default Q-datum,
 through the family's fold (see `_folded_factors`).  B, C, F and G keep
-closed formulas and tables.  The templates of those nine families read the
-rows directly (see `invariants`), so for them only `de`, `lambda_` and the
-`denom` command, and criteria 2, 4 and 10 through them, build these.
+closed formulas and tables.  No template builds a denominator: every
+family's template reads the rows (see `invariants`), so only `de`, `lambda_`
+and the `denom` command, and criteria 2, 4 and 10 through them, build these.
 """
 
 from __future__ import annotations

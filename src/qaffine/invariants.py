@@ -33,22 +33,31 @@ below 2^16 (12*hvee is at most 1,512 at the rank cap), so int order is
 The template is a signed count of denominator roots (the scatter law):
 summed over all k at once, the even terms D^{2l} put +m at c = x and the odd
 terms put -m at c = x/p*, for x in {r, 1/r} and r a root of multiplicity m
-of d_{i,j} (even) or d_{i,j*} (odd).  For untwisted ADE those roots are
-(-q)^{+-(k+1)} of multiplicity ctilde_ij(k), 1 <= k < hvee, so a template is
-read straight off psi_Q row i of the default Q-datum (see `qcartan`), one
-list of 2 hvee values per node, laid out as runs (even t at phase 0, then odd
-t at phase 12), building no denominator or key list and sorting nothing.
-A twisted template is the fold of its ADE partner's row i0, for i0 any
-preimage of i: each key (j, x) goes to (node(j), x f_j / f_i0), a one-to-one
-move (a collision raises InvariantViolation) of the phase field alone, as
-the f_j are roots of unity.  Only B, C, F and G scatter denominators, each
-root's key inline: there m_j = 1, j* = j and p* is a power of q.  No path
-sums a window or calls de; `lambda_`, whose signs (-1)^{k + delta(k<0)}
-need k itself, scatters too: a root x of d_{i,j} (even k) or d_{i,j*} (odd
-k) hits D^k (j, b) exactly when x a is the canonical parameter of D^k (j, b),
-whose q-power fixes k.  No window sum is left in the library; the explicit
+of d_{i,j} (even) or d_{i,j*} (odd).  So summed, it is one formula for all
+fourteen families (for ADE the roots are (-q)^{+-(k+1)} of multiplicity
+ctilde_ij(k)): ctilde_ij(u - d_i) - ctilde_ij(u + d_i) at (j, eps_base^u),
+1 <= u <= span = 12 hvee / e(eps_base), u = span kept at 0 (eps_base: the
+labelling base of the family).  `_scatter` reads ctilde off the psi_Q rows
+of the default Q-datum (Fujita-Oh 2021, see `qcartan`): with I the top of
+i's rho-orbit and d = d_I, coordinate I of psi_Q(a, p), signed (-1)^m, is
+ctilde_{i,pi(a)}(xi_I + d - p), so going down from p = xi_a it reads row a,
+then -row a* (the Nakayama shift), and so on, for every row a of j's orbit,
+as row a holds only every 2 d_a-th p.  The key of (j, u) has the offsets of
+phi_Q: phase 12 (s_j - s_i) + u phase(eps_base), s = `eps_sign`, and e = u
+e(eps_base), so (-q)^u for ADE.  ctilde_ij(u) vanishes on one parity of u
+and eps_base has phase 0 or 12, so node j's entries share one phase: an
+untwisted template is one run group per node, laid out straight from its
+list, sorting nothing.  A twisted template is built on its ADE partner's
+rows for i0, any preimage of i, and folded: each key (j, x) goes to
+(node(j), x f_j / f_i0), a one-to-one move (a collision raises
+InvariantViolation) of the phase field alone, as the f_j are roots of unity.
+No template builds a denominator; criterion 4 of `acceptance` ties the B, C,
+F and G tables to the rows.  No path sums a window or calls de; `lambda_`,
+whose signs (-1)^{k + delta(k<0)} need k itself, scatters roots: a root x of
+d_{i,j} (even k) or d_{i,j*} (odd k) hits D^k (j, b) exactly when x a is the
+canonical parameter of D^k (j, b), whose q-power fixes k.  The explicit
 orbit sum is the tests' oracle, and the scatter with one `_key` call per
-root is the oracle of every template path.
+root (`_old_scatter`) is the oracle of every template.
 
 A SigmaFunction stores the same int keys: `keys` ascending with no key
 twice, and `vals` the value at each.  `s_func` translates the template
@@ -93,13 +102,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import groupby
-from operator import neg
+from itertools import compress, cycle, groupby, islice
+from operator import neg, sub
 from typing import Iterable, NamedTuple, Union
 
 from .affine import AffineData, canonical_param
 from .denominators import denominator
-from .qcartan import default_qdatum, psi_q
+from .qcartan import _row, default_qdatum
 from .scalars import (
     ONE,
     Frozen,
@@ -188,55 +197,42 @@ def _key_runs(d: AffineData, table: dict[int, int]) -> list[Run]:
     return runs
 
 
-def _row_runs(d: AffineData, i: int) -> list[Run]:
-    """Node i's template off psi_Q row i0 of the ADE partner, folded if twisted (see above), as runs."""
+def _scatter(d: AffineData, i: int) -> list[Run]:
+    """Build node i's template as runs off the psi_Q rows (see above), kept on d."""
     q = default_qdatum(d)  # the partner's Q-datum when d is twisted
-    base, h, (i0, f0) = q.base, d.hvee, d.preimages[i][0]
-    acc = {j: [0] * 2 * h for j in base.i0}  # partner node j's values at (-q)^t, t mod 2 hvee
-    cols = [(q.xi[j] + 1, acc[j], acc[base.istar[j]]) for j in base.i0]  # beta_j's k is xi_j + 1 - p
-    top = max(q.xi.values())
-    for p in range(top - (top - q.xi[i0]) % 2, min(q.xi.values()) + 1 - h, -2):
-        beta, m = psi_q(q, i0, p)
-        for b, (x1, at, dual) in zip(beta, cols):
-            if b and 0 < (k := x1 - p) < h:
-                c = -b if m % 2 else b  # ctilde_{i0,j}(k)
-                at[k + 1] += c
-                at[-k - 1] += c
-                dual[k + 1 - h] -= c
-                dual[-k - 1 - h] -= c
-    if d.twisted:  # the fold (j, (-q)^t) -> (node(j), (-q)^t f_j / f_i0) moves the phase field alone
-        moved = {((node << 5 | (12 * t + f.phase - f0.phase) % d.phase_mod[node]) << 16) + 6 * t: v
-                 for j, row in acc.items() for node, f in (d.fold[j],) for t, v in enumerate(row) if v}
-        if len(moved) < sum(2 * h - row.count(0) for row in acc.values()):
+    (i0, f0), spec, n = d.preimages[i][0], q.base.type.spec, q.base.n
+    (bph, be), half, s0 = spec.eps_base, d.period // spec.eps_base.e // 2, spec.eps_sign(n, i0)
+    top = q.orbit_top(next(a for a, j in q.pi.items() if j == i0))
+    dt, x = q.d[top], q.xi[top] + q.d[top]  # the cell (a, p) carries ctilde_{i0,pi(a)}(x - p)
+    # ct[j][m] = ctilde_{i0,j}(u) at u = 2 m + 2 - odd[j] - d, on the one parity of u where it may be nonzero
+    ct, odd = {j: [0] * (half + dt) for j in q.base.i0}, {}
+    for a in range(1, q.rs.rank + 1):  # row a, then -row a*, repeating, at u = x - xi_a + 2 d_a k
+        u, step = x - q.xi[a], 2 * q.d[a]
+        odd[q.pi[a]] = par = (u + dt) % 2
+        cells = [b[top - 1] for b, _ in _row(q, a)] + [-b[top - 1] for b, _ in _row(q, q.rs.istar(a))]
+        k = max(0, -((u - 1) // step))  # the first cell with u >= 1
+        at = range((u + k * step + dt + par) // 2 - 1, half + dt, q.d[a])
+        ct[q.pi[a]][at.start:at.stop:at.step] = islice(cycle(cells), k, k + len(at))
+    runs, pairs, at_one = [], [], 0
+    for j, c in ct.items():
+        vals = list(map(sub, c, c[dt:]))  # at u = 2 m + 2 - odd[j], so u = span is last if odd[j] = 0
+        vals = vals if odd[j] else vals[-1:] + vals[:-1]  # u = span is kept at 0
+        node, f = d.fold[j]
+        phase = (12 * (spec.eps_sign(n, j) - s0) + odd[j] * bph + f.phase - f0.phase) % d.phase_mod[node]
+        key = (node << 5 | phase) << 16 if d.twisted else 0  # an untwisted run holds e alone
+        es, vs = compress(range(key + odd[j] * be, key + d.period, 2 * be), vals), tuple(filter(None, vals))
+        if d.twisted:
+            pairs += zip(es, vs)
+        else:
+            runs.append(_run(d, j, [(phase, tuple(es), vs)] if vs else []))
+            at_one = vals[0] if j == i0 else at_one  # odd[i0] = 0 and the phase is 0: the value at (i, 1)
+    if d.twisted:
+        if len(moved := dict(pairs)) < len(pairs):
             raise InvariantViolation(f"the fold of {d} is not one-to-one on node {i}'s template")
         at_one, runs = moved.get(i << 21), _key_runs(d, moved)  # i << 21: the key of (i, 1)
-    else:  # (-q)^t has phase 12 t mod 24 and e = 6 t: per node, even t at phase 0, then odd t at phase 12
-        at_one, runs = acc[i][0], []
-        for j, row in acc.items():
-            runs.append(_run(d, j, [(12 * odd, *zip(*hits)) for odd in (0, 1)
-                                    if (hits := [(6 * t, v) for t, v in zip(range(odd, 2 * h, 2), row[odd::2]) if v])]))
     if at_one != -2:
         raise InvariantViolation(f"lambda_inf(({i}, 1), ({i}, 1)) is not -2 on {d}")
-    return runs
-
-
-def _root_runs(d: AffineData, i: int) -> list[Run]:
-    """Node i's template for B, C, F, G by the scatter law (see above), as runs."""
-    pe, period = d.pstar.e, d.period
-    acc: dict[int, int] = {}
-    for j in d.i0:
-        for (rph, re6), m in denominator(d, i, j).mults:
-            for ph, e in ((rph, re6), (-rph % 24, -re6)):  # x = r, then x = 1/r
-                key = (j << 5 | ph) << 16  # +m at x, -m at x / p*
-                acc[k] = acc.get(k := key + e % period, 0) + m
-                acc[k] = acc.get(k := key + (e - pe) % period, 0) - m
-    return _key_runs(d, acc)
-
-
-def _scatter(d: AffineData, i: int) -> list[Run]:
-    """Build node i's template as runs, kept on d: by the scatter law for B, C, F and G, else off psi_Q, so
-    for the other nine families only `de`, `lambda_`, `denom` and criteria 2, 4 and 10 build denominators."""
-    runs = d._template_cache[i] = (_row_runs if d.simply_laced or d.twisted else _root_runs)(d, i)
+    d._template_cache[i] = runs
     return runs
 
 

@@ -30,9 +30,12 @@ j-th coordinate of tau_Q^{e/2} gamma_i, e = k + xi_i - xi_j - 1, so
 
     ctilde_{i,j}(k) = (-1)^m beta_j  with  (beta, m) = psi_Q(i, xi_j + 1 - k).
 
+For every untwisted family the rows give g's own ctilde through the
+rho-orbits: ctilde_ij(u) is coordinate I of tau_Q^{(u + xi_J - xi_I - d_i)/2}
+gamma_J, I and J the tops of the orbits of i and j, read over the rows of
+J's whole orbit, as row J holds only every d_j-th step (`invariants._scatter`).
 A truncated exact power-series inversion of the z-deformed Cartan matrix is
-kept as an independent route; agreement of the two on every coefficient is
-one of the acceptance checks.
+kept as an independent route for ADE; criterion 3 checks every coefficient.
 """
 
 from __future__ import annotations

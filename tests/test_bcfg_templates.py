@@ -1,9 +1,10 @@
 """The B, C, F and G templates against g's own quantum Cartan matrix.
 
-The templates of these families come from their denominator formulas and
-tables (`denominators._b1_factors`, `_c1_factors`, the F4 and G2 tables).
-This oracle shares nothing with those: it inverts the quantum Cartan matrix
-C(z) of g itself as an exact power series, with
+The templates of these families are read off the psi_Q rows of their
+rho-folded Q-data, over whole rho-orbits (see `invariants`), so this checks
+those rows against g's own series.  It shares nothing with the rows or with
+the denominator tables: it inverts the quantum Cartan matrix C(z) of g
+itself as an exact power series, with
 
     C(z)_ii = z^{d_i} + z^{-d_i},    C(z)_ij = [a_ij]_z  (i != j),
 

@@ -12,11 +12,12 @@ them, `gram` for the templates of the nodes it pairs and `delta0` for the
 dual translates and the rest of its s-functions; the second, warm `delta0`
 finds every s-function cached, and "coords" builds the root coordinates and
 checks each member's.  The child checks its results by explicit tests, which
-`python -O` keeps: Gram = Cartan, |Delta_0| = 2|Delta+| = 2|sigma_Q| with
-distinct coordinates, and coordinates = +-Delta+; a failed check stops the
-tool with a non-zero exit and the child's message.  The import is not timed.  The child also reports its
+`python -O` keeps: Gram = Cartan, |Delta_0| = 2|Delta+| = 2|sigma_Q|, and,
+member by member, that s_{phi_Q(beta)} has the coordinates beta and its dual
+translate -beta for every positive root beta; a failed check stops the tool
+with a non-zero exit and the child's message.  The import is not timed.  The child also reports its
 peak RSS (`ru_maxrss`) after the last step.  The types are A32-1, A64-1,
-B32-1, D64-1, D64-2 and E8-1.  Runs go one process at a time, 5 per type and tree, alternating between the source trees with the
+B32-1, C32-1, D64-1, D64-2 and E8-1.  Runs go one process at a time, 5 per type and tree, alternating between the source trees with the
 helpers of `import_cost.py`.  For each type it prints the median and
 quartiles per tree of each step and of their total in milliseconds, and of
 the peak RSS in MB.  To compare two checkouts:
@@ -35,13 +36,14 @@ from statistics import quantiles
 from import_cost import alternate, missing_tree, tree_env
 
 RUNS = 5
-TYPES = ("A32-1", "A64-1", "B32-1", "D64-1", "D64-2", "E8-1")
+TYPES = ("A32-1", "A64-1", "B32-1", "C32-1", "D64-1", "D64-2", "E8-1")
 STEPS = ("build", "default_qdatum", "sigma_q_points", "gram", "delta0", "delta0 (warm)", "coords")
 RSS = "peak RSS (MB)"
 CHILD = """
 import json, resource, sys
 from time import perf_counter
-from qaffine import build, default_qdatum, delta0, gram, parse_type_string, psi_lattice, sigma_q_points
+from qaffine import (build, default_qdatum, delta0, dual_shift, gram, parse_type_string, phi_q_map, psi_lattice,
+                     s_func, sigma_q_points)
 t = parse_type_string(sys.argv[1])
 out = {}
 t0 = perf_counter(); d = build(t); out["build"] = perf_counter() - t0
@@ -50,13 +52,15 @@ t0 = perf_counter(); pts = sigma_q_points(d, q); out["sigma_q_points"] = perf_co
 t0 = perf_counter(); ok = gram(d).equal; out["gram"] = perf_counter() - t0
 t0 = perf_counter(); n = len(delta0(d)); out["delta0"] = perf_counter() - t0
 t0 = perf_counter(); warm = delta0(d); out["delta0 (warm)"] = perf_counter() - t0
-t0 = perf_counter(); coords = {psi_lattice(d, q, f) for f in warm}; out["coords"] = perf_counter() - t0
+t0 = perf_counter(); coords = {f: psi_lattice(d, q, f) for f in warm}; out["coords"] = perf_counter() - t0
 roots = d.gfin.positive_roots  # checked by raising, not by assert, so that -O keeps the checks
 if not ok or not n == 2 * len(roots) == 2 * len(pts) == len(warm) == len(coords):
     sys.exit(f"{sys.argv[1]}: Gram = Cartan is {ok}; |Delta0| = {n} (warm {len(warm)}), {len(coords)} distinct"
-             f" coordinates, 2|Delta+| = {2 * len(roots)}, 2|sigma_Q| = {2 * len(pts)}")
-if coords != {tuple(s * c for c in beta) for s in (1, -1) for beta in roots}:
-    sys.exit(f"{sys.argv[1]}: the coordinates of Delta0 are not +-Delta+")
+             f" members, 2|Delta+| = {2 * len(roots)}, 2|sigma_Q| = {2 * len(pts)}")
+for beta, p in phi_q_map(q, d).items():  # member by member: s_{phi_Q(beta)} at beta, its dual translate at -beta
+    for point, want in ((p, beta), (dual_shift(d, p), tuple(-c for c in beta))):
+        if coords.get(s_func(d, point)) != want:
+            sys.exit(f"{sys.argv[1]}: the coordinates of s_{point} are {coords.get(s_func(d, point))}, not {want}")
 print(json.dumps({"seconds": out, "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
