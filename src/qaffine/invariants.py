@@ -45,12 +45,17 @@ then -row a* (the Nakayama shift), and so on, for every row a of j's orbit,
 as row a holds only every 2 d_a-th p.  The key of (j, u) has the offsets of
 phi_Q: phase 12 (s_j - s_i) + u phase(eps_base), s = `eps_sign`, and e = u
 e(eps_base), so (-q)^u for ADE.  ctilde_ij(u) vanishes on one parity of u
-and eps_base has phase 0 or 12, so node j's entries share one phase: an
-untwisted template is one run group per node, laid out straight from its
-list, sorting nothing.  A twisted template is built on its ADE partner's
-rows for i0, any preimage of i, and folded: each key (j, x) goes to
-(node(j), x f_j / f_i0), a one-to-one move (a collision raises
-InvariantViolation) of the phase field alone, as the f_j are roots of unity.
+and eps_base has phase 0 or 12, so node j's entries share one phase and
+are one group (phase, exponents, values), laid out straight from its list,
+sorting no key.  A twisted template is built on its ADE partner's rows for
+i0, any preimage of i, and folded group by group: the fold (j, x) ->
+(node(j), x f_j / f_i0) moves the phase field alone, as the f_j are roots of
+unity, so partner node j's group goes whole to node(j), at its phase shifted
+by that of f_j / f_i0.  Every node's run is then its groups in phase order,
+one for an untwisted node, one per preimage for a folded one.  The fold is
+one-to-one exactly when no two groups land on one (node, phase); a clash
+raises InvariantViolation, and so does a template whose value at (i, 1),
+e = 0 of node i's phase-0 group, is not -2.
 No template builds a denominator; criterion 4 of `acceptance` ties the B, C,
 F and G tables to the rows.  No path sums a window or calls de; `lambda_`,
 whose signs (-1)^{k + delta(k<0)} need k itself, scatters roots: a root x of
@@ -102,7 +107,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import compress, cycle, groupby, islice
+from itertools import compress, cycle, islice
 from operator import neg, sub
 from typing import Iterable, NamedTuple, Union
 
@@ -180,21 +185,12 @@ def _point(key: int) -> SigmaPoint:
 Run = tuple[int, int, list[int], list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]]
 
 
-def _run(d: AffineData, j: int, groups: list[tuple[int, tuple[int, ...], tuple[int, ...]]]) -> Run:
-    """Node j's run from its groups (phase, exponents ascending, values), the one run format: each group
+def _run(d: AffineData, j: int, groups: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]) -> Run:
+    """Node j's run from its groups phase -> (exponents ascending, values), the one run format: each group
     lists its exponents twice, the first copy shifted down a period, so a rotation is one slice."""
-    groups = [(ph, len(fs), tuple(map((-d.period).__add__, fs)) + fs, vs * 2) for ph, fs, vs in groups]
+    groups = [(ph, len(fs), tuple(map((-d.period).__add__, fs)) + fs, vs * 2)
+              for ph, (fs, vs) in sorted(groups.items())]
     return j, d.phase_mod[j], [g[0] for g in groups], groups * 2
-
-
-def _key_runs(d: AffineData, table: dict[int, int]) -> list[Run]:
-    """The runs of a template given as a dict key -> value (zero values dropped)."""
-    runs = []
-    for j, node_keys in groupby(sorted(filter(table.get, table)), (21).__rrshift__):
-        groups = [tuple(g) for _, g in groupby(node_keys, (16).__rrshift__)]  # by the node and phase fields
-        runs.append(_run(d, j, [(g[0] >> 16 & 31, tuple(map((0xFFFF).__and__, g)), tuple(map(table.__getitem__, g)))
-                                for g in groups]))
-    return runs
 
 
 def _scatter(d: AffineData, i: int) -> list[Run]:
@@ -213,26 +209,18 @@ def _scatter(d: AffineData, i: int) -> list[Run]:
         k = max(0, -((u - 1) // step))  # the first cell with u >= 1
         at = range((u + k * step + dt + par) // 2 - 1, half + dt, q.d[a])
         ct[q.pi[a]][at.start:at.stop:at.step] = islice(cycle(cells), k, k + len(at))
-    runs, pairs, at_one = [], [], 0
+    laid = {node: {} for node in d.i0}  # node -> phase -> (exponents, values): one group per partner node j
     for j, c in ct.items():
         vals = list(map(sub, c, c[dt:]))  # at u = 2 m + 2 - odd[j], so u = span is last if odd[j] = 0
         vals = vals if odd[j] else vals[-1:] + vals[:-1]  # u = span is kept at 0
-        node, f = d.fold[j]
+        node, f = d.fold[j]  # the fold moves j's group whole, shifting its phase alone
         phase = (12 * (spec.eps_sign(n, j) - s0) + odd[j] * bph + f.phase - f0.phase) % d.phase_mod[node]
-        key = (node << 5 | phase) << 16 if d.twisted else 0  # an untwisted run holds e alone
-        es, vs = compress(range(key + odd[j] * be, key + d.period, 2 * be), vals), tuple(filter(None, vals))
-        if d.twisted:
-            pairs += zip(es, vs)
-        else:
-            runs.append(_run(d, j, [(phase, tuple(es), vs)] if vs else []))
-            at_one = vals[0] if j == i0 else at_one  # odd[i0] = 0 and the phase is 0: the value at (i, 1)
-    if d.twisted:
-        if len(moved := dict(pairs)) < len(pairs):
+        if phase in (groups := laid[node]):
             raise InvariantViolation(f"the fold of {d} is not one-to-one on node {i}'s template")
-        at_one, runs = moved.get(i << 21), _key_runs(d, moved)  # i << 21: the key of (i, 1)
-    if at_one != -2:
+        groups[phase] = tuple(compress(range(odd[j] * be, d.period, 2 * be), vals)), tuple(filter(None, vals))
+    if (0, -2) not in zip(*laid[i].get(0, ((), ()))):  # the value at (i, 1): e = 0 of node i's phase-0 group
         raise InvariantViolation(f"lambda_inf(({i}, 1), ({i}, 1)) is not -2 on {d}")
-    d._template_cache[i] = runs
+    runs = d._template_cache[i] = [_run(d, node, groups) for node, groups in laid.items()]
     return runs
 
 

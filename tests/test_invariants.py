@@ -746,7 +746,7 @@ FOLD_TYPES = [s for s in SWEEP if parse_type_string(s).spec.twist > 1] + ["A9-2"
 ROW_TYPES = [s for s in LADDER if parse_type_string(s).family not in (Family.B1, Family.C1)] + ["A10-2", "D9-2"]
 
 
-@pytest.mark.parametrize("s", [*ROW_TYPES, "A64-1", "D64-1", "D64-2"])
+@pytest.mark.parametrize("s", [*ROW_TYPES, "A63-2", "A64-1", "A64-2", "D64-1", "D64-2"])
 def test_row_runs_match_the_per_root_key_path_at_the_ladder_and_the_cap(s):
     # every template comes off the psi_Q rows, folded when twisted; the scatter
     # over denominators is the oracle (at the cap only the runs are compared:
@@ -795,14 +795,19 @@ def test_every_preimage_gives_the_same_template(s):
 
 def test_a_fold_that_is_not_one_to_one_or_moves_i_at_1_is_refused():
     # A5-2 folds partner node 4 onto node 2 with the factor -1; with the factor 1
-    # its keys would land on those of partner node 2, where the values would add
+    # its group would land on the phase of partner node 2's
     d = build.__wrapped__(parse_type_string("A5-2"))
     d.fold = {**d.fold, 4: (2, ONE)}
     with pytest.raises(InvariantViolation, match="not one-to-one on node 1's template"):
         invariants._scatter(d, 1)
-    # the -2 check reads the folded keys: a factor -1 on i0 = 1 moves (1, 1) away
+    # a factor -1 on i0 = 1 moves its group onto the phase of partner node 5's, (1, -1)
     d = build.__wrapped__(parse_type_string("A5-2"))
     d.fold = {**d.fold, 1: (1, scalar(12, 0))}
+    with pytest.raises(InvariantViolation, match="not one-to-one on node 1's template"):
+        invariants._scatter(d, 1)
+    # the -2 check reads node i's phase-0 group: a factor z24^6 on i0 = 1 moves (1, 1) to a free phase
+    d = build.__wrapped__(parse_type_string("A5-2"))
+    d.fold = {**d.fold, 1: (1, scalar(6, 0))}
     with pytest.raises(InvariantViolation, match="is not -2"):
         invariants._scatter(d, 1)
 

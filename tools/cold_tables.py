@@ -17,8 +17,9 @@ member by member, that s_{phi_Q(beta)} has the coordinates beta and its dual
 translate -beta for every positive root beta; a failed check stops the tool
 with a non-zero exit and the child's message.  The import is not timed.  The child also reports its
 peak RSS (`ru_maxrss`) after the last step.  The types are A32-1, A64-1,
-B32-1, C32-1, D64-1, D64-2 and E8-1.  Runs go one process at a time, 5 per type and tree, alternating between the source trees with the
-helpers of `import_cost.py`.  For each type it prints the median and
+A64-2, B32-1, C32-1, D64-1, D64-2 and E8-1 (A64-2 and D64-2 fold at the cap).
+Runs go one process at a time, 5 per type and tree, alternating between the
+source trees with the helpers of `import_cost.py`.  For each type it prints the median and
 quartiles per tree of each step and of their total in milliseconds, and of
 the peak RSS in MB.  To compare two checkouts:
 
@@ -36,7 +37,7 @@ from statistics import quantiles
 from import_cost import alternate, missing_tree, tree_env
 
 RUNS = 5
-TYPES = ("A32-1", "A64-1", "B32-1", "C32-1", "D64-1", "D64-2", "E8-1")
+TYPES = ("A32-1", "A64-1", "A64-2", "B32-1", "C32-1", "D64-1", "D64-2", "E8-1")
 STEPS = ("build", "default_qdatum", "sigma_q_points", "gram", "delta0", "delta0 (warm)", "coords")
 RSS = "peak RSS (MB)"
 CHILD = """
