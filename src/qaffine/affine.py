@@ -87,7 +87,8 @@ class FamilySpec(NamedTuple):
     (-1)^eps_sign(n, pi(i)) eps_base^p.  A twisted family folds its
     partner's sigma_0 into its own: `fold(n, i) = (node, factor)` sends the
     point (i, a) to (node, factor * a); an untwisted family's fold is the
-    identity.  `AffineData` tables the fold and its inverse.
+    identity.  `AffineData` tables the fold and its inverse, and derives
+    m_i from it: the twist over the number of partner nodes folded onto i.
     """
 
     letter: str
@@ -99,7 +100,6 @@ class FamilySpec(NamedTuple):
     fixed: bool = False
     num_scale: int = 1
     num_offset: int = 0
-    m: Callable[[int, int], int] = lambda n, i: 1
     gfin: Callable[[int], tuple[str, int]] | None = None
     partner: Callable[[int], tuple["Family", int]] | None = None
     rho: Callable[[int], dict[int, int]] = lambda n: {}
@@ -184,27 +184,27 @@ _SPECS: dict[Family, FamilySpec] = {
     Family.A2_ODD: FamilySpec(
         "A", 2, 2, lambda n: scalar(12, 2 * n), _K0_SIGN_Q2,
         lambda n, i, dd: _mq(i + 1),
-        num_scale=2, num_offset=-1, m=lambda n, i: 2 if i == n else 1,
+        num_scale=2, num_offset=-1,
         partner=lambda n: (Family.A1, 2 * n - 1),
         fold=lambda n, i: (i, ONE) if i <= n else (2 * n - i, MINUS_ONE),
     ),
     Family.D2: FamilySpec(
         "D", 2, 3, lambda n: scalar(12 * (n + 1), 2 * n), _K0_SIGN_Q2,
         lambda n, i, dd: _mq(i + 1) if i == n else (I_UNIT ** (n + 1 - i)) * _mq(i + 1),
-        num_offset=1, m=lambda n, i: 1 if i == n else 2,
+        num_offset=1,
         partner=lambda n: (Family.D1, n + 1),
         fold=lambda n, i: (i, I_UNIT ** (n + 1 - i)) if i < n else (n, MINUS_ONE ** i),
     ),
     Family.E6_2: FamilySpec(
         "E", 2, 4, lambda n: scalar(12, 12), _K0_SIGN_Q2,
         lambda n, i, dd: Q ** (i + 1) if i in (1, 2) else I_UNIT * _mq(i + 1),
-        fixed=True, num_offset=2, m=lambda n, i: 1 if i <= 2 else 2,
+        fixed=True, num_offset=2,
         partner=lambda n: (Family.E6_1, 6), fold=lambda n, i: _E62_FOLD[i],
     ),
     Family.D4_3: FamilySpec(
         "D", 3, 2, lambda n: scalar(0, 6), _K0_OMEGA_Q2,
         lambda n, i, dd: ONE if i == 1 else MINUS_Q,
-        fixed=True, num_offset=2, m=lambda n, i: 1 if i == 1 else 3,
+        fixed=True, num_offset=2,
         partner=lambda n: (Family.D1, 4), fold=lambda n, i: _D43_FOLD[i],
     ),
 }
@@ -301,7 +301,14 @@ class AffineData:
         self.simply_laced = not self.twisted and gfin.letter == spec.letter
         self.g0_adj = gfin.adj if self.simply_laced else diagram_adj("A", n)
         self.istar = {i: gfin.istar(i) if self.simply_laced else i for i in self.i0}
-        self.m = {i: spec.m(n, i) for i in self.i0}
+        # the fold of the partner's sigma_0 into sigma(g), partner node a -> (node, f_a)
+        # (the identity when untwisted), and its inverse node -> [(a, f_a)] in order of a
+        self.fold = {a: spec.fold(n, a) for a in range(1, gfin.rank + 1)}
+        self.preimages: dict[int, list[tuple[int, SpectralScalar]]] = {}
+        for a, (node, f) in self.fold.items():
+            self.preimages.setdefault(node, []).append((a, f))
+        # m_i: the twist over the number of partner nodes folded onto i (so 1 when untwisted)
+        self.m = {i: spec.twist // len(self.preimages[i]) for i in self.i0}
         self.pstar = spec.pstar(n)
         if self.pstar.e % 6:
             raise InvariantViolation(f"p* = {self.pstar} of {t} is not an integral power of q")
@@ -313,12 +320,6 @@ class AffineData:
         # the scalar's (phase, e): generator (phase_step, e_step) plus an optional pure-phase one
         self.k0 = spec.k0
         self.sigma0_base = {i: spec.sigma0_base(n, i, self.dd) for i in self.i0}
-        # the fold of the partner's sigma_0 into sigma(g), partner node a -> (node, f_a)
-        # (the identity when untwisted), and its inverse node -> [(a, f_a)] in order of a
-        self.fold = {a: spec.fold(n, a) for a in range(1, gfin.rank + 1)}
-        self.preimages: dict[int, list[tuple[int, SpectralScalar]]] = {}
-        for a, (node, f) in self.fold.items():
-            self.preimages.setdefault(node, []).append((a, f))
         # memo caches; `_template_cache` maps a node to its template, the runs from which
         # `s_func` slices its keys; `_sfunc_cache`, unbounded, maps a SigmaPoint, as given,
         # to its s-function, and a dual pair shares one `keys` tuple (see `invariants`)

@@ -202,7 +202,8 @@ def partition_blocks(d: AffineData, q: QDatum, modules) -> list[tuple[BlockLabel
 
 
 def delta0(d: AffineData, q: QDatum | None = None) -> list[SigmaFunction]:
-    """The root set: distinct s-functions over sigma_Q and its first dual translate."""
+    """The root set: the s-functions over sigma_Q and its first dual translate, in point order,
+    distinct by the theorem (criterion 9 of `acceptance` checks it), so none is dropped."""
     q = q or default_qdatum(d)
     pts = sigma_q_points(d, q)
-    return list(dict.fromkeys(s_func(d, p) for p in sorted(pts | translate_star(d, pts, 1))))
+    return [s_func(d, p) for p in sorted(pts | translate_star(d, pts, 1))]

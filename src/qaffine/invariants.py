@@ -252,21 +252,20 @@ class SigmaFunction(Frozen):
     where the function is nonzero (it is constant on each orbit): `keys`,
     their `_key`s ascending, each once, and `vals`, the value at each.
     Every constructor keeps this, so equal functions have equal tuples, and
-    equality and hashing read them.  The hash is computed on first use and
-    kept in `_hash`, which repr and pickle skip.  `values` is the same
-    function with each key turned into its (cached) SigmaPoint, for output.
+    equality and hashing read them; the hash is not kept, as no library path
+    hashes a function twice.  `values` is the same function with each key
+    turned into its (cached) SigmaPoint, for output.
     `gens` records how the function was assembled from s-generators; the
     bilinear pairing requires it, and it is None for raw functions.
     """
 
-    __slots__ = ("keys", "vals", "gens", "_hash")
+    __slots__ = ("keys", "vals", "gens")
 
     def __init__(self, keys: tuple[int, ...], vals: tuple[int, ...],
                  gens: tuple[tuple[SigmaPoint, int], ...] | None = None):
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "vals", vals)
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "_hash", None)
 
     @property
     def values(self) -> tuple[tuple[SigmaPoint, int], ...]:
@@ -288,12 +287,7 @@ class SigmaFunction(Frozen):
         return self.keys == other.keys and self.vals == other.vals
 
     def __hash__(self) -> int:
-        # tuples do not keep their hash, so the function keeps it: computed once, on first use
-        h = self._hash
-        if h is None:
-            h = hash((self.keys, self.vals))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.keys, self.vals))
 
     def __neg__(self) -> "SigmaFunction":
         gens = None if self.gens is None else tuple((p, -c) for p, c in self.gens)

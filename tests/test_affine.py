@@ -127,6 +127,31 @@ def test_m_tables():
     assert build(parse_type_string("B4-1")).m == {i: 1 for i in range(1, 5)}
 
 
+# the spec's m_i before it was derived from the fold, kept as the oracle; every other family has m = 1
+_SPEC_M = {
+    Family.A2_ODD: lambda n, i: 2 if i == n else 1,
+    Family.D2: lambda n, i: 1 if i == n else 2,
+    Family.E6_2: lambda n, i: 1 if i <= 2 else 2,
+    Family.D4_3: lambda n, i: 1 if i == 1 else 3,
+}
+
+
+def test_m_from_the_fold_matches_the_spec_tables_up_to_the_cap():
+    # every twisted type build accepts; an untwisted fold is the identity, so m = 1
+    types = [parse_type_string(s) for s in ALL_SMALL]
+    for family in (Family.A2_EVEN, Family.A2_ODD, Family.D2, Family.E6_2, Family.D4_3):
+        for n in range(1, 2 * MAX_GFIN_RANK):
+            try:
+                types.append(AffineType(family, n))
+            except RankOutOfRange:
+                pass
+    assert len(types) == len(ALL_SMALL) + 32 + 31 + 61 + 1 + 1
+    for t in types:
+        d = build.__wrapped__(t)
+        want = {i: _SPEC_M.get(t.family, lambda n, i: 1)(t.n, i) for i in d.i0}
+        assert d.m == want and d.phase_mod == {i: 24 // m for i, m in want.items()}, str(t)
+
+
 def _sigma_eq(d, p1, p2):
     """The definition, as an oracle: (i,x) ~ (j,y) iff i = j and x^{m_i} = y^{m_i}."""
     (i, x), (j, y) = p1, p2

@@ -52,6 +52,8 @@ def _delta0_moved_back(d, q):
 @pytest.mark.parametrize("case", CUSTOM, ids=str)
 def test_delta0_moved_back_by_home_is_the_defaults(case):
     d, q = _data(case)
+    # the sets below would hide a member listed twice; the theorem gives 2 |Delta+| distinct ones
+    assert len(delta0(d, q)) == 2 * len(q.rs.positive_roots)
     assert _delta0_moved_back(d, q) == set(delta0(d))
 
 

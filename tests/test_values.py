@@ -91,7 +91,7 @@ def test_immutable_values_refuse_assignment(index):
 
 def test_s_functions_store_flat_int_keys():
     # two flat tuples of plain ints: no per-entry (key, value) tuple is stored
-    assert SigmaFunction.__slots__ == ("keys", "vals", "gens", "_hash")
+    assert SigmaFunction.__slots__ == ("keys", "vals", "gens")
     d = build(parse_type_string("E6-2"))
     p, other = sigma_point(d, 2, Q), sigma_point(d, 3, ONE)
     for f in (s_func(d, p), -s_func(d, p), e_of(d, [p, other])):
